@@ -40,6 +40,7 @@ from .primes import PrimeSubsetSpec, sieve
 from .representations import (
     count_representations,
     m_window_deviation,
+    scan_lattice,
     theorem_experiment,
     transfer_witness,
 )
@@ -330,26 +331,24 @@ def _cmd_sumset_verify(args) -> tuple[dict, int]:
 
 def _cmd_represent(args) -> tuple[dict, int]:
     spec = _parse_spec(args.spec, args.seed)
+    scan_lattice(args.s, spec, args.limit)
     table = sieve(max(args.limit, 100))
     lo = args.n_lo if args.n_lo is not None else args.s * 25
     report = theorem_experiment(args.s, spec, (lo, args.limit), table)
     result = report.to_json()
     code = 0
-    if args.check:
-        counts = count_representations(args.limit, args.s, spec, table).counts
-        if spec.min_prime >= 5:
-            ns = np.arange(args.limit + 1)
-            bad = ns[(ns % 24 != args.s % 24) & (counts != 0)]
-            result["congruence_scan_violations"] = [int(x) for x in bad[:20]]
-            if len(bad):
-                code = 1
-    if args.csv:
-        csv_path = _sidecar(args.out, "counts")
-        if csv_path:
-            count_representations(args.limit, args.s, spec, table).to_csv(
-                csv_path, nonzero_only=True
-            )
-            result["csv"] = csv_path
+    csv_path = _sidecar(args.out, "counts") if args.csv else None
+    if args.check or csv_path:
+        counts = count_representations(args.limit, args.s, spec, table)
+    if args.check and spec.min_prime >= 5:
+        ns = np.arange(args.limit + 1)
+        bad = ns[(ns % 24 != args.s % 24) & (counts.counts != 0)]
+        result["congruence_scan_violations"] = [int(x) for x in bad[:20]]
+        if len(bad):
+            code = 1
+    if csv_path:
+        counts.to_csv(csv_path, nonzero_only=True)
+        result["csv"] = csv_path
     return result, code
 
 
@@ -383,6 +382,7 @@ def _cmd_transfer(args) -> tuple[dict, int]:
 
 def _cmd_experiment(args) -> tuple[dict, int]:
     spec = _parse_spec(args.spec, args.seed)
+    scan_lattice(args.s, spec, args.n_hi)
     table = sieve(max(args.n_hi, 100))
     report = theorem_experiment(args.s, spec, (args.n_lo, args.n_hi), table)
     return report.to_json(), 0

@@ -53,7 +53,7 @@ class FourierGrid:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["k", "re", "im"])
-            for k, v in enumerate(self.values):
+            for k, v in enumerate(self.values.tolist()):
                 writer.writerow([k, repr(v.real), repr(v.imag)])
 
 

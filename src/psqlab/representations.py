@@ -1,5 +1,10 @@
 """Counting and exhibiting n = p_1^2 + ... + p_s^2 with all p_j in P.
 
+Existence (the exception scan, witnesses, the transfer's index search) is
+boolean reachability, not counting: p^2 = 24k + 1 for every prime p >= 5,
+so s such squares sum to s + 24K and the search runs over K, a lattice 24
+times shorter than [0, n].  Specs admitting 2 or 3 use stride 1.
+
 Ordered representation counts come from s-fold convolution of the
 prime-square indicator, computed exactly: plain integer convolution below
 a size crossover, double-precision FFT with a rounding-residual guard
@@ -15,11 +20,11 @@ from typing import Optional
 
 import numpy as np
 
+from ._gridfft import MAX_CONV_LEN, Reach, lex_smallest_sum, reach_budget
 from .errors import NotFound, TableTooSmall, TooLarge
 from .primes import PrimeSubsetSpec, PrimeTable, empirical_density, subset_members
 from .wtrick import WContext, delta_table, f_sequence, select_residues
 
-MAX_CONV_LEN = 1 << 24
 _EXACT_CROSSOVER = 8192  # below this, plain O(n^2) integer convolution
 _SPLIT_BASE_BITS = 14
 
@@ -167,50 +172,41 @@ class ReprWitness:
         return out
 
 
+def scan_lattice(s: int, spec: PrimeSubsetSpec, hi: int) -> tuple[int, int, int]:
+    """(stride, unit, cap): s squares p^2 = stride*k + unit summing to n <= hi
+    give n = s*unit + stride*K, 0 <= K <= cap; stride 24, unit 1 unless the
+    spec admits 2 or 3.  Raises TooLarge up front if the search over K is too big."""
+    if s < 1:
+        raise ValueError(f"s must be >= 1, got {s}")
+    stride, unit = (24, 1) if spec.min_prime >= 5 else (1, 0)
+    cap = max(hi - s * unit, 0) // stride
+    reach_budget(s + 1, cap + 1)
+    return stride, unit, cap
+
+
+def _square_reach(s: int, spec: PrimeSubsetSpec, table: PrimeTable, hi: int):
+    stride, unit, cap = scan_lattice(s, spec, hi)
+    root = math.isqrt(hi)
+    if table.limit < root:
+        raise TableTooSmall(f"need primes up to {root}, table stops at {table.limit}")
+    members = subset_members(spec, table)
+    ks = (members[members <= root] ** 2 - unit) // stride
+    return stride, unit, Reach([ks] * s, cap)
+
+
+def _witness(n: int, s: int, stride: int, unit: int, reach: Reach) -> Optional[ReprWitness]:
+    K, off = divmod(n - s * unit, stride)
+    ks = None if off else reach.smallest(K)
+    return None if ks is None else ReprWitness(n, tuple(math.isqrt(stride * k + unit) for k in ks))
+
+
 def find_witness(
     n: int, s: int, spec: PrimeSubsetSpec, table: PrimeTable
 ) -> Optional[ReprWitness]:
     """Lexicographically smallest nondecreasing tuple of s subset primes whose
-    squares sum to n, or None.  Depth-first search over sorted primes with
-    residue and range pruning."""
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    root = math.isqrt(n) if n >= 0 else 0
-    if n < 0:
-        return None
-    if table.limit < root:
-        raise TableTooSmall(f"need primes up to {root}, table stops at {table.limit}")
-    members = [int(p) for p in subset_members(spec, table) if p * p <= n]
-    if not members:
-        return None
-    squares = [p * p for p in members]
-    square_root = {p * p: p for p in members}
-    # Squares of primes coprime to 6 are 1 mod 24, so t squares sum to t mod 24.
-    mod24_prune = members[0] >= 5
-
-    def dfs(remaining: int, t: int, start: int) -> Optional[list[int]]:
-        if t == 0:
-            return [] if remaining == 0 else None
-        if mod24_prune and remaining % 24 != t % 24:
-            return None
-        if t == 1:
-            p = square_root.get(remaining)
-            if p is not None and p >= members[start]:
-                return [p]
-            return None
-        for i in range(start, len(members)):
-            sq = squares[i]
-            if sq * t > remaining:
-                break
-            rest = dfs(remaining - sq, t - 1, i)
-            if rest is not None:
-                return [members[i]] + rest
-        return None
-
-    found = dfs(n, s, 0)
-    if found is None:
-        return None
-    return ReprWitness(n=n, primes=tuple(found))
+    squares sum to n, or None.  The smallest ordered tuple is nondecreasing,
+    since its sorted copy is a solution too."""
+    return None if n < 0 else _witness(n, s, *_square_reach(s, spec, table, n))
 
 
 # -- experiment ----------------------------------------------------------------
@@ -253,28 +249,20 @@ def theorem_experiment(
     table: PrimeTable,
     sample_limit: int = 3,
 ) -> ExperimentReport:
-    """Scan every n = s (mod 24) in the range for a representation count.
+    """Scan every n = s (mod 24) in the range for a representation.
 
-    Exceptions (count zero) are reported, never fatal.
+    Exceptions (no representation) are reported, never fatal.
     """
     lo, hi = n_range
     if lo > hi:
         raise ValueError(f"empty range {n_range}")
-    counts = count_representations(hi, s, spec, table).counts
+    stride, unit, reach = _square_reach(s, spec, table, hi)
 
     first = lo + ((s - lo) % 24)
     targets = np.arange(first, hi + 1, 24, dtype=np.int64)
-    if counts.dtype == object:
-        zero = np.array([counts[int(n)] == 0 for n in targets], dtype=bool)
-    else:
-        zero = counts[targets] == 0
-    exceptions = tuple(int(x) for x in targets[zero])
-
-    witnesses = []
-    for n in targets[~zero][:sample_limit]:
-        w = find_witness(int(n), s, spec, table)
-        if w is not None:
-            witnesses.append(w)
+    hit = reach.reachable((targets - s * unit) // stride)
+    exceptions = tuple(int(x) for x in targets[~hit])
+    witnesses = [_witness(int(n), s, stride, unit, reach) for n in targets[hit][:sample_limit]]
 
     lam = lambda_threshold(s)
     density = empirical_density(spec, table)
@@ -294,52 +282,6 @@ def theorem_experiment(
 
 
 # -- transfer ---------------------------------------------------------------------
-
-
-def _meet_in_middle(supports: list[np.ndarray], target: int) -> Optional[tuple[int, ...]]:
-    """Lexicographically smallest (n_1..n_s), n_j in supports[j], summing to target."""
-    s = len(supports)
-    if any(len(sup) == 0 for sup in supports):
-        return None
-    h = (s + 1) // 2
-    head, tail = supports[:h], supports[h:]
-
-    tail_sums: dict[int, tuple[int, ...]] = {}
-    if tail:
-        stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
-        for sup in tail:
-            stack = [(tot + int(v), chosen + (int(v),)) for tot, chosen in stack for v in sup]
-        for tot, chosen in stack:
-            prev = tail_sums.get(tot)
-            if prev is None or chosen < prev:
-                tail_sums[tot] = chosen
-    else:
-        tail_sums[0] = ()
-
-    tail_min = sum(int(sup[0]) for sup in tail)
-    tail_max = sum(int(sup[-1]) for sup in tail)
-
-    def walk(j: int, tot: int, chosen: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-        if j == len(head):
-            rest = tail_sums.get(target - tot)
-            if rest is not None:
-                return chosen + rest
-            return None
-        remaining_min = sum(int(sup[0]) for sup in head[j + 1 :])
-        remaining_max = sum(int(sup[-1]) for sup in head[j + 1 :])
-        for v in head[j]:
-            lo = tot + int(v) + remaining_min + tail_min
-            hi = tot + int(v) + remaining_max + tail_max
-            if lo > target:
-                break
-            if hi < target:
-                continue
-            out = walk(j + 1, tot + int(v), chosen + (int(v),))
-            if out is not None:
-                return out
-        return None
-
-    return walk(0, 0, ())
 
 
 def transfer_witness(
@@ -370,9 +312,9 @@ def transfer_witness(
     if rem:
         raise RuntimeError("residue sum violates the congruence; selection is broken")
 
-    seqs = {b: f_sequence(ctx, b, N, spec, table) for b in set(residues)}
-    supports = [seqs[b].support() for b in residues]
-    indices = _meet_in_middle(supports, m)
+    support = {b: f_sequence(ctx, b, N, spec, table).support() for b in set(residues)}
+    supports = [support[b] for b in residues]
+    indices = lex_smallest_sum(supports, m)
     if indices is None:
         raise NotFound(
             f"no index combination sums to m = {m} over supports of sizes "

@@ -9,13 +9,13 @@ subset P gives the companion sequence dominated by the full one.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from ._gridfft import Reach
 from .arith import _SMALL_PRIMES
 from .errors import Infeasible, TableTooSmall, WTooLarge
 from .primes import PrimeSubsetSpec, PrimeTable, subset_members
@@ -182,12 +182,12 @@ def select_residues(
 ) -> list[int]:
     """Pick s residues b_j with sum congruent to n mod W and high density.
 
-    The result is b0 repeated (s - 8) times, b0 the densest residue, plus an
-    8-tuple drawn from the residues whose density clears the threshold
-    2*lambda^2 - mu + kappa/4.  The 8-fold sum search runs meet-in-the-middle
-    on the component W' = W/24; the mod-24 component is automatic because
-    every b is 1 mod 24.  Raises Infeasible when the threshold or the sum
-    condition cannot be met.
+    The result is b0 repeated (s - 8) times, b0 the densest residue, plus the
+    lexicographically smallest nondecreasing 8-tuple of residues whose density
+    clears 2*lambda^2 - mu + kappa/4.  Every b is 1 mod 24, so on k = (b - 1)/24
+    the 8-fold sum condition mod W is a cyclic reachability search mod
+    W' = W/24.  Raises Infeasible when the threshold or the sum condition
+    cannot be met.
     """
     if s < 8:
         raise ValueError(f"s must be >= 8, got {s}")
@@ -206,28 +206,12 @@ def select_residues(
         )
 
     W = ctx.W
-    Wp = W // 24
     target = (n - (s - 8) * b0) % W
-
-    best: Optional[tuple[int, ...]] = None
-    if Wp == 1:
-        best = tuple([pool[0]] * 8)
-    else:
-        target_p = target % Wp
-        tails: dict[int, tuple[int, ...]] = {}
-        for combo in itertools.combinations_with_replacement(pool, 4):
-            tails.setdefault(sum(combo) % Wp, combo)
-        for combo in itertools.combinations_with_replacement(pool, 4):
-            tail = tails.get((target_p - sum(combo)) % Wp)
-            if tail is None:
-                continue
-            cand = tuple(sorted(combo + tail))
-            if best is None or cand < best:
-                best = cand
-    if best is None:
+    ks = (np.asarray(pool, dtype=np.int64) - 1) // 24
+    found = Reach([ks] * 8, modulus=W // 24).smallest((target - 8) // 24)
+    if found is None:
         raise Infeasible(f"no 8-fold combination from {pool} sums to {target} mod {W}")
-
-    chosen = [b0] * (s - 8) + list(best)
+    chosen = [b0] * (s - 8) + [24 * k + 1 for k in found]
     if sum(chosen) % W != n % W:
         raise RuntimeError("selected residues violate the sum congruence")
     return chosen

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -211,3 +212,55 @@ class TestReports:
         result = load(out)["result"]
         assert result["exceptions"] == []
         assert result["lambda_threshold"] == pytest.approx(0.8660254, abs=1e-6)
+
+    def test_arcs_grid_csv_parses_as_floats(self, tmp_path):
+        out = tmp_path / "grid.json"
+        code = run(
+            ["arcs", "--N", "4096", "--A", "1.5", "--w", "4", "--qmax", "3", "--K", "2", "--out", str(out)]
+        )
+        assert code == 0
+        with open(load(out)["result"]["csv"], newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["k", "re", "im"]
+        assert len(rows) == 1 + 2 * 4096
+        for k, re_text, im_text in rows[1:]:
+            int(k)
+            float(re_text)
+            float(im_text)
+
+    def test_represent_builds_count_table_once(self, tmp_path, monkeypatch):
+        import psqlab.cli as cli_mod
+
+        calls = []
+        real = cli_mod.count_representations
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli_mod, "count_representations", counting)
+        out = tmp_path / "rep.json"
+        argv = ["represent", "--s", "8", "--limit", "5000", "--check", "--csv", "--out", str(out)]
+        assert run(argv) == 0
+        assert len(calls) == 1
+        with open(load(out)["result"]["csv"], newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["n", "count"] and ["200", "1"] in rows
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "--s", "8", "--n-lo", "5000", "--n-hi", str(8 + 24 * (1 << 23))],
+            ["experiment", "--s", "8", "--n-lo", "5", "--n-hi", str(1 << 23), "--spec",
+             '{"variant": "all", "min_prime": 2}'],
+            ["represent", "--s", "8", "--limit", str(8 + 24 * (1 << 23))],
+            ["experiment", "--s", "80", "--n-lo", "5000", "--n-hi", "100000000"],
+        ],
+    )
+    def test_scan_past_reach_exits_two(self, argv, capsys):
+        # the reachability FFT over K = (n - s)/24 must fit 2 * (K + 1) points
+        # in MAX_CONV_LEN = 2^24, and its s + 1 layers MAX_LAYER_CELLS; past
+        # either, the scan is refused before the sieve
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "over budget" in err and "Traceback" not in err

@@ -3,17 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from psqlab.errors import Infeasible, NotFound, TableTooSmall
+from psqlab._gridfft import lex_smallest_sum
+from psqlab.errors import Infeasible, NotFound, TableTooSmall, TooLarge
 from psqlab.primes import PrimeSubsetSpec, sieve, subset_members
 from psqlab.representations import (
+    MAX_CONV_LEN,
     _convolve_trunc,
-    _meet_in_middle,
     _split_convolve_exact,
     count_representations,
     find_witness,
     lambda_threshold,
     m_window_deviation,
+    scan_lattice,
     square_indicator,
     theorem_experiment,
     transfer_witness,
@@ -29,6 +33,25 @@ def brute_force_counts(limit, s, spec, table):
         if total <= limit:
             counts[total] += 1
     return counts
+
+
+SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+
+
+@st.composite
+def small_specs(draw):
+    """Explicit, residue-class and Bernoulli subsets, min_prime 2, 3 or 5."""
+    min_prime = draw(st.sampled_from([2, 3, 5]))
+    kind = draw(st.sampled_from(["explicit", "residues", "bernoulli"]))
+    if kind == "explicit":
+        return PrimeSubsetSpec.explicit(draw(st.sets(st.sampled_from(SMALL_PRIMES))), min_prime)
+    if kind == "residues":
+        q = draw(st.integers(3, 12))
+        units = [c for c in range(1, q) if math.gcd(c, q) == 1]
+        classes = draw(st.sets(st.sampled_from(units), min_size=1))
+        return PrimeSubsetSpec.residue_classes(q, classes, min_prime)
+    rho = draw(st.floats(0.3, 1.0))
+    return PrimeSubsetSpec.bernoulli(rho, draw(st.integers(0, 1000)), min_prime)
 
 
 class TestSquareIndicator:
@@ -153,8 +176,46 @@ class TestFindWitness:
             assert all(table_1k.is_prime(p) for p in w.primes)
             assert list(w.primes) == sorted(w.primes)
 
+    @settings(max_examples=60, deadline=None)
+    @given(small_specs(), st.integers(1, 4), st.integers(0, 3000))
+    def test_matches_brute_force_smallest(self, spec, s, n):
+        table = sieve(100)
+        members = [int(p) for p in subset_members(spec, table) if p * p <= n]
+        want = next(
+            (c for c in itertools.combinations_with_replacement(members, s)
+             if sum(p * p for p in c) == n),
+            None,
+        )
+        w = find_witness(n, s, spec, table)
+        assert (w.primes if w else None) == want
+
 
 class TestTheoremExperiment:
+    @settings(max_examples=60, deadline=None)
+    @given(small_specs(), st.integers(1, 6), st.integers(0, 3000), st.integers(0, 2000))
+    def test_exceptions_are_zero_counts(self, spec, s, hi, lo):
+        lo = min(lo, hi)
+        table = sieve(100)
+        report = theorem_experiment(s, spec, (lo, hi), table)
+        counts = count_representations(hi, s, spec, table).counts
+        targets = range(lo + ((s - lo) % 24), hi + 1, 24)
+        assert report.exceptions == tuple(n for n in targets if counts[n] == 0)
+        represented = [n for n in targets if counts[n] != 0]
+        assert [w.n for w in report.sample_witnesses] == represented[:3]
+        for w in report.sample_witnesses:
+            assert w == find_witness(w.n, s, spec, table)
+
+    def test_scan_lattice_reach(self, all_spec):
+        # stride 24: the FFT over K holds 2 * (cap + 1) <= MAX_CONV_LEN points
+        reach = 8 + 24 * (MAX_CONV_LEN // 2 - 1) + 23
+        assert scan_lattice(8, all_spec, reach) == (24, 1, MAX_CONV_LEN // 2 - 1)
+        with pytest.raises(TooLarge):
+            scan_lattice(8, all_spec, reach + 1)
+        with pytest.raises(TooLarge):
+            scan_lattice(8, PrimeSubsetSpec.all_primes(min_prime=2), MAX_CONV_LEN // 2)
+        with pytest.raises(TooLarge):  # s + 1 layers of 4.2e6 cells each
+            scan_lattice(80, all_spec, 10**8)
+
     def test_small_range_no_exceptions(self, table_100k, all_spec):
         report = theorem_experiment(8, all_spec, (200, 20_000), table_100k)
         assert report.exceptions == ()
@@ -190,16 +251,16 @@ class TestTheoremExperiment:
             assert key in blob
 
 
-class TestMeetInMiddle:
+class TestLexSmallestSum:
     def test_finds_lex_smallest(self):
         sup = np.array([1, 2, 5])
-        got = _meet_in_middle([sup, sup, sup, sup], 9)
+        got = lex_smallest_sum([sup, sup, sup, sup], 9)
         assert got == (1, 1, 2, 5)
 
     def test_impossible_target(self):
         sup = np.array([1, 5])
-        assert _meet_in_middle([sup, sup], 100) is None
-        assert _meet_in_middle([sup, np.array([], dtype=np.int64)], 2) is None
+        assert lex_smallest_sum([sup, sup], 100) is None
+        assert lex_smallest_sum([sup, np.array([], dtype=np.int64)], 2) is None
 
 
 class TestTransferWitness:
@@ -233,7 +294,7 @@ class TestTransferWitness:
     def test_not_found_when_search_fails(self, ctx4, all_spec, monkeypatch):
         import psqlab.representations as reprs
 
-        monkeypatch.setattr(reprs, "_meet_in_middle", lambda sup, t: None)
+        monkeypatch.setattr(reprs, "lex_smallest_sum", lambda sup, t: None)
         table = sieve(2000)
         with pytest.raises(NotFound):
             transfer_witness(ctx4, 10016, 8, all_spec, table)

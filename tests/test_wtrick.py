@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import table_for
 from psqlab.errors import Infeasible, TableTooSmall, WTooLarge
@@ -163,7 +166,48 @@ class TestDeltaTable:
         assert dt.max_entry() == (1, 0.5)
 
 
+def select_residues_oracle(ctx, dt, n, s, kappa):
+    """Exhaustive reference: the densest residue (s - 8) times, then the first
+    sorted 8-multiset of threshold-clearing residues with the right sum mod W."""
+    b0, mu = dt.max_entry()
+    threshold = 2.0 * (1.0 - min(s, 16) / 32.0) - mu + kappa / 4.0
+    pool = sorted(b for b, d in dt.entries.items() if d >= threshold)
+    target = (n - (s - 8) * b0) % ctx.W
+    for combo in itertools.combinations_with_replacement(pool, 8):
+        if sum(combo) % ctx.W == target:
+            return [b0] * (s - 8) + list(combo)
+    return None
+
+
 class TestSelectResidues:
+    @pytest.mark.parametrize("w", [6, 8])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_exhaustive_oracle_random_densities(self, w, data):
+        ctx = build_context(w)
+        dens = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(ctx.Z_W), max_size=len(ctx.Z_W)))
+        dt = DensityTable(N=100, entries=dict(zip(ctx.Z_W, dens)))
+        s = data.draw(st.integers(8, 12))
+        n = s + 24 * data.draw(st.integers(0, 10 * ctx.W))
+        want = select_residues_oracle(ctx, dt, n, s, 0.1)
+        if want is None:
+            with pytest.raises(Infeasible):
+                select_residues(ctx, dt, n, s, kappa=0.1)
+        else:
+            assert select_residues(ctx, dt, n, s, kappa=0.1) == want
+
+    def test_w14_congruent(self):
+        # W = 120120 and |Z| = 180: C(183, 4) tuples per half for a 4+4 split
+        ctx = build_context(14)
+        assert (ctx.W, len(ctx.Z_W)) == (120120, 180)
+        dt = DensityTable(N=100, entries={b: 0.9 for b in ctx.Z_W})
+        for n in (8 + 24 * 12345, 10 + 24 * 987654):
+            s = n % 24
+            chosen = select_residues(ctx, dt, n, s, kappa=0.1)
+            assert len(chosen) == s and set(chosen) <= set(ctx.Z_W)
+            assert sum(chosen) % ctx.W == n % ctx.W
+
+
     def test_singleton_context(self, ctx4):
         dt = DensityTable(N=100, entries={1: 0.95})
         for s, n in ((8, 200), (10, 250 + 24)):
