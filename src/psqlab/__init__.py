@@ -21,7 +21,6 @@ from .sumsets import (
     CoverReport,
     LemmaReport,
     ResidueSet,
-    coordinates,
     downset,
     exhaustive_lemma_check,
     n_fold_sumset,

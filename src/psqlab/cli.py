@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
+from ._csvio import write_csv
 from .errors import Infeasible, NotFound, PsqLabError
 from .expsums import (
     arc_partition,
@@ -169,13 +170,7 @@ def _cmd_gauss(args) -> tuple[dict, int]:
     }
     csv_path = _sidecar(args.out, "gauss")
     if csv_path:
-        import csv as _csv
-
-        with open(csv_path, "w", newline="") as fh:
-            w = _csv.writer(fh)
-            w.writerow(["k", "max_abs", "bound"])
-            for row in rows:
-                w.writerow([row[0], repr(row[1]), repr(row[2])])
+        write_csv(csv_path, ["k", "max_abs", "bound"], list(zip(*rows)))
         result["csv"] = csv_path
     code = 1 if (args.check and violations) else 0
     return result, code
@@ -233,9 +228,7 @@ def _cmd_arcs(args) -> tuple[dict, int]:
         b = args.b if args.b is not None else ctx.Z_W[0]
         seq = nu_sequence(ctx, b, args.N, table)
         model = lambda q, a, alpha: major_arc_model(ctx, b, q, a, alpha, args.N)
-        major = compare_major(
-            seq, partition, model, qmax=args.qmax, threads=args.threads_resolved
-        )
+        major = compare_major(seq, partition, model, qmax=args.qmax)
         grid = dft_grid(seq, args.K)
         minor = minor_arc_scan(grid, partition)
         result["w"] = args.w
@@ -347,7 +340,7 @@ def _cmd_represent(args) -> tuple[dict, int]:
         if len(bad):
             code = 1
     if csv_path:
-        counts.to_csv(csv_path, nonzero_only=True)
+        counts.to_csv(csv_path)
         result["csv"] = csv_path
     return result, code
 
@@ -401,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", help="write the JSON report here (atomic)")
-        p.add_argument("--threads", type=int, default=None, help="worker cap")
+        p.add_argument("--threads", type=int, default=None, help="recorded only; no effect")
         p.add_argument("--seed", type=int, default=None, help="seed for inline bernoulli specs")
         return p
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from ._csvio import write_csv
 from ._gridfft import grid_transform
 from .arith import euler_phi, mod_inverse
 from .errors import NotCoprime, QTooLarge, TooLarge
@@ -26,13 +26,16 @@ from .wtrick import WContext, WeightedSequence
 # -- pointwise and grid transforms -------------------------------------------
 
 
+def _support_sum(idx: np.ndarray, weights: np.ndarray, alpha: float) -> complex:
+    """sum_j weights[j] e(idx[j] alpha); 0j on an empty support."""
+    phases = (idx * alpha) % 1.0
+    return complex(np.sum(weights * np.exp(2j * np.pi * phases)))
+
+
 def dft_at(seq: WeightedSequence, alpha: float) -> complex:
     """Direct evaluation of sum_n seq(n) e(n alpha), using only the support."""
     idx = seq.support()
-    if len(idx) == 0:
-        return 0j
-    phases = (idx * alpha) % 1.0
-    return complex(np.sum(seq.values[idx] * np.exp(2j * np.pi * phases)))
+    return _support_sum(idx, seq.values[idx], alpha)
 
 
 @dataclass(frozen=True)
@@ -48,13 +51,8 @@ class FourierGrid:
         return np.arange(L) / L
 
     def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "re", "im"])
-            for k, v in enumerate(self.values.tolist()):
-                writer.writerow([k, repr(v.real), repr(v.imag)])
+        v = self.values
+        write_csv(path, ["k", "re", "im"], [np.arange(len(v)), v.real, v.imag])
 
 
 def dft_grid(seq: WeightedSequence, K: int) -> FourierGrid:
@@ -337,27 +335,25 @@ def compare_major(
     partition: ArcPartition,
     model: Callable[[int, int, float], complex],
     qmax: Optional[int] = None,
-    threads: int = 1,
 ) -> MajorReport:
-    """Max |seq transform - model| at center and edges of each major arc."""
+    """Max |seq transform - model| at center and edges of each major arc.
+
+    The transform is dft_at's sum over the support, found once per call.
+    """
     if seq_nu.N != partition.N:
         raise ValueError("sequence and partition disagree on N")
     arcs = [a for a in partition.arcs if qmax is None or a.q <= qmax]
     zero_sequence = seq_nu.total() == 0.0
+    idx = seq_nu.support()
+    weights = seq_nu.values[idx]
 
-    def eval_arc(arc: Arc) -> MajorArcRow:
+    rows = []
+    for arc in arcs:
         err = 0.0
         for alpha in (arc.center - arc.half_width, arc.center, arc.center + arc.half_width):
-            d = dft_at(seq_nu, alpha)
-            m = model(arc.q, arc.a, alpha)
-            err = max(err, abs(d - m))
-        return MajorArcRow(q=arc.q, a=arc.a, center=arc.center, err_abs=err)
-
-    if threads > 1 and len(arcs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(eval_arc, arcs))
-    else:
-        rows = [eval_arc(arc) for arc in arcs]
+            d = _support_sum(idx, weights, alpha)
+            err = max(err, abs(d - model(arc.q, arc.a, alpha)))
+        rows.append(MajorArcRow(q=arc.q, a=arc.a, center=arc.center, err_abs=err))
 
     per_q: dict[int, float] = {}
     for row in rows:

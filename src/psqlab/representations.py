@@ -13,13 +13,13 @@ above it, and a digit-split exact fallback if the guard ever trips.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from ._csvio import write_csv
 from ._gridfft import MAX_CONV_LEN, Reach, lex_smallest_sum, reach_budget
 from .errors import NotFound, TableTooSmall, TooLarge
 from .primes import PrimeSubsetSpec, PrimeTable, empirical_density, subset_members
@@ -121,14 +121,10 @@ class ReprCountTable:
     counts: np.ndarray
     spec: Optional[PrimeSubsetSpec] = None
 
-    def to_csv(self, path, nonzero_only: bool = False) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "count"])
-            for n, c in enumerate(self.counts):
-                if nonzero_only and not c:
-                    continue
-                writer.writerow([n, int(c)])
+    def to_csv(self, path) -> None:
+        """Write the nonzero counts as (n, count) rows."""
+        n = np.flatnonzero(self.counts)
+        write_csv(path, ["n", "count"], [n, self.counts[n]])
 
 
 def count_representations(

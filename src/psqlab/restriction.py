@@ -8,13 +8,13 @@ autocorrelation.  Level-set counts use the exact N-point grid.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
+from ._csvio import write_csv
 from ._gridfft import grid_transform
 from .arith import divisor_count
 from .errors import VerificationError
@@ -35,12 +35,6 @@ def _data_and_length(seq: SequenceLike) -> tuple[np.ndarray, int, bool]:
     return arr, len(arr), False
 
 
-def _exact_grid_magnitudes(seq: SequenceLike) -> np.ndarray:
-    """|transform| at the N frequencies n/N (the K = 1 grid)."""
-    data, N, one_indexed = _data_and_length(seq)
-    return np.abs(grid_transform(data, N, 1, one_indexed))
-
-
 # -- level sets ----------------------------------------------------------------
 
 
@@ -58,13 +52,6 @@ class LevelSetCurve:
     fourth_moment_grid: float
     chebyshev_bound: tuple[float, ...]
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["u", "count", "chebyshev_bound"])
-            for u, c, bound in zip(self.u_values, self.counts, self.chebyshev_bound):
-                writer.writerow([repr(u), c, repr(bound)])
-
 
 def level_sets(seq_f: SequenceLike, u_list: Sequence[float]) -> LevelSetCurve:
     u_values = tuple(float(u) for u in u_list)
@@ -72,8 +59,8 @@ def level_sets(seq_f: SequenceLike, u_list: Sequence[float]) -> LevelSetCurve:
         raise ValueError("levels must be positive")
     if any(a <= b for a, b in zip(u_values, u_values[1:])):
         raise ValueError("levels must be strictly decreasing")
-    _, N, _ = _data_and_length(seq_f)
-    mags = _exact_grid_magnitudes(seq_f)
+    data, N, one_indexed = _data_and_length(seq_f)
+    mags = np.abs(grid_transform(data, N, 1, one_indexed))  # the N frequencies n/N
     counts = tuple(
         int(np.count_nonzero(mags >= u * N * (1.0 - _LEVEL_SLACK))) for u in u_values
     )
@@ -86,13 +73,6 @@ def level_sets(seq_f: SequenceLike, u_list: Sequence[float]) -> LevelSetCurve:
         fourth_moment_grid=m4,
         chebyshev_bound=bounds,
     )
-
-
-def large_value_points(seq_f: SequenceLike, u: float) -> np.ndarray:
-    """Frequencies n/N where |transform| >= u*N; 1/N-separated by construction."""
-    _, N, _ = _data_and_length(seq_f)
-    mags = _exact_grid_magnitudes(seq_f)
-    return np.flatnonzero(mags >= u * N * (1.0 - _LEVEL_SLACK)) / N
 
 
 # -- fourth moment ---------------------------------------------------------------
@@ -156,13 +136,6 @@ class PairGapTable:
     N: int
     rows: tuple[PairGapRow, ...]
     violations: tuple[int, ...]  # gaps where count exceeds the divisor count
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "count", "divisor_count"])
-            for row in self.rows:
-                writer.writerow([row.k, row.count, row.tau])
 
 
 def pair_difference_counts(seq_nu: WeightedSequence) -> PairGapTable:
@@ -243,11 +216,8 @@ class DyadicProfile:
     ref_slope_target: float
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["u", "count", "chebyshev_bound"])
-            for u, c, bound in zip(self.levels, self.counts, self.chebyshev_bound):
-                writer.writerow([repr(u), c, repr(bound)])
+        columns = [self.levels, self.counts, self.chebyshev_bound]
+        write_csv(path, ["u", "count", "chebyshev_bound"], columns)
 
 
 def dyadic_profile(seq_f: SequenceLike, q_exponent: float = 5.0) -> DyadicProfile:

@@ -19,27 +19,11 @@ from .wtrick import WContext
 MAX_EXHAUSTIVE_Z = 22
 
 
-@dataclass(frozen=True)
-class CoordinateVector:
-    """CRT coordinates of a residue: one digit a mod p per prime p | q."""
-
-    q: int
-    coords: dict[int, int]
-
-    def reconstruct(self) -> int:
-        return crt_combine([(r, p) for p, r in self.coords.items()])
-
-
 def _squarefree_primes(q: int) -> tuple[int, ...]:
     fac = factorize(q)
     if not fac.is_squarefree():
         raise NotSquarefree(f"{q} is not squarefree")
     return fac.primes
-
-
-def coordinates(a: int, q: int) -> CoordinateVector:
-    primes = _squarefree_primes(q)
-    return CoordinateVector(q=q, coords={p: a % p for p in primes})
 
 
 @dataclass(frozen=True)
@@ -186,16 +170,6 @@ def verify_cover(
         missing=missing,
         sumset_size=total.size(),
     )
-
-
-def to_coprime_component(ctx: WContext, E: ResidueSet) -> ResidueSet:
-    """Reduce E (subset of Z_W) mod W' = W/24; injective on Z(W)."""
-    Wp = ctx.W // 24
-    members = E.members()
-    reduced = [m % Wp for m in members]
-    if len(set(reduced)) != len(members):
-        raise ValueError("reduction mod W' collided; E is not a subset of Z(W)")
-    return ResidueSet.from_members(max(Wp, 1), reduced)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ subset P gives the companion sequence dominated by the full one.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -106,13 +105,6 @@ class WeightedSequence:
 
     def mean(self) -> float:
         return self.total() / self.N
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "value"])
-            for n in range(1, self.N + 1):
-                writer.writerow([n, repr(float(self.values[n]))])
 
 
 def _squares_in_progression(ctx: WContext, b: int, N: int, table: PrimeTable):

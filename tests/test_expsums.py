@@ -282,8 +282,20 @@ class TestCompareMajor:
         report = compare_major(seq, part, model, qmax=8)
         assert report.q1_rel_err < 0.1
         assert report.per_q_max[1] == report.q1_rel_err * N
-        threaded = compare_major(seq, part, model, qmax=8, threads=4)
-        assert threaded.max_err == report.max_err
+
+    def test_rows_equal_pointwise_dft_bitwise(self, ctx6):
+        N = 1 << 16
+        seq = nu_sequence(ctx6, 1, N, table_for(ctx6, N))
+        part = arc_partition(N, 1.5)
+        model = lambda q, a, alpha: major_arc_model(ctx6, 1, q, a, alpha, N)
+        report = compare_major(seq, part, model, qmax=6)
+        arcs = [arc for arc in part.arcs if arc.q <= 6]
+        assert len(report.rows) == len(arcs)
+        for row, arc in zip(report.rows, arcs):
+            alphas = (arc.center - arc.half_width, arc.center, arc.center + arc.half_width)
+            want = max(abs(dft_at(seq, x) - model(arc.q, arc.a, x)) for x in alphas)
+            assert (row.q, row.a) == (arc.q, arc.a)
+            assert row.err_abs.hex() == want.hex()
 
 
 class TestMinorScan:

@@ -11,7 +11,6 @@ from psqlab.restriction import (
     dyadic_profile,
     fourth_moment,
     fourth_moment_routes,
-    large_value_points,
     level_sets,
     lq_moment,
     pair_difference_counts,
@@ -63,11 +62,6 @@ class TestLevelSets:
             level_sets(np.ones(8), [0.5, 0.5])
         with pytest.raises(ValueError):
             level_sets(np.ones(8), [0.1, -0.2])
-
-    def test_large_value_points_separated(self, ctx4, table_100k):
-        seq = nu_sequence(ctx4, 1, 256, table_100k)
-        pts = large_value_points(seq, 0.3)
-        assert np.all(np.diff(pts) >= 1 / 256 - 1e-15)
 
 
 class TestFourthMoment:

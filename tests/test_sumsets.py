@@ -9,13 +9,11 @@ from psqlab.arith import crt_combine, factorize
 from psqlab.errors import ModulusMismatch, NotSquarefree, ZTooLarge
 from psqlab.sumsets import (
     ResidueSet,
-    coordinates,
     downset,
     exhaustive_lemma_check,
     is_downset,
     n_fold_sumset,
     sumset,
-    to_coprime_component,
     verify_cover,
 )
 from psqlab.wtrick import build_context
@@ -23,28 +21,13 @@ from psqlab.wtrick import build_context
 SQUAREFREE = [q for q in range(2, 4000) if factorize(q).is_squarefree()]
 
 
-class TestCoordinates:
-    @pytest.mark.parametrize(
-        "a,q,want",
-        [(0, 15, {3: 0, 5: 0}), (7, 15, {3: 1, 5: 2}), (14, 15, {3: 2, 5: 4})],
-    )
-    def test_examples(self, a, q, want):
-        assert coordinates(a, q).coords == want
-
-    def test_not_squarefree(self):
-        with pytest.raises(NotSquarefree):
-            coordinates(1, 12)
-
-    @given(st.sampled_from(SQUAREFREE), st.integers(0, 10**6))
-    def test_crt_consistent(self, q, a):
-        a %= q
-        cv = coordinates(a, q)
-        assert cv.reconstruct() == a
-
-
 class TestDownset:
     def test_zero(self):
         assert downset(0, 15).members() == [0]
+
+    def test_not_squarefree(self):
+        with pytest.raises(NotSquarefree):
+            downset(1, 12)
 
     def test_full_box(self):
         # coordinates (2, 4) mod 15 give the whole ring
@@ -196,7 +179,7 @@ class TestProofDevices:
         Wp = ctx.W // 24
         half = len(ctx.Z_W) // 2 + 1
         for combo in itertools.islice(itertools.combinations(ctx.Z_W, half), 8):
-            E = ResidueSet.from_members(ctx.W, combo)
-            reduced = to_coprime_component(ctx, E)
+            reduced = ResidueSet.from_members(Wp, [m % Wp for m in combo])
+            assert reduced.size() == half  # reduction mod W' is injective on Z(W)
             filled = n_fold_sumset(reduced, 8).size() == Wp
             assert filled == verify_cover(ctx, combo).covered
