@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from typing import Optional
 
 import numpy as np
@@ -39,6 +38,7 @@ from .expsums import (
 from .arith import factorize
 from .primes import PrimeSubsetSpec, sieve
 from .representations import (
+    count_budget,
     count_representations,
     m_window_deviation,
     scan_lattice,
@@ -57,7 +57,9 @@ ENV_THREADS = "PSQ_LAB_THREADS"
 
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".psqlab-", suffix=".tmp")
+    tmp = os.path.join(directory, f".psqlab-{os.urandom(8).hex()}.tmp")
+    # mode 0666 before the umask, as open() gives the CSV sidecars
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -325,12 +327,14 @@ def _cmd_sumset_verify(args) -> tuple[dict, int]:
 def _cmd_represent(args) -> tuple[dict, int]:
     spec = _parse_spec(args.spec, args.seed)
     scan_lattice(args.s, spec, args.limit)
+    csv_path = _sidecar(args.out, "counts") if args.csv else None
+    if args.check or csv_path:
+        count_budget(args.limit, args.s)
     table = sieve(max(args.limit, 100))
     lo = args.n_lo if args.n_lo is not None else args.s * 25
     report = theorem_experiment(args.s, spec, (lo, args.limit), table)
     result = report.to_json()
     code = 0
-    csv_path = _sidecar(args.out, "counts") if args.csv else None
     if args.check or csv_path:
         counts = count_representations(args.limit, args.s, spec, table)
     if args.check and spec.min_prime >= 5:

@@ -6,9 +6,10 @@ so s such squares sum to s + 24K and the search runs over K, a lattice 24
 times shorter than [0, n].  Specs admitting 2 or 3 use stride 1.
 
 Ordered representation counts come from s-fold convolution of the
-prime-square indicator, computed exactly: plain integer convolution below
-a size crossover, double-precision FFT with a rounding-residual guard
-above it, and a digit-split exact fallback if the guard ever trips.
+prime-square indicator over the full line [0, limit], in s - 1 rounds of
+shifted integer adds (one per member square).  No floating point is
+involved: int64 while a bound on the next round proves it cannot overflow,
+Python ints (object dtype) after.
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ from ._gridfft import MAX_CONV_LEN, Reach, lex_smallest_sum, reach_budget
 from .errors import NotFound, TableTooSmall, TooLarge
 from .primes import PrimeSubsetSpec, PrimeTable, empirical_density, subset_members
 from .wtrick import WContext, delta_table, f_sequence, select_residues
-
-_EXACT_CROSSOVER = 8192  # below this, plain O(n^2) integer convolution
-_SPLIT_BASE_BITS = 14
 
 
 def lambda_threshold(s: int) -> float:
@@ -48,70 +46,6 @@ def square_indicator(limit: int, spec: PrimeSubsetSpec, table: PrimeTable) -> np
     return ind
 
 
-def _fft_convolve_guarded(a: np.ndarray, b: np.ndarray, limit: int) -> Optional[np.ndarray]:
-    """Rounded real-FFT convolution, or None when the residual guard trips."""
-    L = 1 << (len(a) + len(b) - 2).bit_length()
-    fa = np.fft.rfft(a.astype(np.float64), L)
-    fb = fa if b is a else np.fft.rfft(b.astype(np.float64), L)
-    raw = np.fft.irfft(fa * fb, L)[: limit + 1]
-    rounded = np.rint(raw)
-    if float(np.max(np.abs(raw - rounded))) > 0.1:
-        return None
-    if float(np.max(rounded)) >= float(1 << 62):
-        return None
-    return rounded.astype(np.int64)
-
-
-def _split_convolve_exact(a: np.ndarray, b: np.ndarray, limit: int) -> np.ndarray:
-    """Exact convolution of big-integer arrays by base-2^14 digit splitting.
-
-    Each digit convolution stays far below 2^53, so the per-digit FFTs round
-    exactly; digits recombine in Python integers (object dtype).
-    """
-    base = 1 << _SPLIT_BASE_BITS
-
-    def digits(arr: np.ndarray) -> list[np.ndarray]:
-        arr = [int(v) for v in arr]
-        out = []
-        while any(arr):
-            out.append(np.array([v % base for v in arr], dtype=np.float64))
-            arr = [v // base for v in arr]
-        return out or [np.zeros(1)]
-
-    da, db = digits(a), digits(b)
-    L = 1 << (len(a) + len(b) - 2).bit_length()
-    fas = [np.fft.rfft(d, L) for d in da]
-    fbs = fas if b is a else [np.fft.rfft(d, L) for d in db]
-    result = [0] * (limit + 1)
-    for i, fa in enumerate(fas):
-        for j, fb in enumerate(fbs):
-            piece = np.rint(np.fft.irfft(fa * fb, L)[: limit + 1]).astype(np.int64)
-            shift = _SPLIT_BASE_BITS * (i + j)
-            for idx in np.flatnonzero(piece):
-                result[idx] += int(piece[idx]) << shift
-    return np.array(result, dtype=object)
-
-
-def _convolve_trunc(a: np.ndarray, b: np.ndarray, limit: int) -> np.ndarray:
-    """Exact nonnegative-integer convolution truncated to [0, limit]."""
-    if len(a) + len(b) - 1 > MAX_CONV_LEN:
-        raise TooLarge(f"convolution length {len(a) + len(b) - 1} over budget")
-    a = a[: limit + 1]
-    b = b[: limit + 1]
-    if a.dtype == object or b.dtype == object:
-        return np.convolve(a, b)[: limit + 1]
-    if (limit + 1) <= _EXACT_CROSSOVER:
-        # int64 products must not overflow; otherwise take the split path
-        bound = int(a.max(initial=0)) * int(b.max(initial=0)) * min(len(a), len(b))
-        if bound < (1 << 62):
-            return np.convolve(a, b)[: limit + 1]
-        return _split_convolve_exact(a, b, limit)
-    out = _fft_convolve_guarded(a, b, limit)
-    if out is None:
-        out = _split_convolve_exact(a, b, limit)
-    return out
-
-
 @dataclass(frozen=True)
 class ReprCountTable:
     """Ordered s-tuple counts: counts[n] = #{(p_1..p_s) in P^s : sum p_j^2 = n}."""
@@ -127,22 +61,35 @@ class ReprCountTable:
         write_csv(path, ["n", "count"], [n, self.counts[n]])
 
 
+def count_budget(limit: int, s: int) -> None:
+    """Raise TooLarge, before any allocation, when an s-fold count over
+    [0, limit] (s >= 2) has a full convolution longer than MAX_CONV_LEN."""
+    if s >= 2 and 2 * limit + 1 > MAX_CONV_LEN:
+        raise TooLarge(f"convolution length {2 * limit + 1} over budget {MAX_CONV_LEN}")
+
+
 def count_representations(
     limit: int, s: int, spec: PrimeSubsetSpec, table: PrimeTable
 ) -> ReprCountTable:
-    """s-fold convolution of the prime-square indicator, exact on [0, limit]."""
+    """s-fold convolution of the prime-square indicator, exact on [0, limit].
+
+    Each of the s - 1 rounds adds one shifted copy of the counts per member
+    square.  A round's entries are sums of len(squares) entries of the last,
+    so while max * len(squares) < 2^63 int64 cannot overflow; past that the
+    counts move to Python ints (object dtype).
+    """
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    ind = square_indicator(limit, spec, table)
-    acc: Optional[np.ndarray] = None
-    base = ind
-    e = s
-    while e:
-        if e & 1:
-            acc = base.copy() if acc is None else _convolve_trunc(acc, base, limit)
-        e >>= 1
-        if e:
-            base = _convolve_trunc(base, base, limit)
+    count_budget(limit, s)
+    acc = square_indicator(limit, spec, table)
+    squares = np.flatnonzero(acc)
+    for _ in range(s - 1):
+        if int(acc.max(initial=0)) * len(squares) >= 1 << 63:
+            acc = acc.astype(object)
+        nxt = np.zeros_like(acc)
+        for q in squares:
+            nxt[q:] += acc[: limit + 1 - q]
+        acc = nxt
     return ReprCountTable(limit=limit, s=s, counts=acc, spec=spec)
 
 

@@ -247,6 +247,32 @@ class TestReports:
             rows = list(csv.reader(fh))
         assert rows[0] == ["n", "count"] and ["200", "1"] in rows
 
+    @pytest.mark.parametrize("flag", ["--check", "--csv"])
+    def test_count_past_budget_exits_two_before_sieve(self, flag, tmp_path, monkeypatch, capsys):
+        import psqlab.cli as cli_mod
+
+        def no_sieve(limit):
+            raise AssertionError("sieved before the count budget check")
+
+        monkeypatch.setattr(cli_mod, "sieve", no_sieve)
+        # 2 * limit + 1 > MAX_CONV_LEN = 2^24, while the scan over K fits
+        argv = ["represent", "--s", "8", "--limit", "9000000", flag, "--out", str(tmp_path / "r.json")]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "over budget" in err and "Traceback" not in err
+
+    def test_report_and_sidecar_follow_umask(self, tmp_path):
+        out = tmp_path / "rep.json"
+        old = os.umask(0o022)
+        try:
+            assert run(["represent", "--s", "8", "--limit", "2000", "--csv", "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        sidecar = load(out)["result"]["csv"]
+        assert os.stat(out).st_mode & 0o777 == 0o644
+        assert os.stat(sidecar).st_mode & 0o777 == 0o644
+        assert sorted(os.listdir(tmp_path)) == ["rep.counts.csv", "rep.json"]
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -7,6 +7,7 @@ import pytest
 from psqlab.errors import EmptyReference, LimitTooLarge
 from psqlab.primes import (
     MAX_SIEVE_LIMIT,
+    _splitmix64_array,
     PrimeSubsetSpec,
     empirical_density,
     sieve,
@@ -44,8 +45,27 @@ class TestSplitmix:
         # first output of the reference splitmix64 stream seeded with 0
         assert splitmix64(0) == 0xE220A8397B1DCDAF
 
+    def test_array_matches_scalar_across_uint64(self):
+        # uint64 arithmetic must wrap mod 2^64 and never promote to float or
+        # object, under numpy 1.x and 2.x promotion rules alike
+        top = (1 << 64) - 1
+        xs = [0, 1, 5, 2**32 + 7, 2**63 - 1, 2**63, 2**63 + 12345, top - 0x9E3779B97F4A7C15,
+              top - 0x9E3779B97F4A7C15 + 1, top - 1, top]
+        got = _splitmix64_array(np.array(xs, dtype=np.uint64))
+        assert got.dtype == np.uint64
+        assert [int(v) for v in got] == [splitmix64(x) for x in xs]
+
 
 class TestSubsetMembers:
+    @pytest.mark.parametrize("rho, seed", [(0.5, 42), (0.97, 7), (0.1, 2**40 + 3)])
+    def test_bernoulli_keeps_by_hash_threshold(self, table_1k, rho, seed):
+        threshold = int(rho * 2**64)
+        key = splitmix64(seed)
+        want = [p for p in table_1k.primes.tolist()
+                if p >= 5 and splitmix64(key ^ p) < threshold]
+        got = subset_members(PrimeSubsetSpec.bernoulli(rho, seed), table_1k)
+        assert got.tolist() == want
+
     def test_all_with_min_prime(self):
         table = sieve(20)
         assert list(subset_members(PrimeSubsetSpec.all_primes(), table)) == [5, 7, 11, 13, 17, 19]

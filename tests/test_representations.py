@@ -11,8 +11,7 @@ from psqlab.errors import Infeasible, NotFound, TableTooSmall, TooLarge
 from psqlab.primes import PrimeSubsetSpec, sieve, subset_members
 from psqlab.representations import (
     MAX_CONV_LEN,
-    _convolve_trunc,
-    _split_convolve_exact,
+    count_budget,
     count_representations,
     find_witness,
     lambda_threshold,
@@ -101,8 +100,8 @@ class TestCountRepresentations:
         ns = np.arange(3001)
         assert not counts[ns % 24 != 8].any()
 
-    def test_fft_path_agrees_with_plain_convolution(self, table_1k, all_spec):
-        limit = 20_000  # above the exact-convolution crossover
+    def test_agrees_with_repeated_plain_convolution(self, table_1k, all_spec):
+        limit = 20_000
         ind = square_indicator(limit, all_spec, table_1k)
         want = ind.copy()
         for _ in range(2):
@@ -110,32 +109,30 @@ class TestCountRepresentations:
         got = count_representations(limit, 3, all_spec, table_1k).counts
         assert np.array_equal(got, want)
 
-    def test_split_convolution_is_exact(self):
-        rng = np.random.default_rng(3)
-        a = rng.integers(0, 1 << 40, 50).astype(np.int64)
-        b = rng.integers(0, 1 << 40, 70).astype(np.int64)
-        want = np.convolve(a.astype(object), b.astype(object))[:100]
-        got = _split_convolve_exact(a, b, 99)
-        assert list(got) == list(want)
+    @settings(max_examples=60, deadline=None)
+    @given(small_specs(), st.integers(1, 5), st.integers(0, 400))
+    def test_matches_brute_force_any_spec(self, spec, s, limit):
+        table = sieve(100)
+        got = count_representations(limit, s, spec, table).counts
+        assert len(got) == limit + 1
+        assert np.array_equal(got, brute_force_counts(limit, s, spec, table))
 
-    def test_trunc_keeps_prefix_only(self):
-        a = np.array([1, 2, 3], dtype=np.int64)
-        assert list(_convolve_trunc(a, a, 2)) == [1, 4, 10]
+    def test_exact_past_int64(self, table_1k):
+        # a twos and 70 - a threes sum to 630 - 5a, in comb(70, a) orders;
+        # comb(70, 35) is about 1.1e20 > 2^63
+        spec = PrimeSubsetSpec.explicit([2, 3], min_prime=2)
+        counts = count_representations(630, 70, spec, table_1k).counts
+        want = [0] * 631
+        for a in range(71):
+            want[630 - 5 * a] = math.comb(70, a)
+        assert max(want) > 1 << 63
+        assert [int(c) for c in counts] == want
 
-    def test_routing_to_split_on_huge_values_small_length(self):
-        a = np.array([1 << 60, 1], dtype=np.int64)
-        got = _convolve_trunc(a, a, 2)
-        assert list(got) == [1 << 120, 1 << 61, 1]
-
-    def test_routing_to_split_above_fft_residual_guard(self):
-        # uniform big values make the rounded FFT untrustworthy; the result
-        # must come out exact anyway (closed form: (i+1) * 2^60 up to length)
-        L = 9000
-        a = np.full(L, 1 << 30, dtype=np.int64)
-        got = _convolve_trunc(a, a, L - 1)
-        assert got.dtype == object
-        want = [(i + 1) << 60 for i in range(L)]
-        assert list(got) == want
+    def test_budget(self):
+        count_budget(MAX_CONV_LEN // 2 - 1, 8)  # 2 * limit + 1 = MAX_CONV_LEN fits
+        count_budget(10**9, 1)  # one factor is no convolution
+        with pytest.raises(TooLarge, match="over budget"):
+            count_budget(MAX_CONV_LEN // 2, 2)
 
     def test_counts_divisible_by_orbit(self, table_1k, all_spec):
         counts = count_representations(500, 3, all_spec, table_1k).counts
