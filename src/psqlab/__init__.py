@@ -20,10 +20,8 @@ from .wtrick import (
 from .sumsets import (
     CoverReport,
     LemmaReport,
-    ResidueSet,
     downset,
     exhaustive_lemma_check,
-    n_fold_sumset,
     sumset,
     verify_cover,
 )

@@ -17,10 +17,6 @@ class NotSquarefree(PsqLabError, ValueError):
     """Coordinate decomposition requires a squarefree modulus."""
 
 
-class ModulusMismatch(PsqLabError, ValueError):
-    """Set operation on residue sets over different moduli."""
-
-
 class NotCoprime(PsqLabError, ValueError):
     """Argument pair required to be coprime is not."""
 

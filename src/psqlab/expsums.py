@@ -46,10 +46,6 @@ class FourierGrid:
     K: int
     values: np.ndarray  # complex128, length K * N
 
-    def alphas(self) -> np.ndarray:
-        L = self.K * self.N
-        return np.arange(L) / L
-
     def to_csv(self, path) -> None:
         v = self.values
         write_csv(path, ["k", "re", "im"], [np.arange(len(v)), v.real, v.imag])

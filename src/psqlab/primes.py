@@ -123,6 +123,8 @@ class PrimeSubsetSpec:
 
     @classmethod
     def residue_classes(cls, modulus: int, classes, min_prime: int = 5) -> "PrimeSubsetSpec":
+        if modulus < 2:  # checked here too: the classes are reduced mod it below
+            raise ValueError("residue_classes requires a modulus >= 2")
         return cls(
             variant=VARIANT_RESIDUE_CLASSES,
             modulus=modulus,
@@ -159,17 +161,23 @@ class PrimeSubsetSpec:
     @classmethod
     def from_json(cls, obj) -> "PrimeSubsetSpec":
         if isinstance(obj, str):
-            obj = json.loads(obj)
+            try:
+                obj = json.loads(obj)
+            except RecursionError:
+                raise ValueError("subset spec JSON nested too deeply") from None
         variant = obj.get("variant", VARIANT_ALL)
-        min_prime = int(obj.get("min_prime", 5))
-        if variant == VARIANT_ALL:
-            return cls.all_primes(min_prime)
-        if variant == VARIANT_RESIDUE_CLASSES:
-            return cls.residue_classes(int(obj["modulus"]), obj["classes"], min_prime)
-        if variant == VARIANT_BERNOULLI:
-            return cls.bernoulli(float(obj["rho"]), int(obj["seed"]), min_prime)
-        if variant == VARIANT_EXPLICIT:
-            return cls.explicit(obj.get("primes", ()), min_prime)
+        try:  # a missing, null, mistyped or infinite field is malformed input
+            min_prime = int(obj.get("min_prime", 5))
+            if variant == VARIANT_ALL:
+                return cls.all_primes(min_prime)
+            if variant == VARIANT_RESIDUE_CLASSES:
+                return cls.residue_classes(int(obj["modulus"]), obj["classes"], min_prime)
+            if variant == VARIANT_BERNOULLI:
+                return cls.bernoulli(float(obj["rho"]), int(obj["seed"]), min_prime)
+            if variant == VARIANT_EXPLICIT:
+                return cls.explicit(obj.get("primes", ()), min_prime)
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed {variant!r} subset spec: {exc!r}") from None
         raise ValueError(f"unknown variant {variant!r}")
 
 

@@ -15,9 +15,9 @@ from typing import Sequence, Union
 import numpy as np
 
 from ._csvio import write_csv
-from ._gridfft import grid_transform
+from ._gridfft import MAX_CONV_LEN, grid_transform
 from .arith import divisor_count
-from .errors import VerificationError
+from .errors import TooLarge, VerificationError
 from .wtrick import WeightedSequence
 
 SequenceLike = Union[WeightedSequence, np.ndarray]
@@ -139,8 +139,13 @@ class PairGapTable:
 
 
 def pair_difference_counts(seq_nu: WeightedSequence) -> PairGapTable:
-    """Support pairs of a majorant at each gap k >= 1, against tau(k)."""
+    """Support pairs of a majorant at each gap k >= 1, against tau(k).
+
+    The support x support difference matrix is budgeted like a convolution:
+    TooLarge, before it is allocated, past MAX_CONV_LEN cells."""
     support = seq_nu.support()
+    if len(support) ** 2 > MAX_CONV_LEN:
+        raise TooLarge(f"{len(support)} x {len(support)} pair matrix over budget {MAX_CONV_LEN}")
     diffs = (support[:, None] - support[None, :]).ravel()
     diffs = diffs[diffs > 0]
     rows = []

@@ -1,19 +1,21 @@
 """Downset machinery in Z_q for squarefree q, and the 8-fold cover check.
 
-Residue sets are stored as bitmasks in a single Python int, so sumsets are
-shift-or convolutions: exact, and fast for every modulus used here.
+A residue set is a length-q boolean mask.  Sumsets go through the shared
+cyclic reachability engine (_gridfft.Reach): FFT convolutions thresholded at
+1/2 under a rounding-residual certificate, exact for every modulus used here.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
+from ._gridfft import Reach
 from .arith import crt_combine, factorize
-from .errors import ModulusMismatch, NotSquarefree, ZTooLarge
+from .errors import NotSquarefree, ZTooLarge
 from .wtrick import WContext
 
 MAX_EXHAUSTIVE_Z = 22
@@ -26,91 +28,36 @@ def _squarefree_primes(q: int) -> tuple[int, ...]:
     return fac.primes
 
 
-@dataclass(frozen=True)
-class ResidueSet:
-    """Subset of Z_q as a q-bit mask (bit r set iff r is a member)."""
-
-    q: int
-    bits: int
-
-    @classmethod
-    def from_members(cls, q: int, members: Iterable[int]) -> "ResidueSet":
-        bits = 0
-        for m in members:
-            bits |= 1 << (m % q)
-        return cls(q=q, bits=bits)
-
-    @classmethod
-    def from_bool_array(cls, arr: np.ndarray) -> "ResidueSet":
-        packed = np.packbits(arr.astype(np.uint8), bitorder="little")
-        return cls(q=len(arr), bits=int.from_bytes(packed.tobytes(), "little"))
-
-    def members(self) -> list[int]:
-        return [r for r in range(self.q) if (self.bits >> r) & 1]
-
-    def contains(self, r: int) -> bool:
-        return bool((self.bits >> (r % self.q)) & 1)
-
-    def size(self) -> int:
-        return self.bits.bit_count()
-
-
-def downset(a: int, q: int) -> ResidueSet:
-    """All b in Z_q with every CRT coordinate at most the coordinate of a."""
+def downset(a: int, q: int) -> np.ndarray:
+    """Mask of all b in Z_q with every CRT coordinate at most the coordinate of a."""
     primes = _squarefree_primes(q)
     idx = np.arange(q, dtype=np.int64)
     keep = np.ones(q, dtype=bool)
     for p in primes:
         keep &= (idx % p) <= (a % p)
-    return ResidueSet.from_bool_array(keep)
+    return keep
 
 
-def _rotate(bits: int, shift: int, q: int) -> int:
-    shift %= q
-    if shift == 0:
-        return bits
-    full = (1 << q) - 1
-    return ((bits << shift) | (bits >> (q - shift))) & full
+def sumset(masks: list[np.ndarray]) -> np.ndarray:
+    """Mask of {a_1 + ... + a_n mod q : a_j in masks[j]}, q = len(masks[0]); n >= 1.
+
+    A mask repeated by identity ([A] * n) is transformed once.
+    """
+    if not masks:
+        raise ValueError("a sumset needs at least one summand")
+    supports = {id(m): np.flatnonzero(m) for m in masks}
+    return Reach([supports[id(m)] for m in masks], modulus=len(masks[0])).layers[0]
 
 
-def sumset(A: ResidueSet, B: ResidueSet) -> ResidueSet:
-    """{a + b mod q : a in A, b in B}."""
-    if A.q != B.q:
-        raise ModulusMismatch(f"moduli differ: {A.q} vs {B.q}")
-    small, large = (A, B) if A.size() <= B.size() else (B, A)
-    out = 0
-    for a in small.members():
-        out |= _rotate(large.bits, a, A.q)
-    return ResidueSet(q=A.q, bits=out)
-
-
-def n_fold_sumset(A: ResidueSet, n: int) -> ResidueSet:
-    """n-fold A + ... + A by binary doubling; n >= 1."""
-    if n < 1:
-        raise ValueError(f"fold count must be >= 1, got {n}")
-    acc = None
-    base = A
-    while n:
-        if n & 1:
-            acc = base if acc is None else sumset(acc, base)
-        n >>= 1
-        if n:
-            base = sumset(base, base)
-    return acc
-
-
-def is_downset(S: ResidueSet) -> bool:
+def is_downset(S: np.ndarray) -> bool:
     """Closed under decreasing any single CRT coordinate by one."""
-    q = S.q
+    q = len(S)
     primes = _squarefree_primes(q)
-    arr = np.zeros(q, dtype=bool)
-    arr[S.members()] = True
     idx = np.arange(q, dtype=np.int64)
     for p in primes:
         step = crt_combine([(1, p), (0, q // p)]) if q // p > 1 else 1
-        movable = arr & ((idx % p) > 0)
-        src = np.flatnonzero(movable)
-        if np.any(~arr[(src - step) % q]):
+        src = np.flatnonzero(S & ((idx % p) > 0))
+        if np.any(~S[(src - step) % q]):
             return False
     return True
 
@@ -139,28 +86,23 @@ class CoverReport:
         }
 
 
-def verify_cover(
-    ctx: WContext, E: Union[ResidueSet, Iterable[int]], folds: int = 8
-) -> CoverReport:
+def verify_cover(ctx: WContext, E: Iterable[int], folds: int = 8) -> CoverReport:
     """Check the folds-fold sumset of E mod W covers every class = folds mod 24.
 
     E must be a subset of Z_W.  folds other than 8 are exploratory.
     """
-    if not isinstance(E, ResidueSet):
-        E = ResidueSet.from_members(ctx.W, E)
-    if E.q != ctx.W:
-        raise ModulusMismatch(f"E lives mod {E.q}, context uses {ctx.W}")
-    zset = set(ctx.Z_W)
-    members = tuple(E.members())
-    if any(m not in zset for m in members):
+    members = tuple(sorted({int(m) % ctx.W for m in E}))
+    if not set(members) <= set(ctx.Z_W):
         raise ValueError("E contains residues outside Z(W)")
+    required = range(folds % 24, ctx.W, 24)
 
     if not members:
-        required = tuple(range(folds % 24, ctx.W, 24))
-        return CoverReport(ctx.w, ctx.W, folds, (), False, required, 0)
+        return CoverReport(ctx.w, ctx.W, folds, (), False, tuple(required), 0)
 
-    total = n_fold_sumset(E, folds)
-    missing = tuple(r for r in range(folds % 24, ctx.W, 24) if not total.contains(r))
+    mask = np.zeros(ctx.W, dtype=bool)
+    mask[list(members)] = True
+    total = sumset([mask] * folds)
+    missing = tuple(r for r in required if not total[r])
     return CoverReport(
         w=ctx.w,
         W=ctx.W,
@@ -168,7 +110,7 @@ def verify_cover(
         e_members=members,
         covered=not missing,
         missing=missing,
-        sumset_size=total.size(),
+        sumset_size=int(np.count_nonzero(total)),
     )
 
 

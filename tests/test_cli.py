@@ -3,6 +3,8 @@ import json
 import os
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from psqlab.cli import _parse_spec, run
 from psqlab.primes import PrimeSubsetSpec
@@ -39,6 +41,46 @@ class TestSpecParsing:
         with pytest.raises(ValueError):
             _parse_spec("nonsense:1", None)
 
+    @given(
+        st.one_of(
+            st.text(),
+            st.builds(
+                str.__add__,
+                st.sampled_from(["all", "residues:", "bernoulli:", "explicit:", "{", " {"]),
+                st.text(),
+            ),
+        ),
+        st.none() | st.integers(),
+    )
+    @example("residues:0:1", None)
+    def test_arbitrary_text_parses_or_raises_value_error(self, text, seed):
+        try:
+            assert isinstance(_parse_spec(text, seed), PrimeSubsetSpec)
+        except ValueError:
+            pass
+
+    # JSON scalars and small containers of every type, NaN and +-Infinity included
+    _json_values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=6,
+    )
+
+    @given(
+        st.sampled_from(["all", "residue_classes", "bernoulli_sample", "explicit_list"])
+        | _json_values,
+        st.dictionaries(
+            st.sampled_from(["modulus", "classes", "rho", "seed", "primes", "min_prime"]),
+            _json_values,
+        ),
+    )
+    def test_mistyped_json_fields_parse_or_raise_value_error(self, variant, fields):
+        blob = json.dumps({"variant": variant, **fields})
+        try:
+            assert isinstance(_parse_spec(blob, None), PrimeSubsetSpec)
+        except ValueError:
+            pass
+
 
 class TestExitCodes:
     def test_usage_error_missing_args(self, capsys):
@@ -51,6 +93,21 @@ class TestExitCodes:
         # arc parameters violating N > 2 Q^2
         assert run(["arcs", "--N", "16384", "--A", "2.0"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "residues:0:1",
+            '{"variant": "residue_classes"}',
+            '{"variant": "bernoulli_sample", "rho": 0.5, "seed": null}',
+            '{"variant": "all", "x": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        ],
+        ids=["zero-modulus", "missing-modulus", "null-seed", "deep-nesting"],
+    )
+    def test_malformed_spec_exits_two(self, spec, capsys):
+        assert run(["represent", "--s", "8", "--limit", "1000", "--spec", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("psqlab: error:") and "Traceback" not in err
 
     def test_check_failure_is_exit_one(self, tmp_path, monkeypatch):
         import psqlab.cli as cli_mod

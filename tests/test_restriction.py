@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import table_for
 from psqlab.arith import divisor_count
+from psqlab.errors import TooLarge
 from psqlab.expsums import dft_at
 from psqlab.restriction import (
     dyadic_profile,
@@ -121,6 +124,18 @@ class TestPairGaps:
         row5 = next(r for r in table.rows if r.k == 5)
         assert (row5.count, row5.tau) == (3, 2)
         assert 5 in table.violations
+
+    def test_pair_matrix_past_budget_raises_before_allocating(self):
+        # 4097^2 > MAX_CONV_LEN = 2^24 cells; the int64 matrix would be 134 MB
+        seq = make_seq(np.ones(4098))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match="over budget"):
+                pair_difference_counts(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("w", [4, 6])
     def test_scaled_divisor_bound_holds(self, w):

@@ -1,18 +1,17 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psqlab.arith import crt_combine, factorize
-from psqlab.errors import ModulusMismatch, NotSquarefree, ZTooLarge
+from psqlab.errors import NotSquarefree, ZTooLarge
 from psqlab.sumsets import (
-    ResidueSet,
     downset,
     exhaustive_lemma_check,
     is_downset,
-    n_fold_sumset,
     sumset,
     verify_cover,
 )
@@ -21,9 +20,27 @@ from psqlab.wtrick import build_context
 SQUAREFREE = [q for q in range(2, 4000) if factorize(q).is_squarefree()]
 
 
+def mask(q, members):
+    out = np.zeros(q, dtype=bool)
+    out[[m % q for m in members]] = True
+    return out
+
+
+def members(m):
+    return np.flatnonzero(m).tolist()
+
+
+def brute_fold(q, elems, n):
+    """{x_1 + ... + x_n mod q : x_j in elems} by iterated set addition."""
+    acc = {0}
+    for _ in range(n):
+        acc = {(x + y) % q for x in acc for y in elems}
+    return acc
+
+
 class TestDownset:
     def test_zero(self):
-        assert downset(0, 15).members() == [0]
+        assert members(downset(0, 15)) == [0]
 
     def test_not_squarefree(self):
         with pytest.raises(NotSquarefree):
@@ -32,47 +49,58 @@ class TestDownset:
     def test_full_box(self):
         # coordinates (2, 4) mod 15 give the whole ring
         a = crt_combine([(2, 3), (4, 5)])
-        assert downset(a, 15).size() == 15
+        assert downset(a, 15).all()
 
     def test_seven_mod_fifteen(self):
         d = downset(7, 15)
-        assert d.size() == 2 * 3 == 6
+        assert np.count_nonzero(d) == 2 * 3 == 6
         want = {
             b
             for b in range(15)
             if b % 3 <= 7 % 3 and b % 5 <= 7 % 5
         }
-        assert set(d.members()) == want
+        assert set(members(d)) == want
 
     @given(st.sampled_from(SQUAREFREE), st.integers(0, 10**6))
     def test_size_formula_and_closure(self, q, a):
         a %= q
         d = downset(a, q)
         expected = math.prod((a % p) + 1 for p in factorize(q).primes)
-        assert d.size() == expected
+        assert np.count_nonzero(d) == expected
         assert is_downset(d)
+
+    def test_not_downset(self):
+        # 4 = (1, 4) mod (3, 5) without (0, 4) = 4 - 10 = 9 mod 15
+        assert not is_downset(mask(15, [0, 4]))
 
 
 class TestSumset:
     def test_identity_element(self):
-        A = ResidueSet.from_members(9, [1, 3, 7])
-        zero = ResidueSet.from_members(9, [0])
-        assert sumset(A, zero).bits == A.bits
+        A = mask(9, [1, 3, 7])
+        assert np.array_equal(sumset([A, mask(9, [0])]), A)
 
     def test_small_example(self):
-        A = ResidueSet.from_members(5, [0, 1])
-        assert set(sumset(A, A).members()) == {0, 1, 2}
+        A = mask(5, [0, 1])
+        assert members(sumset([A, A])) == [0, 1, 2]
 
-    def test_modulus_mismatch(self):
-        with pytest.raises(ModulusMismatch):
-            sumset(ResidueSet.from_members(5, [1]), ResidueSet.from_members(7, [1]))
+    def test_needs_a_summand(self):
+        with pytest.raises(ValueError):
+            sumset([])
 
-    def test_against_brute_force(self):
-        rngpairs = [(35, [1, 4, 9]), (21, [2, 20]), (30, [0, 7, 11, 29])]
-        for q, members in rngpairs:
-            A = ResidueSet.from_members(q, members)
-            brute = {(x + y) % q for x in members for y in members}
-            assert set(sumset(A, A).members()) == brute
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 300),
+        st.lists(st.integers(0, 10**6), max_size=25),
+        st.integers(1, 8),
+    )
+    @example(35, [1, 4, 9], 2)
+    @example(21, [2, 20], 2)
+    @example(30, [0, 7, 11, 29], 2)
+    def test_against_brute_force(self, q, elems, n):
+        A = mask(q, elems)
+        total = sumset([A] * n)
+        assert total.dtype == bool and len(total) == q
+        assert set(members(total)) == brute_fold(q, {e % q for e in elems}, n)
 
     @settings(max_examples=60)
     @given(
@@ -81,15 +109,23 @@ class TestSumset:
         st.integers(0, 10**6),
     )
     def test_sum_of_downsets_is_downset(self, q, a, b):
-        total = sumset(downset(a % q, q), downset(b % q, q))
+        total = sumset([downset(a % q, q), downset(b % q, q)])
         assert is_downset(total)
 
     def test_n_fold_matches_iteration(self):
-        A = ResidueSet.from_members(13, [1, 5])
+        A = mask(13, [1, 5])
         folded = A
         for _ in range(7):
-            folded = sumset(folded, A)
-        assert n_fold_sumset(A, 8).bits == folded.bits
+            folded = sumset([folded, A])
+        assert np.array_equal(sumset([A] * 8), folded)
+
+    def test_repeated_mask_transformed_once(self, monkeypatch):
+        # one spectrum for the support plus one transform per layer
+        calls = []
+        rfft = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda *a: calls.append(1) or rfft(*a))
+        sumset([mask(13, [1, 5])] * 8)
+        assert len(calls) == 1 + 8
 
 
 class TestVerifyCover:
@@ -98,13 +134,20 @@ class TestVerifyCover:
         assert report.covered
         assert report.missing == ()
         # 8-fold sums of {1, 49} land exactly on {8 + 48k mod 120}
-        total = n_fold_sumset(ResidueSet.from_members(120, ctx6.Z_W), 8)
-        assert set(total.members()) == {8, 32, 56, 80, 104}
+        total = sumset([mask(120, ctx6.Z_W)] * 8)
+        assert members(total) == [8, 32, 56, 80, 104]
+        assert report.sumset_size == 5
+
+    def test_members_reduced_sorted_unique(self, ctx6):
+        report = verify_cover(ctx6, [169, 49, 1, 121])
+        assert report.e_members == (1, 49)
+        assert all(type(m) is int for m in report.e_members)
 
     def test_empty_set_covers_nothing(self, ctx6):
         report = verify_cover(ctx6, [])
         assert not report.covered
         assert set(report.missing) == {8, 32, 56, 80, 104}
+        assert report.sumset_size == 0
 
     def test_w4_singleton(self, ctx4):
         report = verify_cover(ctx4, [1])
@@ -120,6 +163,11 @@ class TestVerifyCover:
         report = verify_cover(ctx6, ctx6.Z_W, folds=4)
         assert report.folds == 4
         assert report.covered
+
+    @pytest.mark.parametrize("folds", [0, -1])
+    def test_rejects_no_folds(self, ctx6, folds):
+        with pytest.raises(ValueError):
+            verify_cover(ctx6, ctx6.Z_W, folds=folds)
 
 
 class TestExhaustive:
@@ -162,7 +210,7 @@ class TestProofDevices:
         u = crt_combine([((p - 1) // 2, p) for p in primes])
         d = downset(u - 1, Wp)
         z_wp = {pow(x, 2, Wp) for x in range(1, Wp) if math.gcd(x, Wp) == 1}
-        assert d.size() == len(z_wp) == len(ctx.Z_W)
+        assert np.count_nonzero(d) == len(z_wp) == len(ctx.Z_W)
 
     @pytest.mark.parametrize("w", [6, 8])
     def test_four_fold_middle_downset_fills_ring(self, w):
@@ -170,7 +218,7 @@ class TestProofDevices:
         Wp = ctx.W // 24
         primes = factorize(Wp).primes
         u = crt_combine([((p - 1) // 2, p) for p in primes])
-        assert n_fold_sumset(downset(u - 1, Wp), 4).size() == Wp
+        assert sumset([downset(u - 1, Wp)] * 4).all()
 
     @pytest.mark.parametrize("w", [6, 8])
     def test_reduction_view_agrees(self, w):
@@ -179,7 +227,7 @@ class TestProofDevices:
         Wp = ctx.W // 24
         half = len(ctx.Z_W) // 2 + 1
         for combo in itertools.islice(itertools.combinations(ctx.Z_W, half), 8):
-            reduced = ResidueSet.from_members(Wp, [m % Wp for m in combo])
-            assert reduced.size() == half  # reduction mod W' is injective on Z(W)
-            filled = n_fold_sumset(reduced, 8).size() == Wp
+            reduced = mask(Wp, combo)
+            assert np.count_nonzero(reduced) == half  # reduction mod W' is injective on Z(W)
+            filled = sumset([reduced] * 8).all()
             assert filled == verify_cover(ctx, combo).covered
