@@ -1,4 +1,8 @@
-"""Shared FFT plumbing: exponential sums on grids, exact boolean reachability."""
+"""Shared FFT plumbing: exponential sums on grids, exact boolean reachability.
+
+A grid transform takes a weighted sequence on [1, N] in its one form: an
+array indexed by n, with values[0] as the padding slot.
+"""
 
 from __future__ import annotations
 
@@ -13,29 +17,21 @@ MAX_CONV_LEN = 1 << 24
 MAX_LAYER_CELLS = 1 << 28  # bytes of boolean reachability layers kept at once
 
 
-def fold_sequence(values: np.ndarray, N: int, K: int, one_indexed: bool) -> np.ndarray:
-    """Place a sequence on [1, N] (or [0, N-1]) into a length K*N buffer.
+def grid_transform(values: np.ndarray, N: int, K: int) -> np.ndarray:
+    """Exponential sum sum_{n=1}^{N} v(n) e(n k / (K N)) for k = 0 .. K*N - 1.
 
-    Index arithmetic is mod K*N, which is exact at grid frequencies.
+    values is indexed by n (values[0] is a padding slot).  Index arithmetic
+    is mod K*N, which is exact at grid frequencies.
     """
     L = K * N
     if L > MAX_GRID:
         raise TooLarge(f"grid size {L} exceeds bound {MAX_GRID}")
     x = np.zeros(L)
-    if one_indexed:
-        if L > N:
-            x[1 : N + 1] = values[1 : N + 1]
-        else:  # K == 1: index N aliases to 0
-            x[1:N] = values[1:N]
-            x[0] = values[N]
-    else:
-        x[:N] = values[:N]
-    return x
-
-
-def grid_transform(values: np.ndarray, N: int, K: int, one_indexed: bool) -> np.ndarray:
-    """Exponential sum sum_n v(n) e(n k / (K N)) for k = 0 .. K*N - 1."""
-    x = fold_sequence(values, N, K, one_indexed)
+    if L > N:
+        x[1 : N + 1] = values[1 : N + 1]
+    else:  # K == 1: index N aliases to 0
+        x[1:N] = values[1:N]
+        x[0] = values[N]
     return np.conj(np.fft.fft(x))
 
 

@@ -270,8 +270,8 @@ def _cmd_moments(args) -> tuple[dict, int]:
     b = args.b if args.b is not None else ctx.Z_W[0]
     spec = _parse_spec(args.spec, args.seed)
     seq = f_sequence(ctx, b, args.N, spec, table)
+    grid_route, auto_route = fourth_moment_routes(seq)  # its budget check runs first
     report = lq_moment(seq, args.q_exponent, args.K)
-    grid_route, auto_route = fourth_moment_routes(seq)
     return {
         "w": args.w,
         "b": b,

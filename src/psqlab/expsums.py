@@ -54,7 +54,7 @@ class FourierGrid:
 def dft_grid(seq: WeightedSequence, K: int) -> FourierGrid:
     if K < 1:
         raise ValueError(f"oversampling factor must be >= 1, got {K}")
-    values = grid_transform(seq.values, seq.N, K, one_indexed=True)
+    values = grid_transform(seq.values, seq.N, K)
     return FourierGrid(N=seq.N, K=K, values=values)
 
 

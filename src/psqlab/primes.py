@@ -51,9 +51,6 @@ class PrimeTable:
     def is_prime(self, n: int) -> bool:
         return 0 <= n <= self.limit and bool(self.membership[n])
 
-    def count(self) -> int:
-        return len(self.primes)
-
     def primes_upto(self, bound: int) -> np.ndarray:
         hi = np.searchsorted(self.primes, bound, side="right")
         return self.primes[:hi]

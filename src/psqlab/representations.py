@@ -50,10 +50,7 @@ def square_indicator(limit: int, spec: PrimeSubsetSpec, table: PrimeTable) -> np
 class ReprCountTable:
     """Ordered s-tuple counts: counts[n] = #{(p_1..p_s) in P^s : sum p_j^2 = n}."""
 
-    limit: int
-    s: int
     counts: np.ndarray
-    spec: Optional[PrimeSubsetSpec] = None
 
     def to_csv(self, path) -> None:
         """Write the nonzero counts as (n, count) rows."""
@@ -90,7 +87,7 @@ def count_representations(
         for q in squares:
             nxt[q:] += acc[: limit + 1 - q]
         acc = nxt
-    return ReprCountTable(limit=limit, s=s, counts=acc, spec=spec)
+    return ReprCountTable(counts=acc)
 
 
 # -- witnesses ---------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Level sets, the fourth-moment identity, and empirical L^q moments.
 
-The discrete fourth moment is computed along two independent routes and
+Every function here takes a WeightedSequence(N, values), the one sequence
+form: weights on n in [1, N] with values[0] as the padding slot.  The
+discrete fourth moment is computed along two independent routes and
 cross-checked: a zero-padded frequency grid (no circular wraparound, so the
 grid sum is exactly the autocorrelation identity), and a direct time-domain
 autocorrelation.  Level-set counts use the exact N-point grid.
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -20,19 +22,9 @@ from .arith import divisor_count
 from .errors import TooLarge, VerificationError
 from .wtrick import WeightedSequence
 
-SequenceLike = Union[WeightedSequence, np.ndarray]
-
 # Relative slack when comparing |transform| against u*N, absorbing the
 # rounding of unit-magnitude phases; far below any level spacing in use.
 _LEVEL_SLACK = 1e-12
-
-
-def _data_and_length(seq: SequenceLike) -> tuple[np.ndarray, int, bool]:
-    """Return (values, N, one_indexed).  Raw arrays are taken on [0, N-1]."""
-    if isinstance(seq, WeightedSequence):
-        return seq.values, seq.N, True
-    arr = np.asarray(seq, dtype=float)
-    return arr, len(arr), False
 
 
 # -- level sets ----------------------------------------------------------------
@@ -49,30 +41,23 @@ class LevelSetCurve:
     N: int
     u_values: tuple[float, ...]
     counts: tuple[int, ...]
-    fourth_moment_grid: float
     chebyshev_bound: tuple[float, ...]
 
 
-def level_sets(seq_f: SequenceLike, u_list: Sequence[float]) -> LevelSetCurve:
+def level_sets(seq_f: WeightedSequence, u_list: Sequence[float]) -> LevelSetCurve:
     u_values = tuple(float(u) for u in u_list)
     if any(u <= 0 for u in u_values):
         raise ValueError("levels must be positive")
     if any(a <= b for a, b in zip(u_values, u_values[1:])):
         raise ValueError("levels must be strictly decreasing")
-    data, N, one_indexed = _data_and_length(seq_f)
-    mags = np.abs(grid_transform(data, N, 1, one_indexed))  # the N frequencies n/N
+    N = seq_f.N
+    mags = np.abs(grid_transform(seq_f.values, N, 1))  # the N frequencies n/N
     counts = tuple(
         int(np.count_nonzero(mags >= u * N * (1.0 - _LEVEL_SLACK))) for u in u_values
     )
     m4 = float(np.sum(mags**4))
     bounds = tuple(m4 / (u**4 * N**4) for u in u_values)
-    return LevelSetCurve(
-        N=N,
-        u_values=u_values,
-        counts=counts,
-        fourth_moment_grid=m4,
-        chebyshev_bound=bounds,
-    )
+    return LevelSetCurve(N=N, u_values=u_values, counts=counts, chebyshev_bound=bounds)
 
 
 # -- fourth moment ---------------------------------------------------------------
@@ -82,21 +67,31 @@ def _next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1).bit_length())
 
 
-def fourth_moment_routes(seq_f: SequenceLike) -> tuple[float, float]:
+def fourth_moment_routes(seq_f: WeightedSequence) -> tuple[float, float]:
     """(padded-grid route, autocorrelation route) for N * sum_k |c(k)|^2.
 
     c(k) = sum_{m-n=k} f(m) f(n) is the linear autocorrelation.  The grid
     route evaluates the transform on a zero-padded grid of length L >= 2*len,
-    where the identity sum |transform|^4 / L = sum |c(k)|^2 is exact.
+    where the identity sum |transform|^4 / L = sum |c(k)|^2 is exact.  Past
+    2000 support points the autocorrelation is a dense correlation over the
+    support's span, budgeted like a convolution: TooLarge, before either
+    route allocates, when span^2 passes MAX_CONV_LEN.
     """
-    data, N, _ = _data_and_length(seq_f)
-    arr = np.asarray(data, dtype=float)
+    arr, N = seq_f.values, seq_f.N
+    support = np.flatnonzero(arr)
+    dense = len(support) ** 2 > 4_000_000
+    if dense:
+        lo, hi = int(support[0]), int(support[-1]) + 1
+        if (hi - lo) ** 2 > MAX_CONV_LEN:
+            raise TooLarge(f"{hi - lo} x {hi - lo} autocorrelation over budget {MAX_CONV_LEN}")
     L = _next_pow2(2 * len(arr))
     mags = np.abs(np.fft.fft(arr, L))
     route_grid = N * float(np.sum(mags**4)) / L
 
-    support = np.flatnonzero(arr)
-    if len(support) ** 2 <= 4_000_000:
+    if dense:
+        corr = np.correlate(arr[lo:hi], arr[lo:hi], mode="full")
+        route_auto = N * float(np.sum(corr**2))
+    else:
         acc: dict[int, float] = {}
         vals = arr[support]
         for i, m in enumerate(support):
@@ -104,13 +99,10 @@ def fourth_moment_routes(seq_f: SequenceLike) -> tuple[float, float]:
                 k = int(m - n)
                 acc[k] = acc.get(k, 0.0) + vals[i] * vals[j]
         route_auto = N * float(sum(v * v for v in acc.values()))
-    else:
-        corr = np.correlate(arr, arr, mode="full")
-        route_auto = N * float(np.sum(corr**2))
     return route_grid, route_auto
 
 
-def fourth_moment(seq_f: SequenceLike, rel_tol: float = 1e-6) -> float:
+def fourth_moment(seq_f: WeightedSequence, rel_tol: float = 1e-6) -> float:
     """Cross-checked discrete fourth moment; raises if the routes disagree."""
     route_grid, route_auto = fourth_moment_routes(seq_f)
     scale = max(abs(route_grid), abs(route_auto), 1e-300)
@@ -184,11 +176,11 @@ class MomentReport:
         }
 
 
-def lq_moment(seq_f: SequenceLike, q_exponent: float, K: int = 4) -> MomentReport:
+def lq_moment(seq_f: WeightedSequence, q_exponent: float, K: int = 4) -> MomentReport:
     if q_exponent <= 4:
         raise ValueError(f"q exponent must exceed 4, got {q_exponent}")
-    data, N, one_indexed = _data_and_length(seq_f)
-    mags = np.abs(grid_transform(data, N, K, one_indexed))
+    N = seq_f.N
+    mags = np.abs(grid_transform(seq_f.values, N, K))
     moment = float(np.sum(mags**q_exponent)) / (K * N)
     normalizer = float(N) ** (q_exponent - 1.0)
     return MomentReport(
@@ -225,8 +217,8 @@ class DyadicProfile:
         write_csv(path, ["u", "count", "chebyshev_bound"], columns)
 
 
-def dyadic_profile(seq_f: SequenceLike, q_exponent: float = 5.0) -> DyadicProfile:
-    _, N, _ = _data_and_length(seq_f)
+def dyadic_profile(seq_f: WeightedSequence, q_exponent: float = 5.0) -> DyadicProfile:
+    N = seq_f.N
     kmax = int(math.ceil(math.log2(N))) + 1
     levels = [2.0**k for k in range(0, -kmax - 1, -1)]
     curve = level_sets(seq_f, levels)

@@ -3,14 +3,15 @@
 W = 8 * prod of odd primes below w.  For a reduced quadratic residue b
 mod W, the sequence n -> (phi(W)/(W*H)) * 2p*log(p) is supported on the
 n in [1, N] with W*n + b a prime square.  Restricting the primes to a
-subset P gives the companion sequence dominated by the full one.
+subset P gives the sequence f; the majorant nu is the all-primes subset
+sequence, so it dominates every f.  A WeightedSequence(N, values) is the
+one sequence form the transform and restriction code takes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -20,9 +21,6 @@ from .errors import Infeasible, TableTooSmall, WTooLarge
 from .primes import PrimeSubsetSpec, PrimeTable, subset_members
 
 MAX_W = 4_000_000
-
-KIND_MAJORANT = "majorant"
-KIND_SUBSET = "subset"
 
 
 @dataclass(frozen=True)
@@ -90,12 +88,8 @@ def build_context(w: int) -> WContext:
 class WeightedSequence:
     """Nonnegative weights on n in [1, N]; values[0] is a padding slot."""
 
-    kind: str
-    b: int
     N: int
-    W: int
     values: np.ndarray  # float64, length N + 1, indexed by n
-    spec: Optional[PrimeSubsetSpec] = None
 
     def support(self) -> np.ndarray:
         return np.flatnonzero(self.values)
@@ -131,10 +125,8 @@ def _weights(ctx: WContext, p: np.ndarray) -> np.ndarray:
 
 def nu_sequence(ctx: WContext, b: int, N: int, table: PrimeTable) -> WeightedSequence:
     """Majorant sequence: every prime square in the progression contributes."""
-    p, n = _squares_in_progression(ctx, b, N, table)
-    values = np.zeros(N + 1)
-    values[n] = _weights(ctx, p)
-    return WeightedSequence(kind=KIND_MAJORANT, b=b, N=N, W=ctx.W, values=values)
+    # Every b in Z(W) is 1 mod 24 and n >= 1, so p^2 >= W + 1 >= 25: min_prime 5 drops nothing.
+    return f_sequence(ctx, b, N, PrimeSubsetSpec.all_primes(), table)
 
 
 def f_sequence(
@@ -146,7 +138,7 @@ def f_sequence(
     keep = np.isin(p, members)
     values = np.zeros(N + 1)
     values[n[keep]] = _weights(ctx, p[keep])
-    return WeightedSequence(kind=KIND_SUBSET, b=b, N=N, W=ctx.W, values=values, spec=spec)
+    return WeightedSequence(N=N, values=values)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import psqlab
@@ -43,3 +44,9 @@ def table_for(ctx, N):
 @pytest.fixture(scope="session")
 def all_spec():
     return psqlab.PrimeSubsetSpec.all_primes()
+
+
+def as_sequence(arr):
+    """The sequence n -> arr[n - 1] on [1, len(arr)], with the padding slot prepended."""
+    arr = np.asarray(arr, dtype=float)
+    return psqlab.WeightedSequence(N=len(arr), values=np.concatenate(([0.0], arr)))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import psqlab
-from conftest import table_for
+from conftest import as_sequence, table_for
 from psqlab.arith import factorize
 from psqlab.expsums import gauss_sum_row
 from psqlab.restriction import fourth_moment_routes, pair_difference_counts
@@ -130,7 +130,7 @@ def test_criterion_05a_fourth_moment_identity():
     worst = 0.0
     for _ in range(100):
         arr = rng.random(1 << 12)
-        grid_route, auto_route = fourth_moment_routes(arr)
+        grid_route, auto_route = fourth_moment_routes(as_sequence(arr))
         worst = max(worst, abs(grid_route - auto_route) / max(grid_route, auto_route))
     ctx = psqlab.build_context(6)
     N = 1 << 16

@@ -4,6 +4,7 @@ import io
 import numpy as np
 import pytest
 
+from conftest import as_sequence
 from psqlab._csvio import _CHUNK_ROWS, write_csv
 from psqlab.expsums import FourierGrid
 from psqlab.primes import PrimeSubsetSpec, sieve
@@ -68,7 +69,7 @@ class TestSidecars:
 
     def test_counts_object_dtype(self, tmp_path):
         counts = np.array([0, 2**70, 0, 5, 2**64 + 1, 0, 2**63], dtype=object)
-        ReprCountTable(limit=6, s=2, counts=counts).to_csv(tmp_path / "o.csv")
+        ReprCountTable(counts=counts).to_csv(tmp_path / "o.csv")
         want = reference_bytes(
             ["n", "count"], ([n, int(c)] for n, c in enumerate(counts) if c)
         )
@@ -87,7 +88,7 @@ class TestSidecars:
     def test_dyadic_profile(self, tmp_path):
         arr = np.zeros(512)
         arr[[3, 17, 40, 41, 300]] = [1.0, 2.5, 0.25, 7.0, 1e-3]
-        profile = dyadic_profile(arr)
+        profile = dyadic_profile(as_sequence(arr))
         profile.to_csv(tmp_path / "l.csv")
         want = reference_bytes(
             ["u", "count", "chebyshev_bound"],

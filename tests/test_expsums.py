@@ -25,9 +25,9 @@ from psqlab.expsums import (
 from psqlab.wtrick import WeightedSequence, nu_sequence
 
 
-def make_seq(values01, W=24, b=1, kind="subset"):
+def make_seq(values01):
     arr = np.asarray(values01, dtype=float)
-    return WeightedSequence(kind=kind, b=b, N=len(arr) - 1, W=W, values=arr)
+    return WeightedSequence(N=len(arr) - 1, values=arr)
 
 
 def gauss_direct(k, r):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import table_for
+from conftest import as_sequence, table_for
 from psqlab.arith import divisor_count
 from psqlab.errors import TooLarge
 from psqlab.expsums import dft_at
@@ -18,17 +18,12 @@ from psqlab.restriction import (
     lq_moment,
     pair_difference_counts,
 )
-from psqlab.wtrick import WeightedSequence, f_sequence, nu_sequence
-
-
-def make_seq(values01):
-    arr = np.asarray(values01, dtype=float)
-    return WeightedSequence(kind="subset", b=1, N=len(arr) - 1, W=24, values=arr)
+from psqlab.wtrick import f_sequence, nu_sequence
 
 
 class TestLevelSets:
     def test_zero_sequence(self):
-        curve = level_sets(np.zeros(64), [1.0, 0.5, 0.25])
+        curve = level_sets(as_sequence(np.zeros(64)), [1.0, 0.5, 0.25])
         assert curve.counts == (0, 0, 0)
 
     def test_above_sup_is_zero(self, ctx4, table_100k):
@@ -62,28 +57,49 @@ class TestLevelSets:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            level_sets(np.ones(8), [0.5, 0.5])
+            level_sets(as_sequence(np.ones(8)), [0.5, 0.5])
         with pytest.raises(ValueError):
-            level_sets(np.ones(8), [0.1, -0.2])
+            level_sets(as_sequence(np.ones(8)), [0.1, -0.2])
 
 
 class TestFourthMoment:
     def test_unit_impulse(self):
         arr = np.zeros(128)
         arr[3] = 1.0
-        assert fourth_moment(arr) == pytest.approx(128.0)
+        assert fourth_moment(as_sequence(arr)) == pytest.approx(128.0)
 
     def test_two_point_sequence(self):
         arr = np.zeros(64)
         arr[0] = arr[1] = 1.0
         # autocorrelation (1, 2, 1) gives N * (1 + 4 + 1)
-        assert fourth_moment(arr) == pytest.approx(6 * 64.0)
+        assert fourth_moment(as_sequence(arr)) == pytest.approx(6 * 64.0)
 
     def test_weighted_sequence_input(self, ctx6, table_100k, all_spec):
         seq = f_sequence(ctx6, 1, 1 << 12, all_spec, table_100k)
         grid_route, auto_route = fourth_moment_routes(seq)
         assert grid_route == pytest.approx(auto_route, rel=1e-9)
         assert fourth_moment(seq) == auto_route
+
+    def test_dense_route_correlates_the_support_span(self):
+        # 2100 support points (past the dict loop) starting well inside [1, N]
+        arr = np.zeros(4000)
+        arr[1000:3100] = np.random.default_rng(5).random(2100) + 0.5
+        grid_route, auto_route = fourth_moment_routes(as_sequence(arr))
+        assert grid_route == pytest.approx(auto_route, rel=1e-9)
+
+    def test_dense_route_past_budget_raises_before_either_route(self, monkeypatch):
+        # 2001 support points spread over N = 10^6: span^2 is far past MAX_CONV_LEN
+        arr = np.zeros(10**6)
+        arr[np.linspace(0, 10**6 - 1, 2001).astype(np.int64)] = 1.0
+        seq = as_sequence(arr)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a route ran past the budget")
+
+        monkeypatch.setattr(np, "correlate", unreachable)
+        monkeypatch.setattr(np.fft, "fft", unreachable)
+        with pytest.raises(TooLarge, match="over budget"):
+            fourth_moment_routes(seq)
 
     @settings(max_examples=40)
     @given(
@@ -94,14 +110,14 @@ class TestFourthMoment:
         )
     )
     def test_routes_agree_on_arbitrary_real_sequences(self, arr):
-        grid_route, auto_route = fourth_moment_routes(arr)
+        grid_route, auto_route = fourth_moment_routes(as_sequence(arr))
         scale = max(abs(grid_route), abs(auto_route), 1.0)
         assert abs(grid_route - auto_route) <= 1e-9 * scale
 
 
 class TestPairGaps:
     def test_empty_support(self):
-        table = pair_difference_counts(make_seq(np.zeros(32)))
+        table = pair_difference_counts(as_sequence(np.zeros(32)))
         assert table.rows == ()
         assert table.violations == ()
 
@@ -127,7 +143,7 @@ class TestPairGaps:
 
     def test_pair_matrix_past_budget_raises_before_allocating(self):
         # 4097^2 > MAX_CONV_LEN = 2^24 cells; the int64 matrix would be 134 MB
-        seq = make_seq(np.ones(4098))
+        seq = as_sequence(np.ones(4097))
         tracemalloc.start()
         try:
             with pytest.raises(TooLarge, match="over budget"):
@@ -153,14 +169,14 @@ class TestPairGaps:
 
 class TestLqMoment:
     def test_zero_sequence(self):
-        assert lq_moment(np.zeros(64), 5.0).moment == 0.0
+        assert lq_moment(as_sequence(np.zeros(64)), 5.0).moment == 0.0
 
     def test_exponent_validation(self):
         with pytest.raises(ValueError):
-            lq_moment(np.ones(16), 4.0)
+            lq_moment(as_sequence(np.ones(16)), 4.0)
 
     def test_dirichlet_kernel_ratio_stable(self):
-        ratios = [lq_moment(np.ones(1 << k), 5.0, K=4).ratio for k in (10, 12, 14)]
+        ratios = [lq_moment(as_sequence(np.ones(1 << k)), 5.0, K=4).ratio for k in (10, 12, 14)]
         assert ratios[0] == pytest.approx(0.599623, abs=1e-4)
         assert max(ratios) / min(ratios) < 1.01
 
@@ -176,7 +192,7 @@ class TestDyadicProfile:
         N = 256
         arr = np.zeros(N)
         arr[5] = 1.0
-        prof = dyadic_profile(arr)
+        prof = dyadic_profile(as_sequence(arr))
         for u, c in zip(prof.levels, prof.counts):
             assert c == (N if u <= 1 / N else 0)
 

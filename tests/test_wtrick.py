@@ -95,6 +95,23 @@ class TestNuSequence:
         with pytest.raises(ValueError):
             nu_sequence(ctx6, 2, 10, table_1k)
 
+    @settings(max_examples=30, deadline=None)
+    @given(w=st.sampled_from([4, 6, 8]), pick=st.integers(0, 1000), N=st.integers(1, 5000))
+    def test_matches_definition(self, table_100k, w, pick, N):
+        # support {n <= N : W*n + b = p^2, p prime}, weight phi(W)/(W*H) * 2p*log(p)
+        ctx = build_context(w)
+        b = ctx.Z_W[pick % len(ctx.Z_W)]
+        seq = nu_sequence(ctx, b, N, table_100k)
+        roots = {n: math.isqrt(ctx.W * n + b) for n in range(1, N + 1)}
+        want = {
+            n: p for n, p in roots.items() if p * p == ctx.W * n + b and table_100k.is_prime(p)
+        }
+        assert seq.N == N and len(seq.values) == N + 1
+        assert seq.support().tolist() == sorted(want)
+        coeff = ctx.phi_W / (ctx.W * ctx.H)
+        for n, p in want.items():
+            assert seq.values[n] == pytest.approx(coeff * 2 * p * math.log(p), rel=1e-12)
+
 
 class TestFSequence:
     def test_all_equals_majorant(self, ctx6, table_100k, all_spec):
