@@ -34,6 +34,7 @@ from .expsums import (
     dft_at,
     dft_grid,
     gauss_sum,
+    indicator_transform_grid,
     major_arc_model,
     minor_arc_scan,
     pseudorandom_sup,

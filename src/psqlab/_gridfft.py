@@ -17,15 +17,26 @@ MAX_CONV_LEN = 1 << 24
 MAX_LAYER_CELLS = 1 << 28  # bytes of boolean reachability layers kept at once
 
 
+def grid_length(N: int, K: int) -> int:
+    """L = K * N points of a grid over [1, N]; ValueError for N or K below 1,
+    TooLarge past MAX_GRID, both before anything is allocated."""
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    if K < 1:
+        raise ValueError(f"oversampling factor must be >= 1, got {K}")
+    L = K * N
+    if L > MAX_GRID:
+        raise TooLarge(f"grid size {L} exceeds bound {MAX_GRID}")
+    return L
+
+
 def grid_transform(values: np.ndarray, N: int, K: int) -> np.ndarray:
     """Exponential sum sum_{n=1}^{N} v(n) e(n k / (K N)) for k = 0 .. K*N - 1.
 
     values is indexed by n (values[0] is a padding slot).  Index arithmetic
     is mod K*N, which is exact at grid frequencies.
     """
-    L = K * N
-    if L > MAX_GRID:
-        raise TooLarge(f"grid size {L} exceeds bound {MAX_GRID}")
+    L = grid_length(N, K)
     x = np.zeros(L)
     if L > N:
         x[1 : N + 1] = values[1 : N + 1]

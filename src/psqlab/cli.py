@@ -29,6 +29,7 @@ from .expsums import (
     dft_grid,
     gauss_sum,
     gauss_sum_row,
+    indicator_transform_grid,
     major_arc_model,
     minor_arc_scan,
     pseudorandom_sup,
@@ -186,11 +187,9 @@ def _cmd_saq(args) -> tuple[dict, int]:
     per_q: dict[int, float] = {}
     for b in bs:
         for q in range(1, args.qmax + 1):
-            for a in range(1, q + 1):
-                if math.gcd(a, q) != 1:
-                    continue
-                direct = s_direct(ctx, b, q, a)
-                closed = s_closed(ctx, b, q, a)
+            units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
+            for direct in s_direct(ctx, b, q, units):
+                closed = s_closed(ctx, b, q, direct.a)
                 diff = abs(direct.value - closed.value)
                 worst = max(worst, diff)
                 per_q[q] = max(per_q.get(q, 0.0), diff)
@@ -246,12 +245,13 @@ def _cmd_arcs(args) -> tuple[dict, int]:
 
 def _cmd_pseudo(args) -> tuple[dict, int]:
     ws = [int(t) for t in args.w_list.split(",") if t]
+    reference = indicator_transform_grid(args.N, args.K)  # validates N, K and the grid budget
     rows = []
     for w in ws:
         ctx, table = _make_table_for_sequences(w, args.N)
         b = ctx.Z_W[0]
         seq = nu_sequence(ctx, b, args.N, table)
-        sup = pseudorandom_sup(seq, args.K)
+        sup = pseudorandom_sup(seq, args.K, reference)
         rows.append({"w": w, "b": b, "W": ctx.W, "sup": sup, "sup_over_N": sup / args.N})
     nonincreasing = all(
         rows[i + 1]["sup_over_N"] <= rows[i]["sup_over_N"] * 1.10

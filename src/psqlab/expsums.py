@@ -2,10 +2,11 @@
 
 The local factor S(q, a) attached to a residue b mod W is computed two
 independent ways: a literal double sum over square roots h of b and
-l in [q] (s_direct), and a closed form dispatching on gcd(q, W) through
-quadratic Gauss sums (s_closed).  Their agreement is the main oracle of
-this module.  All rational phases are reduced in exact integer arithmetic
-before any trigonometry.
+l in [q], evaluated by s_direct(ctx, b, q, units) for all the given units a
+of one (b, q) at once, and a closed form s_closed(ctx, b, q, a) dispatching
+on gcd(q, W) through quadratic Gauss sums.  Their agreement is the main
+oracle of this module.  All rational phases are reduced in exact integer
+arithmetic before any trigonometry.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from ._csvio import write_csv
-from ._gridfft import grid_transform
+from ._gridfft import grid_length, grid_transform
 from .arith import euler_phi, mod_inverse
 from .errors import NotCoprime, QTooLarge, TooLarge
 from .wtrick import WContext, WeightedSequence
@@ -52,23 +53,25 @@ class FourierGrid:
 
 
 def dft_grid(seq: WeightedSequence, K: int) -> FourierGrid:
-    if K < 1:
-        raise ValueError(f"oversampling factor must be >= 1, got {K}")
     values = grid_transform(seq.values, seq.N, K)
     return FourierGrid(N=seq.N, K=K, values=values)
 
 
 def indicator_transform_grid(N: int, K: int) -> np.ndarray:
-    """Closed-form sum_{n=1}^{N} e(n k/(K N)) on the grid (exact geometric sum)."""
-    L = K * N
+    """Closed-form sum_{n=1}^{N} e(n k/(K N)) on the grid (exact geometric sum):
+    e(k/L) (e(kN/L) - 1) / (e(k/L) - 1) for k >= 1, and N at k = 0."""
+    L = grid_length(N, K)
     k = np.arange(L)
-    # e(kN / L) = e((k mod K) / K): an exact small rational.
-    num = np.exp(2j * np.pi * (k % K) / K) - 1.0
-    den = np.exp(2j * np.pi * k / L) - 1.0
+    e = np.exp(2j * np.pi * k / L)
+    # e(kN / L) = e((k mod K) / K): an exact small rational, from a K-entry table.
+    num = (np.exp(2j * np.pi * np.arange(K) / K) - 1.0)[k % K]
+    del k
     out = np.empty(L, dtype=complex)
     out[0] = N
-    ratio = np.exp(2j * np.pi * k[1:] / L) * num[1:]
-    out[1:] = ratio / den[1:]
+    np.multiply(e[1:], num[1:], out=out[1:])
+    del num
+    e -= 1.0
+    np.divide(out[1:], e[1:], out=out[1:])
     return out
 
 
@@ -78,6 +81,7 @@ def indicator_transform_grid(N: int, K: int) -> np.ndarray:
 # Moduli caps keeping r*l^2 (resp. q^4 phase numerators) inside int64.
 MAX_GAUSS_MODULUS = 2_000_000
 MAX_LOCAL_FACTOR_Q = 50_000
+_DIRECT_CELLS = 1 << 20  # (unit x l) phase-table cells s_direct holds at once
 
 
 def gauss_sum(k: int, r: int) -> complex:
@@ -149,25 +153,36 @@ def _check_local_args(ctx: WContext, b: int, q: int, a: int) -> None:
         raise ValueError(f"b = {b} not a reduced quadratic residue mod {ctx.W}")
 
 
-def s_direct(ctx: WContext, b: int, q: int, a: int) -> LocalFactor:
-    """Literal double sum over h in H(b) and l in [q] with W*l + h a unit mod q."""
-    _check_local_args(ctx, b, q, a)
+def s_direct(ctx: WContext, b: int, q: int, units: Sequence[int]) -> list[LocalFactor]:
+    """Literal double sum over h in H(b) and l in [q] with W*l + h a unit mod q,
+    for every a in units at once: one LocalFactor per unit, in order.
+
+    Each h adds one row sum of a (unit x l) phase table to that unit's total,
+    so every total accumulates in h order.  Units are taken in chunks of at
+    most _DIRECT_CELLS table cells, which bounds the memory at any q.
+    """
+    for a in units:
+        _check_local_args(ctx, b, q, a)
     W = ctx.W
     table = np.exp(2j * np.pi * np.arange(q) / q)
     ls = np.arange(1, q + 1, dtype=np.int64)
     wmod = W % q
-    amod = a % q
-    total = 0j
-    for h in ctx.root_map[b]:
-        i_h = (h * h - b) // W  # exact: h^2 = b (mod W)
-        hq = h % q
-        ok = np.gcd((wmod * ls + hq) % q, q) == 1
-        if not ok.any():
-            continue
-        lv = ls[ok]
-        nums = (((i_h % q) * amod) % q + (wmod * lv * lv + 2 * hq * lv) * amod) % q
-        total += complex(np.sum(table[nums]))
-    return LocalFactor(q=q, a=a, value=total / ctx.H, case_tag=_case_tag(q, W))
+    totals = [0j] * len(units)
+    step = max(1, _DIRECT_CELLS // q)
+    for lo in range(0, len(units), step):
+        amod = np.array(units[lo : lo + step], dtype=np.int64)[:, None] % q
+        for h in ctx.root_map[b]:
+            i_h = (h * h - b) // W  # exact: h^2 = b (mod W)
+            hq = h % q
+            ok = np.gcd((wmod * ls + hq) % q, q) == 1
+            if not ok.any():
+                continue
+            lv = ls[ok]
+            nums = (((i_h % q) * amod) % q + (wmod * lv * lv + 2 * hq * lv) * amod) % q
+            for i, row in enumerate(np.sum(table[nums], axis=1).tolist(), lo):
+                totals[i] += row
+    tag = _case_tag(q, W)
+    return [LocalFactor(q=q, a=a, value=t / ctx.H, case_tag=tag) for a, t in zip(units, totals)]
 
 
 def s_closed(ctx: WContext, b: int, q: int, a: int) -> LocalFactor:
@@ -247,6 +262,8 @@ class ArcPartition:
 
 
 def arc_partition(N: int, A: float) -> ArcPartition:
+    if N < 2:
+        raise ValueError(f"N must be >= 2 (Q = (log N)^A), got {N}")
     if A < 0:
         raise ValueError(f"A must be >= 0, got {A}")
     Q = math.log(N) ** A
@@ -445,8 +462,11 @@ def minor_arc_scan(grid: FourierGrid, partition: ArcPartition) -> MinorReport:
     )
 
 
-def pseudorandom_sup(seq_nu: WeightedSequence, K: int) -> float:
-    """Max over the K*N grid of |transform of seq - transform of 1_[N]|."""
-    grid = dft_grid(seq_nu, K)
-    reference = indicator_transform_grid(seq_nu.N, K)
-    return float(np.max(np.abs(grid.values - reference)))
+def pseudorandom_sup(seq_nu: WeightedSequence, K: int, reference: np.ndarray) -> float:
+    """Max over the K*N grid of |transform of seq - transform of 1_[N]|, where
+    reference is indicator_transform_grid(seq_nu.N, K), built once per (N, K)."""
+    if len(reference) != K * seq_nu.N:
+        raise ValueError(f"reference has {len(reference)} points, the grid {K * seq_nu.N}")
+    diff = dft_grid(seq_nu, K).values
+    diff -= reference
+    return float(np.max(np.abs(diff)))

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ._csvio import write_csv
-from ._gridfft import MAX_CONV_LEN, grid_transform
+from ._gridfft import MAX_CONV_LEN, grid_length, grid_transform
 from .arith import divisor_count
 from .errors import TooLarge, VerificationError
 from .wtrick import WeightedSequence
@@ -72,19 +72,22 @@ def fourth_moment_routes(seq_f: WeightedSequence) -> tuple[float, float]:
 
     c(k) = sum_{m-n=k} f(m) f(n) is the linear autocorrelation.  The grid
     route evaluates the transform on a zero-padded grid of length L >= 2*len,
-    where the identity sum |transform|^4 / L = sum |c(k)|^2 is exact.  Past
-    2000 support points the autocorrelation is a dense correlation over the
-    support's span, budgeted like a convolution: TooLarge, before either
-    route allocates, when span^2 passes MAX_CONV_LEN.
+    where the identity sum |transform|^4 / L = sum |c(k)|^2 is exact; past
+    MAX_GRID points it raises TooLarge before either route allocates.  Up to
+    2000 support points the autocorrelation adds the products f(m) f(n) per
+    gap in row-major (m, n) order and sums the squares in the order each gap
+    first appears.  Past that it is a dense correlation over the support's
+    span, budgeted like a convolution: TooLarge, before either route
+    allocates, when span^2 passes MAX_CONV_LEN.
     """
     arr, N = seq_f.values, seq_f.N
+    L = grid_length(_next_pow2(2 * len(arr)), 1)
     support = np.flatnonzero(arr)
     dense = len(support) ** 2 > 4_000_000
     if dense:
         lo, hi = int(support[0]), int(support[-1]) + 1
         if (hi - lo) ** 2 > MAX_CONV_LEN:
             raise TooLarge(f"{hi - lo} x {hi - lo} autocorrelation over budget {MAX_CONV_LEN}")
-    L = _next_pow2(2 * len(arr))
     mags = np.abs(np.fft.fft(arr, L))
     route_grid = N * float(np.sum(mags**4)) / L
 
@@ -92,14 +95,26 @@ def fourth_moment_routes(seq_f: WeightedSequence) -> tuple[float, float]:
         corr = np.correlate(arr[lo:hi], arr[lo:hi], mode="full")
         route_auto = N * float(np.sum(corr**2))
     else:
-        acc: dict[int, float] = {}
-        vals = arr[support]
-        for i, m in enumerate(support):
-            for j, n in enumerate(support):
-                k = int(m - n)
-                acc[k] = acc.get(k, 0.0) + vals[i] * vals[j]
-        route_auto = N * float(sum(v * v for v in acc.values()))
+        route_auto = N * _sparse_autocorrelation_energy(support, arr[support])
     return route_grid, route_auto
+
+
+def _sparse_autocorrelation_energy(support: np.ndarray, vals: np.ndarray) -> float:
+    """sum_k c(k)^2 over the gaps k = m - n of support pairs, in one bincount.
+
+    bincount adds each pair's product in input (row-major) order, and the
+    squares are summed one by one, by cumsum, in the order each gap first
+    appears, so every float operation is the one a per-pair loop over a dict
+    would make.
+    """
+    if len(support) == 0:
+        return 0.0
+    d = (support[:, None] - support[None, :]).ravel()
+    off = int(support[0] - support[-1])  # the smallest gap
+    c = np.bincount(d - off, weights=np.outer(vals, vals).ravel())
+    gaps, first = np.unique(d, return_index=True)
+    v = c[gaps[np.argsort(first)] - off]
+    return float(np.cumsum(v * v)[-1])  # a running sum: one addition after another
 
 
 def fourth_moment(seq_f: WeightedSequence, rel_tol: float = 1e-6) -> float:

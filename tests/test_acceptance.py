@@ -39,7 +39,7 @@ def test_criterion_01_local_factor_oracle():
                 for a in range(1, q + 1):
                     if math.gcd(a, q) != 1:
                         continue
-                    direct = psqlab.s_direct(ctx, b, q, a)
+                    direct = psqlab.s_direct(ctx, b, q, [a])[0]
                     closed = psqlab.s_closed(ctx, b, q, a)
                     worst = max(worst, abs(direct.value - closed.value))
                     t = math.gcd(q, ctx.W)
@@ -210,11 +210,12 @@ def test_criterion_07_pseudorandomness_trend():
     t0 = time.time()
     N, K = 1 << 18, 4
     sups = []
+    reference = psqlab.indicator_transform_grid(N, K)
     for w in (4, 6, 8):
         ctx = psqlab.build_context(w)
         table = table_for(ctx, N)
         seq = psqlab.nu_sequence(ctx, ctx.Z_W[0], N, table)
-        sups.append(psqlab.pseudorandom_sup(seq, K) / N)
+        sups.append(psqlab.pseudorandom_sup(seq, K, reference) / N)
     ok = all(sups[i + 1] <= sups[i] * 1.10 for i in range(len(sups) - 1))
     _gate(
         "criterion 7: sup|transform - reference|/N nonincreasing in w",

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -108,6 +109,41 @@ class TestExitCodes:
         assert run(["represent", "--s", "8", "--limit", "1000", "--spec", spec]) == 2
         err = capsys.readouterr().err
         assert err.startswith("psqlab: error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pseudo", "--N", "0"],
+            ["pseudo", "--N", "4096", "--K", "0"],
+            ["moments", "--w", "6", "--N", "0"],
+            ["arcs", "--N", "1", "--w", "6"],
+        ],
+        ids=["pseudo-N0", "pseudo-K0", "moments-N0", "arcs-N1"],
+    )
+    def test_empty_grid_or_arcs_exit_two(self, argv, capsys):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("psqlab: error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # K * N = 2^26 points, past MAX_GRID = 2^25
+            ["pseudo", "--N", str(1 << 24), "--K", "4"],
+            # lq_moment's K * N = 2^25 fits; the padded fourth-moment FFT needs 2^26
+            ["moments", "--w", "4", "--N", str(1 << 24), "--K", "2"],
+        ],
+        ids=["pseudo", "moments"],
+    )
+    def test_past_grid_budget_exits_two_before_allocating(self, argv, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a grid was built past the budget")
+
+        monkeypatch.setattr(np, "exp", unreachable)
+        monkeypatch.setattr(np.fft, "fft", unreachable)
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "exceeds bound 33554432" in err and "Traceback" not in err
 
     def test_check_failure_is_exit_one(self, tmp_path, monkeypatch):
         import psqlab.cli as cli_mod
@@ -284,6 +320,22 @@ class TestReports:
             int(k)
             float(re_text)
             float(im_text)
+
+    def test_pseudo_builds_indicator_grid_once(self, tmp_path, monkeypatch):
+        import psqlab.cli as cli_mod
+
+        calls = []
+        real = cli_mod.indicator_transform_grid
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli_mod, "indicator_transform_grid", counting)
+        out = tmp_path / "pseudo.json"
+        assert run(["pseudo", "--N", "4096", "--K", "4", "--w-list", "4,6,8", "--out", str(out)]) == 0
+        assert calls == [(4096, 4)]
+        assert [row["w"] for row in load(out)["result"]["rows"]] == [4, 6, 8]
 
     def test_represent_builds_count_table_once(self, tmp_path, monkeypatch):
         import psqlab.cli as cli_mod

@@ -3,11 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import psqlab.expsums as expsums_mod
 from conftest import table_for
 from psqlab.arith import factorize, mod_inverse
 from psqlab.errors import NotCoprime, QTooLarge, TooLarge
 from psqlab.expsums import (
+    LocalFactor,
+    _case_tag,
     arc_partition,
     compare_major,
     dft_at,
@@ -28,6 +33,44 @@ from psqlab.wtrick import WeightedSequence, nu_sequence
 def make_seq(values01):
     arr = np.asarray(values01, dtype=float)
     return WeightedSequence(N=len(arr) - 1, values=arr)
+
+
+def bits(z):
+    """The float bits of a complex value, for bitwise comparisons."""
+    return np.array([z], dtype=np.complex128).view(np.uint64).tolist()
+
+
+def s_direct_one_unit(ctx, b, q, a):
+    """The per-unit s_direct loop that the all-units evaluation replaced."""
+    W = ctx.W
+    table = np.exp(2j * np.pi * np.arange(q) / q)
+    ls = np.arange(1, q + 1, dtype=np.int64)
+    wmod = W % q
+    amod = a % q
+    total = 0j
+    for h in ctx.root_map[b]:
+        i_h = (h * h - b) // W  # exact: h^2 = b (mod W)
+        hq = h % q
+        ok = np.gcd((wmod * ls + hq) % q, q) == 1
+        if not ok.any():
+            continue
+        lv = ls[ok]
+        nums = (((i_h % q) * amod) % q + (wmod * lv * lv + 2 * hq * lv) * amod) % q
+        total += complex(np.sum(table[nums]))
+    return LocalFactor(q=q, a=a, value=total / ctx.H, case_tag=_case_tag(q, W))
+
+
+def indicator_three_exp(N, K):
+    """The indicator grid as first written, with three separate exp calls."""
+    L = K * N
+    k = np.arange(L)
+    num = np.exp(2j * np.pi * (k % K) / K) - 1.0
+    den = np.exp(2j * np.pi * k / L) - 1.0
+    out = np.empty(L, dtype=complex)
+    out[0] = N
+    ratio = np.exp(2j * np.pi * k[1:] / L) * num[1:]
+    out[1:] = ratio / den[1:]
+    return out
 
 
 def gauss_direct(k, r):
@@ -146,18 +189,18 @@ class TestGaussSum:
 class TestLocalFactor:
     def test_q_one_is_one(self, ctx4, ctx6):
         for ctx, b in ((ctx4, 1), (ctx6, 49)):
-            assert s_direct(ctx, b, 1, 1).value == pytest.approx(1, abs=1e-12)
+            assert s_direct(ctx, b, 1, [1])[0].value == pytest.approx(1, abs=1e-12)
             assert s_closed(ctx, b, 1, 1).value == pytest.approx(1, abs=1e-12)
 
     def test_q_two_vanishes(self, ctx4):
-        lf = s_direct(ctx4, 1, 2, 1)
+        lf = s_direct(ctx4, 1, 2, [1])[0]
         assert abs(lf.value) < 1e-12
         assert s_closed(ctx4, 1, 2, 1).value == 0
         assert lf.case_tag == "zero_q2"
 
     def test_shared_odd_factor_vanishes(self, ctx4):
         for q in (3, 6, 9, 12, 24):
-            direct = s_direct(ctx4, 1, q, 1)
+            direct = s_direct(ctx4, 1, q, [1])[0]
             closed = s_closed(ctx4, 1, q, 1)
             assert abs(direct.value) < 1e-12
             assert closed.value == 0
@@ -171,10 +214,10 @@ class TestLocalFactor:
         got = s_closed(ctx4, 1, 5, 1)
         assert got.value == pytest.approx(want, abs=1e-12)
         assert got.case_tag == "coprime"
-        assert s_direct(ctx4, 1, 5, 1).value == pytest.approx(want, abs=1e-9)
+        assert s_direct(ctx4, 1, 5, [1])[0].value == pytest.approx(want, abs=1e-9)
 
     def test_gcd_two_case(self, ctx6):
-        direct = s_direct(ctx6, 49, 14, 1)
+        direct = s_direct(ctx6, 49, 14, [1])[0]
         closed = s_closed(ctx6, 49, 14, 1)
         assert closed.case_tag == "gcd2"
         assert abs(direct.value - closed.value) < 1e-9
@@ -184,28 +227,59 @@ class TestLocalFactor:
             for a in range(1, q + 1):
                 if math.gcd(a, q) != 1:
                     continue
-                d = s_direct(ctx4, 1, q, a)
+                d = s_direct(ctx4, 1, q, [a])[0]
                 c = s_closed(ctx4, 1, q, a)
                 assert abs(d.value - c.value) <= 1e-9
                 assert abs(d.value) <= q + 1e-9  # trivial bound
 
     def test_not_coprime_rejected(self, ctx4):
         with pytest.raises(NotCoprime):
-            s_direct(ctx4, 1, 4, 2)
+            s_direct(ctx4, 1, 4, [2])
         with pytest.raises(NotCoprime):
             s_closed(ctx4, 1, 4, 2)
 
     def test_large_prime_q_routes_agree(self, ctx6):
         # magnitudes near sqrt(q); phase numerators stay inside int64
         for q in (997, 1999):
-            direct = s_direct(ctx6, 49, q, 7)
+            direct = s_direct(ctx6, 49, q, [7])[0]
             closed = s_closed(ctx6, 49, q, 7)
             assert abs(direct.value - closed.value) < 1e-9
             assert abs(direct.value) < 2 * math.sqrt(q)
 
+    @settings(max_examples=60, deadline=None)
+    @given(w=st.sampled_from([4, 6, 8]), data=st.data())
+    def test_all_units_bitwise_equal_per_unit_loop(self, ctx4, ctx6, ctx8, w, data):
+        ctx = {4: ctx4, 6: ctx6, 8: ctx8}[w]
+        b = data.draw(st.sampled_from(ctx.Z_W), label="b")
+        q = data.draw(st.integers(1, 90), label="q")
+        units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
+        got = s_direct(ctx, b, q, units)
+        assert [lf.a for lf in got] == units
+        for lf in got:
+            want = s_direct_one_unit(ctx, b, q, lf.a)
+            assert bits(lf.value) == bits(want.value)
+            assert lf.case_tag == want.case_tag
+
+    def test_unit_chunks_bitwise_equal(self, ctx6, monkeypatch):
+        # a few table cells per chunk: units are split over many chunks
+        monkeypatch.setattr(expsums_mod, "_DIRECT_CELLS", 100)
+        for q in (1, 7, 37, 120, 211):
+            units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
+            got = s_direct(ctx6, 49, q, units)
+            assert [bits(lf.value) for lf in got] == [
+                bits(s_direct_one_unit(ctx6, 49, q, a).value) for a in units
+            ]
+
+    def test_units_unreduced_and_unordered(self, ctx4):
+        got = s_direct(ctx4, 1, 7, [13, 1, 8, -1])
+        assert [lf.a for lf in got] == [13, 1, 8, -1]
+        assert bits(got[0].value) == bits(s_direct_one_unit(ctx4, 1, 7, 13).value)
+        assert bits(got[1].value) == bits(got[2].value)
+        assert s_direct(ctx4, 1, 7, []) == []
+
     def test_overflow_guards(self, ctx6):
         with pytest.raises(TooLarge):
-            s_direct(ctx6, 49, 60_000, 7)
+            s_direct(ctx6, 49, 60_000, [7])
         with pytest.raises(TooLarge):
             gauss_sum(3_000_000, 7)
 
@@ -216,6 +290,12 @@ class TestArcPartition:
         assert len(part.arcs) == 1
         arc = part.arcs[0]
         assert (arc.q, arc.a, arc.center) == (1, 1, 1.0)
+
+    @pytest.mark.parametrize("N", [1, 0, -5])
+    def test_rejects_N_below_two(self, N):
+        # log 1 = 0 would make Q = 0, and the minor-arc scan divides by Q
+        with pytest.raises(ValueError, match="N must be >= 2"):
+            arc_partition(N, 2.0)
 
     def test_arc_count_and_measure(self):
         N, A = 1 << 18, 2.0
@@ -335,7 +415,19 @@ class TestPseudorandomSup:
     def test_indicator_is_reference(self):
         N = 1 << 10
         seq = make_seq(np.concatenate(([0.0], np.ones(N))))
-        assert pseudorandom_sup(seq, 4) < 1e-6 * N
+        assert pseudorandom_sup(seq, 4, indicator_transform_grid(N, 4)) < 1e-6 * N
+
+    @pytest.mark.parametrize(
+        "N, K", [(1, 1), (1, 4), (2, 1), (7, 1), (1000, 1), (1000, 3), (4096, 4), (65537, 2)]
+    )
+    def test_indicator_grid_bitwise_equal_three_exp_formula(self, N, K):
+        got = indicator_transform_grid(N, K)
+        assert got.view(np.uint64).tolist() == indicator_three_exp(N, K).view(np.uint64).tolist()
+
+    def test_reference_length_checked(self):
+        seq = make_seq(np.ones(65))
+        with pytest.raises(ValueError, match="reference"):
+            pseudorandom_sup(seq, 4, indicator_transform_grid(64, 2))
 
     def test_reference_grid_matches_fft(self):
         N, K = 1 << 9, 4
@@ -346,9 +438,10 @@ class TestPseudorandomSup:
 
     def test_decreases_with_w(self, ctx4, ctx6):
         N = 1 << 14
+        reference = indicator_transform_grid(N, 4)
         sups = []
         for ctx in (ctx4, ctx6):
             table = table_for(ctx, N)
             seq = nu_sequence(ctx, 1, N, table)
-            sups.append(pseudorandom_sup(seq, 4) / N)
+            sups.append(pseudorandom_sup(seq, 4, reference) / N)
         assert sups[1] <= sups[0] * 1.10

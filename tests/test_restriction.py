@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -18,7 +18,38 @@ from psqlab.restriction import (
     lq_moment,
     pair_difference_counts,
 )
-from psqlab.wtrick import f_sequence, nu_sequence
+from psqlab.wtrick import WeightedSequence, f_sequence, nu_sequence
+
+
+def autocorrelation_dict_loop(arr, N):
+    """The autocorrelation route as a per-pair dict loop, which the bincount
+    route replaced.  It runs on Python floats, the same IEEE doubles, for
+    speed; the squares are added one by one because sum() of Python floats
+    compensates its rounding from Python 3.12 on."""
+    support = np.flatnonzero(arr).tolist()
+    vals = arr[support].tolist()
+    acc = {}
+    for i, m in enumerate(support):
+        for j, n in enumerate(support):
+            k = m - n
+            acc[k] = acc.get(k, 0.0) + vals[i] * vals[j]
+    total = 0.0
+    for v in acc.values():
+        total += v * v
+    return N * total
+
+
+def _sparse_example(n_points, N, seed):
+    rng = np.random.default_rng(seed)
+    where = rng.choice(np.arange(1, N + 1), n_points, replace=False)
+    weights = rng.standard_normal(n_points) * 10.0 ** rng.integers(-12, 12, n_points)
+    return N, dict(zip(where.tolist(), weights.tolist()))
+
+
+# weights of both signs spread over many magnitudes
+_mixed_weights = st.builds(
+    lambda m, e: m * 2.0**e, st.floats(-1, 1, allow_nan=False), st.integers(-60, 60)
+)
 
 
 class TestLevelSets:
@@ -100,6 +131,26 @@ class TestFourthMoment:
         monkeypatch.setattr(np.fft, "fft", unreachable)
         with pytest.raises(TooLarge, match="over budget"):
             fourth_moment_routes(seq)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 5000).flatmap(
+            lambda N: st.tuples(
+                st.just(N), st.dictionaries(st.integers(1, N), _mixed_weights, max_size=60)
+            )
+        )
+    )
+    @example((10, {}))
+    @example((1, {1: -3.5}))
+    @example((7, {3: 1e-150, 5: -1e70}))
+    @example(_sparse_example(2000, 100_000, 11))
+    def test_autocorrelation_route_bitwise_equal_dict_loop(self, case):
+        N, points = case
+        values = np.zeros(N + 1)
+        values[list(points)] = list(points.values())
+        _, auto_route = fourth_moment_routes(WeightedSequence(N, values))
+        want = autocorrelation_dict_loop(values, N)
+        assert np.float64(auto_route).view(np.uint64) == np.float64(want).view(np.uint64)
 
     @settings(max_examples=40)
     @given(
