@@ -2,6 +2,11 @@
 
 A grid transform takes a weighted sequence on [1, N] in its one form: an
 array indexed by n, with values[0] as the padding slot.
+
+Every boolean sumset product (the suffix layers of Reach and the binary
+powers of sumset_power) is an FFT of 0/1 indicators rounded by `certified`:
+thresholded at 1/2 under one rounding-residual certificate that raises
+rather than falls back.
 """
 
 from __future__ import annotations
@@ -57,13 +62,52 @@ def reach_budget(layers: int, width: int) -> int:
     return L
 
 
+def certified(raw: np.ndarray) -> np.ndarray:
+    """raw > 1/2 for a real FFT product of 0/1 indicators, whose exact values
+    are nonnegative integers; VerificationError if any entry is more than 0.25
+    from an integer, since then the rounding cannot be trusted."""
+    residual = float(np.max(np.abs(raw - np.rint(raw))))
+    if residual > 0.25:
+        raise VerificationError(f"FFT rounding residual {residual:.3g} above 0.25")
+    return raw > 0.5
+
+
+def sumset_power(support, s: int, cap: int) -> np.ndarray:
+    """Boolean mask over [0, cap] of the s-fold sumset of a nonnegative support.
+
+    Binary powering: A -> 2A -> 4A -> ..., with one product per set bit of s,
+    each a certified FFT product at the length reach_budget(s + 1, cap + 1)
+    gives, so the budget and its TooLarge are those of Reach([support] * s,
+    cap), whose layers[0] this equals.  Truncating every partial sumset to
+    [0, cap] is exact, since adding nonnegative elements never comes back down.
+    """
+    if s < 1:
+        raise ValueError(f"s must be >= 1, got {s}")
+    width = cap + 1
+    L = reach_budget(s + 1, width)
+    sup = np.asarray(support, dtype=np.int64)
+    power = np.bincount(sup[sup < width], minlength=width) > 0
+    result = None
+    while True:
+        # power's spectrum, unless power is the last factor and needs no product
+        spectrum = None if s == 1 and result is None else np.fft.rfft(power, L)
+        if s & 1:
+            result = power if result is None else certified(
+                np.fft.irfft(np.fft.rfft(result, L) * spectrum, L)[:width]
+            )
+        s >>= 1
+        if not s:
+            return result
+        power = certified(np.fft.irfft(spectrum * spectrum, L)[:width])
+
+
 class Reach:
     """Which targets are sums v_0 + ... + v_{s-1} with each v_j in supports[j].
 
     Supports are sorted nonnegative integer arrays; layers[j] marks the sums
     from supports[j:] on [0, cap], or on Z/modulus when one is given.  Each
     layer is the FFT convolution of the next with a 0/1 support indicator,
-    thresholded at 1/2; a rounding residual above 0.25 raises, never falls back.
+    rounded by `certified`: a residual above 0.25 raises, never falls back.
     """
 
     def __init__(self, supports, cap: int = 0, modulus: Optional[int] = None):
@@ -80,10 +124,7 @@ class Reach:
                 spectra[id(sup)] = np.fft.rfft(ind > 0, L)
             raw = np.fft.irfft(np.fft.rfft(layer, L) * spectra[id(sup)], L)
             raw = raw[:width] + raw[width : 2 * width] if modulus else raw[:width]
-            residual = float(np.max(np.abs(raw - np.rint(raw))))
-            if residual > 0.25:
-                raise VerificationError(f"FFT rounding residual {residual:.3g} above 0.25")
-            layer = raw > 0.5
+            layer = certified(raw)
             self.layers.append(layer)
         self.layers.reverse()
 

@@ -5,11 +5,16 @@ boolean reachability, not counting: p^2 = 24k + 1 for every prime p >= 5,
 so s such squares sum to s + 24K and the search runs over K, a lattice 24
 times shorter than [0, n].  Specs admitting 2 or 3 use stride 1.
 
+The exception scan reads only the s-fold sumset, which it builds by binary
+powering of the one support (A -> 2A -> 4A -> ..., one product per set bit
+of s); the suffix layers that witnesses need are built only up to the last
+sampled target.
+
 Ordered representation counts come from s-fold convolution of the
-prime-square indicator over the full line [0, limit], in s - 1 rounds of
-shifted integer adds (one per member square).  No floating point is
-involved: int64 while a bound on the next round proves it cannot overflow,
-Python ints (object dtype) after.
+prime-square indicator on the same lattice, in s - 1 rounds of shifted
+integer adds (one per member square), then are scattered onto [0, limit].
+No floating point is involved: int64 while a bound on the next round proves
+it cannot overflow, Python ints (object dtype) after.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from ._csvio import write_csv
-from ._gridfft import MAX_CONV_LEN, Reach, lex_smallest_sum, reach_budget
+from ._gridfft import MAX_CONV_LEN, Reach, lex_smallest_sum, reach_budget, sumset_power
 from .errors import NotFound, TableTooSmall, TooLarge
 from .primes import PrimeSubsetSpec, PrimeTable, empirical_density, subset_members
 from .wtrick import WContext, delta_table, f_sequence, select_residues
@@ -65,29 +70,50 @@ def count_budget(limit: int, s: int) -> None:
         raise TooLarge(f"convolution length {2 * limit + 1} over budget {MAX_CONV_LEN}")
 
 
+def _lattice(spec: PrimeSubsetSpec) -> tuple[int, int]:
+    """(stride, unit) with p^2 = stride*k + unit for every prime p in the spec:
+    (24, 1), since p^2 = 1 (mod 24) for p >= 5, unless the spec admits 2 or 3."""
+    return (24, 1) if spec.min_prime >= 5 else (1, 0)
+
+
+def _lattice_width(limit: int, j: int, stride: int, unit: int) -> int:
+    """Number of n = j*unit + stride*K in [0, limit]."""
+    return max((limit - j * unit) // stride + 1, 0)
+
+
 def count_representations(
     limit: int, s: int, spec: PrimeSubsetSpec, table: PrimeTable
 ) -> ReprCountTable:
     """s-fold convolution of the prime-square indicator, exact on [0, limit].
 
-    Each of the s - 1 rounds adds one shifted copy of the counts per member
-    square.  A round's entries are sums of len(squares) entries of the last,
-    so while max * len(squares) < 2^63 int64 cannot overflow; past that the
-    counts move to Python ints (object dtype).
+    Runs on the spec's (stride, unit) lattice: after j factors, entry K
+    counts n = j*unit + stride*K, which holds every nonzero count (the rest
+    of the line is zero by the congruence).  Each of the s - 1 rounds adds one
+    shifted copy of the counts per member square.  A round's entries are sums
+    of len(squares) entries of the last, so while max * len(squares) < 2^63
+    int64 cannot overflow; past that the counts move to Python ints (object
+    dtype).  The lattice holds the line's maximum, so the switch falls in the
+    same round as on the full line.
     """
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     count_budget(limit, s)
-    acc = square_indicator(limit, spec, table)
-    squares = np.flatnonzero(acc)
-    for _ in range(s - 1):
+    squares = np.flatnonzero(square_indicator(limit, spec, table))
+    stride, unit = _lattice(spec)
+    ks = (squares - unit) // stride
+    acc = np.zeros(_lattice_width(limit, 1, stride, unit), dtype=np.int64)
+    acc[ks] = 1
+    for j in range(2, s + 1):
         if int(acc.max(initial=0)) * len(squares) >= 1 << 63:
             acc = acc.astype(object)
-        nxt = np.zeros_like(acc)
-        for q in squares:
-            nxt[q:] += acc[: limit + 1 - q]
+        width = _lattice_width(limit, j, stride, unit)
+        nxt = np.zeros(width, dtype=acc.dtype)
+        for k in ks[ks < width]:
+            nxt[k:] += acc[: width - k]
         acc = nxt
-    return ReprCountTable(counts=acc)
+    counts = np.zeros(limit + 1, dtype=acc.dtype)
+    counts[s * unit :: stride] = acc
+    return ReprCountTable(counts=counts)
 
 
 # -- witnesses ---------------------------------------------------------------
@@ -114,24 +140,24 @@ class ReprWitness:
 
 def scan_lattice(s: int, spec: PrimeSubsetSpec, hi: int) -> tuple[int, int, int]:
     """(stride, unit, cap): s squares p^2 = stride*k + unit summing to n <= hi
-    give n = s*unit + stride*K, 0 <= K <= cap; stride 24, unit 1 unless the
-    spec admits 2 or 3.  Raises TooLarge up front if the search over K is too big."""
+    give n = s*unit + stride*K, 0 <= K <= cap.  Raises TooLarge up front if
+    the search over K is too big."""
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    stride, unit = (24, 1) if spec.min_prime >= 5 else (1, 0)
+    stride, unit = _lattice(spec)
     cap = max(hi - s * unit, 0) // stride
     reach_budget(s + 1, cap + 1)
     return stride, unit, cap
 
 
-def _square_reach(s: int, spec: PrimeSubsetSpec, table: PrimeTable, hi: int):
+def _square_support(s: int, spec: PrimeSubsetSpec, table: PrimeTable, hi: int):
+    """(stride, unit, cap, ks): the scan lattice and the k of each p^2 <= hi."""
     stride, unit, cap = scan_lattice(s, spec, hi)
     root = math.isqrt(hi)
     if table.limit < root:
         raise TableTooSmall(f"need primes up to {root}, table stops at {table.limit}")
     members = subset_members(spec, table)
-    ks = (members[members <= root] ** 2 - unit) // stride
-    return stride, unit, Reach([ks] * s, cap)
+    return stride, unit, cap, (members[members <= root] ** 2 - unit) // stride
 
 
 def _witness(n: int, s: int, stride: int, unit: int, reach: Reach) -> Optional[ReprWitness]:
@@ -146,7 +172,10 @@ def find_witness(
     """Lexicographically smallest nondecreasing tuple of s subset primes whose
     squares sum to n, or None.  The smallest ordered tuple is nondecreasing,
     since its sorted copy is a solution too."""
-    return None if n < 0 else _witness(n, s, *_square_reach(s, spec, table, n))
+    if n < 0:
+        return None
+    stride, unit, cap, ks = _square_support(s, spec, table, n)
+    return _witness(n, s, stride, unit, Reach([ks] * s, cap))
 
 
 # -- experiment ----------------------------------------------------------------
@@ -191,18 +220,25 @@ def theorem_experiment(
 ) -> ExperimentReport:
     """Scan every n = s (mod 24) in the range for a representation.
 
+    The scan reads one powered sumset; witnesses for the first sample_limit
+    represented targets come from a Reach capped at the last of them.
     Exceptions (no representation) are reported, never fatal.
     """
     lo, hi = n_range
     if lo > hi:
         raise ValueError(f"empty range {n_range}")
-    stride, unit, reach = _square_reach(s, spec, table, hi)
+    stride, unit, cap, ks = _square_support(s, spec, table, hi)
 
     first = lo + ((s - lo) % 24)
     targets = np.arange(first, hi + 1, 24, dtype=np.int64)
-    hit = reach.reachable((targets - s * unit) // stride)
+    K = (targets - s * unit) // stride  # below 0 only for n < s * unit
+    hit = (K >= 0) & sumset_power(ks, s, cap)[np.maximum(K, 0)]
     exceptions = tuple(int(x) for x in targets[~hit])
-    witnesses = [_witness(int(n), s, stride, unit, reach) for n in targets[hit][:sample_limit]]
+    witnesses = []
+    sampled = targets[hit][:sample_limit]
+    if len(sampled):
+        reach = Reach([ks] * s, (int(sampled[-1]) - s * unit) // stride)
+        witnesses = [_witness(int(n), s, stride, unit, reach) for n in sampled]
 
     lam = lambda_threshold(s)
     density = empirical_density(spec, table)

@@ -128,6 +128,17 @@ class TestCountRepresentations:
         assert max(want) > 1 << 63
         assert [int(c) for c in counts] == want
 
+    def test_exact_past_int64_on_lattice(self, table_1k):
+        # a fives and b = 70 - a sevens sum to 1750 + 24b, in comb(70, b)
+        # orders: the object switch on the stride-24 lattice
+        spec = PrimeSubsetSpec.explicit([5, 7])
+        counts = count_representations(3430, 70, spec, table_1k).counts
+        want = [0] * 3431
+        for b in range(71):
+            want[1750 + 24 * b] = math.comb(70, b)
+        assert max(want) > 1 << 63
+        assert [int(c) for c in counts] == want
+
     def test_budget(self):
         count_budget(MAX_CONV_LEN // 2 - 1, 8)  # 2 * limit + 1 = MAX_CONV_LEN fits
         count_budget(10**9, 1)  # one factor is no convolution
@@ -222,6 +233,25 @@ class TestTheoremExperiment:
         assert not report.exploratory
         for w in report.sample_witnesses:
             assert sum(p * p for p in w.primes) == w.n
+
+    def test_witness_reach_capped_at_last_sample(self, table_1k, all_spec, monkeypatch):
+        import psqlab.representations as reprs
+
+        caps = []
+        real_reach = reprs.Reach
+
+        def recording(supports, cap=0, modulus=None):
+            caps.append(cap)
+            return real_reach(supports, cap, modulus)
+
+        monkeypatch.setattr(reprs, "Reach", recording)
+        report = theorem_experiment(8, all_spec, (5000, 400_000), table_1k)
+        assert len(report.sample_witnesses) == 3
+        assert caps == [(report.sample_witnesses[-1].n - 8) // 24]
+        caps.clear()
+        theorem_experiment(8, all_spec, (5000, 400_000), table_1k, sample_limit=0)
+        theorem_experiment(8, all_spec, (8, 199), table_1k)  # every target an exception
+        assert caps == []
 
     def test_exceptions_reported_not_fatal(self, table_1k, all_spec):
         # below 8 * 25 nothing is representable: every target is an exception
