@@ -22,8 +22,10 @@ import numpy as np
 
 from . import __version__
 from ._csvio import write_csv
-from .errors import Infeasible, NotFound, PsqLabError
+from ._gridfft import MAX_LAYER_CELLS, sumset_power
+from .errors import Infeasible, NotFound, PsqLabError, TooLarge
 from .expsums import (
+    MAX_GAUSS_MODULUS,
     arc_partition,
     compare_major,
     dft_grid,
@@ -35,6 +37,7 @@ from .expsums import (
     pseudorandom_sup,
     s_closed,
     s_direct,
+    unit_mask,
 )
 from .arith import factorize
 from .primes import PrimeSubsetSpec, sieve
@@ -43,6 +46,7 @@ from .representations import (
     count_representations,
     m_window_deviation,
     scan_lattice,
+    square_indicator,
     theorem_experiment,
     transfer_witness,
 )
@@ -141,6 +145,8 @@ def _cmd_context(args) -> tuple[dict, int]:
 
 def _cmd_gauss(args) -> tuple[dict, int]:
     kmax = args.kmax
+    if kmax > MAX_GAUSS_MODULUS:
+        raise TooLarge(f"--kmax {kmax} exceeds bound {MAX_GAUSS_MODULUS}")
     violations = []
     worst = 0.0
     rows = []
@@ -152,9 +158,8 @@ def _cmd_gauss(args) -> tuple[dict, int]:
             continue
         omega = len(fac.prime_powers)
         bound = (2**omega) * math.sqrt(k)
-        row = gauss_sum_row(k)
-        rs = np.arange(k)
-        units = rs[np.gcd(rs, k) == 1] if k > 1 else np.array([0])
+        units = np.flatnonzero(unit_mask(fac))  # [0] at k = 1
+        row = gauss_sum_row(k, units)
         mags = np.abs(row[units])
         ratio = float(np.max(mags) / bound)
         worst = max(worst, ratio)
@@ -324,8 +329,29 @@ def _cmd_sumset_verify(args) -> tuple[dict, int]:
     return {"lemma": report.to_json()}, 1 if report.failures else 0
 
 
+def _count_violations(counts: np.ndarray, s: int, spec: PrimeSubsetSpec, table) -> np.ndarray:
+    """Sorted n with a nonzero count off n = s (mod 24), together with the n
+    <= P where "count is nonzero" disagrees with the stride-1 s-fold sumset of
+    the member squares: an independent route that never touches the lattice
+    the counts were built on.  P = 2^12 costs a few ms (2^16 cost 65 ms at
+    s = 8); P shrinks further only past s = 65,000, to stay in sumset_power's
+    budget, so no input that ran before now exits 2."""
+    nonzero = counts != 0
+    off = nonzero.copy()
+    off[s % 24 :: 24] = False
+    P = max(0, min(len(counts) - 1, 1 << 12, MAX_LAYER_CELLS // (s + 1) - 1))
+    squares = np.flatnonzero(square_indicator(P, spec, table))
+    reached = sumset_power(squares, s, P)
+    return np.union1d(np.flatnonzero(off), np.flatnonzero(nonzero[: P + 1] != reached))
+
+
 def _cmd_represent(args) -> tuple[dict, int]:
     spec = _parse_spec(args.spec, args.seed)
+    if args.n_lo is None and args.limit < 25 * args.s:
+        raise ValueError(
+            f"--limit {args.limit} is below the default --n-lo 25 * s = {25 * args.s}; "
+            "give a larger --limit or an explicit --n-lo"
+        )
     scan_lattice(args.s, spec, args.limit)
     csv_path = _sidecar(args.out, "counts") if args.csv else None
     if args.check or csv_path:
@@ -338,8 +364,7 @@ def _cmd_represent(args) -> tuple[dict, int]:
     if args.check or csv_path:
         counts = count_representations(args.limit, args.s, spec, table)
     if args.check and spec.min_prime >= 5:
-        ns = np.arange(args.limit + 1)
-        bad = ns[(ns % 24 != args.s % 24) & (counts.counts != 0)]
+        bad = _count_violations(counts.counts, args.s, spec, table)
         result["congruence_scan_violations"] = [int(x) for x in bad[:20]]
         if len(bad):
             code = 1

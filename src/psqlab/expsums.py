@@ -20,7 +20,7 @@ import numpy as np
 
 from ._csvio import write_csv
 from ._gridfft import grid_length, grid_transform
-from .arith import euler_phi, mod_inverse
+from .arith import Factorization, euler_phi, factorize, mod_inverse
 from .errors import NotCoprime, QTooLarge, TooLarge
 from .wtrick import WContext, WeightedSequence
 
@@ -84,33 +84,49 @@ MAX_LOCAL_FACTOR_Q = 50_000
 _DIRECT_CELLS = 1 << 20  # (unit x l) phase-table cells s_direct holds at once
 
 
-def gauss_sum(k: int, r: int) -> complex:
-    """G(k, r) = sum over units l mod k of e(r l^2 / k), gcd(r, k) = 1."""
+def unit_mask(fac: Factorization) -> np.ndarray:
+    """Boolean mask over r = 0 .. k-1, k = fac.expand(), of the units mod k:
+    True exactly where gcd(r, k) = 1, so [True] at k = 1.  Each prime factor
+    p of k clears the multiples of p; no gcd is taken."""
+    mask = np.ones(fac.expand(), dtype=bool)
+    for p in fac.primes:
+        mask[::p] = False
+    return mask
+
+
+def _check_gauss_modulus(k: int) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > MAX_GAUSS_MODULUS:
         raise TooLarge(f"modulus {k} exceeds bound {MAX_GAUSS_MODULUS}")
+
+
+def gauss_sum(k: int, r: int) -> complex:
+    """G(k, r) = sum over units l mod k of e(r l^2 / k), gcd(r, k) = 1."""
+    _check_gauss_modulus(k)
     if k == 1:
         return 1 + 0j
     r %= k
     if math.gcd(r, k) != 1:
         raise NotCoprime(f"gcd({r}, {k}) != 1")
-    ls = np.arange(1, k + 1, dtype=np.int64)
-    ls = ls[np.gcd(ls, k) == 1]
+    ls = np.flatnonzero(unit_mask(factorize(k)))
     phases = (r * ls * ls) % k
     return complex(np.sum(np.exp(2j * np.pi * phases / k)))
 
 
-def gauss_sum_row(k: int) -> np.ndarray:
+def gauss_sum_row(k: int, units: Optional[np.ndarray] = None) -> np.ndarray:
     """All G(k, r) for r = 0 .. k-1 at once, via the FFT of the square counts.
 
-    Only entries with gcd(r, k) = 1 are meaningful Gauss sums; the rest come
-    along for free.  Cross-checked against gauss_sum in the tests.
+    units, when given, is np.flatnonzero(unit_mask(factorize(k))), the units
+    mod k in increasing order, so a caller that also needs them computes them
+    once.  Only entries with gcd(r, k) = 1 are meaningful Gauss sums; the rest
+    come along for free.  Cross-checked against gauss_sum in the tests.
+    ValueError for k < 1 and TooLarge past MAX_GAUSS_MODULUS, as gauss_sum.
     """
+    _check_gauss_modulus(k)
     if k == 1:
         return np.array([1 + 0j])
-    ls = np.arange(1, k + 1, dtype=np.int64)
-    ls = ls[np.gcd(ls, k) == 1]
+    ls = np.flatnonzero(unit_mask(factorize(k))) if units is None else units
     counts = np.bincount((ls * ls) % k, minlength=k).astype(float)
     return np.conj(np.fft.fft(counts))
 
@@ -157,9 +173,11 @@ def s_direct(ctx: WContext, b: int, q: int, units: Sequence[int]) -> list[LocalF
     """Literal double sum over h in H(b) and l in [q] with W*l + h a unit mod q,
     for every a in units at once: one LocalFactor per unit, in order.
 
-    Each h adds one row sum of a (unit x l) phase table to that unit's total,
-    so every total accumulates in h order.  Units are taken in chunks of at
-    most _DIRECT_CELLS table cells, which bounds the memory at any q.
+    Whether W*l + h is a unit mod q is read from unit_mask(factorize(q)),
+    built once per call.  Each h adds one row sum of a (unit x l) phase table
+    to that unit's total, so every total accumulates in h order.  Units are
+    taken in chunks of at most _DIRECT_CELLS table cells, which bounds the
+    memory at any q.
     """
     for a in units:
         _check_local_args(ctx, b, q, a)
@@ -167,6 +185,7 @@ def s_direct(ctx: WContext, b: int, q: int, units: Sequence[int]) -> list[LocalF
     table = np.exp(2j * np.pi * np.arange(q) / q)
     ls = np.arange(1, q + 1, dtype=np.int64)
     wmod = W % q
+    is_unit = unit_mask(factorize(q))
     totals = [0j] * len(units)
     step = max(1, _DIRECT_CELLS // q)
     for lo in range(0, len(units), step):
@@ -174,7 +193,7 @@ def s_direct(ctx: WContext, b: int, q: int, units: Sequence[int]) -> list[LocalF
         for h in ctx.root_map[b]:
             i_h = (h * h - b) // W  # exact: h^2 = b (mod W)
             hq = h % q
-            ok = np.gcd((wmod * ls + hq) % q, q) == 1
+            ok = is_unit[(wmod * ls + hq) % q]
             if not ok.any():
                 continue
             lv = ls[ok]

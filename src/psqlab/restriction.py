@@ -5,7 +5,9 @@ form: weights on n in [1, N] with values[0] as the padding slot.  The
 discrete fourth moment is computed along two independent routes and
 cross-checked: a zero-padded frequency grid (no circular wraparound, so the
 grid sum is exactly the autocorrelation identity), and a direct time-domain
-autocorrelation.  Level-set counts use the exact N-point grid.
+autocorrelation.  Level-set counts use the exact N-point grid.  Each |grid|
+comes from WeightedSequence.grid_magnitudes, so a sequence transforms once
+per grid length however many statistics read it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from ._csvio import write_csv
-from ._gridfft import MAX_CONV_LEN, grid_length, grid_transform
+from ._gridfft import MAX_CONV_LEN, grid_length
 from .arith import divisor_count
 from .errors import TooLarge, VerificationError
 from .wtrick import WeightedSequence
@@ -45,13 +47,14 @@ class LevelSetCurve:
 
 
 def level_sets(seq_f: WeightedSequence, u_list: Sequence[float]) -> LevelSetCurve:
+    """Counts on the N-point grid seq_f.grid_magnitudes(1), built once per sequence."""
     u_values = tuple(float(u) for u in u_list)
     if any(u <= 0 for u in u_values):
         raise ValueError("levels must be positive")
     if any(a <= b for a, b in zip(u_values, u_values[1:])):
         raise ValueError("levels must be strictly decreasing")
     N = seq_f.N
-    mags = np.abs(grid_transform(seq_f.values, N, 1))  # the N frequencies n/N
+    mags = seq_f.grid_magnitudes(1)  # the N frequencies n/N
     counts = tuple(
         int(np.count_nonzero(mags >= u * N * (1.0 - _LEVEL_SLACK))) for u in u_values
     )
@@ -73,7 +76,10 @@ def fourth_moment_routes(seq_f: WeightedSequence) -> tuple[float, float]:
     c(k) = sum_{m-n=k} f(m) f(n) is the linear autocorrelation.  The grid
     route evaluates the transform on a zero-padded grid of length L >= 2*len,
     where the identity sum |transform|^4 / L = sum |c(k)|^2 is exact; past
-    MAX_GRID points it raises TooLarge before either route allocates.  Up to
+    MAX_GRID points it raises TooLarge before either route allocates.  When
+    L is a multiple of N and values[0] == 0, the padded input is that of the
+    (L/N)-fold grid_transform, so the grid is seq_f.grid_magnitudes(L/N),
+    shared with lq_moment at the same K; otherwise it is its own FFT.  Up to
     2000 support points the autocorrelation adds the products f(m) f(n) per
     gap in row-major (m, n) order and sums the squares in the order each gap
     first appears.  Past that it is a dense correlation over the support's
@@ -88,7 +94,11 @@ def fourth_moment_routes(seq_f: WeightedSequence) -> tuple[float, float]:
         lo, hi = int(support[0]), int(support[-1]) + 1
         if (hi - lo) ** 2 > MAX_CONV_LEN:
             raise TooLarge(f"{hi - lo} x {hi - lo} autocorrelation over budget {MAX_CONV_LEN}")
-    mags = np.abs(np.fft.fft(arr, L))
+    if N >= 1 and L % N == 0 and arr[0] == 0:
+        # the same zero-padded input as grid_transform's (L/N)-fold grid
+        mags = seq_f.grid_magnitudes(L // N)
+    else:
+        mags = np.abs(np.fft.fft(arr, L))
     route_grid = N * float(np.sum(mags**4)) / L
 
     if dense:
@@ -192,10 +202,15 @@ class MomentReport:
 
 
 def lq_moment(seq_f: WeightedSequence, q_exponent: float, K: int = 4) -> MomentReport:
+    """(1/(K N)) sum |transform|^q over the K*N-point grid, against N^(q-1).
+
+    The grid is seq_f.grid_magnitudes(K), computed once per sequence and K,
+    so a fourth moment taken on the same padded grid does not transform again.
+    """
     if q_exponent <= 4:
         raise ValueError(f"q exponent must exceed 4, got {q_exponent}")
     N = seq_f.N
-    mags = np.abs(grid_transform(seq_f.values, N, K))
+    mags = seq_f.grid_magnitudes(K)
     moment = float(np.sum(mags**q_exponent)) / (K * N)
     normalizer = float(N) ** (q_exponent - 1.0)
     return MomentReport(

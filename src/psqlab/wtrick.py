@@ -11,11 +11,11 @@ one sequence form the transform and restriction code takes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._gridfft import Reach
+from ._gridfft import Reach, grid_transform
 from .arith import _SMALL_PRIMES
 from .errors import Infeasible, TableTooSmall, WTooLarge
 from .primes import PrimeSubsetSpec, PrimeTable, subset_members
@@ -86,10 +86,18 @@ def build_context(w: int) -> WContext:
 
 @dataclass(frozen=True)
 class WeightedSequence:
-    """Nonnegative weights on n in [1, N]; values[0] is a padding slot."""
+    """Nonnegative weights on n in [1, N]; values[0] is a padding slot.
+
+    values is made read-only on construction, so the grids memoised by
+    grid_magnitudes stay the transform of these weights.
+    """
 
     N: int
     values: np.ndarray  # float64, length N + 1, indexed by n
+    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.values.flags.writeable = False
 
     def support(self) -> np.ndarray:
         return np.flatnonzero(self.values)
@@ -99,6 +107,15 @@ class WeightedSequence:
 
     def mean(self) -> float:
         return self.total() / self.N
+
+    def grid_magnitudes(self, K: int) -> np.ndarray:
+        """|grid_transform(values, N, K)|, computed once per K and kept read-only."""
+        mags = self._grids.get(K)
+        if mags is None:
+            mags = np.abs(grid_transform(self.values, self.N, K))
+            mags.flags.writeable = False
+            self._grids[K] = mags
+        return mags
 
 
 def _squares_in_progression(ctx: WContext, b: int, N: int, table: PrimeTable):

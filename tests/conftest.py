@@ -50,3 +50,13 @@ def as_sequence(arr):
     """The sequence n -> arr[n - 1] on [1, len(arr)], with the padding slot prepended."""
     arr = np.asarray(arr, dtype=float)
     return psqlab.WeightedSequence(N=len(arr), values=np.concatenate(([0.0], arr)))
+
+
+def gauss_row_gcd(k):
+    """gauss_sum_row as it was with the np.gcd unit test, before unit_mask."""
+    if k == 1:
+        return np.array([1 + 0j])
+    ls = np.arange(1, k + 1, dtype=np.int64)
+    ls = ls[np.gcd(ls, k) == 1]
+    counts = np.bincount((ls * ls) % k, minlength=k).astype(float)
+    return np.conj(np.fft.fft(counts))

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -7,13 +8,65 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import gauss_row_gcd
+from psqlab._csvio import write_csv
+from psqlab.arith import factorize
 from psqlab.cli import _parse_spec, run
+from psqlab.expsums import MAX_GAUSS_MODULUS
 from psqlab.primes import PrimeSubsetSpec
 
 
 def load(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def gauss_result_gcd(kmax, csv_path):
+    """The gauss handler's loop as it was with np.gcd unit tests, before unit_mask."""
+    violations = []
+    worst = 0.0
+    rows = []
+    for k in range(1, kmax + 1):
+        if k % 2 == 0:
+            continue
+        fac = factorize(k)
+        if not fac.is_squarefree():
+            continue
+        bound = (2 ** len(fac.prime_powers)) * math.sqrt(k)
+        row = gauss_row_gcd(k)
+        rs = np.arange(k)
+        units = rs[np.gcd(rs, k) == 1] if k > 1 else np.array([0])
+        mags = np.abs(row[units])
+        worst = max(worst, float(np.max(mags) / bound))
+        rows.append((k, float(np.max(mags)), bound))
+        violations.extend((k, int(r)) for r in units[mags > bound + 1e-9])
+
+    def g(k, r):
+        ls = np.arange(1, k + 1, dtype=np.int64)
+        ls = ls[np.gcd(ls, k) == 1]
+        z = complex(np.sum(np.exp(2j * np.pi * ((r * ls * ls) % k) / k)))
+        return [z.real, z.imag]
+
+    write_csv(csv_path, ["k", "max_abs", "bound"], list(zip(*rows)))
+    return {
+        "kmax": kmax,
+        "reference": {"G(1,1)": [1.0, 0.0], "G(3,1)": g(3, 1), "G(5,1)": g(5, 1)},
+        "max_ratio_to_bound": worst,
+        "violations": [list(v) for v in violations],
+    }
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper recording each call's arguments."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 class TestSpecParsing:
@@ -187,6 +240,28 @@ class TestChecks:
         assert blob["result"]["violations"] == []
         assert os.path.exists(blob["result"]["csv"])
 
+    def test_gauss_bytes_equal_gcd_loop(self, tmp_path):
+        out = tmp_path / "gauss.json"
+        assert run(["gauss", "--kmax", "999", "--check", "--out", str(out)]) == 0
+        result = load(out)["result"]
+        csv_path = result.pop("csv")
+        want_csv = tmp_path / "want.csv"
+        want = gauss_result_gcd(999, want_csv)
+        assert json.dumps(result, sort_keys=True) == json.dumps(want, sort_keys=True)
+        with open(csv_path, "rb") as got_fh, open(want_csv, "rb") as want_fh:
+            assert got_fh.read() == want_fh.read()
+
+    def test_gauss_kmax_past_bound_exits_two_before_loop(self, monkeypatch, capsys):
+        import psqlab.cli as cli_mod
+
+        def no_loop(k):
+            raise AssertionError("the gauss loop started past the bound")
+
+        monkeypatch.setattr(cli_mod, "factorize", no_loop)
+        assert run(["gauss", "--kmax", str(MAX_GAUSS_MODULUS + 1)]) == 2
+        err = capsys.readouterr().err
+        assert "--kmax" in err and "Traceback" not in err
+
     def test_sumset_verify(self, tmp_path):
         out = tmp_path / "lemma.json"
         assert run(["sumset-verify", "--w", "8", "--out", str(out)]) == 0
@@ -205,6 +280,35 @@ class TestRepresentAndTransfer:
         result = load(out)["result"]
         assert result["exceptions"] == []
         assert result["congruence_scan_violations"] == []
+
+    def test_check_fails_on_off_lattice_and_dropped_counts(self, tmp_path, monkeypatch):
+        import psqlab.cli as cli_mod
+        from psqlab.representations import ReprCountTable
+
+        real = cli_mod.count_representations
+
+        def corrupted(*args):
+            counts = real(*args).counts.copy()
+            assert counts[100] == 1 and counts[101] == 0  # 100 = 4 * 5^2; 101 = 5 (mod 24)
+            counts[100] = 0  # a dropped count, on the lattice
+            counts[101] = 1  # a count off the lattice
+            return ReprCountTable(counts=counts)
+
+        monkeypatch.setattr(cli_mod, "count_representations", corrupted)
+        out = tmp_path / "rep.json"
+        argv = ["represent", "--s", "4", "--limit", "3000", "--check", "--out", str(out)]
+        assert run(argv) == 1
+        assert load(out)["result"]["congruence_scan_violations"] == [100, 101]
+
+    def test_limit_below_default_n_lo_exits_two(self, capsys):
+        assert run(["represent", "--s", "40", "--limit", "0", "--spec", "all", "--csv"]) == 2
+        err = capsys.readouterr().err
+        assert "--limit 0" in err and "--n-lo 25 * s = 1000" in err
+        assert "empty range" not in err and "Traceback" not in err
+
+    def test_explicit_n_lo_above_limit_keeps_range_error(self, capsys):
+        assert run(["represent", "--s", "40", "--limit", "0", "--n-lo", "1000"]) == 2
+        assert "empty range (1000, 0)" in capsys.readouterr().err
 
     def test_transfer_found(self, tmp_path):
         out = tmp_path / "tr.json"
@@ -336,6 +440,34 @@ class TestReports:
         assert run(["pseudo", "--N", "4096", "--K", "4", "--w-list", "4,6,8", "--out", str(out)]) == 0
         assert calls == [(4096, 4)]
         assert [row["w"] for row in load(out)["result"]["rows"]] == [4, 6, 8]
+
+    def test_moments_computes_one_fft(self, tmp_path, monkeypatch):
+        # N = 4096: the padded fourth-moment grid is the 4-fold L^q grid
+        calls = count_calls(monkeypatch, np.fft, "fft")
+        out = tmp_path / "moments.json"
+        argv = ["moments", "--w", "6", "--N", "4096", "--K", "4", "--out", str(out)]
+        assert run(argv) == 0
+        assert len(calls) == 1 and len(calls[0][0]) == 4 * 4096
+        fm = load(out)["result"]["fourth_moment"]
+        assert fm["rel_difference"] < 1e-9
+
+    def test_moments_at_other_lengths_keeps_both_ffts(self, tmp_path, monkeypatch):
+        # N = 3000: the padded grid has 8192 points, not a multiple of N
+        calls = count_calls(monkeypatch, np.fft, "fft")
+        argv = ["moments", "--w", "6", "--N", "3000", "--out", str(tmp_path / "m.json")]
+        assert run(argv) == 0
+        assert sorted(len(args[0]) for args in calls) == [3001, 12000]
+
+    def test_levelsets_builds_one_grid(self, tmp_path, monkeypatch):
+        import psqlab.wtrick as wtrick_mod
+
+        calls = count_calls(monkeypatch, wtrick_mod, "grid_transform")
+        ffts = count_calls(monkeypatch, np.fft, "fft")
+        out = tmp_path / "levels.json"
+        argv = ["levelsets", "--w", "6", "--N", "4096", "--levels", "0.5,0.1", "--out", str(out)]
+        assert run(argv) == 0
+        assert [args[1:] for args in calls] == [(4096, 1)] and len(ffts) == 1
+        assert load(out)["result"]["requested_levels"]["u"] == [0.5, 0.1]
 
     def test_represent_builds_count_table_once(self, tmp_path, monkeypatch):
         import psqlab.cli as cli_mod

@@ -3,11 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import psqlab.expsums as expsums_mod
-from conftest import table_for
+from conftest import gauss_row_gcd, table_for
 from psqlab.arith import factorize, mod_inverse
 from psqlab.errors import NotCoprime, QTooLarge, TooLarge
 from psqlab.expsums import (
@@ -26,6 +26,7 @@ from psqlab.expsums import (
     rational_approximation,
     s_closed,
     s_direct,
+    unit_mask,
 )
 from psqlab.wtrick import WeightedSequence, nu_sequence
 
@@ -58,6 +59,29 @@ def s_direct_one_unit(ctx, b, q, a):
         nums = (((i_h % q) * amod) % q + (wmod * lv * lv + 2 * hq * lv) * amod) % q
         total += complex(np.sum(table[nums]))
     return LocalFactor(q=q, a=a, value=total / ctx.H, case_tag=_case_tag(q, W))
+
+
+def s_direct_gcd(ctx, b, q, units):
+    """s_direct as it was with the np.gcd unit test, before unit_mask."""
+    W = ctx.W
+    table = np.exp(2j * np.pi * np.arange(q) / q)
+    ls = np.arange(1, q + 1, dtype=np.int64)
+    wmod = W % q
+    totals = [0j] * len(units)
+    step = max(1, expsums_mod._DIRECT_CELLS // q)
+    for lo in range(0, len(units), step):
+        amod = np.array(units[lo : lo + step], dtype=np.int64)[:, None] % q
+        for h in ctx.root_map[b]:
+            i_h = (h * h - b) // W
+            hq = h % q
+            ok = np.gcd((wmod * ls + hq) % q, q) == 1
+            if not ok.any():
+                continue
+            lv = ls[ok]
+            nums = (((i_h % q) * amod) % q + (wmod * lv * lv + 2 * hq * lv) * amod) % q
+            for i, row in enumerate(np.sum(table[nums], axis=1).tolist(), lo):
+                totals[i] += row
+    return [t / ctx.H for t in totals]
 
 
 def indicator_three_exp(N, K):
@@ -143,7 +167,47 @@ class TestDftGrid:
             dft_grid(seq, 64)
 
 
+class TestUnitMask:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5000))
+    @example(1)
+    @example(2)
+    @example(4096)  # 2^12
+    @example(3125)  # 5^5
+    @example(2187)  # 3^7
+    @example(4998)
+    @example(5000)
+    @example(4999)  # prime
+    def test_matches_gcd(self, k):
+        r = np.arange(k)
+        assert np.array_equal(unit_mask(factorize(k)), np.gcd(r, k) == 1)
+
+    def test_gauss_sum_bitwise_equal_gcd_units(self):
+        for k in (3, 9, 15, 49, 105, 1024 + 1, 4999):
+            for r in (1, 2, k - 1):
+                if math.gcd(r, k) != 1:
+                    continue
+                ls = np.arange(1, k + 1, dtype=np.int64)
+                ls = ls[np.gcd(ls, k) == 1]
+                want = complex(np.sum(np.exp(2j * np.pi * ((r * ls * ls) % k) / k)))
+                assert bits(gauss_sum(k, r)) == bits(want)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 15, 81, 105, 999, 1000, 4096, 4999])
+    def test_row_bitwise_equal_gcd_units(self, k):
+        want = gauss_row_gcd(k)
+        units = np.flatnonzero(unit_mask(factorize(k)))
+        for got in (gauss_sum_row(k), gauss_sum_row(k, units)):
+            assert got.tobytes() == want.tobytes()
+
+
 class TestGaussSum:
+    def test_row_validates_k(self):
+        for k in (0, -3):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                gauss_sum_row(k)
+        with pytest.raises(TooLarge):
+            gauss_sum_row(expsums_mod.MAX_GAUSS_MODULUS + 1)
+
     def test_k_one(self):
         for r in (1, 2, 99):
             assert gauss_sum(1, r) == 1
@@ -269,6 +333,15 @@ class TestLocalFactor:
             assert [bits(lf.value) for lf in got] == [
                 bits(s_direct_one_unit(ctx6, 49, q, a).value) for a in units
             ]
+
+    @pytest.mark.parametrize("w", [4, 6, 8])
+    def test_bitwise_equal_gcd_version(self, ctx4, ctx6, ctx8, w):
+        ctx = {4: ctx4, 6: ctx6, 8: ctx8}[w]
+        for b in ctx.Z_W[:2]:
+            for q in (*range(1, 91), 128, 243, 625, 997, 1001):
+                units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1][:40]
+                got = [bits(lf.value) for lf in s_direct(ctx, b, q, units)]
+                assert got == [bits(v) for v in s_direct_gcd(ctx, b, q, units)]
 
     def test_units_unreduced_and_unordered(self, ctx4):
         got = s_direct(ctx4, 1, 7, [13, 1, 8, -1])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import as_sequence, table_for
+from psqlab._gridfft import grid_transform
 from psqlab.arith import divisor_count
 from psqlab.errors import TooLarge
 from psqlab.expsums import dft_at
@@ -18,6 +19,7 @@ from psqlab.restriction import (
     lq_moment,
     pair_difference_counts,
 )
+from psqlab.primes import PrimeSubsetSpec
 from psqlab.wtrick import WeightedSequence, f_sequence, nu_sequence
 
 
@@ -164,6 +166,48 @@ class TestFourthMoment:
         grid_route, auto_route = fourth_moment_routes(as_sequence(arr))
         scale = max(abs(grid_route), abs(auto_route), 1.0)
         assert abs(grid_route - auto_route) <= 1e-9 * scale
+
+
+class TestSharedGrids:
+    """A sequence's |transform| grids are computed once per length and reused
+    only where the inputs are the same, so every figure keeps its bits."""
+
+    @staticmethod
+    def separate_ffts(seq, q_exponent, K):
+        """Fourth-moment grid route and L^q moment, each from its own FFT."""
+        arr, N = seq.values, seq.N
+        L = 1 << (2 * len(arr) - 1).bit_length()
+        route_grid = N * float(np.sum(np.abs(np.fft.fft(arr, L)) ** 4)) / L
+        mags = np.abs(grid_transform(arr, N, K))
+        return route_grid, float(np.sum(mags**q_exponent)) / (K * N)
+
+    @pytest.mark.parametrize("N, K", [(4096, 4), (3000, 4), (2048, 2), (1000, 3), (4096, 1)])
+    def test_bitwise_equal_separate_ffts(self, ctx6, table_100k, N, K):
+        spec = PrimeSubsetSpec.bernoulli(0.9, 3)
+        seq = f_sequence(ctx6, 49, N, spec, table_100k)
+        route_grid, _ = fourth_moment_routes(seq)
+        moment = lq_moment(seq, 5.0, K).moment
+        want_grid, want_moment = self.separate_ffts(seq, 5.0, K)
+        assert np.float64(route_grid).view(np.uint64) == np.float64(want_grid).view(np.uint64)
+        assert np.float64(moment).view(np.uint64) == np.float64(want_moment).view(np.uint64)
+
+    def test_nonzero_padding_slot_is_not_shared(self):
+        # values[0] enters the fourth-moment FFT but not the grid transform
+        values = np.zeros(1025)
+        values[[0, 3, 700]] = [5.0, 1.0, 2.0]
+        seq = WeightedSequence(1024, values)
+        lq_moment(seq, 5.0, 4)  # memoises the 4-fold grid first
+        route_grid, _ = fourth_moment_routes(seq)
+        want_grid, _ = self.separate_ffts(seq, 5.0, 4)
+        assert np.float64(route_grid).view(np.uint64) == np.float64(want_grid).view(np.uint64)
+
+    def test_memo_is_read_only(self, ctx6, table_100k, all_spec):
+        seq = f_sequence(ctx6, 49, 512, all_spec, table_100k)
+        mags = seq.grid_magnitudes(4)
+        assert seq.grid_magnitudes(4) is mags
+        assert not mags.flags.writeable and not seq.values.flags.writeable
+        with pytest.raises(ValueError):
+            seq.values[1] = 1.0
 
 
 class TestPairGaps:
