@@ -40,13 +40,12 @@ from .expsums import (
     unit_mask,
 )
 from .arith import factorize
-from .primes import PrimeSubsetSpec, sieve
+from .primes import PrimeSubsetSpec, sieve, subset_members
 from .representations import (
     count_budget,
     count_representations,
     m_window_deviation,
     scan_lattice,
-    square_indicator,
     theorem_experiment,
     transfer_witness,
 )
@@ -158,8 +157,8 @@ def _cmd_gauss(args) -> tuple[dict, int]:
             continue
         omega = len(fac.prime_powers)
         bound = (2**omega) * math.sqrt(k)
+        row = gauss_sum_row(k)
         units = np.flatnonzero(unit_mask(fac))  # [0] at k = 1
-        row = gauss_sum_row(k, units)
         mags = np.abs(row[units])
         ratio = float(np.max(mags) / bound)
         worst = max(worst, ratio)
@@ -331,18 +330,26 @@ def _cmd_sumset_verify(args) -> tuple[dict, int]:
 
 def _count_violations(counts: np.ndarray, s: int, spec: PrimeSubsetSpec, table) -> np.ndarray:
     """Sorted n with a nonzero count off n = s (mod 24), together with the n
-    <= P where "count is nonzero" disagrees with the stride-1 s-fold sumset of
-    the member squares: an independent route that never touches the lattice
-    the counts were built on.  P = 2^12 costs a few ms (2^16 cost 65 ms at
-    s = 8); P shrinks further only past s = 65,000, to stay in sumset_power's
-    budget, so no input that ran before now exits 2."""
+    where "count is nonzero" disagrees with a stride-1 route that never
+    touches the lattice the counts were built on.  With m0 the least member
+    square, no n below s*m0 is a sum of s member squares, and on the window
+    of 2^12 + 1 values from s*m0 the sums are s*m0 plus the s-fold sumset of
+    the member squares less m0.  The window costs a few ms at any s; it
+    shrinks only past s = 65,000, to stay in sumset_power's budget, so no
+    input that ran before now exits 2."""
+    limit = len(counts) - 1
     nonzero = counts != 0
-    off = nonzero.copy()
-    off[s % 24 :: 24] = False
-    P = max(0, min(len(counts) - 1, 1 << 12, MAX_LAYER_CELLS // (s + 1) - 1))
-    squares = np.flatnonzero(square_indicator(P, spec, table))
-    reached = sumset_power(squares, s, P)
-    return np.union1d(np.flatnonzero(off), np.flatnonzero(nonzero[: P + 1] != reached))
+    bad = nonzero.copy()
+    bad[s % 24 :: 24] = False
+    members = subset_members(spec, table)
+    squares = members[members <= math.isqrt(limit)] ** 2
+    lo = min(s * int(squares[0]), limit + 1) if len(squares) else limit + 1
+    bad[:lo] = nonzero[:lo]
+    width = max(0, min(limit + 1 - lo, (1 << 12) + 1, MAX_LAYER_CELLS // (s + 1)))
+    if width:
+        reached = sumset_power(squares - squares[0], s, width - 1)
+        bad[lo : lo + width] |= nonzero[lo : lo + width] != reached
+    return np.flatnonzero(bad)
 
 
 def _cmd_represent(args) -> tuple[dict, int]:

@@ -114,19 +114,18 @@ def gauss_sum(k: int, r: int) -> complex:
     return complex(np.sum(np.exp(2j * np.pi * phases / k)))
 
 
-def gauss_sum_row(k: int, units: Optional[np.ndarray] = None) -> np.ndarray:
+def gauss_sum_row(k: int) -> np.ndarray:
     """All G(k, r) for r = 0 .. k-1 at once, via the FFT of the square counts.
 
-    units, when given, is np.flatnonzero(unit_mask(factorize(k))), the units
-    mod k in increasing order, so a caller that also needs them computes them
-    once.  Only entries with gcd(r, k) = 1 are meaningful Gauss sums; the rest
-    come along for free.  Cross-checked against gauss_sum in the tests.
+    The units l mod k come from unit_mask(factorize(k)), in increasing order.
+    Only entries with gcd(r, k) = 1 are meaningful Gauss sums; the rest come
+    along for free.  Cross-checked against gauss_sum in the tests.
     ValueError for k < 1 and TooLarge past MAX_GAUSS_MODULUS, as gauss_sum.
     """
     _check_gauss_modulus(k)
     if k == 1:
         return np.array([1 + 0j])
-    ls = np.flatnonzero(unit_mask(factorize(k))) if units is None else units
+    ls = np.flatnonzero(unit_mask(factorize(k)))
     counts = np.bincount((ls * ls) % k, minlength=k).astype(float)
     return np.conj(np.fft.fft(counts))
 

@@ -6,8 +6,8 @@ discrete fourth moment is computed along two independent routes and
 cross-checked: a zero-padded frequency grid (no circular wraparound, so the
 grid sum is exactly the autocorrelation identity), and a direct time-domain
 autocorrelation.  Level-set counts use the exact N-point grid.  Each |grid|
-comes from WeightedSequence.grid_magnitudes, so a sequence transforms once
-per grid length however many statistics read it.
+comes from WeightedSequence.grid_magnitudes, which keeps the sequence's
+last grid, so statistics that read the same grid in turn transform once.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ class LevelSetCurve:
 
 
 def level_sets(seq_f: WeightedSequence, u_list: Sequence[float]) -> LevelSetCurve:
-    """Counts on the N-point grid seq_f.grid_magnitudes(1), built once per sequence."""
+    """Counts on the N-point grid seq_f.grid_magnitudes(1), which the sequence
+    keeps, so a second call on the same sequence does not transform again."""
     u_values = tuple(float(u) for u in u_list)
     if any(u <= 0 for u in u_values):
         raise ValueError("levels must be positive")
@@ -204,8 +205,8 @@ class MomentReport:
 def lq_moment(seq_f: WeightedSequence, q_exponent: float, K: int = 4) -> MomentReport:
     """(1/(K N)) sum |transform|^q over the K*N-point grid, against N^(q-1).
 
-    The grid is seq_f.grid_magnitudes(K), computed once per sequence and K,
-    so a fourth moment taken on the same padded grid does not transform again.
+    The grid is seq_f.grid_magnitudes(K), so right after a fourth moment
+    taken on the same padded grid it does not transform again.
     """
     if q_exponent <= 4:
         raise ValueError(f"q exponent must exceed 4, got {q_exponent}")

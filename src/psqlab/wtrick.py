@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._gridfft import Reach, grid_transform
+from ._gridfft import Reach, grid_length, grid_transform
 from .arith import _SMALL_PRIMES
 from .errors import Infeasible, TableTooSmall, WTooLarge
 from .primes import PrimeSubsetSpec, PrimeTable, subset_members
@@ -88,8 +88,12 @@ def build_context(w: int) -> WContext:
 class WeightedSequence:
     """Nonnegative weights on n in [1, N]; values[0] is a padding slot.
 
-    values is made read-only on construction, so the grids memoised by
-    grid_magnitudes stay the transform of these weights.
+    values is read-only, so the grid grid_magnitudes keeps stays the
+    transform of these weights.  A float64 array that owns its memory and is
+    already read-only is taken as handed over (f_sequence builds its array
+    that way, which spares an N-point copy); anything else, a writable array
+    or a view of one, is copied, so the caller's buffer stays writable and
+    later writes to it do not reach the sequence.
     """
 
     N: int
@@ -97,7 +101,15 @@ class WeightedSequence:
     _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.values.flags.writeable = False
+        values = np.asarray(self.values)
+        if values.flags.writeable or values.base is not None or values.dtype != np.float64:
+            values = np.array(values, dtype=np.float64)
+        if values.shape != (self.N + 1,):
+            raise ValueError(
+                f"values must have length N + 1 = {self.N + 1}, got shape {values.shape}"
+            )
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     def support(self) -> np.ndarray:
         return np.flatnonzero(self.values)
@@ -109,10 +121,21 @@ class WeightedSequence:
         return self.total() / self.N
 
     def grid_magnitudes(self, K: int) -> np.ndarray:
-        """|grid_transform(values, N, K)|, computed once per K and kept read-only."""
+        """|grid_transform(values, N, K)|, read-only.  The last grid asked for is
+        kept: asking again for the same K reuses it, and asking for another K
+        drops it before transforming, so no more than one grid is ever held.
+
+        For K > 1 with values[0] == 0, values zero-padded to K*N points is
+        grid_transform's input and |conj z| = |z|, so the padded FFT gives the
+        same bits without grid_transform's extra K*N-point copy.
+        """
         mags = self._grids.get(K)
         if mags is None:
-            mags = np.abs(grid_transform(self.values, self.N, K))
+            self._grids.clear()
+            if K > 1 and self.values[0] == 0:
+                mags = np.abs(np.fft.fft(self.values, grid_length(self.N, K)))
+            else:
+                mags = np.abs(grid_transform(self.values, self.N, K))
             mags.flags.writeable = False
             self._grids[K] = mags
         return mags
@@ -155,6 +178,7 @@ def f_sequence(
     keep = np.isin(p, members)
     values = np.zeros(N + 1)
     values[n[keep]] = _weights(ctx, p[keep])
+    values.flags.writeable = False  # handed over to the sequence without a copy
     return WeightedSequence(N=N, values=values)
 
 

@@ -69,6 +69,11 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
+def fft_length(args):
+    """The transform length of a recorded np.fft.fft(a) or np.fft.fft(a, n) call."""
+    return args[1] if len(args) > 1 else len(args[0])
+
+
 class TestSpecParsing:
     def test_default_is_all(self):
         assert _parse_spec(None, None) == PrimeSubsetSpec.all_primes()
@@ -300,6 +305,27 @@ class TestRepresentAndTransfer:
         assert run(argv) == 1
         assert load(out)["result"]["congruence_scan_violations"] == [100, 101]
 
+    def test_check_window_starts_at_least_representable_n(self, tmp_path, monkeypatch):
+        # at s = 200 nothing below 200 * 5^2 = 5000 is representable, so a
+        # window from n = 0 would hold only zeros on both sides
+        import psqlab.cli as cli_mod
+        from psqlab.representations import ReprCountTable
+
+        real = cli_mod.count_representations
+
+        def corrupted(*args):
+            counts = real(*args).counts.copy()
+            assert counts[5000] == 1 and not counts[:5000].any()
+            counts[5000] = 0  # dropped: the only representation is all 5^2
+            counts[4976] = 1  # on the lattice, but below every sum of 200 squares
+            return ReprCountTable(counts=counts)
+
+        monkeypatch.setattr(cli_mod, "count_representations", corrupted)
+        out = tmp_path / "rep.json"
+        argv = ["represent", "--s", "200", "--limit", "6000", "--check", "--out", str(out)]
+        assert run(argv) == 1
+        assert load(out)["result"]["congruence_scan_violations"] == [4976, 5000]
+
     def test_limit_below_default_n_lo_exits_two(self, capsys):
         assert run(["represent", "--s", "40", "--limit", "0", "--spec", "all", "--csv"]) == 2
         err = capsys.readouterr().err
@@ -447,7 +473,7 @@ class TestReports:
         out = tmp_path / "moments.json"
         argv = ["moments", "--w", "6", "--N", "4096", "--K", "4", "--out", str(out)]
         assert run(argv) == 0
-        assert len(calls) == 1 and len(calls[0][0]) == 4 * 4096
+        assert len(calls) == 1 and fft_length(calls[0]) == 4 * 4096
         fm = load(out)["result"]["fourth_moment"]
         assert fm["rel_difference"] < 1e-9
 
@@ -456,7 +482,7 @@ class TestReports:
         calls = count_calls(monkeypatch, np.fft, "fft")
         argv = ["moments", "--w", "6", "--N", "3000", "--out", str(tmp_path / "m.json")]
         assert run(argv) == 0
-        assert sorted(len(args[0]) for args in calls) == [3001, 12000]
+        assert sorted(fft_length(args) for args in calls) == [8192, 12000]
 
     def test_levelsets_builds_one_grid(self, tmp_path, monkeypatch):
         import psqlab.wtrick as wtrick_mod

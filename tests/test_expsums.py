@@ -194,10 +194,7 @@ class TestUnitMask:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 8, 15, 81, 105, 999, 1000, 4096, 4999])
     def test_row_bitwise_equal_gcd_units(self, k):
-        want = gauss_row_gcd(k)
-        units = np.flatnonzero(unit_mask(factorize(k)))
-        for got in (gauss_sum_row(k), gauss_sum_row(k, units)):
-            assert got.tobytes() == want.tobytes()
+        assert gauss_sum_row(k).tobytes() == gauss_row_gcd(k).tobytes()
 
 
 class TestGaussSum:

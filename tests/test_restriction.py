@@ -181,7 +181,9 @@ class TestSharedGrids:
         mags = np.abs(grid_transform(arr, N, K))
         return route_grid, float(np.sum(mags**q_exponent)) / (K * N)
 
-    @pytest.mark.parametrize("N, K", [(4096, 4), (3000, 4), (2048, 2), (1000, 3), (4096, 1)])
+    @pytest.mark.parametrize(
+        "N, K", [(4096, 4), (3000, 4), (2048, 2), (1000, 3), (3000, 8), (4096, 1)]
+    )
     def test_bitwise_equal_separate_ffts(self, ctx6, table_100k, N, K):
         spec = PrimeSubsetSpec.bernoulli(0.9, 3)
         seq = f_sequence(ctx6, 49, N, spec, table_100k)
@@ -208,6 +210,46 @@ class TestSharedGrids:
         assert not mags.flags.writeable and not seq.values.flags.writeable
         with pytest.raises(ValueError):
             seq.values[1] = 1.0
+
+    def test_values_are_a_private_copy(self):
+        # writes through the caller's view, or through its base, stay writable
+        # and do not reach a grid that is already memoised
+        base = np.zeros(2 * 1025)
+        view = base[::2]
+        view[[3, 700]] = [1.0, 2.0]
+        seq = WeightedSequence(1024, view)
+        before = lq_moment(seq, 5.0, 4).moment  # fills the memo
+        base[6] = 50.0  # view[3]
+        view[700] = 0.0
+        assert seq.values[3] == 1.0 and seq.values[700] == 2.0
+        clean = np.zeros(1025)
+        clean[[3, 700]] = [1.0, 2.0]
+        want = lq_moment(WeightedSequence(1024, clean), 5.0, 4).moment
+        for got in (before, lq_moment(seq, 5.0, 4).moment):
+            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
+    def test_read_only_owned_array_is_taken_as_is(self):
+        values = np.zeros(1025)
+        values.flags.writeable = False
+        assert WeightedSequence(1024, values).values is values
+        view = np.zeros(2 * 1025)[::2]
+        view.flags.writeable = False
+        assert WeightedSequence(1024, view).values is not view
+
+    @pytest.mark.parametrize("length", [1024, 1026, 2 * 1025])
+    def test_rejects_values_not_of_length_n_plus_one(self, length):
+        with pytest.raises(ValueError, match="length N \\+ 1 = 1025"):
+            WeightedSequence(1024, np.zeros(length))
+
+    def test_memo_holds_one_grid(self, ctx6, table_100k, all_spec):
+        # moments at K != L/N: the fourth moment's grid is dropped before
+        # lq_moment transforms, so at most one grid is ever resident
+        seq = f_sequence(ctx6, 49, 512, all_spec, table_100k)
+        four = seq.grid_magnitudes(4)
+        two = seq.grid_magnitudes(2)
+        assert list(seq._grids) == [2] and seq._grids[2] is two
+        again = seq.grid_magnitudes(4)
+        assert again is not four and np.array_equal(again, four)
 
 
 class TestPairGaps:
