@@ -1,11 +1,11 @@
 """Toolkit for representing integers as sums of squares of primes drawn from
 dense prime subsets: progression-weighted majorants, local exponential-sum
-factors, downset sumset verification, restriction statistics, and an
+factors, residue sumset cover verification, restriction statistics, and an
 end-to-end desk-scale representation experiment."""
 
 __version__ = "0.1.0"
 
-from .arith import Factorization, crt_combine, divisor_count, euler_phi, factorize, mod_inverse
+from .arith import Factorization, divisor_count, euler_phi, factorize, mod_inverse
 from .primes import PrimeSubsetSpec, PrimeTable, empirical_density, sieve, subset_members
 from .wtrick import (
     DensityTable,
@@ -20,7 +20,6 @@ from .wtrick import (
 from .sumsets import (
     CoverReport,
     LemmaReport,
-    downset,
     exhaustive_lemma_check,
     sumset,
     verify_cover,

@@ -3,10 +3,10 @@
 A grid transform takes a weighted sequence on [1, N] in its one form: an
 array indexed by n, with values[0] as the padding slot.
 
-Every boolean sumset product (the suffix layers of Reach and the binary
-powers of sumset_power) is an FFT of 0/1 indicators rounded by `certified`:
-thresholded at 1/2 under one rounding-residual certificate that raises
-rather than falls back.
+Every boolean sumset product (the suffix layers of Reach, the binary
+powers of sumset_power and the last product of scan_mask's descent) is an
+FFT of 0/1 indicators rounded by `certified`: thresholded at 1/2 under one
+rounding-residual certificate that raises rather than falls back.
 """
 
 from __future__ import annotations
@@ -99,6 +99,37 @@ def sumset_power(support, s: int, cap: int) -> np.ndarray:
         if not s:
             return result
         power = certified(np.fft.irfft(spectrum * spectrum, L)[:width])
+
+
+def scan_mask(support, s: int, cap: int) -> np.ndarray:
+    """sumset_power(support, s, cap), by a certified descent where one closes.
+
+    A is the support on [0, cap], G its largest gap and c1 the least power of
+    two at least 2G + 1.  D = (s-1)A on [0, c1) holds all of [K0, c1).  If
+    the intervals [k + K0, k + c1 - 1], k in A, cover [c1, cap], every M
+    there is k + d with d in D, so sA holds all of it; below c1, sA is the
+    one certified product D + A.  Otherwise (s < 2, c1 >= cap, a gap in the
+    cover, or a probe D on [0, c1/8] that misses in its upper half, as an
+    obstruction mod some q makes it) this is sumset_power(support, s, cap).
+    """
+    ks = np.sort(np.asarray(support, dtype=np.int64))  # not np.unique: ~10 ms on first use
+    ks = ks[ks <= cap]
+    c1 = 1 << (2 * int(np.diff(ks).max(initial=0))).bit_length()
+    if s >= 2 and c1 < cap and sumset_power(ks, s - 1, c1 // 8)[c1 // 16 :].all():
+        dense = sumset_power(ks, s - 1, c1 - 1)
+        misses = np.flatnonzero(~dense)
+        K0 = int(misses[-1]) + 1 if len(misses) else 0
+        # covered[i]: the running max of the interval ends before the i-th k,
+        # which is the previous end, since ks is sorted and the lengths equal
+        covered = np.concatenate(([c1 - 1], ks + c1 - 1))
+        gaps = (ks + K0 > covered[:-1] + 1) & (covered[:-1] < cap)
+        if covered[-1] >= cap and not gaps.any():
+            L = reach_budget(2, c1)
+            ind = np.bincount(ks[ks < c1], minlength=c1) > 0
+            out = np.ones(cap + 1, dtype=bool)
+            out[:c1] = certified(np.fft.irfft(np.fft.rfft(dense, L) * np.fft.rfft(ind, L), L)[:c1])
+            return out
+    return sumset_power(ks, s, cap)
 
 
 class Reach:

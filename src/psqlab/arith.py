@@ -9,9 +9,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NonCoprimeModuli, NonInvertible
+from .errors import NonInvertible
 
-# Trial-division backstop table; covers smallest factors of every n < 2**32.
+# Trial-division table: every n whose part free of primes below 2**16 is
+# below 2**32 factors completely against it.
 _TABLE_LIMIT = 1 << 16
 
 
@@ -48,7 +49,14 @@ class Factorization:
 
 
 def factorize(n: int) -> Factorization:
-    """Factor n >= 1 by trial division against a precomputed prime table."""
+    """Factor n >= 1 by trial division against the primes below 2^16.
+
+    ValueError when the cofactor left after them is 2^32 or more, since it
+    may then be composite.  No caller reaches that.  The gauss and saq
+    moduli, W and the pair gaps are all below 2^32.  The one larger
+    argument, q * W in major_arc_model, loses W's primes (all below w) to
+    the table and leaves at most q <= 2 * MAX_GAUSS_MODULUS.
+    """
     if n < 1:
         raise ValueError(f"factorize expects n >= 1, got {n}")
     pairs: list[tuple[int, int]] = []
@@ -62,24 +70,10 @@ def factorize(n: int) -> Factorization:
                 rem //= p
                 e += 1
             pairs.append((p, e))
+    if rem >= _TABLE_LIMIT * _TABLE_LIMIT:
+        raise ValueError(f"{n} leaves a cofactor {rem} >= 2^32 with no prime factor below 2^16")
     if rem > 1:
-        if rem < _TABLE_LIMIT * _TABLE_LIMIT:
-            pairs.append((rem, 1))
-        else:
-            # Inputs this large are outside every experiment; fall back to
-            # odd-step trial division rather than refuse.
-            d = _TABLE_LIMIT | 1
-            while d * d <= rem:
-                if rem % d == 0:
-                    e = 0
-                    while rem % d == 0:
-                        rem //= d
-                        e += 1
-                    pairs.append((d, e))
-                d += 2
-            if rem > 1:
-                pairs.append((rem, 1))
-            pairs.sort()
+        pairs.append((rem, 1))
     return Factorization(tuple(pairs))
 
 
@@ -91,26 +85,6 @@ def mod_inverse(a: int, m: int) -> int:
         return pow(a, -1, m)
     except ValueError as exc:
         raise NonInvertible(f"{a} is not invertible mod {m}") from exc
-
-
-def crt_combine(residues: list[tuple[int, int]]) -> int:
-    """Combine congruences x = r (mod m) with pairwise coprime moduli.
-
-    Returns the unique representative in [0, prod(moduli)).
-    """
-    x, modulus = 0, 1
-    for r, m in residues:
-        if m < 1:
-            raise ValueError(f"modulus must be >= 1, got {m}")
-        g = math.gcd(modulus, m)
-        if g != 1:
-            raise NonCoprimeModuli(f"moduli share factor {g}")
-        if m == 1:
-            continue
-        t = ((r - x) * mod_inverse(modulus % m, m)) % m
-        x += modulus * t
-        modulus *= m
-    return x % modulus
 
 
 def euler_phi(n: int) -> int:

@@ -9,24 +9,8 @@ class NonInvertible(PsqLabError, ValueError):
     """Modular inverse requested for a non-unit."""
 
 
-class NonCoprimeModuli(PsqLabError, ValueError):
-    """CRT combination attempted with non-coprime moduli."""
-
-
-class NotSquarefree(PsqLabError, ValueError):
-    """Coordinate decomposition requires a squarefree modulus."""
-
-
 class NotCoprime(PsqLabError, ValueError):
     """Argument pair required to be coprime is not."""
-
-
-class LimitTooLarge(PsqLabError, ValueError):
-    """Sieve limit above the configured memory bound."""
-
-
-class WTooLarge(PsqLabError, ValueError):
-    """W-trick modulus outside the supported range."""
 
 
 class TableTooSmall(PsqLabError, ValueError):
@@ -38,15 +22,12 @@ class EmptyReference(PsqLabError, ValueError):
 
 
 class TooLarge(PsqLabError, ValueError):
-    """Requested grid or convolution exceeds the configured size budget."""
+    """Input past a size budget (sieve limit, W, grid, convolution, subset
+    enumeration), raised before the work it bounds is allocated."""
 
 
 class QTooLarge(PsqLabError, ValueError):
     """Arc parameter violates N > 2*Q**2."""
-
-
-class ZTooLarge(PsqLabError, ValueError):
-    """Exhaustive subset enumeration infeasible for this residue set."""
 
 
 class Infeasible(PsqLabError):

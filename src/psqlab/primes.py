@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyReference, LimitTooLarge
+from .errors import EmptyReference, TooLarge
 
 MAX_SIEVE_LIMIT = 1 << 31
 
@@ -42,14 +42,14 @@ def _splitmix64_array(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """Exact primes up to `limit`: a membership bitmap plus the sorted list."""
+    """Exact primes up to `limit`, as a sorted list."""
 
     limit: int
-    membership: np.ndarray  # bool, indexed 0..limit
     primes: np.ndarray  # int64, strictly increasing
 
     def is_prime(self, n: int) -> bool:
-        return 0 <= n <= self.limit and bool(self.membership[n])
+        # the largest prime up to n is n itself exactly when n is prime
+        return 0 <= n <= self.limit and n in self.primes_upto(n)[-1:]
 
     def primes_upto(self, bound: int) -> np.ndarray:
         hi = np.searchsorted(self.primes, bound, side="right")
@@ -61,13 +61,13 @@ def sieve(limit: int) -> PrimeTable:
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
     if limit > MAX_SIEVE_LIMIT:
-        raise LimitTooLarge(f"sieve limit {limit} exceeds bound {MAX_SIEVE_LIMIT}")
+        raise TooLarge(f"sieve limit {limit} exceeds bound {MAX_SIEVE_LIMIT}")
     mark = np.ones(limit + 1, dtype=bool)
     mark[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if mark[p]:
             mark[p * p :: p] = False
-    return PrimeTable(limit=limit, membership=mark, primes=np.flatnonzero(mark).astype(np.int64))
+    return PrimeTable(limit=limit, primes=np.flatnonzero(mark).astype(np.int64))
 
 
 VARIANT_ALL = "all"

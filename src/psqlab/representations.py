@@ -5,10 +5,13 @@ boolean reachability, not counting: p^2 = 24k + 1 for every prime p >= 5,
 so s such squares sum to s + 24K and the search runs over K, a lattice 24
 times shorter than [0, n].  Specs admitting 2 or 3 use stride 1.
 
-The exception scan reads only the s-fold sumset, which it builds by binary
-powering of the one support (A -> 2A -> 4A -> ..., one product per set bit
-of s); the suffix layers that witnesses need are built only up to the last
-sampled target.
+The exception scan reads only the s-fold sumset sA.  A certified descent
+builds (s-1)A on a short dense prefix, where it holds every K from some K0
+on, and checks that the intervals [k + K0, k + c1) over the member k cover
+the rest of the range, which puts all of it in sA by proof; sA on the
+prefix is one more product.  Where the cover does not close, sA comes from
+binary powering over the whole range.  The suffix layers that witnesses
+need are built only up to the last sampled target.
 
 Ordered representation counts come from s-fold convolution of the
 prime-square indicator on the same lattice, in s - 1 rounds of shifted
@@ -26,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from ._csvio import write_csv
-from ._gridfft import MAX_CONV_LEN, Reach, lex_smallest_sum, reach_budget, sumset_power
+from ._gridfft import MAX_CONV_LEN, Reach, lex_smallest_sum, reach_budget, scan_mask
 from .errors import NotFound, TableTooSmall, TooLarge
 from .primes import PrimeSubsetSpec, PrimeTable, empirical_density, subset_members
 from .wtrick import WContext, delta_table, f_sequence, select_residues
@@ -220,8 +223,8 @@ def theorem_experiment(
 ) -> ExperimentReport:
     """Scan every n = s (mod 24) in the range for a representation.
 
-    The scan reads one powered sumset; witnesses for the first sample_limit
-    represented targets come from a Reach capped at the last of them.
+    The scan reads the s-fold sumset from scan_mask; witnesses for the first
+    sample_limit represented targets come from a Reach capped at the last of them.
     Exceptions (no representation) are reported, never fatal.
     """
     lo, hi = n_range
@@ -232,7 +235,7 @@ def theorem_experiment(
     first = lo + ((s - lo) % 24)
     targets = np.arange(first, hi + 1, 24, dtype=np.int64)
     K = (targets - s * unit) // stride  # below 0 only for n < s * unit
-    hit = (K >= 0) & sumset_power(ks, s, cap)[np.maximum(K, 0)]
+    hit = (K >= 0) & scan_mask(ks, s, cap)[np.maximum(K, 0)]
     exceptions = tuple(int(x) for x in targets[~hit])
     witnesses = []
     sampled = targets[hit][:sample_limit]

@@ -1,4 +1,4 @@
-"""Downset machinery in Z_q for squarefree q, and the 8-fold cover check.
+"""Residue sumsets in Z_q and the 8-fold cover check.
 
 A residue set is a length-q boolean mask.  Sumsets go through the shared
 cyclic reachability engine (_gridfft.Reach): FFT convolutions thresholded at
@@ -14,28 +14,10 @@ from typing import Iterable
 import numpy as np
 
 from ._gridfft import Reach
-from .arith import crt_combine, factorize
-from .errors import NotSquarefree, ZTooLarge
+from .errors import TooLarge
 from .wtrick import WContext
 
 MAX_EXHAUSTIVE_Z = 22
-
-
-def _squarefree_primes(q: int) -> tuple[int, ...]:
-    fac = factorize(q)
-    if not fac.is_squarefree():
-        raise NotSquarefree(f"{q} is not squarefree")
-    return fac.primes
-
-
-def downset(a: int, q: int) -> np.ndarray:
-    """Mask of all b in Z_q with every CRT coordinate at most the coordinate of a."""
-    primes = _squarefree_primes(q)
-    idx = np.arange(q, dtype=np.int64)
-    keep = np.ones(q, dtype=bool)
-    for p in primes:
-        keep &= (idx % p) <= (a % p)
-    return keep
 
 
 def sumset(masks: list[np.ndarray]) -> np.ndarray:
@@ -47,19 +29,6 @@ def sumset(masks: list[np.ndarray]) -> np.ndarray:
         raise ValueError("a sumset needs at least one summand")
     supports = {id(m): np.flatnonzero(m) for m in masks}
     return Reach([supports[id(m)] for m in masks], modulus=len(masks[0])).layers[0]
-
-
-def is_downset(S: np.ndarray) -> bool:
-    """Closed under decreasing any single CRT coordinate by one."""
-    q = len(S)
-    primes = _squarefree_primes(q)
-    idx = np.arange(q, dtype=np.int64)
-    for p in primes:
-        step = crt_combine([(1, p), (0, q // p)]) if q // p > 1 else 1
-        src = np.flatnonzero(S & ((idx % p) > 0))
-        if np.any(~S[(src - step) % q]):
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -137,7 +106,7 @@ def exhaustive_lemma_check(ctx: WContext, folds: int = 8) -> LemmaReport:
     """Verify the cover for every E with |E| > |Z_W| / 2, exhaustively."""
     z = ctx.Z_W
     if len(z) > MAX_EXHAUSTIVE_Z:
-        raise ZTooLarge(f"|Z(W)| = {len(z)} too large for 2^|Z| enumeration")
+        raise TooLarge(f"|Z(W)| = {len(z)} too large for 2^|Z| enumeration")
     checked = 0
     failures = []
     for size in range(len(z) // 2 + 1, len(z) + 1):

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._gridfft import Reach, grid_length, grid_transform
 from .arith import _SMALL_PRIMES
-from .errors import Infeasible, TableTooSmall, WTooLarge
+from .errors import Infeasible, TableTooSmall, TooLarge
 from .primes import PrimeSubsetSpec, PrimeTable, subset_members
 
 MAX_W = 4_000_000
@@ -59,7 +59,7 @@ def build_context(w: int) -> WContext:
     for p in odd:
         W *= p
     if W > MAX_W:
-        raise WTooLarge(f"W = {W} exceeds supported bound {MAX_W}")
+        raise TooLarge(f"W = {W} exceeds supported bound {MAX_W}")
 
     values = np.arange(W, dtype=np.int64)
     units = values[np.gcd(values, W) == 1]

@@ -5,13 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psqlab.arith import (
-    crt_combine,
     divisor_count,
     euler_phi,
     factorize,
     mod_inverse,
 )
-from psqlab.errors import NonCoprimeModuli, NonInvertible
+from psqlab.errors import NonInvertible
 
 
 def phi_oracle(n):
@@ -47,38 +46,6 @@ class TestModInverse:
             x = mod_inverse(a, m)
             assert 1 <= x <= m - 1
             assert (a * x) % m == 1
-
-
-class TestCrt:
-    def test_single(self):
-        assert crt_combine([(1, 3)]) == 1
-
-    def test_all_ones(self):
-        assert crt_combine([(1, 8), (1, 3)]) == 1
-
-    def test_three_moduli(self):
-        # scan oracle over [0, 120) gives 89
-        assert crt_combine([(1, 8), (2, 3), (4, 5)]) == 89
-
-    def test_non_coprime(self):
-        with pytest.raises(NonCoprimeModuli):
-            crt_combine([(1, 6), (1, 4)])
-
-    @given(
-        st.lists(
-            st.sampled_from([(2, 0), (3, 1), (5, 2), (7, 3), (11, 4), (13, 5)]),
-            min_size=1,
-            max_size=6,
-            unique_by=lambda t: t[0],
-        ),
-        st.randoms(use_true_random=False),
-    )
-    def test_congruences_hold(self, pairs, rng):
-        residues = [(rng.randrange(m), m) for m, _ in pairs]
-        x = crt_combine(residues)
-        assert 0 <= x < math.prod(m for _, m in residues)
-        for r, m in residues:
-            assert x % m == r % m
 
 
 class TestEulerPhi:
@@ -135,6 +102,14 @@ class TestFactorize:
         ps = fac.primes
         assert list(ps) == sorted(ps)
         assert all(e >= 1 for _, e in fac.prime_powers)
+
+    def test_large_arguments(self):
+        # a cofactor below 2^32, or nothing left after the primes below 2^16
+        assert factorize(3 * (2**32 - 5)).prime_powers == ((3, 1), (2**32 - 5, 1))
+        assert factorize(2**40 * 65521**3).prime_powers == ((2, 40), (65521, 3))
+        # 65537 * 65539 >= 2^32 has no prime factor below 2^16
+        with pytest.raises(ValueError, match="cofactor"):
+            factorize(7 * 65537 * 65539)
 
     def test_squarefree_flag(self):
         assert factorize(30).is_squarefree()

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from psqlab.errors import EmptyReference, LimitTooLarge
+from psqlab.errors import EmptyReference, TooLarge
 from psqlab.primes import (
     MAX_SIEVE_LIMIT,
     _splitmix64_array,
@@ -33,10 +33,15 @@ class TestSieve:
             is_p = n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
             assert table_100k.is_prime(n) == is_p
 
+    def test_is_prime_edges(self):
+        table = sieve(97)
+        assert [n for n in range(-3, 110) if table.is_prime(n)] == list(table.primes)
+        assert not sieve(100).is_prime(101)  # prime, but past the table
+
     def test_limit_validation(self):
         with pytest.raises(ValueError):
             sieve(1)
-        with pytest.raises(LimitTooLarge):
+        with pytest.raises(TooLarge):
             sieve(MAX_SIEVE_LIMIT + 1)
 
 

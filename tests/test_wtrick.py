@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import table_for
 from psqlab._csvio import write_csv
-from psqlab.errors import Infeasible, TableTooSmall, WTooLarge
+from psqlab.errors import Infeasible, TableTooSmall, TooLarge
 from psqlab.primes import PrimeSubsetSpec
 from psqlab.wtrick import (
     DensityTable,
@@ -55,7 +55,7 @@ class TestBuildContext:
             build_context(3)
 
     def test_rejects_huge_w(self):
-        with pytest.raises(WTooLarge):
+        with pytest.raises(TooLarge):
             build_context(50)
 
     def test_json_keys(self, ctx6):
