@@ -54,9 +54,7 @@ from .representations import (
     ReprCountTable,
     ReprWitness,
     count_representations,
-    find_witness,
     lambda_threshold,
-    square_indicator,
     theorem_experiment,
     transfer_witness,
 )

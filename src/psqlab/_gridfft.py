@@ -108,14 +108,14 @@ def scan_mask(support, s: int, cap: int) -> np.ndarray:
     two at least 2G + 1.  D = (s-1)A on [0, c1) holds all of [K0, c1).  If
     the intervals [k + K0, k + c1 - 1], k in A, cover [c1, cap], every M
     there is k + d with d in D, so sA holds all of it; below c1, sA is the
-    one certified product D + A.  Otherwise (s < 2, c1 >= cap, a gap in the
-    cover, or a probe D on [0, c1/8] that misses in its upper half, as an
-    obstruction mod some q makes it) this is sumset_power(support, s, cap).
+    one certified product D + A.  Otherwise (s < 2, c1 >= cap, or a gap in
+    the cover, as when D is obstructed mod some q and misses up to c1) this
+    is sumset_power(support, s, cap).
     """
     ks = np.sort(np.asarray(support, dtype=np.int64))  # not np.unique: ~10 ms on first use
     ks = ks[ks <= cap]
     c1 = 1 << (2 * int(np.diff(ks).max(initial=0))).bit_length()
-    if s >= 2 and c1 < cap and sumset_power(ks, s - 1, c1 // 8)[c1 // 16 :].all():
+    if s >= 2 and c1 < cap:
         dense = sumset_power(ks, s - 1, c1 - 1)
         misses = np.flatnonzero(~dense)
         K0 = int(misses[-1]) + 1 if len(misses) else 0
@@ -159,18 +159,12 @@ class Reach:
             self.layers.append(layer)
         self.layers.reverse()
 
-    def reachable(self, targets) -> np.ndarray:
-        """Boolean mask: which targets are sums (none outside [0, cap])."""
-        t = np.asarray(targets, dtype=np.int64)
-        if self.modulus:
-            t = t % self.modulus
-        first = self.layers[0]
-        return (t >= 0) & (t < len(first)) & first[np.clip(t, 0, len(first) - 1)]
-
     def smallest(self, target: int) -> Optional[tuple[int, ...]]:
         """Lexicographically smallest (v_0, ..., v_{s-1}) summing to target, or None:
         each v_j is the least element whose remainder the next layer reaches."""
-        if not self.reachable(target):
+        if self.modulus:
+            target %= self.modulus
+        if not 0 <= target < len(self.layers[0]) or not self.layers[0][target]:
             return None
         out = []
         for sup, rest in zip(self.supports, self.layers[1:]):

@@ -40,11 +40,12 @@ from .expsums import (
     unit_mask,
 )
 from .arith import factorize
-from .primes import PrimeSubsetSpec, sieve, subset_members
+from .primes import PrimeSubsetSpec, sieve
 from .representations import (
     count_budget,
     count_representations,
     m_window_deviation,
+    member_roots,
     scan_lattice,
     theorem_experiment,
     transfer_witness,
@@ -341,8 +342,7 @@ def _count_violations(counts: np.ndarray, s: int, spec: PrimeSubsetSpec, table) 
     nonzero = counts != 0
     bad = nonzero.copy()
     bad[s % 24 :: 24] = False
-    members = subset_members(spec, table)
-    squares = members[members <= math.isqrt(limit)] ** 2
+    squares = member_roots(spec, table, limit) ** 2
     lo = min(s * int(squares[0]), limit + 1) if len(squares) else limit + 1
     bad[:lo] = nonzero[:lo]
     width = max(0, min(limit + 1 - lo, (1 << 12) + 1, MAX_LAYER_CELLS // (s + 1)))

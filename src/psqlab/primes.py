@@ -67,7 +67,7 @@ def sieve(limit: int) -> PrimeTable:
     for p in range(2, math.isqrt(limit) + 1):
         if mark[p]:
             mark[p * p :: p] = False
-    return PrimeTable(limit=limit, primes=np.flatnonzero(mark).astype(np.int64))
+    return PrimeTable(limit=limit, primes=np.flatnonzero(mark).astype(np.int64, copy=False))
 
 
 VARIANT_ALL = "all"
@@ -181,14 +181,14 @@ class PrimeSubsetSpec:
 def subset_members(spec: PrimeSubsetSpec, table: PrimeTable) -> np.ndarray:
     """Ordered members of the subset among the table's primes (>= min_prime)."""
     base = table.primes[table.primes >= spec.min_prime]
-    if spec.variant == VARIANT_ALL:
-        return base.copy()
+    if spec.variant == VARIANT_ALL:  # base is already a fresh array
+        return base
     if spec.variant == VARIANT_RESIDUE_CLASSES:
         keep = np.isin(base % spec.modulus, np.asarray(spec.classes, dtype=np.int64))
         return base[keep]
     if spec.variant == VARIANT_BERNOULLI:
         if spec.rho >= 1.0:
-            return base.copy()
+            return base
         key = splitmix64(spec.seed)
         draws = _splitmix64_array(np.uint64(key) ^ base.astype(np.uint64))
         threshold = np.uint64(int(spec.rho * float(1 << 64)))

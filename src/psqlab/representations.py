@@ -40,18 +40,16 @@ def lambda_threshold(s: int) -> float:
     return math.sqrt(1.0 - min(s, 16) / 32.0)
 
 
-def square_indicator(limit: int, spec: PrimeSubsetSpec, table: PrimeTable) -> np.ndarray:
-    """Array over [0, limit]: entry k is 1 exactly when k = p^2 with p in P."""
-    if limit < 0:
-        raise ValueError(f"limit must be >= 0, got {limit}")
-    root = math.isqrt(limit)
+def member_roots(spec: PrimeSubsetSpec, table: PrimeTable, hi: int) -> np.ndarray:
+    """The subset primes p with p^2 <= hi, the only ones a sum of squares up to
+    hi can use.  subset_members sees only the table's primes up to isqrt(hi):
+    every variant keeps or drops each prime on its own, so the members agree."""
+    if hi < 0:
+        raise ValueError(f"limit must be >= 0, got {hi}")
+    root = math.isqrt(hi)
     if table.limit < root:
         raise TableTooSmall(f"need primes up to {root}, table stops at {table.limit}")
-    members = subset_members(spec, table)
-    members = members[members <= root]
-    ind = np.zeros(limit + 1, dtype=np.int64)
-    ind[members * members] = 1
-    return ind
+    return subset_members(spec, PrimeTable(root, table.primes_upto(root)))
 
 
 @dataclass(frozen=True)
@@ -93,7 +91,7 @@ def count_representations(
     counts n = j*unit + stride*K, which holds every nonzero count (the rest
     of the line is zero by the congruence).  Each of the s - 1 rounds adds one
     shifted copy of the counts per member square.  A round's entries are sums
-    of len(squares) entries of the last, so while max * len(squares) < 2^63
+    of len(ks) entries of the last, so while max * len(ks) < 2^63
     int64 cannot overflow; past that the counts move to Python ints (object
     dtype).  The lattice holds the line's maximum, so the switch falls in the
     same round as on the full line.
@@ -101,13 +99,12 @@ def count_representations(
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     count_budget(limit, s)
-    squares = np.flatnonzero(square_indicator(limit, spec, table))
     stride, unit = _lattice(spec)
-    ks = (squares - unit) // stride
+    ks = (member_roots(spec, table, limit) ** 2 - unit) // stride
     acc = np.zeros(_lattice_width(limit, 1, stride, unit), dtype=np.int64)
     acc[ks] = 1
     for j in range(2, s + 1):
-        if int(acc.max(initial=0)) * len(squares) >= 1 << 63:
+        if int(acc.max(initial=0)) * len(ks) >= 1 << 63:
             acc = acc.astype(object)
         width = _lattice_width(limit, j, stride, unit)
         nxt = np.zeros(width, dtype=acc.dtype)
@@ -153,32 +150,10 @@ def scan_lattice(s: int, spec: PrimeSubsetSpec, hi: int) -> tuple[int, int, int]
     return stride, unit, cap
 
 
-def _square_support(s: int, spec: PrimeSubsetSpec, table: PrimeTable, hi: int):
-    """(stride, unit, cap, ks): the scan lattice and the k of each p^2 <= hi."""
-    stride, unit, cap = scan_lattice(s, spec, hi)
-    root = math.isqrt(hi)
-    if table.limit < root:
-        raise TableTooSmall(f"need primes up to {root}, table stops at {table.limit}")
-    members = subset_members(spec, table)
-    return stride, unit, cap, (members[members <= root] ** 2 - unit) // stride
-
-
 def _witness(n: int, s: int, stride: int, unit: int, reach: Reach) -> Optional[ReprWitness]:
     K, off = divmod(n - s * unit, stride)
     ks = None if off else reach.smallest(K)
     return None if ks is None else ReprWitness(n, tuple(math.isqrt(stride * k + unit) for k in ks))
-
-
-def find_witness(
-    n: int, s: int, spec: PrimeSubsetSpec, table: PrimeTable
-) -> Optional[ReprWitness]:
-    """Lexicographically smallest nondecreasing tuple of s subset primes whose
-    squares sum to n, or None.  The smallest ordered tuple is nondecreasing,
-    since its sorted copy is a solution too."""
-    if n < 0:
-        return None
-    stride, unit, cap, ks = _square_support(s, spec, table, n)
-    return _witness(n, s, stride, unit, Reach([ks] * s, cap))
 
 
 # -- experiment ----------------------------------------------------------------
@@ -230,7 +205,8 @@ def theorem_experiment(
     lo, hi = n_range
     if lo > hi:
         raise ValueError(f"empty range {n_range}")
-    stride, unit, cap, ks = _square_support(s, spec, table, hi)
+    stride, unit, cap = scan_lattice(s, spec, hi)
+    ks = (member_roots(spec, table, hi) ** 2 - unit) // stride
 
     first = lo + ((s - lo) % 24)
     targets = np.arange(first, hi + 1, 24, dtype=np.int64)

@@ -436,6 +436,27 @@ class TestReports:
         assert result["exceptions"] == []
         assert result["lambda_threshold"] == pytest.approx(0.8660254, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "--s", "8", "--n-lo", "200", "--n-hi", "100000"],
+            ["represent", "--s", "8", "--limit", "100000", "--check", "--csv"],
+        ],
+    )
+    def test_only_the_density_reads_past_the_root(self, tmp_path, monkeypatch, argv):
+        # empirical_density's is the one subset_members call on the table
+        # sieved to 1e5; the squares, the witnesses and the --check oracle
+        # see only the primes up to isqrt(1e5) = 316
+        import psqlab.primes as primes_mod
+        import psqlab.representations as representations_mod
+
+        calls = count_calls(monkeypatch, primes_mod, "subset_members")
+        monkeypatch.setattr(representations_mod, "subset_members", primes_mod.subset_members)
+        assert run(argv + ["--out", str(tmp_path / "r.json")]) == 0
+        tops = sorted(int(table.primes[-1]) for _, table in calls)
+        assert len(tops) >= 2 and tops[-1] == 99991
+        assert all(top <= 316 for top in tops[:-1])
+
     def test_arcs_grid_csv_parses_as_floats(self, tmp_path):
         out = tmp_path / "grid.json"
         code = run(

@@ -107,6 +107,14 @@ class TestSubsetMembers:
             assert np.all(np.isin(members, table_1k.primes))
             assert np.all(members >= spec.min_prime)
 
+    @pytest.mark.parametrize("spec", [PrimeSubsetSpec.all_primes(2), PrimeSubsetSpec.bernoulli(1.0, 3, 2)])
+    def test_members_never_share_the_table(self, spec):
+        table = sieve(1000)
+        members = subset_members(spec, table)
+        assert np.array_equal(members, table.primes)
+        assert not np.shares_memory(members, table.primes)
+        assert table.primes.dtype == np.int64
+
     def test_explicit_intersects_table(self, table_1k):
         spec = PrimeSubsetSpec.explicit([3, 5, 7, 2003])
         # 3 cut by min_prime, 2003 beyond the table

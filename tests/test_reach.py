@@ -49,11 +49,12 @@ class TestReach:
         ]
         reach = Reach(supports, modulus=modulus)
         assert reach.smallest(target) == (min(found) if found else None)
-        assert bool(reach.reachable(target)) == bool(found)
+        assert bool(reach.layers[0][target % modulus]) == bool(found)
 
     def test_reachable_mask_outside_range(self):
         reach = Reach([np.array([1, 2])], cap=3)
-        assert list(reach.reachable([-1, 0, 1, 2, 3, 4])) == [False, False, True, True, False, False]
+        assert list(reach.layers[0]) == [False, True, True, False]
+        assert [reach.smallest(t) for t in (-1, 0, 1, 2, 3, 4)] == [None, None, (1,), (2,), None, None]
 
     def test_budget_checked_before_allocation(self):
         assert reach_budget(9, MAX_CONV_LEN // 2) == MAX_CONV_LEN
@@ -174,13 +175,12 @@ class TestScanMask:
         assert np.array_equal(scan_mask(np.concatenate([ks[::-1], ks[:3]]), s, cap), mask)
 
     def test_planted_gap_falls_back(self, powers):
-        # clusters [1, 50] + 1050 j: G = 1000 and c1 = 2048.  The probe on
-        # [0, 256] holds its upper half, but 7A misses [351, 1055], so no k
-        # covers M - k in [K0, c1) and the scan falls back.
+        # clusters [1, 50] + 1050 j: G = 1000 and c1 = 2048.  7A misses
+        # [351, 1055], so no k covers M - k in [K0, c1) and the scan falls back.
         ks = np.concatenate([np.arange(1, 51) + 1050 * j for j in range(100)])
         cap = 100_000
         mask = scan_mask(ks, 8, cap)
-        assert powers == [(7, 256), (7, 2047), (8, cap)]
+        assert powers == [(7, 2047), (8, cap)]
         assert np.array_equal(mask, sumset_power(ks, 8, cap))
         assert not mask[2048:].all()  # a certificate here would have been wrong
 
@@ -191,18 +191,20 @@ class TestScanMask:
         assert powers[-1] == (8, 200_000)
         assert np.array_equal(mask, sumset_power(ks, 8, 200_000))
 
-    def test_residue_obstruction_takes_the_probe_fallback(self, powers):
-        # p = +-1 mod 5 makes every k a multiple of 5: D misses 4/5 of the lattice
+    def test_residue_obstruction_falls_back(self, powers):
+        # p = +-1 mod 5 makes every k a multiple of 5: D misses 4/5 of the
+        # lattice up to c1, so K0 reaches c1 and no interval covers anything
         ks, cap = lattice_ks(PrimeSubsetSpec.residue_classes(5, [1, 4]), 10, 2_000_000, self.table)
         c1 = 1 << (2 * int(np.diff(ks).max())).bit_length()
         mask = scan_mask(ks, 10, cap)
-        assert powers == [(9, c1 // 8), (10, cap)]  # no dense layer at (9, c1 - 1)
+        assert powers == [(9, c1 - 1), (10, cap)]
         assert np.array_equal(mask, sumset_power(ks, 10, cap))
 
     @pytest.mark.parametrize("s, hi", [(1, 100_000), (2, 100_000), (8, 400)])
     def test_edges_fall_back(self, powers, s, hi):
         # s = 1 and c1 >= cap (at n <= 400: ks 1, 2, 5, 7, 12, 15, G = 5,
-        # c1 = 16 = cap) never build a dense layer; s = 2 fails the probe
+        # c1 = 16 = cap) never build a dense layer; at s = 2, D = A misses up
+        # to c1, so its cover fails
         ks, cap = lattice_ks(PrimeSubsetSpec.all_primes(), s, hi, self.table)
         mask = scan_mask(ks, s, cap)
         assert powers[-1] == (s, cap) and len(powers) == (2 if s == 2 else 1)
@@ -212,9 +214,9 @@ class TestScanMask:
         table = sieve(math.isqrt(200_000_000))
         ks, cap = lattice_ks(PrimeSubsetSpec.all_primes(), 8, 200_000_000, table)
         mask = scan_mask(ks, 8, cap)
-        (s_probe, probe), (s_dense, top) = powers
+        [(s_dense, top)] = powers
         c1 = top + 1
-        assert s_probe == s_dense == 7 and probe == c1 // 8 and c1 <= 1 << 18
+        assert s_dense == 7 and c1 <= 1 << 18
         assert mask[c1:].all() and not mask[:7].any()
 
     def test_descent_product_is_certified(self, monkeypatch, powers):

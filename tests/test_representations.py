@@ -13,11 +13,10 @@ from psqlab.representations import (
     MAX_CONV_LEN,
     count_budget,
     count_representations,
-    find_witness,
     lambda_threshold,
     m_window_deviation,
+    member_roots,
     scan_lattice,
-    square_indicator,
     theorem_experiment,
     transfer_witness,
 )
@@ -32,6 +31,26 @@ def brute_force_counts(limit, s, spec, table):
         if total <= limit:
             counts[total] += 1
     return counts
+
+
+def brute_smallest(n, s, spec, table):
+    """The lexicographically smallest nondecreasing s-tuple of subset primes
+    whose squares sum to n, by enumeration, or None."""
+    members = [int(p) for p in subset_members(spec, table) if p * p <= n]
+    return next(
+        (c for c in itertools.combinations_with_replacement(members, s)
+         if sum(p * p for p in c) == n),
+        None,
+    )
+
+
+def smallest_witness(n, s, spec, table):
+    """The primes of the lexicographically smallest s-tuple of member squares
+    summing to n, from lex_smallest_sum over [0, n], or None.  The smallest
+    ordered tuple is nondecreasing, since its sorted copy is a solution too."""
+    squares = member_roots(spec, table, max(n, 0)) ** 2
+    found = lex_smallest_sum([squares] * s, n)
+    return None if found is None else tuple(math.isqrt(v) for v in found)
 
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
@@ -54,21 +73,39 @@ def small_specs(draw):
 
 
 class TestSquareIndicator:
+    """The prime-square indicator is the one-fold count, and its support is
+    member_roots squared."""
+
     def test_small(self, table_1k, all_spec):
-        ind = square_indicator(30, all_spec, table_1k)
-        assert list(np.flatnonzero(ind)) == [25]
+        ind = count_representations(30, 1, all_spec, table_1k).counts
+        assert list(ind) == [0] * 25 + [1] + [0] * 5
 
     def test_medium(self, table_1k, all_spec):
-        ind = square_indicator(130, all_spec, table_1k)
+        ind = count_representations(130, 1, all_spec, table_1k).counts
         assert list(np.flatnonzero(ind)) == [25, 49, 121]
+        assert set(ind.tolist()) == {0, 1}
+        assert list(member_roots(all_spec, table_1k, 130)) == [5, 7, 11]
 
     def test_empty_subset(self, table_1k):
-        ind = square_indicator(100, PrimeSubsetSpec.explicit([]), table_1k)
-        assert not ind.any()
+        ind = count_representations(100, 1, PrimeSubsetSpec.explicit([]), table_1k).counts
+        assert len(ind) == 101 and not ind.any()
 
     def test_table_too_small(self, all_spec):
         with pytest.raises(TableTooSmall):
-            square_indicator(10**6, all_spec, sieve(100))
+            count_representations(10**6, 1, all_spec, sieve(100))
+        with pytest.raises(TableTooSmall):
+            member_roots(all_spec, sieve(100), 10**6)
+        assert member_roots(all_spec, sieve(100), 101**2 - 1)[-1] == 97  # isqrt 100 is in the table
+        with pytest.raises(ValueError):
+            member_roots(all_spec, sieve(100), -1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_specs(), st.integers(0, 4_000_000))
+    def test_member_roots_match_the_full_table(self, spec, hi):
+        members = subset_members(spec, sieve(2000))
+        got = member_roots(spec, sieve(2000), hi)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, members[members <= math.isqrt(hi)])
 
 
 class TestLambdaThreshold:
@@ -102,7 +139,7 @@ class TestCountRepresentations:
 
     def test_agrees_with_repeated_plain_convolution(self, table_1k, all_spec):
         limit = 20_000
-        ind = square_indicator(limit, all_spec, table_1k)
+        ind = count_representations(limit, 1, all_spec, table_1k).counts
         want = ind.copy()
         for _ in range(2):
             want = np.convolve(want, ind)[: limit + 1]
@@ -147,55 +184,49 @@ class TestCountRepresentations:
 
     def test_counts_divisible_by_orbit(self, table_1k, all_spec):
         counts = count_representations(500, 3, all_spec, table_1k).counts
-        w = find_witness(171, 3, all_spec, table_1k)  # 25 + 25 + 121
-        assert w is not None
+        w = smallest_witness(171, 3, all_spec, table_1k)  # 25 + 25 + 121
+        assert w == (5, 5, 11)
         from collections import Counter
 
         orbit = math.factorial(3)
-        for mult in Counter(w.primes).values():
+        for mult in Counter(w).values():
             orbit //= math.factorial(mult)
         assert counts[171] % orbit == 0
 
 
 class TestFindWitness:
+    """Smallest witnesses: lex_smallest_sum over the member squares."""
+
     def test_all_fives(self, table_1k, all_spec):
-        assert find_witness(200, 8, all_spec, table_1k).primes == (5,) * 8
+        assert smallest_witness(200, 8, all_spec, table_1k) == (5,) * 8
 
     def test_five_seven(self, table_1k, all_spec):
-        assert find_witness(74, 2, all_spec, table_1k).primes == (5, 7)
+        assert smallest_witness(74, 2, all_spec, table_1k) == (5, 7)
 
     def test_none_when_impossible(self, table_1k, all_spec):
-        assert find_witness(100, 2, all_spec, table_1k) is None
+        assert smallest_witness(100, 2, all_spec, table_1k) is None
 
     def test_lexicographically_smallest(self, table_1k, all_spec):
-        assert find_witness(290, 2, all_spec, table_1k).primes == (11, 13)
+        assert smallest_witness(290, 2, all_spec, table_1k) == (11, 13)
 
     def test_respects_subset(self, table_1k):
         spec = PrimeSubsetSpec.explicit([7, 11])
-        w = find_witness(170, 2, spec, table_1k)  # 49 + 121
-        assert w.primes == (7, 11)
-        assert find_witness(74, 2, spec, table_1k) is None
+        assert smallest_witness(170, 2, spec, table_1k) == (7, 11)  # 49 + 121
+        assert smallest_witness(74, 2, spec, table_1k) is None
 
     def test_witness_validates(self, table_1k, all_spec):
         for n in (224, 1088, 4328):
-            w = find_witness(n, 8, all_spec, table_1k)
+            w = smallest_witness(n, 8, all_spec, table_1k)
             assert w is not None
-            assert sum(p * p for p in w.primes) == w.n == n
-            assert all(table_1k.is_prime(p) for p in w.primes)
-            assert list(w.primes) == sorted(w.primes)
+            assert sum(p * p for p in w) == n
+            assert all(table_1k.is_prime(p) for p in w)
+            assert list(w) == sorted(w)
 
     @settings(max_examples=60, deadline=None)
     @given(small_specs(), st.integers(1, 4), st.integers(0, 3000))
     def test_matches_brute_force_smallest(self, spec, s, n):
         table = sieve(100)
-        members = [int(p) for p in subset_members(spec, table) if p * p <= n]
-        want = next(
-            (c for c in itertools.combinations_with_replacement(members, s)
-             if sum(p * p for p in c) == n),
-            None,
-        )
-        w = find_witness(n, s, spec, table)
-        assert (w.primes if w else None) == want
+        assert smallest_witness(n, s, spec, table) == brute_smallest(n, s, spec, table)
 
 
 class TestTheoremExperiment:
@@ -211,7 +242,7 @@ class TestTheoremExperiment:
         represented = [n for n in targets if counts[n] != 0]
         assert [w.n for w in report.sample_witnesses] == represented[:3]
         for w in report.sample_witnesses:
-            assert w == find_witness(w.n, s, spec, table)
+            assert w.primes == brute_smallest(w.n, s, spec, table)
 
     def test_scan_lattice_reach(self, all_spec):
         # stride 24: the FFT over K holds 2 * (cap + 1) <= MAX_CONV_LEN points
