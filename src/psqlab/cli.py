@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from ._csvio import write_csv
-from ._gridfft import MAX_LAYER_CELLS, sumset_power
+from ._gridfft import MAX_LAYER_CELLS, reach_budget, sumset_power
 from .errors import Infeasible, NotFound, PsqLabError, TooLarge
 from .expsums import (
     MAX_GAUSS_MODULUS,
@@ -329,15 +329,19 @@ def _cmd_sumset_verify(args) -> tuple[dict, int]:
     return {"lemma": report.to_json()}, 1 if report.failures else 0
 
 
-def _count_violations(counts: np.ndarray, s: int, spec: PrimeSubsetSpec, table) -> np.ndarray:
+def _count_violations(
+    counts: np.ndarray, s: int, spec: PrimeSubsetSpec, table, n_lo: int, exceptions
+) -> np.ndarray:
     """Sorted n with a nonzero count off n = s (mod 24), together with the n
     where "count is nonzero" disagrees with a stride-1 route that never
-    touches the lattice the counts were built on.  With m0 the least member
-    square, no n below s*m0 is a sum of s member squares, and on the window
-    of 2^12 + 1 values from s*m0 the sums are s*m0 plus the s-fold sumset of
-    the member squares less m0.  The window costs a few ms at any s; it
-    shrinks only past s = 65,000, to stay in sumset_power's budget, so no
-    input that ran before now exits 2."""
+    touches the lattice the counts were built on, and the scan's targets
+    (n = s mod 24 in [n_lo, limit]) where "n is one of its exceptions"
+    disagrees with "count is zero".  With m0 the least member square, no n
+    below s*m0 is a sum of s member squares, and on the window of 2^12 + 1
+    values from s*m0 the sums are s*m0 plus the s-fold sumset of the member
+    squares less m0.  The window costs a few ms at any s; it shrinks only
+    past s = 65,000, to stay in sumset_power's budget, so no input that ran
+    before now exits 2."""
     limit = len(counts) - 1
     nonzero = counts != 0
     bad = nonzero.copy()
@@ -349,6 +353,9 @@ def _count_violations(counts: np.ndarray, s: int, spec: PrimeSubsetSpec, table) 
     if width:
         reached = sumset_power(squares - squares[0], s, width - 1)
         bad[lo : lo + width] |= nonzero[lo : lo + width] != reached
+    # the scan's targets n >= 0: from the first one at or past n_lo, or s mod 24
+    targets = np.arange(max(n_lo + (s - n_lo) % 24, s % 24), limit + 1, 24)
+    bad[targets] |= np.isin(targets, exceptions) == nonzero[targets]
     return np.flatnonzero(bad)
 
 
@@ -371,8 +378,8 @@ def _cmd_represent(args) -> tuple[dict, int]:
     if args.check or csv_path:
         counts = count_representations(args.limit, args.s, spec, table)
     if args.check and spec.min_prime >= 5:
-        bad = _count_violations(counts.counts, args.s, spec, table)
-        result["congruence_scan_violations"] = [int(x) for x in bad[:20]]
+        bad = _count_violations(counts.counts, args.s, spec, table, lo, report.exceptions)
+        result["congruence_scan_violations"] = bad[:20].tolist()
         if len(bad):
             code = 1
     if csv_path:
@@ -385,6 +392,9 @@ def _cmd_transfer(args) -> tuple[dict, int]:
     ctx = build_context(args.w)
     spec = _parse_spec(args.spec, args.seed)
     N = max(1, (2 * args.n) // (args.s * ctx.W))
+    # the index search sums s indices to m = (n - sum of s residues < W) / W,
+    # so its reachability budget at the least such m is refused before the sieve
+    reach_budget(args.s + 1, max((args.n - args.s * (ctx.W - 1)) // ctx.W, 0) + 1)
     top = math.isqrt(ctx.W * N + max(ctx.Z_W)) + 1
     table = sieve(max(top, math.isqrt(args.n) + 1, 100))
     result: dict = {

@@ -5,13 +5,16 @@ boolean reachability, not counting: p^2 = 24k + 1 for every prime p >= 5,
 so s such squares sum to s + 24K and the search runs over K, a lattice 24
 times shorter than [0, n].  Specs admitting 2 or 3 use stride 1.
 
-The exception scan reads only the s-fold sumset sA.  A certified descent
-builds (s-1)A on a short dense prefix, where it holds every K from some K0
-on, and checks that the intervals [k + K0, k + c1) over the member k cover
-the rest of the range, which puts all of it in sA by proof; sA on the
-prefix is one more product.  Where the cover does not close, sA comes from
-binary powering over the whole range.  The suffix layers that witnesses
-need are built only up to the last sampled target.
+The exception scan reads only the s-fold sumset sA.  When every member k
+lies on one progression k0 + gZ (g > 1, as under a residue spec that
+forces k = 0 mod 5), the scan runs on (A - k0)/g, g times shorter.  A
+certified descent builds (s-1)A on a short dense prefix, where it holds
+every K from some K0 on, and checks that the intervals [k + K0, k + c1)
+over the member k cover the rest of the range, which puts all of it in sA
+by proof; sA on the prefix is one more product.  Where the cover does not
+close, sA comes from binary powering over the whole (reduced) range.  The
+suffix layers that witnesses need are built only up to the last sampled
+target.
 
 Ordered representation counts come from s-fold convolution of the
 prime-square indicator on the same lattice, in s - 1 rounds of shifted
@@ -182,7 +185,7 @@ class ExperimentReport:
             "density_exceeds_threshold": self.density_exceeds_threshold,
             "range": list(self.range),
             "n_checked": self.n_checked,
-            "exceptions": [int(x) for x in self.exceptions],
+            "exceptions": list(self.exceptions),
             "max_exception": self.max_exception,
             "sample_witnesses": [w.to_json() for w in self.sample_witnesses],
             "exploratory": self.exploratory,
@@ -212,7 +215,7 @@ def theorem_experiment(
     targets = np.arange(first, hi + 1, 24, dtype=np.int64)
     K = (targets - s * unit) // stride  # below 0 only for n < s * unit
     hit = (K >= 0) & scan_mask(ks, s, cap)[np.maximum(K, 0)]
-    exceptions = tuple(int(x) for x in targets[~hit])
+    exceptions = tuple(targets[~hit].tolist())
     witnesses = []
     sampled = targets[hit][:sample_limit]
     if len(sampled):
@@ -230,7 +233,7 @@ def theorem_experiment(
         range=(lo, hi),
         n_checked=len(targets),
         exceptions=exceptions,
-        max_exception=max(exceptions) if exceptions else None,
+        max_exception=exceptions[-1] if exceptions else None,  # targets ascend
         sample_witnesses=witnesses,
         exploratory=s < 8,
     )

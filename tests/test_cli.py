@@ -326,6 +326,38 @@ class TestRepresentAndTransfer:
         assert run(argv) == 1
         assert load(out)["result"]["congruence_scan_violations"] == [4976, 5000]
 
+    @pytest.mark.parametrize(
+        "argv, n, excepted",
+        [
+            # a dropped hit: 5000 = 8 (mod 24) has a count
+            (["--s", "8", "--limit", "20000"], 5000, True),
+            # a false hit: p = +-1 (mod 5) puts every K = (n - 10)/24 in 50 + 5Z,
+            # and 24034 = 10 + 24 * 1001 is past the three sampled witnesses
+            (["--s", "10", "--limit", "30000", "--spec", "residues:5:1,4"], 24034, False),
+        ],
+    )
+    def test_check_fails_on_a_wrong_scan(self, tmp_path, monkeypatch, argv, n, excepted):
+        # the counts are a second route for the scan: an n = s (mod 24) in
+        # range is an exception exactly where its count is zero
+        import psqlab.representations as repr_mod
+
+        real = repr_mod.scan_mask
+        calls = []
+
+        def flipped(ks, s, cap):
+            calls.append(cap)
+            mask = real(ks, s, cap).copy()
+            mask[(n - s) // 24] ^= True
+            return mask
+
+        monkeypatch.setattr(repr_mod, "scan_mask", flipped)
+        out = tmp_path / "rep.json"
+        assert run(["represent", *argv, "--check", "--out", str(out)]) == 1
+        result = load(out)["result"]
+        assert (n in result["exceptions"]) == excepted
+        assert result["congruence_scan_violations"] == [n]
+        assert len(calls) == 1  # the oracle never reads the scan's mask
+
     def test_limit_below_default_n_lo_exits_two(self, capsys):
         assert run(["represent", "--s", "40", "--limit", "0", "--spec", "all", "--csv"]) == 2
         err = capsys.readouterr().err
@@ -351,6 +383,21 @@ class TestRepresentAndTransfer:
         )
         assert code == 0
         assert load(out)["result"]["status"] == "infeasible"
+
+    @pytest.mark.parametrize("n", [96000000008, 960000000008, 4000000000000000008])
+    def test_transfer_past_index_budget_exits_two_before_sieve(self, n, monkeypatch, capsys):
+        # every residue is below W, so m >= (n - s*(W - 1)) / W, and the index
+        # search over m would be refused after a sieve of up to 1.86 GiB and
+        # weighted sequences of up to 14.9 GiB
+        import psqlab.cli as cli_mod
+
+        def no_sieve(limit):
+            raise AssertionError("sieved before the index-search budget check")
+
+        monkeypatch.setattr(cli_mod, "sieve", no_sieve)
+        assert run(["transfer", "--w", "6", "--n", str(n), "--s", "8"]) == 2
+        err = capsys.readouterr().err
+        assert "over budget" in err and "Traceback" not in err
 
 
 class TestReports:
@@ -569,6 +616,9 @@ class TestReports:
              '{"variant": "all", "min_prime": 2}'],
             ["represent", "--s", "8", "--limit", str(8 + 24 * (1 << 23))],
             ["experiment", "--s", "80", "--n-lo", "5000", "--n-hi", "100000000"],
+            # the scan over (A - k0)/5 would fit, but the budget is the full cap's
+            ["experiment", "--s", "10", "--n-lo", "5000", "--n-hi", str(10 + 24 * (1 << 23)),
+             "--spec", "residues:5:1,4"],
         ],
     )
     def test_scan_past_reach_exits_two(self, argv, capsys):

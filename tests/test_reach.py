@@ -150,6 +150,9 @@ specs_st = st.one_of(
     st.sampled_from(
         [
             PrimeSubsetSpec.residue_classes(5, [1, 4]),
+            PrimeSubsetSpec.residue_classes(5, [2, 3]),
+            PrimeSubsetSpec.residue_classes(7, [1, 6]),
+            PrimeSubsetSpec.residue_classes(13, [1, 12]),
             PrimeSubsetSpec.residue_classes(7, [1, 2, 3]),
             PrimeSubsetSpec.residue_classes(12, [1, 5, 7]),
         ]
@@ -191,14 +194,49 @@ class TestScanMask:
         assert powers[-1] == (8, 200_000)
         assert np.array_equal(mask, sumset_power(ks, 8, 200_000))
 
-    def test_residue_obstruction_falls_back(self, powers):
-        # p = +-1 mod 5 makes every k a multiple of 5: D misses 4/5 of the
-        # lattice up to c1, so K0 reaches c1 and no interval covers anything
-        ks, cap = lattice_ks(PrimeSubsetSpec.residue_classes(5, [1, 4]), 10, 2_000_000, self.table)
-        c1 = 1 << (2 * int(np.diff(ks).max())).bit_length()
+    @pytest.mark.parametrize(
+        "modulus, classes, k0, g",
+        [(5, [1, 4], 5, 5), (5, [2, 3], 2, 5), (7, [1, 6], 7, 7)],
+        ids=["residues5_1_4", "residues5_2_3", "residues7_1_6"],
+    )
+    def test_residue_obstruction_takes_the_descent(self, powers, modulus, classes, k0, g):
+        # p = +-1 mod 5 makes every k a multiple of 5 (p = +-2 mod 5: k = 2
+        # mod 5; p = +-1 mod 7: k = 0 mod 7), so A lies on k0 + gZ.  The
+        # descent runs on J = (A - k0)/g over [0, (cap - s*k0)//g] and closes
+        # there: one dense layer, no sumset_power at the full cap
+        spec = PrimeSubsetSpec.residue_classes(modulus, classes)
+        ks, cap = lattice_ks(spec, 10, 2_000_000, self.table)
+        assert int(ks.min()) == k0 and np.gcd.reduce(ks - k0) == g
         mask = scan_mask(ks, 10, cap)
-        assert powers == [(9, c1 - 1), (10, cap)]
+        [(s_dense, top)] = powers
+        assert s_dense == 9 and top < (cap - 10 * k0) // g
         assert np.array_equal(mask, sumset_power(ks, 10, cap))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 40),
+        st.integers(2, 9),
+        st.lists(st.integers(0, 300), max_size=20),
+        st.integers(1, 8),
+        st.integers(0, 4000),
+    )
+    def test_progression_matches_sumset_power(self, k0, g, js, s, cap):
+        ks = k0 + g * np.array([0] + js, dtype=np.int64)
+        assert np.array_equal(scan_mask(ks, s, cap), sumset_power(ks, s, cap))
+
+    @pytest.mark.parametrize(
+        "ks, s, cap, reached",
+        [
+            ([7], 8, 100, [56]),  # one member: g = 0
+            ([7, 7, 7], 8, 100, [56]),  # a repeated single value: g = 0
+            ([10, 20, 30], 5, 40, []),  # s*k0 > cap: nothing is reachable
+            ([10, 20, 30], 5, 50, [50]),  # s*k0 = cap: only the top entry
+        ],
+    )
+    def test_progression_edges(self, ks, s, cap, reached):
+        mask = scan_mask(np.array(ks), s, cap)
+        assert np.array_equal(mask, sumset_power(np.array(ks), s, cap))
+        assert np.flatnonzero(mask).tolist() == reached
 
     @pytest.mark.parametrize("s, hi", [(1, 100_000), (2, 100_000), (8, 400)])
     def test_edges_fall_back(self, powers, s, hi):
