@@ -104,32 +104,18 @@ def sumset_power(support, s: int, cap: int) -> np.ndarray:
 def scan_mask(support, s: int, cap: int) -> np.ndarray:
     """sumset_power(support, s, cap), by a certified descent where one closes.
 
-    A is the support on [0, cap], k0 its least member and g the gcd of its
-    differences from k0.  If g > 1 and s*k0 <= cap, A lies on the progression
-    k0 + gZ and sA is exactly s*k0 + g * sJ with J = (A - k0)/g, so the scan
-    runs on J (which holds 0 and has gcd 1) over [0, (cap - s*k0)//g] and is
-    scattered onto every g-th entry from s*k0; the rest is False.  This takes
-    a residue obstruction such as p = +-1 (mod 5), where every k is a
-    multiple of 5, out of the descent.
-
-    On J (or on A when g <= 1), G is the largest gap and c1 the least power
+    A is the support on [0, cap], G its largest gap and c1 the least power
     of two at least 2G + 1.  D = (s-1)A on [0, c1) holds all of [K0, c1).  If
     the intervals [k + K0, k + c1 - 1], k in A, cover [c1, cap], every M
     there is k + d with d in D, so sA holds all of it; below c1, sA is the
     one certified product D + A.  Otherwise (s < 2, c1 >= cap, or a gap in
-    the cover, as when J itself is obstructed, say mod a prime not dividing
-    its differences, or its members are too sparse) this is
-    sumset_power over the (reduced) range.
+    the cover, as when A is obstructed modulo some q or its members are too
+    sparse) this is sumset_power over the whole range.  A support on a
+    progression k0 + gZ, g > 1, never closes the cover; the exception scan
+    hands this its reduced form (representations.square_progression).
     """
     ks = np.sort(np.asarray(support, dtype=np.int64))  # not np.unique: ~10 ms on first use
     ks = ks[ks <= cap]
-    if len(ks):
-        k0 = int(ks[0])
-        g = int(np.gcd.reduce(ks - k0))
-        if g > 1 and s * k0 <= cap:
-            out = np.zeros(cap + 1, dtype=bool)
-            out[s * k0 :: g] = scan_mask((ks - k0) // g, s, (cap - s * k0) // g)
-            return out
     c1 = 1 << (2 * int(np.diff(ks).max(initial=0))).bit_length()
     if s >= 2 and c1 < cap:
         dense = sumset_power(ks, s - 1, c1 - 1)

@@ -6,26 +6,15 @@ so W*N + b and p**2 comparisons stay exact at any desk scale.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import NonInvertible
+from .primes import sieve
 
 # Trial-division table: every n whose part free of primes below 2**16 is
 # below 2**32 factors completely against it.
 _TABLE_LIMIT = 1 << 16
-
-
-def _build_small_primes(limit: int) -> list[int]:
-    mark = bytearray([1]) * (limit + 1)
-    mark[0] = mark[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if mark[p]:
-            mark[p * p :: p] = bytes(len(mark[p * p :: p]))
-    return [i for i in range(limit + 1) if mark[i]]
-
-
-_SMALL_PRIMES = _build_small_primes(_TABLE_LIMIT)
+_SMALL_PRIMES = sieve(_TABLE_LIMIT).primes.tolist()
 
 
 @dataclass(frozen=True)

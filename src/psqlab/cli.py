@@ -5,7 +5,9 @@ the tool version, and the log convention used for arc cutoffs, so a run can
 be reproduced from its own output.  Reports go to --out atomically (temp
 file plus rename); CSV sidecars land next to the report.
 
-Exit codes: 0 success, 1 verification failure (an oracle disagreed), 2 usage.
+Exit codes: 0 success, 1 verification failure (an oracle disagreed, or a
+computation's own certificate or second route failed: VerificationError),
+2 usage.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from . import __version__
 from ._csvio import write_csv
 from ._gridfft import MAX_LAYER_CELLS, reach_budget, sumset_power
-from .errors import Infeasible, NotFound, PsqLabError, TooLarge
+from .errors import Infeasible, NotFound, PsqLabError, TooLarge, VerificationError
 from .expsums import (
     MAX_GAUSS_MODULUS,
     arc_partition,
@@ -334,7 +336,7 @@ def _count_violations(
 ) -> np.ndarray:
     """Sorted n with a nonzero count off n = s (mod 24), together with the n
     where "count is nonzero" disagrees with a stride-1 route that never
-    touches the lattice the counts were built on, and the scan's targets
+    divides by the step g the counts were built on, and the scan's targets
     (n = s mod 24 in [n_lo, limit]) where "n is one of its exceptions"
     disagrees with "count is zero".  With m0 the least member square, no n
     below s*m0 is a sum of s member squares, and on the window of 2^12 + 1
@@ -541,6 +543,9 @@ def run(argv: list[str]) -> int:
         result, code = args.handler(args)
         report = _report(args.command, config, result)
         _emit(report, args.out)
+    except VerificationError as exc:
+        sys.stderr.write(f"psqlab: verification failed: {exc}\n")
+        return 1
     except (PsqLabError, ValueError, OSError) as exc:
         sys.stderr.write(f"psqlab: error: {exc}\n")
         return 2

@@ -1,23 +1,18 @@
 """Counting and exhibiting n = p_1^2 + ... + p_s^2 with all p_j in P.
 
-Existence (the exception scan, witnesses, the transfer's index search) is
-boolean reachability, not counting: p^2 = 24k + 1 for every prime p >= 5,
-so s such squares sum to s + 24K and the search runs over K, a lattice 24
-times shorter than [0, n].  Specs admitting 2 or 3 use stride 1.
+Every caller runs on one progression, derived from the member squares:
+with m0 the least square and g the gcd of the differences from it, each
+square is m0 + g*j for j in J = (squares - m0)/g, so a sum of s squares is
+n = s*m0 + g*M with M in sJ.  For p >= 5, p^2 = 1 (mod 24) makes g a
+multiple of 24; under a residue spec such as p = +-1 (mod 5) the squares
+lie on 121 + 120Z and g = 120.
 
-The exception scan reads only the s-fold sumset sA.  When every member k
-lies on one progression k0 + gZ (g > 1, as under a residue spec that
-forces k = 0 mod 5), the scan runs on (A - k0)/g, g times shorter.  A
-certified descent builds (s-1)A on a short dense prefix, where it holds
-every K from some K0 on, and checks that the intervals [k + K0, k + c1)
-over the member k cover the rest of the range, which puts all of it in sA
-by proof; sA on the prefix is one more product.  Where the cover does not
-close, sA comes from binary powering over the whole (reduced) range.  The
-suffix layers that witnesses need are built only up to the last sampled
-target.
+Existence (the exception scan, witnesses) is boolean reachability over M.
+The scan reads only the s-fold sumset sJ, from scan_mask; the suffix layers
+that witnesses need are built only up to the last sampled target.
 
 Ordered representation counts come from s-fold convolution of the
-prime-square indicator on the same lattice, in s - 1 rounds of shifted
+prime-square indicator on the same progression, in s - 1 rounds of shifted
 integer adds (one per member square), then are scattered onto [0, limit].
 No floating point is involved: int64 while a bound on the next round proves
 it cannot overflow, Python ints (object dtype) after.
@@ -33,7 +28,7 @@ import numpy as np
 
 from ._csvio import write_csv
 from ._gridfft import MAX_CONV_LEN, Reach, lex_smallest_sum, reach_budget, scan_mask
-from .errors import NotFound, TableTooSmall, TooLarge
+from .errors import NotFound, TableTooSmall, TooLarge, VerificationError
 from .primes import PrimeSubsetSpec, PrimeTable, empirical_density, subset_members
 from .wtrick import WContext, delta_table, f_sequence, select_residues
 
@@ -55,6 +50,20 @@ def member_roots(spec: PrimeSubsetSpec, table: PrimeTable, hi: int) -> np.ndarra
     return subset_members(spec, PrimeTable(root, table.primes_upto(root)))
 
 
+def square_progression(
+    spec: PrimeSubsetSpec, table: PrimeTable, hi: int
+) -> tuple[int, int, np.ndarray]:
+    """(m0, g, J) with every member square up to hi equal to m0 + g*j for one
+    j in J: m0 the least square, g the gcd of the differences from it, J
+    sorted and holding 0.  A sum of s squares is s*m0 + g*M with M in sJ.
+    With one member there is no difference, and g = hi + 1 steps past the
+    range; with none, m0 = hi + 1 puts every sum past it."""
+    squares = member_roots(spec, table, hi) ** 2
+    m0 = int(squares[0]) if len(squares) else hi + 1
+    g = int(np.gcd.reduce(squares - m0)) or hi + 1
+    return m0, g, (squares - m0) // g
+
+
 @dataclass(frozen=True)
 class ReprCountTable:
     """Ordered s-tuple counts: counts[n] = #{(p_1..p_s) in P^s : sum p_j^2 = n}."""
@@ -74,48 +83,36 @@ def count_budget(limit: int, s: int) -> None:
         raise TooLarge(f"convolution length {2 * limit + 1} over budget {MAX_CONV_LEN}")
 
 
-def _lattice(spec: PrimeSubsetSpec) -> tuple[int, int]:
-    """(stride, unit) with p^2 = stride*k + unit for every prime p in the spec:
-    (24, 1), since p^2 = 1 (mod 24) for p >= 5, unless the spec admits 2 or 3."""
-    return (24, 1) if spec.min_prime >= 5 else (1, 0)
-
-
-def _lattice_width(limit: int, j: int, stride: int, unit: int) -> int:
-    """Number of n = j*unit + stride*K in [0, limit]."""
-    return max((limit - j * unit) // stride + 1, 0)
-
-
 def count_representations(
     limit: int, s: int, spec: PrimeSubsetSpec, table: PrimeTable
 ) -> ReprCountTable:
     """s-fold convolution of the prime-square indicator, exact on [0, limit].
 
-    Runs on the spec's (stride, unit) lattice: after j factors, entry K
-    counts n = j*unit + stride*K, which holds every nonzero count (the rest
-    of the line is zero by the congruence).  Each of the s - 1 rounds adds one
-    shifted copy of the counts per member square.  A round's entries are sums
-    of len(ks) entries of the last, so while max * len(ks) < 2^63
-    int64 cannot overflow; past that the counts move to Python ints (object
-    dtype).  The lattice holds the line's maximum, so the switch falls in the
-    same round as on the full line.
+    Runs on the member squares' progression (square_progression): after j
+    factors, entry M counts n = j*m0 + g*M, which holds every nonzero count
+    (the rest of the line is zero).  Each of the s - 1 rounds adds one shifted
+    copy of the counts per member square.  A round's entries are sums of
+    len(J) entries of the last, so while max * len(J) < 2^63 int64 cannot
+    overflow; past that the counts move to Python ints (object dtype).  The
+    progression holds the line's maximum, so the switch falls in the same
+    round as on the full line.
     """
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     count_budget(limit, s)
-    stride, unit = _lattice(spec)
-    ks = (member_roots(spec, table, limit) ** 2 - unit) // stride
-    acc = np.zeros(_lattice_width(limit, 1, stride, unit), dtype=np.int64)
-    acc[ks] = 1
+    m0, g, J = square_progression(spec, table, limit)
+    acc = np.zeros(max((limit - m0) // g + 1, 0), dtype=np.int64)
+    acc[J] = 1
     for j in range(2, s + 1):
-        if int(acc.max(initial=0)) * len(ks) >= 1 << 63:
+        if int(acc.max(initial=0)) * len(J) >= 1 << 63:
             acc = acc.astype(object)
-        width = _lattice_width(limit, j, stride, unit)
+        width = max((limit - j * m0) // g + 1, 0)
         nxt = np.zeros(width, dtype=acc.dtype)
-        for k in ks[ks < width]:
+        for k in J[J < width]:
             nxt[k:] += acc[: width - k]
         acc = nxt
     counts = np.zeros(limit + 1, dtype=acc.dtype)
-    counts[s * unit :: stride] = acc
+    counts[s * m0 :: g] = acc
     return ReprCountTable(counts=counts)
 
 
@@ -141,22 +138,18 @@ class ReprWitness:
         return out
 
 
-def scan_lattice(s: int, spec: PrimeSubsetSpec, hi: int) -> tuple[int, int, int]:
-    """(stride, unit, cap): s squares p^2 = stride*k + unit summing to n <= hi
-    give n = s*unit + stride*K, 0 <= K <= cap.  Raises TooLarge up front if
-    the search over K is too big."""
+def scan_lattice(s: int, spec: PrimeSubsetSpec, hi: int) -> None:
+    """Raise TooLarge up front if the exception scan over n <= hi is too big.
+
+    Every square of a prime p >= 5 is 1 + 24k, so s of them sum to s + 24K
+    (stride 1 when the spec admits 2 or 3); the budget is that of a search
+    over K <= (hi - s)/24.  The scan itself runs on the member squares'
+    progression, whose step is no shorter than that stride and whose least
+    square is no smaller than its unit, so it is never longer."""
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    stride, unit = _lattice(spec)
-    cap = max(hi - s * unit, 0) // stride
-    reach_budget(s + 1, cap + 1)
-    return stride, unit, cap
-
-
-def _witness(n: int, s: int, stride: int, unit: int, reach: Reach) -> Optional[ReprWitness]:
-    K, off = divmod(n - s * unit, stride)
-    ks = None if off else reach.smallest(K)
-    return None if ks is None else ReprWitness(n, tuple(math.isqrt(stride * k + unit) for k in ks))
+    stride, unit = (24, 1) if spec.min_prime >= 5 else (1, 0)
+    reach_budget(s + 1, max(hi - s * unit, 0) // stride + 1)
 
 
 # -- experiment ----------------------------------------------------------------
@@ -201,26 +194,38 @@ def theorem_experiment(
 ) -> ExperimentReport:
     """Scan every n = s (mod 24) in the range for a representation.
 
-    The scan reads the s-fold sumset from scan_mask; witnesses for the first
-    sample_limit represented targets come from a Reach capped at the last of them.
-    Exceptions (no representation) are reported, never fatal.
+    A target n = s*m0 + g*M is represented when M is a nonnegative integer
+    in sJ (square_progression), which the scan reads from scan_mask;
+    witnesses for the first sample_limit represented targets come from a
+    Reach over J capped at the last of them.  Exceptions (no representation)
+    are reported, never fatal; a sampled target that Reach cannot back
+    raises VerificationError.
     """
     lo, hi = n_range
     if lo > hi:
         raise ValueError(f"empty range {n_range}")
-    stride, unit, cap = scan_lattice(s, spec, hi)
-    ks = (member_roots(spec, table, hi) ** 2 - unit) // stride
+    scan_lattice(s, spec, hi)
+    m0, g, J = square_progression(spec, table, hi)
 
     first = lo + ((s - lo) % 24)
     targets = np.arange(first, hi + 1, 24, dtype=np.int64)
-    K = (targets - s * unit) // stride  # below 0 only for n < s * unit
-    hit = (K >= 0) & scan_mask(ks, s, cap)[np.maximum(K, 0)]
+    M = targets - s * m0  # updated in place: one target-length array besides targets
+    hit = M >= 0
+    if 24 % g or (first - s * m0) % g:  # else every target, 24 apart, is on it
+        hit &= M % g == 0
+    M //= g
+    np.clip(M, 0, None, out=M)
+    hit &= scan_mask(J, s, max(hi - s * m0, 0) // g)[M]
     exceptions = tuple(targets[~hit].tolist())
     witnesses = []
     sampled = targets[hit][:sample_limit]
     if len(sampled):
-        reach = Reach([ks] * s, (int(sampled[-1]) - s * unit) // stride)
-        witnesses = [_witness(int(n), s, stride, unit, reach) for n in sampled]
+        reach = Reach([J] * s, (int(sampled[-1]) - s * m0) // g)
+        for n in sampled.tolist():
+            js = reach.smallest((n - s * m0) // g)
+            if js is None:
+                raise VerificationError(f"scan marks n = {n} represented; no witness reaches it")
+            witnesses.append(ReprWitness(n, tuple(math.isqrt(m0 + g * j) for j in js)))
 
     lam = lambda_threshold(s)
     density = empirical_density(spec, table)

@@ -203,6 +203,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "exceeds bound 33554432" in err and "Traceback" not in err
 
+    def test_verification_error_is_exit_one(self, tmp_path, monkeypatch, capsys):
+        # a rounding certificate that fails is a verification failure, not usage
+        real_irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: real_irfft(*a, **k) + 0.3)
+        out = tmp_path / "exp.json"
+        argv = ["experiment", "--s", "8", "--n-lo", "5000", "--n-hi", "400000", "--out", str(out)]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("psqlab: verification failed: FFT rounding residual")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
     def test_check_failure_is_exit_one(self, tmp_path, monkeypatch):
         import psqlab.cli as cli_mod
 
@@ -331,9 +343,10 @@ class TestRepresentAndTransfer:
         [
             # a dropped hit: 5000 = 8 (mod 24) has a count
             (["--s", "8", "--limit", "20000"], 5000, True),
-            # a false hit: p = +-1 (mod 5) puts every K = (n - 10)/24 in 50 + 5Z,
-            # and 24034 = 10 + 24 * 1001 is past the three sampled witnesses
-            (["--s", "10", "--limit", "30000", "--spec", "residues:5:1,4"], 24034, False),
+            # a false hit: p = +-1 (mod 5) puts every square on 121 + 120Z, 10J
+            # misses M = 1, 3 and 5, and 1810 = 10 * 121 + 120 * 5 is past the
+            # three sampled witnesses (M = 0, 2 and 4)
+            (["--s", "10", "--limit", "30000", "--spec", "residues:5:1,4"], 1810, False),
         ],
     )
     def test_check_fails_on_a_wrong_scan(self, tmp_path, monkeypatch, argv, n, excepted):
@@ -343,11 +356,13 @@ class TestRepresentAndTransfer:
 
         real = repr_mod.scan_mask
         calls = []
+        # the scan's index M of n = s*m0 + g*M: 5^2 + 24Z under all, 11^2 + 120Z
+        M = {5000: (5000 - 8 * 25) // 24, 1810: (1810 - 10 * 121) // 120}[n]
 
         def flipped(ks, s, cap):
             calls.append(cap)
             mask = real(ks, s, cap).copy()
-            mask[(n - s) // 24] ^= True
+            mask[M] ^= True
             return mask
 
         monkeypatch.setattr(repr_mod, "scan_mask", flipped)
@@ -357,6 +372,27 @@ class TestRepresentAndTransfer:
         assert (n in result["exceptions"]) == excepted
         assert result["congruence_scan_violations"] == [n]
         assert len(calls) == 1  # the oracle never reads the scan's mask
+
+    def test_unbacked_witness_exits_one(self, tmp_path, monkeypatch, capsys):
+        # M = 1 is not in 10J under residues:5:1,4; a scan that marks it
+        # (n = 1330) hands the witness search a target it cannot reach
+        import psqlab.representations as repr_mod
+
+        real = repr_mod.scan_mask
+
+        def flipped(ks, s, cap):
+            mask = real(ks, s, cap).copy()
+            assert not mask[1]
+            mask[1] = True
+            return mask
+
+        monkeypatch.setattr(repr_mod, "scan_mask", flipped)
+        out = tmp_path / "rep.json"
+        argv = ["--s", "10", "--limit", "6000", "--n-lo", "0", "--spec", "residues:5:1,4"]
+        assert run(["represent", *argv, "--check", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "n = 1330" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_limit_below_default_n_lo_exits_two(self, capsys):
         assert run(["represent", "--s", "40", "--limit", "0", "--spec", "all", "--csv"]) == 2

@@ -122,8 +122,10 @@ class TestSumsetPower:
 
 
 def lattice_ks(spec, s, hi, table):
-    """(ks, cap): the K of each member square p^2 <= hi and the scan cap for
-    n = s + 24K <= hi, as the exception scan forms them."""
+    """(ks, cap): k = (p^2 - 1)/24 for each member square p^2 <= hi, and the
+    largest K with s + 24K <= hi.  Under all, ks is the exception scan's J
+    plus one (J = (p^2 - 25)/24); under a residue spec it lies on a
+    progression k0 + gZ, g > 1, where the scan must fall back."""
     members = subset_members(spec, table)
     members = members[members <= math.isqrt(hi)]
     return (members**2 - 1) // 24, (hi - s) // 24
@@ -194,24 +196,6 @@ class TestScanMask:
         assert powers[-1] == (8, 200_000)
         assert np.array_equal(mask, sumset_power(ks, 8, 200_000))
 
-    @pytest.mark.parametrize(
-        "modulus, classes, k0, g",
-        [(5, [1, 4], 5, 5), (5, [2, 3], 2, 5), (7, [1, 6], 7, 7)],
-        ids=["residues5_1_4", "residues5_2_3", "residues7_1_6"],
-    )
-    def test_residue_obstruction_takes_the_descent(self, powers, modulus, classes, k0, g):
-        # p = +-1 mod 5 makes every k a multiple of 5 (p = +-2 mod 5: k = 2
-        # mod 5; p = +-1 mod 7: k = 0 mod 7), so A lies on k0 + gZ.  The
-        # descent runs on J = (A - k0)/g over [0, (cap - s*k0)//g] and closes
-        # there: one dense layer, no sumset_power at the full cap
-        spec = PrimeSubsetSpec.residue_classes(modulus, classes)
-        ks, cap = lattice_ks(spec, 10, 2_000_000, self.table)
-        assert int(ks.min()) == k0 and np.gcd.reduce(ks - k0) == g
-        mask = scan_mask(ks, 10, cap)
-        [(s_dense, top)] = powers
-        assert s_dense == 9 and top < (cap - 10 * k0) // g
-        assert np.array_equal(mask, sumset_power(ks, 10, cap))
-
     @settings(max_examples=100, deadline=None)
     @given(
         st.integers(0, 40),
@@ -221,14 +205,17 @@ class TestScanMask:
         st.integers(0, 4000),
     )
     def test_progression_matches_sumset_power(self, k0, g, js, s, cap):
+        # a support on k0 + gZ, g > 1, as the exception scan never hands it:
+        # the dense layer misses every other residue mod g, so the cover
+        # cannot close, and the fallback must still give sA
         ks = k0 + g * np.array([0] + js, dtype=np.int64)
         assert np.array_equal(scan_mask(ks, s, cap), sumset_power(ks, s, cap))
 
     @pytest.mark.parametrize(
         "ks, s, cap, reached",
         [
-            ([7], 8, 100, [56]),  # one member: g = 0
-            ([7, 7, 7], 8, 100, [56]),  # a repeated single value: g = 0
+            ([7], 8, 100, [56]),  # one member: no gap, c1 = 1
+            ([7, 7, 7], 8, 100, [56]),  # a repeated single value: the same set
             ([10, 20, 30], 5, 40, []),  # s*k0 > cap: nothing is reachable
             ([10, 20, 30], 5, 50, [50]),  # s*k0 = cap: only the top entry
         ],

