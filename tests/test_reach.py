@@ -125,7 +125,8 @@ def lattice_ks(spec, s, hi, table):
     """(ks, cap): k = (p^2 - 1)/24 for each member square p^2 <= hi, and the
     largest K with s + 24K <= hi.  Under all, ks is the exception scan's J
     plus one (J = (p^2 - 25)/24); under a residue spec it lies on a
-    progression k0 + gZ, g > 1, where the scan must fall back."""
+    progression k0 + gZ, g > 1, where scan_mask falls back unless handed
+    the reduced form (ks - k0)/g."""
     members = subset_members(spec, table)
     members = members[members <= math.isqrt(hi)]
     return (members**2 - 1) // 24, (hi - s) // 24
@@ -195,6 +196,29 @@ class TestScanMask:
         mask = scan_mask(ks, 8, 200_000)
         assert powers[-1] == (8, 200_000)
         assert np.array_equal(mask, sumset_power(ks, 8, 200_000))
+
+    @pytest.mark.parametrize(
+        "modulus, classes, k0, g",
+        [(5, [1, 4], 5, 5), (5, [2, 3], 2, 5), (7, [1, 6], 7, 7)],
+        ids=["residues5_1_4", "residues5_2_3", "residues7_1_6"],
+    )
+    def test_residue_obstruction_takes_the_descent(self, powers, modulus, classes, k0, g):
+        # p = +-1 mod 5 makes every k a multiple of 5 (p = +-2 mod 5: k = 2
+        # mod 5; p = +-1 mod 7: k = 0 mod 7), so A lies on k0 + gZ.  Handed
+        # J = (A - k0)/g over [0, (cap - s*k0)//g], as the exception scan
+        # hands it, the descent closes: one dense layer, no sumset_power at
+        # the reduced cap, and s*k0 + g*sJ is sA, which is empty off the line
+        spec = PrimeSubsetSpec.residue_classes(modulus, classes)
+        ks, cap = lattice_ks(spec, 10, 2_000_000, self.table)
+        assert int(ks.min()) == k0 and np.gcd.reduce(ks - k0) == g
+        top_j = (cap - 10 * k0) // g
+        mask = scan_mask((ks - k0) // g, 10, top_j)
+        [(s_dense, top)] = powers
+        assert s_dense == 9 and top < top_j
+        full = sumset_power(ks, 10, cap)
+        on_line = 10 * k0 + g * np.arange(top_j + 1)
+        assert np.array_equal(mask, full[on_line])
+        assert full.sum() == mask.sum()
 
     @settings(max_examples=100, deadline=None)
     @given(
