@@ -44,7 +44,6 @@ from .restriction import (
     LevelSetCurve,
     MomentReport,
     dyadic_profile,
-    fourth_moment,
     level_sets,
     lq_moment,
     pair_difference_counts,

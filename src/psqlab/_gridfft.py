@@ -1,7 +1,7 @@
 """Shared FFT plumbing: exponential sums on grids, exact boolean reachability.
 
 A grid transform takes a weighted sequence on [1, N] in its one form: an
-array indexed by n, with values[0] as the padding slot.
+array indexed by n, with values[0] as the padding slot, which is 0.
 
 Every boolean sumset product (the suffix layers of Reach, the binary
 powers of sumset_power and the last product of scan_mask's descent) is an
@@ -38,17 +38,18 @@ def grid_length(N: int, K: int) -> int:
 def grid_transform(values: np.ndarray, N: int, K: int) -> np.ndarray:
     """Exponential sum sum_{n=1}^{N} v(n) e(n k / (K N)) for k = 0 .. K*N - 1.
 
-    values is indexed by n (values[0] is a padding slot).  Index arithmetic
-    is mod K*N, which is exact at grid frequencies.
+    values is indexed by n, and values[0], the padding slot, is 0, so for
+    K > 1 the FFT reads values itself, zero-padded to K*N points.  Index
+    arithmetic is mod K*N, which is exact at grid frequencies.
     """
     L = grid_length(N, K)
-    x = np.zeros(L)
     if L > N:
-        x[1 : N + 1] = values[1 : N + 1]
+        z = np.fft.fft(values[: N + 1], L)
     else:  # K == 1: index N aliases to 0
-        x[1:N] = values[1:N]
+        x = values[:N].copy()
         x[0] = values[N]
-    return np.conj(np.fft.fft(x))
+        z = np.fft.fft(x)
+    return np.conjugate(z, out=z)
 
 
 def reach_budget(layers: int, width: int) -> int:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NonInvertible
 from .primes import sieve
 
 # Trial-division table: every n whose part free of primes below 2**16 is
@@ -67,13 +66,13 @@ def factorize(n: int) -> Factorization:
 
 
 def mod_inverse(a: int, m: int) -> int:
-    """Inverse of a modulo m >= 2; raises NonInvertible when gcd(a, m) != 1."""
+    """Inverse of a modulo m >= 2; raises ValueError when gcd(a, m) != 1."""
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
     try:
         return pow(a, -1, m)
     except ValueError as exc:
-        raise NonInvertible(f"{a} is not invertible mod {m}") from exc
+        raise ValueError(f"{a} is not invertible mod {m}") from exc
 
 
 def euler_phi(n: int) -> int:

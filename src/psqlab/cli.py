@@ -6,8 +6,8 @@ be reproduced from its own output.  Reports go to --out atomically (temp
 file plus rename); CSV sidecars land next to the report.
 
 Exit codes: 0 success, 1 verification failure (an oracle disagreed, or a
-computation's own certificate or second route failed: VerificationError),
-2 usage.
+computation's own certificate, second route or self-check failed:
+VerificationError), 2 usage (ValueError, OSError).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from ._csvio import write_csv
 from ._gridfft import MAX_LAYER_CELLS, reach_budget, sumset_power
-from .errors import Infeasible, NotFound, PsqLabError, TooLarge, VerificationError
+from .errors import Infeasible, NotFound, TooLarge, VerificationError
 from .expsums import (
     MAX_GAUSS_MODULUS,
     arc_partition,
@@ -57,32 +57,43 @@ from .sumsets import exhaustive_lemma_check
 from .wtrick import build_context, f_sequence, nu_sequence
 
 ENV_THREADS = "PSQ_LAB_THREADS"
+FOURTH_MOMENT_TOL = 1e-6  # largest relative gap between the fourth moment's two routes
 
 
 # -- plumbing -----------------------------------------------------------------
 
 
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+def _dump(report: dict, fh) -> None:
+    """json.dumps(report, sort_keys=True, indent=2) and a newline, in batches
+    of joined chunks: the whole text is never held at once, and an unbuffered
+    stream (PYTHONUNBUFFERED) gets one write per batch, not one per chunk."""
+    chunks = []
+    for chunk in json.JSONEncoder(sort_keys=True, indent=2).iterencode(report):
+        chunks.append(chunk)
+        if len(chunks) == 1 << 14:
+            fh.write("".join(chunks))
+            chunks.clear()
+    chunks.append("\n")
+    fh.write("".join(chunks))
+
+
+def _emit(report: dict, out: Optional[str]) -> None:
+    """The report to stdout, or to out atomically: a temp file beside it, renamed."""
+    if not out:
+        _dump(report, sys.stdout)
+        return
+    directory = os.path.dirname(os.path.abspath(out)) or "."
     tmp = os.path.join(directory, f".psqlab-{os.urandom(8).hex()}.tmp")
     # mode 0666 before the umask, as open() gives the CSV sidecars
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+            _dump(report, fh)
+        os.replace(tmp, out)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _emit(report: dict, out: Optional[str]) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if out:
-        _write_atomic(out, text)
-    else:
-        sys.stdout.write(text)
 
 
 def _sidecar(out: Optional[str], suffix: str) -> Optional[str]:
@@ -278,6 +289,11 @@ def _cmd_moments(args) -> tuple[dict, int]:
     spec = _parse_spec(args.spec, args.seed)
     seq = f_sequence(ctx, b, args.N, spec, table)
     grid_route, auto_route = fourth_moment_routes(seq)  # its budget check runs first
+    rel_difference = abs(grid_route - auto_route) / max(abs(grid_route), 1e-300)
+    if rel_difference > FOURTH_MOMENT_TOL:
+        raise VerificationError(
+            f"fourth-moment routes disagree: {grid_route!r} vs {auto_route!r}"
+        )
     report = lq_moment(seq, args.q_exponent, args.K)
     return {
         "w": args.w,
@@ -287,7 +303,7 @@ def _cmd_moments(args) -> tuple[dict, int]:
         "fourth_moment": {
             "grid_route": grid_route,
             "autocorrelation_route": auto_route,
-            "rel_difference": abs(grid_route - auto_route) / max(abs(grid_route), 1e-300),
+            "rel_difference": rel_difference,
         },
     }, 0
 
@@ -334,20 +350,22 @@ def _cmd_sumset_verify(args) -> tuple[dict, int]:
 def _count_violations(
     counts: np.ndarray, s: int, spec: PrimeSubsetSpec, table, n_lo: int, exceptions
 ) -> np.ndarray:
-    """Sorted n with a nonzero count off n = s (mod 24), together with the n
-    where "count is nonzero" disagrees with a stride-1 route that never
-    divides by the step g the counts were built on, and the scan's targets
-    (n = s mod 24 in [n_lo, limit]) where "n is one of its exceptions"
-    disagrees with "count is zero".  With m0 the least member square, no n
-    below s*m0 is a sum of s member squares, and on the window of 2^12 + 1
-    values from s*m0 the sums are s*m0 plus the s-fold sumset of the member
-    squares less m0.  The window costs a few ms at any s; it shrinks only
-    past s = 65,000, to stay in sumset_power's budget, so no input that ran
-    before now exits 2."""
+    """Sorted n with a nonzero count off n = s (mod 24) (when the spec leaves
+    out 2 and 3), together with the n where "count is nonzero" disagrees
+    with a stride-1 route that never divides by the step g the counts were
+    built on, and the scan's targets (n = s mod 24 in [n_lo, limit]) where
+    "n is one of its exceptions" disagrees with "count is zero".  With m0
+    the least member square, no n below s*m0 is a sum of s member squares,
+    and on the window of 2^12 + 1 values from s*m0 the sums are s*m0 plus
+    the s-fold sumset of the member squares less m0.  The window costs a few
+    ms at any s; it shrinks only past s = 65,000, to stay in sumset_power's
+    budget, so no input that ran before now exits 2."""
     limit = len(counts) - 1
     nonzero = counts != 0
-    bad = nonzero.copy()
-    bad[s % 24 :: 24] = False
+    bad = np.zeros_like(nonzero)
+    if spec.min_prime >= 5:  # every p^2 is 1 mod 24
+        bad[:] = nonzero
+        bad[s % 24 :: 24] = False
     squares = member_roots(spec, table, limit) ** 2
     lo = min(s * int(squares[0]), limit + 1) if len(squares) else limit + 1
     bad[:lo] = nonzero[:lo]
@@ -379,7 +397,7 @@ def _cmd_represent(args) -> tuple[dict, int]:
     code = 0
     if args.check or csv_path:
         counts = count_representations(args.limit, args.s, spec, table)
-    if args.check and spec.min_prime >= 5:
+    if args.check:
         bad = _count_violations(counts.counts, args.s, spec, table, lo, report.exceptions)
         result["congruence_scan_violations"] = bad[:20].tolist()
         if len(bad):
@@ -546,7 +564,7 @@ def run(argv: list[str]) -> int:
     except VerificationError as exc:
         sys.stderr.write(f"psqlab: verification failed: {exc}\n")
         return 1
-    except (PsqLabError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"psqlab: error: {exc}\n")
         return 2
     return code

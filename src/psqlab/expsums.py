@@ -21,7 +21,7 @@ import numpy as np
 from ._csvio import write_csv
 from ._gridfft import grid_length, grid_transform
 from .arith import Factorization, euler_phi, factorize, mod_inverse
-from .errors import NotCoprime, QTooLarge, TooLarge
+from .errors import TooLarge, VerificationError
 from .wtrick import WContext, WeightedSequence
 
 # -- pointwise and grid transforms -------------------------------------------
@@ -108,7 +108,7 @@ def gauss_sum(k: int, r: int) -> complex:
         return 1 + 0j
     r %= k
     if math.gcd(r, k) != 1:
-        raise NotCoprime(f"gcd({r}, {k}) != 1")
+        raise ValueError(f"gcd({r}, {k}) != 1")
     ls = np.flatnonzero(unit_mask(factorize(k)))
     phases = (r * ls * ls) % k
     return complex(np.sum(np.exp(2j * np.pi * phases / k)))
@@ -163,7 +163,7 @@ def _check_local_args(ctx: WContext, b: int, q: int, a: int) -> None:
     if q > MAX_LOCAL_FACTOR_Q:
         raise TooLarge(f"q = {q} exceeds bound {MAX_LOCAL_FACTOR_Q}")
     if math.gcd(a, q) != 1:
-        raise NotCoprime(f"gcd({a}, {q}) != 1")
+        raise ValueError(f"gcd({a}, {q}) != 1")
     if b not in ctx.root_map:
         raise ValueError(f"b = {b} not a reduced quadratic residue mod {ctx.W}")
 
@@ -286,7 +286,7 @@ def arc_partition(N: int, A: float) -> ArcPartition:
         raise ValueError(f"A must be >= 0, got {A}")
     Q = math.log(N) ** A
     if N <= 2 * Q * Q:
-        raise QTooLarge(f"need N > 2*Q^2; N = {N}, Q = {Q:.3f}")
+        raise ValueError(f"need N > 2*Q^2; N = {N}, Q = {Q:.3f}")
     arcs = []
     for q in range(1, math.floor(Q) + 1):
         hw = Q / (q * N)
@@ -297,11 +297,11 @@ def arc_partition(N: int, A: float) -> ArcPartition:
     # Disjointness is guaranteed by N > 2Q^2; verify anyway.
     for left, right in zip(arcs, arcs[1:]):
         if left.center + left.half_width >= right.center - right.half_width:
-            raise RuntimeError(f"arcs overlap: {left} and {right}")
+            raise VerificationError(f"arcs overlap: {left} and {right}")
     if len(arcs) > 1:
         first, last = arcs[0], arcs[-1]
         if last.center + last.half_width - 1.0 >= first.center - first.half_width:
-            raise RuntimeError(f"arcs overlap around the wrap: {last} and {first}")
+            raise VerificationError(f"arcs overlap around the wrap: {last} and {first}")
     return ArcPartition(N=N, A=A, Q=Q, arcs=tuple(arcs))
 
 

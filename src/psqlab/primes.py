@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyReference, TooLarge
+from .errors import TooLarge
 
 MAX_SIEVE_LIMIT = 1 << 31
 
@@ -203,7 +203,7 @@ def empirical_density(spec: PrimeSubsetSpec, table: PrimeTable) -> float:
     """|P intersect [limit]| / |primes intersect [limit]|, both above min_prime."""
     reference = int(np.count_nonzero(table.primes >= spec.min_prime))
     if reference == 0:
-        raise EmptyReference(
+        raise ValueError(
             f"no primes >= {spec.min_prime} below {table.limit}; density undefined"
         )
     return len(subset_members(spec, table)) / reference

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._csvio import write_csv
 from ._gridfft import MAX_CONV_LEN, Reach, lex_smallest_sum, reach_budget, scan_mask
-from .errors import NotFound, TableTooSmall, TooLarge, VerificationError
+from .errors import NotFound, TooLarge, VerificationError
 from .primes import PrimeSubsetSpec, PrimeTable, empirical_density, subset_members
 from .wtrick import WContext, delta_table, f_sequence, select_residues
 
@@ -46,7 +46,7 @@ def member_roots(spec: PrimeSubsetSpec, table: PrimeTable, hi: int) -> np.ndarra
         raise ValueError(f"limit must be >= 0, got {hi}")
     root = math.isqrt(hi)
     if table.limit < root:
-        raise TableTooSmall(f"need primes up to {root}, table stops at {table.limit}")
+        raise ValueError(f"need primes up to {root}, table stops at {table.limit}")
     return subset_members(spec, PrimeTable(root, table.primes_upto(root)))
 
 
@@ -273,7 +273,7 @@ def transfer_witness(
 
     m, rem = divmod(n - sum(residues), W)
     if rem:
-        raise RuntimeError("residue sum violates the congruence; selection is broken")
+        raise VerificationError("residue sum violates the congruence; selection is broken")
 
     support = {b: f_sequence(ctx, b, N, spec, table).support() for b in set(residues)}
     supports = [support[b] for b in residues]
@@ -288,10 +288,10 @@ def transfer_witness(
     for b, nj in zip(residues, indices):
         p = math.isqrt(W * nj + b)
         if p * p != W * nj + b or not table.is_prime(p):
-            raise RuntimeError("support index does not correspond to a prime square")
+            raise VerificationError("support index does not correspond to a prime square")
         primes.append(p)
     if sum(p * p for p in primes) != n:
-        raise RuntimeError("transferred witness fails the square-sum identity")
+        raise VerificationError("transferred witness fails the square-sum identity")
     return ReprWitness(
         n=n,
         primes=tuple(primes),

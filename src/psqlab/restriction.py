@@ -1,11 +1,11 @@
 """Level sets, the fourth-moment identity, and empirical L^q moments.
 
 Every function here takes a WeightedSequence(N, values), the one sequence
-form: weights on n in [1, N] with values[0] as the padding slot.  The
-discrete fourth moment is computed along two independent routes and
-cross-checked: a zero-padded frequency grid (no circular wraparound, so the
-grid sum is exactly the autocorrelation identity), and a direct time-domain
-autocorrelation.  Level-set counts use the exact N-point grid.  Each |grid|
+form: weights on n in [1, N] with values[0] as the padding slot, which is
+0.  The discrete fourth moment is computed along two independent routes,
+which the moments command cross-checks: a zero-padded frequency grid (no
+circular wraparound, so the grid sum is exactly the autocorrelation
+identity), and a direct time-domain autocorrelation.  Level-set counts use the exact N-point grid.  Each |grid|
 comes from WeightedSequence.grid_magnitudes, which keeps the sequence's
 last grid, so statistics that read the same grid in turn transform once.
 """
@@ -21,7 +21,7 @@ import numpy as np
 from ._csvio import write_csv
 from ._gridfft import MAX_CONV_LEN, grid_length
 from .arith import divisor_count
-from .errors import TooLarge, VerificationError
+from .errors import TooLarge
 from .wtrick import WeightedSequence
 
 # Relative slack when comparing |transform| against u*N, absorbing the
@@ -78,9 +78,9 @@ def fourth_moment_routes(seq_f: WeightedSequence) -> tuple[float, float]:
     route evaluates the transform on a zero-padded grid of length L >= 2*len,
     where the identity sum |transform|^4 / L = sum |c(k)|^2 is exact; past
     MAX_GRID points it raises TooLarge before either route allocates.  When
-    L is a multiple of N and values[0] == 0, the padded input is that of the
-    (L/N)-fold grid_transform, so the grid is seq_f.grid_magnitudes(L/N),
-    shared with lq_moment at the same K; otherwise it is its own FFT.  Up to
+    L is a multiple of N, the padded input is that of the (L/N)-fold
+    grid_transform, so the grid is seq_f.grid_magnitudes(L/N), shared with
+    lq_moment at the same K; otherwise it is its own FFT.  Up to
     2000 support points the autocorrelation adds the products f(m) f(n) per
     gap in row-major (m, n) order and sums the squares in the order each gap
     first appears.  Past that it is a dense correlation over the support's
@@ -95,7 +95,7 @@ def fourth_moment_routes(seq_f: WeightedSequence) -> tuple[float, float]:
         lo, hi = int(support[0]), int(support[-1]) + 1
         if (hi - lo) ** 2 > MAX_CONV_LEN:
             raise TooLarge(f"{hi - lo} x {hi - lo} autocorrelation over budget {MAX_CONV_LEN}")
-    if N >= 1 and L % N == 0 and arr[0] == 0:
+    if N >= 1 and L % N == 0:
         # the same zero-padded input as grid_transform's (L/N)-fold grid
         mags = seq_f.grid_magnitudes(L // N)
     else:
@@ -126,17 +126,6 @@ def _sparse_autocorrelation_energy(support: np.ndarray, vals: np.ndarray) -> flo
     gaps, first = np.unique(d, return_index=True)
     v = c[gaps[np.argsort(first)] - off]
     return float(np.cumsum(v * v)[-1])  # a running sum: one addition after another
-
-
-def fourth_moment(seq_f: WeightedSequence, rel_tol: float = 1e-6) -> float:
-    """Cross-checked discrete fourth moment; raises if the routes disagree."""
-    route_grid, route_auto = fourth_moment_routes(seq_f)
-    scale = max(abs(route_grid), abs(route_auto), 1e-300)
-    if abs(route_grid - route_auto) > rel_tol * scale:
-        raise VerificationError(
-            f"fourth-moment routes disagree: {route_grid!r} vs {route_auto!r}"
-        )
-    return route_auto
 
 
 # -- support pair gaps -----------------------------------------------------------

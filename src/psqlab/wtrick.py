@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._gridfft import Reach, grid_length, grid_transform
+from ._gridfft import Reach, grid_transform
 from .arith import _SMALL_PRIMES
-from .errors import Infeasible, TableTooSmall, TooLarge
+from .errors import Infeasible, TooLarge, VerificationError
 from .primes import PrimeSubsetSpec, PrimeTable, subset_members
 
 MAX_W = 4_000_000
@@ -78,22 +78,20 @@ def build_context(w: int) -> WContext:
 
     # Structural invariants; violation means the construction is broken.
     if H * len(Z) != phi or any(len(root_map[b]) != H for b in Z):
-        raise RuntimeError(f"root structure invariant failed for w={w}")
+        raise VerificationError(f"root structure invariant failed for w={w}")
     if any(b % 24 != 1 for b in Z):
-        raise RuntimeError(f"found b in Z(W) with b % 24 != 1 for w={w}")
+        raise VerificationError(f"found b in Z(W) with b % 24 != 1 for w={w}")
     return WContext(w=w, W=W, phi_W=phi, H=H, Z_W=Z, root_map=root_map)
 
 
 @dataclass(frozen=True)
 class WeightedSequence:
-    """Nonnegative weights on n in [1, N]; values[0] is a padding slot.
+    """Nonnegative weights on n in [1, N]; values[0] is a padding slot, which
+    must be 0 (ValueError otherwise).
 
-    values is read-only, so the grid grid_magnitudes keeps stays the
-    transform of these weights.  A float64 array that owns its memory and is
-    already read-only is taken as handed over (f_sequence builds its array
-    that way, which spares an N-point copy); anything else, a writable array
-    or a view of one, is copied, so the caller's buffer stays writable and
-    later writes to it do not reach the sequence.
+    values is a private read-only float64 copy, so the grid grid_magnitudes
+    keeps stays the transform of these weights, and the caller's array stays
+    writable without its later writes reaching the sequence.
     """
 
     N: int
@@ -101,13 +99,13 @@ class WeightedSequence:
     _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        values = np.asarray(self.values)
-        if values.flags.writeable or values.base is not None or values.dtype != np.float64:
-            values = np.array(values, dtype=np.float64)
+        values = np.array(self.values, dtype=np.float64)
         if values.shape != (self.N + 1,):
             raise ValueError(
                 f"values must have length N + 1 = {self.N + 1}, got shape {values.shape}"
             )
+        if values[:1].any():  # N = -1 leaves no slot
+            raise ValueError(f"the padding slot values[0] must be 0, got {float(values[0])}")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -124,18 +122,11 @@ class WeightedSequence:
         """|grid_transform(values, N, K)|, read-only.  The last grid asked for is
         kept: asking again for the same K reuses it, and asking for another K
         drops it before transforming, so no more than one grid is ever held.
-
-        For K > 1 with values[0] == 0, values zero-padded to K*N points is
-        grid_transform's input and |conj z| = |z|, so the padded FFT gives the
-        same bits without grid_transform's extra K*N-point copy.
         """
         mags = self._grids.get(K)
         if mags is None:
             self._grids.clear()
-            if K > 1 and self.values[0] == 0:
-                mags = np.abs(np.fft.fft(self.values, grid_length(self.N, K)))
-            else:
-                mags = np.abs(grid_transform(self.values, self.N, K))
+            mags = np.abs(grid_transform(self.values, self.N, K))
             mags.flags.writeable = False
             self._grids[K] = mags
         return mags
@@ -147,7 +138,7 @@ def _squares_in_progression(ctx: WContext, b: int, N: int, table: PrimeTable):
         raise ValueError(f"b = {b} is not a reduced quadratic residue mod {ctx.W}")
     top = math.isqrt(ctx.W * N + b)
     if table.limit < top:
-        raise TableTooSmall(f"need primes up to {top}, table stops at {table.limit}")
+        raise ValueError(f"need primes up to {top}, table stops at {table.limit}")
     p = table.primes_upto(top)
     r = p * p - b
     ok = (r > 0) & (r % ctx.W == 0)
@@ -178,7 +169,6 @@ def f_sequence(
     keep = np.isin(p, members)
     values = np.zeros(N + 1)
     values[n[keep]] = _weights(ctx, p[keep])
-    values.flags.writeable = False  # handed over to the sequence without a copy
     return WeightedSequence(N=N, values=values)
 
 
@@ -238,5 +228,5 @@ def select_residues(
         raise Infeasible(f"no 8-fold combination from {pool} sums to {target} mod {W}")
     chosen = [b0] * (s - 8) + [24 * k + 1 for k in found]
     if sum(chosen) % W != n % W:
-        raise RuntimeError("selected residues violate the sum congruence")
+        raise VerificationError("selected residues violate the sum congruence")
     return chosen

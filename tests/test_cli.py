@@ -215,6 +215,27 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
+    def test_failed_self_check_is_exit_one(self, tmp_path, monkeypatch, capsys):
+        # the transfer's own witness check fails when no index maps to a prime
+        from psqlab.primes import PrimeTable
+
+        monkeypatch.setattr(PrimeTable, "is_prime", lambda self, p: False)
+        out = tmp_path / "tr.json"
+        assert run(["transfer", "--w", "6", "--n", "960008", "--s", "8", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "psqlab: verification failed: support index does not correspond to a prime square\n"
+        assert not out.exists()
+
+    def test_fourth_moment_routes_disagreeing_is_exit_one(self, tmp_path, monkeypatch, capsys):
+        import psqlab.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "fourth_moment_routes", lambda seq: (1.0, 2.0))
+        out = tmp_path / "m.json"
+        assert run(["moments", "--w", "6", "--N", "4096", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "psqlab: verification failed: fourth-moment routes disagree: 1.0 vs 2.0\n"
+        assert not out.exists()
+
     def test_check_failure_is_exit_one(self, tmp_path, monkeypatch):
         import psqlab.cli as cli_mod
 
@@ -316,6 +337,36 @@ class TestRepresentAndTransfer:
         argv = ["represent", "--s", "4", "--limit", "3000", "--check", "--out", str(out)]
         assert run(argv) == 1
         assert load(out)["result"]["congruence_scan_violations"] == [100, 101]
+
+    @pytest.mark.parametrize("min_prime", [2, 3])
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 8, 9])
+    def test_check_runs_when_the_spec_admits_two_or_three(self, tmp_path, s, min_prime):
+        # off n = s (mod 24) counts are then expected; the other two tests still run
+        out = tmp_path / "rep.json"
+        spec = f'{{"variant": "all", "min_prime": {min_prime}}}'
+        argv = ["--s", str(s), "--limit", "3000", "--n-lo", "0", "--spec", spec]
+        assert run(["represent", *argv, "--check", "--out", str(out)]) == 0
+        assert load(out)["result"]["congruence_scan_violations"] == []
+
+    def test_check_with_two_fails_on_dropped_and_false_counts(self, tmp_path, monkeypatch):
+        import psqlab.cli as cli_mod
+        from psqlab.representations import ReprCountTable
+
+        real = cli_mod.count_representations
+
+        def corrupted(*args):
+            counts = real(*args).counts.copy()
+            assert counts[16] == 1 and counts[17] == 0  # 16 = 4 * 2^2; 17 is no sum of 4
+            counts[16] = 0
+            counts[17] = 1
+            return ReprCountTable(counts=counts)
+
+        monkeypatch.setattr(cli_mod, "count_representations", corrupted)
+        out = tmp_path / "rep.json"
+        spec = '{"variant": "all", "min_prime": 2}'
+        argv = ["--s", "4", "--limit", "3000", "--n-lo", "0", "--spec", spec]
+        assert run(["represent", *argv, "--check", "--out", str(out)]) == 1
+        assert load(out)["result"]["congruence_scan_violations"] == [16, 17]
 
     def test_check_window_starts_at_least_representable_n(self, tmp_path, monkeypatch):
         # at s = 200 nothing below 200 * 5^2 = 5000 is representable, so a
@@ -470,6 +521,19 @@ class TestReports:
         code = run(["context", "--w", "4", "--out", str(missing)])
         assert code == 2
         assert not missing.exists()
+
+    def test_streamed_report_is_the_dumps_text(self, tmp_path, capsys):
+        # the batches join to the text json.dumps builds whole, also past one batch
+        from psqlab.cli import _emit
+
+        report = {"b": [1.5, -0.0, 1e-300, float("inf")], "a": {"z": "é", "y": None, "x": []}}
+        report["c"] = list(range(20_000))
+        want = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        out = tmp_path / "r.json"
+        _emit(report, str(out))
+        assert out.read_text() == want and os.listdir(tmp_path) == ["r.json"]
+        _emit(report, None)
+        assert capsys.readouterr().out == want
 
     def test_arcs_with_model(self, tmp_path):
         out = tmp_path / "arcs.json"

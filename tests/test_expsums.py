@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 import psqlab.expsums as expsums_mod
 from conftest import gauss_row_gcd, table_for
+from psqlab._gridfft import grid_transform
 from psqlab.arith import factorize, mod_inverse
-from psqlab.errors import NotCoprime, QTooLarge, TooLarge
+from psqlab.errors import TooLarge
 from psqlab.expsums import (
     LocalFactor,
     _case_tag,
@@ -126,7 +127,34 @@ class TestDftAt:
             assert dft_at(seq, alpha + 1.0) == pytest.approx(dft_at(seq, alpha), rel=1e-9)
 
 
+def grid_transform_copy_conj(values, N, K):
+    """grid_transform as it was before it read values in place: a copy into a
+    fresh K*N-point array, then np.conj of its FFT into another."""
+    L = K * N
+    x = np.zeros(L)
+    if L > N:
+        x[1 : N + 1] = values[1 : N + 1]
+    else:  # K == 1: index N aliases to 0
+        x[1:N] = values[1:N]
+        x[0] = values[N]
+    return np.conj(np.fft.fft(x))
+
+
 class TestDftGrid:
+    @pytest.mark.parametrize("N", [1, 5, 1024, 3000, 4096, 10007])
+    def test_grid_transform_bitwise_equal_copy_and_conj(self, N):
+        rng = np.random.default_rng(N)
+        values = np.zeros(N + 1)
+        where = rng.integers(1, N + 1, max(1, N // 3))
+        values[where] = rng.standard_normal(len(where)) * 10.0 ** rng.integers(-8, 8, len(where))
+        seq = make_seq(values)
+        for K in (1, 2, 4, 8):
+            want = grid_transform_copy_conj(values, N, K)
+            got = grid_transform(seq.values, N, K)
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+            mags = seq.grid_magnitudes(K)
+            assert mags.view(np.uint64).tolist() == np.abs(want).view(np.uint64).tolist()
+
     def test_unit_impulse(self):
         N, K = 8, 2
         seq = make_seq([0, 1] + [0] * (N - 1))
@@ -214,7 +242,7 @@ class TestGaussSum:
         assert gauss_sum(5, 1) == pytest.approx(math.sqrt(5) - 1, abs=1e-12)
 
     def test_not_coprime(self):
-        with pytest.raises(NotCoprime):
+        with pytest.raises(ValueError, match="!= 1"):
             gauss_sum(6, 2)
 
     def test_magnitude_bound_small(self):
@@ -294,9 +322,9 @@ class TestLocalFactor:
                 assert abs(d.value) <= q + 1e-9  # trivial bound
 
     def test_not_coprime_rejected(self, ctx4):
-        with pytest.raises(NotCoprime):
+        with pytest.raises(ValueError, match="!= 1"):
             s_direct(ctx4, 1, 4, [2])
-        with pytest.raises(NotCoprime):
+        with pytest.raises(ValueError, match="!= 1"):
             s_closed(ctx4, 1, 4, 2)
 
     def test_large_prime_q_routes_agree(self, ctx6):
@@ -389,7 +417,7 @@ class TestArcPartition:
             assert left.center + left.half_width < right.center - right.half_width
 
     def test_q_too_large(self):
-        with pytest.raises(QTooLarge):
+        with pytest.raises(ValueError, match="need N > 2\\*Q\\^2"):
             arc_partition(1 << 14, 2.0)
 
     def test_mask_wraps(self):
@@ -495,7 +523,7 @@ class TestPseudorandomSup:
         assert got.view(np.uint64).tolist() == indicator_three_exp(N, K).view(np.uint64).tolist()
 
     def test_reference_length_checked(self):
-        seq = make_seq(np.ones(65))
+        seq = make_seq(np.concatenate(([0.0], np.ones(64))))
         with pytest.raises(ValueError, match="reference"):
             pseudorandom_sup(seq, 4, indicator_transform_grid(64, 2))
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from psqlab.errors import EmptyReference, TooLarge
+from psqlab.errors import TooLarge
 from psqlab.primes import (
     MAX_SIEVE_LIMIT,
     _splitmix64_array,
@@ -161,7 +161,7 @@ class TestDensity:
 
     def test_empty_reference(self):
         table = sieve(3)
-        with pytest.raises(EmptyReference):
+        with pytest.raises(ValueError, match="density undefined"):
             empirical_density(PrimeSubsetSpec.all_primes(), table)
 
 

@@ -13,7 +13,6 @@ from psqlab.errors import TooLarge
 from psqlab.expsums import dft_at
 from psqlab.restriction import (
     dyadic_profile,
-    fourth_moment,
     fourth_moment_routes,
     level_sets,
     lq_moment,
@@ -99,19 +98,20 @@ class TestFourthMoment:
     def test_unit_impulse(self):
         arr = np.zeros(128)
         arr[3] = 1.0
-        assert fourth_moment(as_sequence(arr)) == pytest.approx(128.0)
+        assert fourth_moment_routes(as_sequence(arr)) == pytest.approx((128.0, 128.0))
 
     def test_two_point_sequence(self):
         arr = np.zeros(64)
         arr[0] = arr[1] = 1.0
         # autocorrelation (1, 2, 1) gives N * (1 + 4 + 1)
-        assert fourth_moment(as_sequence(arr)) == pytest.approx(6 * 64.0)
+        assert fourth_moment_routes(as_sequence(arr)) == pytest.approx((6 * 64.0, 6 * 64.0))
 
     def test_weighted_sequence_input(self, ctx6, table_100k, all_spec):
         seq = f_sequence(ctx6, 1, 1 << 12, all_spec, table_100k)
         grid_route, auto_route = fourth_moment_routes(seq)
         assert grid_route == pytest.approx(auto_route, rel=1e-9)
-        assert fourth_moment(seq) == auto_route
+        # a second call reads the grid the sequence kept and gives the same bits
+        assert fourth_moment_routes(seq) == (grid_route, auto_route)
 
     def test_dense_route_correlates_the_support_span(self):
         # 2100 support points (past the dict loop) starting well inside [1, N]
@@ -193,15 +193,14 @@ class TestSharedGrids:
         assert np.float64(route_grid).view(np.uint64) == np.float64(want_grid).view(np.uint64)
         assert np.float64(moment).view(np.uint64) == np.float64(want_moment).view(np.uint64)
 
-    def test_nonzero_padding_slot_is_not_shared(self):
-        # values[0] enters the fourth-moment FFT but not the grid transform
+    def test_nonzero_padding_slot_is_rejected(self):
+        # the padding slot is part of every grid's FFT input, so it must be 0
         values = np.zeros(1025)
-        values[[0, 3, 700]] = [5.0, 1.0, 2.0]
-        seq = WeightedSequence(1024, values)
-        lq_moment(seq, 5.0, 4)  # memoises the 4-fold grid first
-        route_grid, _ = fourth_moment_routes(seq)
-        want_grid, _ = self.separate_ffts(seq, 5.0, 4)
-        assert np.float64(route_grid).view(np.uint64) == np.float64(want_grid).view(np.uint64)
+        values[[3, 700]] = [1.0, 2.0]
+        for slot in (5.0, -1e-300, np.nan):
+            values[0] = slot
+            with pytest.raises(ValueError, match="padding slot values\\[0\\] must be 0"):
+                WeightedSequence(1024, values)
 
     def test_memo_is_read_only(self, ctx6, table_100k, all_spec):
         seq = f_sequence(ctx6, 49, 512, all_spec, table_100k)
@@ -227,14 +226,6 @@ class TestSharedGrids:
         want = lq_moment(WeightedSequence(1024, clean), 5.0, 4).moment
         for got in (before, lq_moment(seq, 5.0, 4).moment):
             assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
-
-    def test_read_only_owned_array_is_taken_as_is(self):
-        values = np.zeros(1025)
-        values.flags.writeable = False
-        assert WeightedSequence(1024, values).values is values
-        view = np.zeros(2 * 1025)[::2]
-        view.flags.writeable = False
-        assert WeightedSequence(1024, view).values is not view
 
     @pytest.mark.parametrize("length", [1024, 1026, 2 * 1025])
     def test_rejects_values_not_of_length_n_plus_one(self, length):
