@@ -13,7 +13,7 @@ from .primes import sieve
 # Trial-division table: every n whose part free of primes below 2**16 is
 # below 2**32 factors completely against it.
 _TABLE_LIMIT = 1 << 16
-_SMALL_PRIMES = sieve(_TABLE_LIMIT).primes.tolist()
+_SMALL_PRIMES = sieve(_TABLE_LIMIT).tolist()
 
 
 @dataclass(frozen=True)

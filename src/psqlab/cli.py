@@ -42,13 +42,12 @@ from .expsums import (
     unit_mask,
 )
 from .arith import factorize
-from .primes import PrimeSubsetSpec, sieve
+from .primes import PrimeSubsetSpec
 from .representations import (
     count_budget,
     count_representations,
     m_window_deviation,
     member_roots,
-    scan_lattice,
     theorem_experiment,
     transfer_witness,
 )
@@ -226,12 +225,6 @@ def _cmd_saq(args) -> tuple[dict, int]:
     return result, 0 if (ok or not args.check) else 1
 
 
-def _make_table_for_sequences(w: int, N: int):
-    ctx = build_context(w)
-    top = math.isqrt(ctx.W * N + max(ctx.Z_W)) + 1
-    return ctx, sieve(max(top, 100))
-
-
 def _cmd_arcs(args) -> tuple[dict, int]:
     partition = arc_partition(args.N, args.A)
     result = {
@@ -243,9 +236,9 @@ def _cmd_arcs(args) -> tuple[dict, int]:
         "minor_measure": partition.minor_measure(),
     }
     if args.w is not None:
-        ctx, table = _make_table_for_sequences(args.w, args.N)
+        ctx = build_context(args.w)
         b = args.b if args.b is not None else ctx.Z_W[0]
-        seq = nu_sequence(ctx, b, args.N, table)
+        seq = nu_sequence(ctx, b, args.N)
         model = lambda q, a, alpha: major_arc_model(ctx, b, q, a, alpha, args.N)
         major = compare_major(seq, partition, model, qmax=args.qmax)
         grid = dft_grid(seq, args.K)
@@ -266,9 +259,9 @@ def _cmd_pseudo(args) -> tuple[dict, int]:
     reference = indicator_transform_grid(args.N, args.K)  # validates N, K and the grid budget
     rows = []
     for w in ws:
-        ctx, table = _make_table_for_sequences(w, args.N)
+        ctx = build_context(w)
         b = ctx.Z_W[0]
-        seq = nu_sequence(ctx, b, args.N, table)
+        seq = nu_sequence(ctx, b, args.N)
         sup = pseudorandom_sup(seq, args.K, reference)
         rows.append({"w": w, "b": b, "W": ctx.W, "sup": sup, "sup_over_N": sup / args.N})
     nonincreasing = all(
@@ -284,10 +277,10 @@ def _cmd_pseudo(args) -> tuple[dict, int]:
 
 
 def _cmd_moments(args) -> tuple[dict, int]:
-    ctx, table = _make_table_for_sequences(args.w, args.N)
+    ctx = build_context(args.w)
     b = args.b if args.b is not None else ctx.Z_W[0]
     spec = _parse_spec(args.spec, args.seed)
-    seq = f_sequence(ctx, b, args.N, spec, table)
+    seq = f_sequence(ctx, b, args.N, spec)
     grid_route, auto_route = fourth_moment_routes(seq)  # its budget check runs first
     rel_difference = abs(grid_route - auto_route) / max(abs(grid_route), 1e-300)
     if rel_difference > FOURTH_MOMENT_TOL:
@@ -309,10 +302,10 @@ def _cmd_moments(args) -> tuple[dict, int]:
 
 
 def _cmd_levelsets(args) -> tuple[dict, int]:
-    ctx, table = _make_table_for_sequences(args.w, args.N)
+    ctx = build_context(args.w)
     b = args.b if args.b is not None else ctx.Z_W[0]
     spec = _parse_spec(args.spec, args.seed)
-    seq = f_sequence(ctx, b, args.N, spec, table)
+    seq = f_sequence(ctx, b, args.N, spec)
     profile = dyadic_profile(seq, q_exponent=args.q_exponent)
     result = {
         "w": args.w,
@@ -348,7 +341,7 @@ def _cmd_sumset_verify(args) -> tuple[dict, int]:
 
 
 def _count_violations(
-    counts: np.ndarray, s: int, spec: PrimeSubsetSpec, table, n_lo: int, exceptions
+    counts: np.ndarray, s: int, spec: PrimeSubsetSpec, n_lo: int, exceptions
 ) -> np.ndarray:
     """Sorted n with a nonzero count off n = s (mod 24) (when the spec leaves
     out 2 and 3), together with the n where "count is nonzero" disagrees
@@ -366,7 +359,7 @@ def _count_violations(
     if spec.min_prime >= 5:  # every p^2 is 1 mod 24
         bad[:] = nonzero
         bad[s % 24 :: 24] = False
-    squares = member_roots(spec, table, limit) ** 2
+    squares = member_roots(spec, limit) ** 2
     lo = min(s * int(squares[0]), limit + 1) if len(squares) else limit + 1
     bad[:lo] = nonzero[:lo]
     width = max(0, min(limit + 1 - lo, (1 << 12) + 1, MAX_LAYER_CELLS // (s + 1)))
@@ -386,19 +379,17 @@ def _cmd_represent(args) -> tuple[dict, int]:
             f"--limit {args.limit} is below the default --n-lo 25 * s = {25 * args.s}; "
             "give a larger --limit or an explicit --n-lo"
         )
-    scan_lattice(args.s, spec, args.limit)
     csv_path = _sidecar(args.out, "counts") if args.csv else None
     if args.check or csv_path:
         count_budget(args.limit, args.s)
-    table = sieve(max(args.limit, 100))
     lo = args.n_lo if args.n_lo is not None else args.s * 25
-    report = theorem_experiment(args.s, spec, (lo, args.limit), table)
+    report = theorem_experiment(args.s, spec, (lo, args.limit))
     result = report.to_json()
     code = 0
     if args.check or csv_path:
-        counts = count_representations(args.limit, args.s, spec, table)
+        counts = count_representations(args.limit, args.s, spec)
     if args.check:
-        bad = _count_violations(counts.counts, args.s, spec, table, lo, report.exceptions)
+        bad = _count_violations(counts.counts, args.s, spec, lo, report.exceptions)
         result["congruence_scan_violations"] = bad[:20].tolist()
         if len(bad):
             code = 1
@@ -413,10 +404,8 @@ def _cmd_transfer(args) -> tuple[dict, int]:
     spec = _parse_spec(args.spec, args.seed)
     N = max(1, (2 * args.n) // (args.s * ctx.W))
     # the index search sums s indices to m = (n - sum of s residues < W) / W,
-    # so its reachability budget at the least such m is refused before the sieve
+    # so its reachability budget at the least such m is refused before any sieve
     reach_budget(args.s + 1, max((args.n - args.s * (ctx.W - 1)) // ctx.W, 0) + 1)
-    top = math.isqrt(ctx.W * N + max(ctx.Z_W)) + 1
-    table = sieve(max(top, math.isqrt(args.n) + 1, 100))
     result: dict = {
         "w": args.w,
         "n": args.n,
@@ -427,7 +416,7 @@ def _cmd_transfer(args) -> tuple[dict, int]:
         "m_window_deviation": m_window_deviation(ctx, args.n, args.s),
     }
     try:
-        witness = transfer_witness(ctx, args.n, args.s, spec, table, kappa=args.kappa)
+        witness = transfer_witness(ctx, args.n, args.s, spec, kappa=args.kappa)
         result["status"] = "found"
         result["witness"] = witness.to_json()
     except Infeasible as exc:
@@ -441,9 +430,7 @@ def _cmd_transfer(args) -> tuple[dict, int]:
 
 def _cmd_experiment(args) -> tuple[dict, int]:
     spec = _parse_spec(args.spec, args.seed)
-    scan_lattice(args.s, spec, args.n_hi)
-    table = sieve(max(args.n_hi, 100))
-    report = theorem_experiment(args.s, spec, (args.n_lo, args.n_hi), table)
+    report = theorem_experiment(args.s, spec, (args.n_lo, args.n_hi))
     return report.to_json(), 0
 
 

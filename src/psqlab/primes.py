@@ -1,7 +1,7 @@
 """Prime generation and declarative prime-subset construction.
 
 A subset of the primes is described by a PrimeSubsetSpec and realized
-against a sieved PrimeTable.  Seeded subsampling is reproducible and
+against an array of sieved primes.  Seeded subsampling is reproducible and
 order-independent: each prime is kept or dropped by hashing (seed, p)
 through the splitmix64 finalizer, never by consuming a shared stream.
 """
@@ -18,6 +18,7 @@ import numpy as np
 from .errors import TooLarge
 
 MAX_SIEVE_LIMIT = 1 << 31
+DENSITY_WINDOW = 1 << 22  # integers per window of empirical_density's count
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MIX_C1 = 0xBF58476D1CE4E5B9
@@ -40,34 +41,26 @@ def _splitmix64_array(x: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-@dataclass(frozen=True)
-class PrimeTable:
-    """Exact primes up to `limit`, as a sorted list."""
+def sieve(limit: int, lo: int = 0) -> np.ndarray:
+    """The primes in [lo, limit], ascending, as a read-only int64 array.
 
-    limit: int
-    primes: np.ndarray  # int64, strictly increasing
-
-    def is_prime(self, n: int) -> bool:
-        # the largest prime up to n is n itself exactly when n is prime
-        return 0 <= n <= self.limit and n in self.primes_upto(n)[-1:]
-
-    def primes_upto(self, bound: int) -> np.ndarray:
-        hi = np.searchsorted(self.primes, bound, side="right")
-        return self.primes[:hi]
-
-
-def sieve(limit: int) -> PrimeTable:
-    """Sieve of Eratosthenes over [0, limit], limit >= 2."""
-    if limit < 2:
-        raise ValueError(f"sieve limit must be >= 2, got {limit}")
+    A window sieve: the primes up to isqrt(limit), from sieve(isqrt(limit)),
+    strike their multiples from the window, so only the window's
+    limit - lo + 1 integers are ever held.  Empty when limit < max(lo, 2).
+    """
+    if limit < 0 or lo < 0:
+        raise ValueError(f"sieve bounds must be >= 0, got [{lo}, {limit}]")
     if limit > MAX_SIEVE_LIMIT:
         raise TooLarge(f"sieve limit {limit} exceeds bound {MAX_SIEVE_LIMIT}")
-    mark = np.ones(limit + 1, dtype=bool)
-    mark[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mark[p]:
-            mark[p * p :: p] = False
-    return PrimeTable(limit=limit, primes=np.flatnonzero(mark).astype(np.int64, copy=False))
+    lo = max(lo, 2)
+    mark = np.ones(max(limit - lo + 1, 0), dtype=bool)
+    if len(mark):
+        for p in sieve(math.isqrt(limit)).tolist():
+            start = max(p * p, -(-lo // p) * p)  # p's first multiple in the window, from p^2
+            mark[start - lo :: p] = False
+    primes = (np.flatnonzero(mark) + lo).astype(np.int64, copy=False)
+    primes.flags.writeable = False
+    return primes
 
 
 VARIANT_ALL = "all"
@@ -178,9 +171,12 @@ class PrimeSubsetSpec:
         raise ValueError(f"unknown variant {variant!r}")
 
 
-def subset_members(spec: PrimeSubsetSpec, table: PrimeTable) -> np.ndarray:
-    """Ordered members of the subset among the table's primes (>= min_prime)."""
-    base = table.primes[table.primes >= spec.min_prime]
+def subset_members(spec: PrimeSubsetSpec, primes: np.ndarray) -> np.ndarray:
+    """Ordered members of the subset among the given ascending primes (>= min_prime).
+
+    Every variant keeps or drops each prime on its own, so the members of a
+    slice of the primes are that slice of the members."""
+    base = primes[primes >= spec.min_prime]
     if spec.variant == VARIANT_ALL:  # base is already a fresh array
         return base
     if spec.variant == VARIANT_RESIDUE_CLASSES:
@@ -199,11 +195,16 @@ def subset_members(spec: PrimeSubsetSpec, table: PrimeTable) -> np.ndarray:
     raise ValueError(f"unknown variant {spec.variant!r}")
 
 
-def empirical_density(spec: PrimeSubsetSpec, table: PrimeTable) -> float:
-    """|P intersect [limit]| / |primes intersect [limit]|, both above min_prime."""
-    reference = int(np.count_nonzero(table.primes >= spec.min_prime))
+def empirical_density(spec: PrimeSubsetSpec, hi: int) -> float:
+    """|P intersect [hi]| / |primes intersect [hi]|, both above min_prime.
+
+    Both counts are integers summed over windows of DENSITY_WINDOW integers,
+    so no more than one window's primes are held at a time."""
+    members = reference = 0
+    for lo in range(0, hi + 1, DENSITY_WINDOW):
+        primes = sieve(min(lo + DENSITY_WINDOW - 1, hi), lo)
+        reference += int(np.count_nonzero(primes >= spec.min_prime))
+        members += len(subset_members(spec, primes))
     if reference == 0:
-        raise ValueError(
-            f"no primes >= {spec.min_prime} below {table.limit}; density undefined"
-        )
-    return len(subset_members(spec, table)) / reference
+        raise ValueError(f"no primes >= {spec.min_prime} below {hi}; density undefined")
+    return members / reference

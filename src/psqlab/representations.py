@@ -28,8 +28,9 @@ import numpy as np
 
 from ._csvio import write_csv
 from ._gridfft import MAX_CONV_LEN, Reach, lex_smallest_sum, reach_budget, scan_mask
+from .arith import factorize
 from .errors import NotFound, TooLarge, VerificationError
-from .primes import PrimeSubsetSpec, PrimeTable, empirical_density, subset_members
+from .primes import PrimeSubsetSpec, empirical_density, sieve, subset_members
 from .wtrick import WContext, delta_table, f_sequence, select_residues
 
 
@@ -38,27 +39,21 @@ def lambda_threshold(s: int) -> float:
     return math.sqrt(1.0 - min(s, 16) / 32.0)
 
 
-def member_roots(spec: PrimeSubsetSpec, table: PrimeTable, hi: int) -> np.ndarray:
+def member_roots(spec: PrimeSubsetSpec, hi: int) -> np.ndarray:
     """The subset primes p with p^2 <= hi, the only ones a sum of squares up to
-    hi can use.  subset_members sees only the table's primes up to isqrt(hi):
-    every variant keeps or drops each prime on its own, so the members agree."""
+    hi can use: the members among the primes up to isqrt(hi)."""
     if hi < 0:
         raise ValueError(f"limit must be >= 0, got {hi}")
-    root = math.isqrt(hi)
-    if table.limit < root:
-        raise ValueError(f"need primes up to {root}, table stops at {table.limit}")
-    return subset_members(spec, PrimeTable(root, table.primes_upto(root)))
+    return subset_members(spec, sieve(math.isqrt(hi)))
 
 
-def square_progression(
-    spec: PrimeSubsetSpec, table: PrimeTable, hi: int
-) -> tuple[int, int, np.ndarray]:
+def square_progression(spec: PrimeSubsetSpec, hi: int) -> tuple[int, int, np.ndarray]:
     """(m0, g, J) with every member square up to hi equal to m0 + g*j for one
     j in J: m0 the least square, g the gcd of the differences from it, J
     sorted and holding 0.  A sum of s squares is s*m0 + g*M with M in sJ.
     With one member there is no difference, and g = hi + 1 steps past the
     range; with none, m0 = hi + 1 puts every sum past it."""
-    squares = member_roots(spec, table, hi) ** 2
+    squares = member_roots(spec, hi) ** 2
     m0 = int(squares[0]) if len(squares) else hi + 1
     g = int(np.gcd.reduce(squares - m0)) or hi + 1
     return m0, g, (squares - m0) // g
@@ -83,9 +78,7 @@ def count_budget(limit: int, s: int) -> None:
         raise TooLarge(f"convolution length {2 * limit + 1} over budget {MAX_CONV_LEN}")
 
 
-def count_representations(
-    limit: int, s: int, spec: PrimeSubsetSpec, table: PrimeTable
-) -> ReprCountTable:
+def count_representations(limit: int, s: int, spec: PrimeSubsetSpec) -> ReprCountTable:
     """s-fold convolution of the prime-square indicator, exact on [0, limit].
 
     Runs on the member squares' progression (square_progression): after j
@@ -100,7 +93,7 @@ def count_representations(
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     count_budget(limit, s)
-    m0, g, J = square_progression(spec, table, limit)
+    m0, g, J = square_progression(spec, limit)
     acc = np.zeros(max((limit - m0) // g + 1, 0), dtype=np.int64)
     acc[J] = 1
     for j in range(2, s + 1):
@@ -189,7 +182,6 @@ def theorem_experiment(
     s: int,
     spec: PrimeSubsetSpec,
     n_range: tuple[int, int],
-    table: PrimeTable,
     sample_limit: int = 3,
 ) -> ExperimentReport:
     """Scan every n = s (mod 24) in the range for a representation.
@@ -199,13 +191,16 @@ def theorem_experiment(
     witnesses for the first sample_limit represented targets come from a
     Reach over J capped at the last of them.  Exceptions (no representation)
     are reported, never fatal; a sampled target that Reach cannot back
-    raises VerificationError.
+    raises VerificationError.  The range must start at n >= 0 (ValueError,
+    before anything is built), and the density counts the primes up to hi.
     """
     lo, hi = n_range
     if lo > hi:
         raise ValueError(f"empty range {n_range}")
+    if lo < 0:
+        raise ValueError(f"the range must start at n >= 0, got {lo}")
     scan_lattice(s, spec, hi)
-    m0, g, J = square_progression(spec, table, hi)
+    m0, g, J = square_progression(spec, hi)
 
     first = lo + ((s - lo) % 24)
     targets = np.arange(first, hi + 1, 24, dtype=np.int64)
@@ -228,7 +223,7 @@ def theorem_experiment(
             witnesses.append(ReprWitness(n, tuple(math.isqrt(m0 + g * j) for j in js)))
 
     lam = lambda_threshold(s)
-    density = empirical_density(spec, table)
+    density = empirical_density(spec, hi)
     return ExperimentReport(
         s=s,
         spec=spec,
@@ -252,7 +247,6 @@ def transfer_witness(
     n: int,
     s: int,
     spec: PrimeSubsetSpec,
-    table: PrimeTable,
     kappa: float = 0.1,
 ) -> ReprWitness:
     """Residue selection, then an index search in the transferred variables.
@@ -268,14 +262,14 @@ def transfer_witness(
     if N < 1:
         raise NotFound(f"target {n} gives window length {N} < 1 at W = {W}")
 
-    dt = delta_table(ctx, N, spec, table)
+    dt = delta_table(ctx, N, spec)
     residues = select_residues(ctx, dt, n, s, kappa)  # may raise Infeasible
 
     m, rem = divmod(n - sum(residues), W)
     if rem:
         raise VerificationError("residue sum violates the congruence; selection is broken")
 
-    support = {b: f_sequence(ctx, b, N, spec, table).support() for b in set(residues)}
+    support = {b: f_sequence(ctx, b, N, spec).support() for b in set(residues)}
     supports = [support[b] for b in residues]
     indices = lex_smallest_sum(supports, m)
     if indices is None:
@@ -287,7 +281,8 @@ def transfer_witness(
     primes = []
     for b, nj in zip(residues, indices):
         p = math.isqrt(W * nj + b)
-        if p * p != W * nj + b or not table.is_prime(p):
+        # primality by trial division, apart from the sieve behind the supports
+        if p * p != W * nj + b or factorize(p).prime_powers != ((p, 1),):
             raise VerificationError("support index does not correspond to a prime square")
         primes.append(p)
     if sum(p * p for p in primes) != n:

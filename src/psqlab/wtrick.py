@@ -18,7 +18,7 @@ import numpy as np
 from ._gridfft import Reach, grid_transform
 from .arith import _SMALL_PRIMES
 from .errors import Infeasible, TooLarge, VerificationError
-from .primes import PrimeSubsetSpec, PrimeTable, subset_members
+from .primes import PrimeSubsetSpec, sieve, subset_members
 
 MAX_W = 4_000_000
 
@@ -132,20 +132,14 @@ class WeightedSequence:
         return mags
 
 
-def _squares_in_progression(ctx: WContext, b: int, N: int, table: PrimeTable):
-    """Primes p with p^2 = W*n + b for some n in [1, N], and those n."""
+def _squares_in_progression(ctx: WContext, b: int, N: int, spec: PrimeSubsetSpec):
+    """Subset primes p with p^2 = W*n + b for some n in [1, N], and those n."""
     if b not in ctx.root_map:
         raise ValueError(f"b = {b} is not a reduced quadratic residue mod {ctx.W}")
-    top = math.isqrt(ctx.W * N + b)
-    if table.limit < top:
-        raise ValueError(f"need primes up to {top}, table stops at {table.limit}")
-    p = table.primes_upto(top)
+    p = subset_members(spec, sieve(math.isqrt(ctx.W * N + b)))  # so n <= N
     r = p * p - b
-    ok = (r > 0) & (r % ctx.W == 0)
-    p = p[ok]
-    n = (p * p - b) // ctx.W
-    inside = n <= N
-    return p[inside], n[inside]
+    p = p[(r > 0) & (r % ctx.W == 0)]
+    return p, (p * p - b) // ctx.W
 
 
 def _weights(ctx: WContext, p: np.ndarray) -> np.ndarray:
@@ -154,21 +148,17 @@ def _weights(ctx: WContext, p: np.ndarray) -> np.ndarray:
     return coeff * 2.0 * pf * np.log(pf)
 
 
-def nu_sequence(ctx: WContext, b: int, N: int, table: PrimeTable) -> WeightedSequence:
+def nu_sequence(ctx: WContext, b: int, N: int) -> WeightedSequence:
     """Majorant sequence: every prime square in the progression contributes."""
     # Every b in Z(W) is 1 mod 24 and n >= 1, so p^2 >= W + 1 >= 25: min_prime 5 drops nothing.
-    return f_sequence(ctx, b, N, PrimeSubsetSpec.all_primes(), table)
+    return f_sequence(ctx, b, N, PrimeSubsetSpec.all_primes())
 
 
-def f_sequence(
-    ctx: WContext, b: int, N: int, spec: PrimeSubsetSpec, table: PrimeTable
-) -> WeightedSequence:
+def f_sequence(ctx: WContext, b: int, N: int, spec: PrimeSubsetSpec) -> WeightedSequence:
     """Subset sequence: same weights, kept only when the root lies in P."""
-    p, n = _squares_in_progression(ctx, b, N, table)
-    members = subset_members(spec, table)
-    keep = np.isin(p, members)
+    p, n = _squares_in_progression(ctx, b, N, spec)
     values = np.zeros(N + 1)
-    values[n[keep]] = _weights(ctx, p[keep])
+    values[n] = _weights(ctx, p)
     return WeightedSequence(N=N, values=values)
 
 
@@ -185,10 +175,8 @@ class DensityTable:
         return b0, mu
 
 
-def delta_table(
-    ctx: WContext, N: int, spec: PrimeSubsetSpec, table: PrimeTable
-) -> DensityTable:
-    entries = {b: f_sequence(ctx, b, N, spec, table).mean() for b in ctx.Z_W}
+def delta_table(ctx: WContext, N: int, spec: PrimeSubsetSpec) -> DensityTable:
+    entries = {b: f_sequence(ctx, b, N, spec).mean() for b in ctx.Z_W}
     return DensityTable(N=N, entries=entries)
 
 

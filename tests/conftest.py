@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -7,17 +5,17 @@ import psqlab
 
 
 @pytest.fixture(scope="session")
-def table_1k():
+def primes_1k():
     return psqlab.sieve(1000)
 
 
 @pytest.fixture(scope="session")
-def table_100k():
+def primes_100k():
     return psqlab.sieve(100_000)
 
 
 @pytest.fixture(scope="session")
-def table_1m():
+def primes_1m():
     return psqlab.sieve(1_000_000)
 
 
@@ -34,11 +32,6 @@ def ctx6():
 @pytest.fixture(scope="session")
 def ctx8():
     return psqlab.build_context(8)
-
-
-def table_for(ctx, N):
-    """Sieve just far enough to build length-N sequences for this context."""
-    return psqlab.sieve(math.isqrt(ctx.W * N + max(ctx.Z_W)) + 1)
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import psqlab
-from conftest import as_sequence, table_for
+from conftest import as_sequence
 from psqlab.arith import factorize
 from psqlab.expsums import gauss_sum_row
 from psqlab.restriction import fourth_moment_routes, pair_difference_counts
@@ -134,8 +134,7 @@ def test_criterion_05a_fourth_moment_identity():
         worst = max(worst, abs(grid_route - auto_route) / max(grid_route, auto_route))
     ctx = psqlab.build_context(6)
     N = 1 << 16
-    table = table_for(ctx, N)
-    seq = psqlab.f_sequence(ctx, 1, N, psqlab.PrimeSubsetSpec.all_primes(), table)
+    seq = psqlab.f_sequence(ctx, 1, N, psqlab.PrimeSubsetSpec.all_primes())
     grid_route, auto_route = fourth_moment_routes(seq)
     worst = max(worst, abs(grid_route - auto_route) / max(grid_route, auto_route))
     _gate(
@@ -164,9 +163,8 @@ def test_criterion_05b_pair_gap_divisor_bound():
     violations = {}
     for w in (4, 6):
         ctx = psqlab.build_context(w)
-        table = table_for(ctx, N)
         for b in ctx.Z_W:
-            gaps = pair_difference_counts(psqlab.nu_sequence(ctx, b, N, table))
+            gaps = pair_difference_counts(psqlab.nu_sequence(ctx, b, N))
             if gaps.violations:
                 violations[(w, b)] = gaps.violations
     _gate(
@@ -182,8 +180,7 @@ def test_criterion_06_parseval_and_dft_oracle():
     t0 = time.time()
     ctx = psqlab.build_context(6)
     N = 1 << 12
-    table = table_for(ctx, N)
-    seq = psqlab.f_sequence(ctx, 49, N, psqlab.PrimeSubsetSpec.all_primes(), table)
+    seq = psqlab.f_sequence(ctx, 49, N, psqlab.PrimeSubsetSpec.all_primes())
     rng = np.random.default_rng(99)
 
     worst = 0.0
@@ -213,8 +210,7 @@ def test_criterion_07_pseudorandomness_trend():
     reference = psqlab.indicator_transform_grid(N, K)
     for w in (4, 6, 8):
         ctx = psqlab.build_context(w)
-        table = table_for(ctx, N)
-        seq = psqlab.nu_sequence(ctx, ctx.Z_W[0], N, table)
+        seq = psqlab.nu_sequence(ctx, ctx.Z_W[0], N)
         sups.append(psqlab.pseudorandom_sup(seq, K, reference) / N)
     ok = all(sups[i + 1] <= sups[i] * 1.10 for i in range(len(sups) - 1))
     _gate(
@@ -232,8 +228,7 @@ def test_criterion_08_restriction_moment_boundedness():
     spec = psqlab.PrimeSubsetSpec.all_primes()
     ratios = []
     for N in (1 << 14, 1 << 16, 1 << 18):
-        table = table_for(ctx, N)
-        seq = psqlab.f_sequence(ctx, 1, N, spec, table)
+        seq = psqlab.f_sequence(ctx, 1, N, spec)
         ratios.append(psqlab.lq_moment(seq, 5.0, K=4).ratio)
     spread = max(ratios) / min(ratios)
     _gate(
@@ -245,7 +240,7 @@ def test_criterion_08_restriction_moment_boundedness():
     )
 
 
-def test_criterion_09_counting_oracle(table_1k):
+def test_criterion_09_counting_oracle():
     t0 = time.time()
     spec = psqlab.PrimeSubsetSpec.all_primes()
 
@@ -260,11 +255,10 @@ def test_criterion_09_counting_oracle(table_1k):
 
     exact = True
     for s in (2, 3):
-        got = psqlab.count_representations(5000, s, spec, table_1k).counts
+        got = psqlab.count_representations(5000, s, spec).counts
         exact &= bool(np.array_equal(got, brute(5000, s)))
 
-    table = psqlab.sieve(1000)
-    counts = psqlab.count_representations(100_000, 8, spec, table).counts
+    counts = psqlab.count_representations(100_000, 8, spec).counts
     ns = np.arange(100_001)
     stray = int(np.count_nonzero(counts[ns % 24 != 8]))
     _gate(
@@ -276,7 +270,7 @@ def test_criterion_09_counting_oracle(table_1k):
     )
 
 
-def test_criterion_10_desk_scale_experiment(table_1m):
+def test_criterion_10_desk_scale_experiment():
     t0 = time.time()
     results = {}
     ok = True
@@ -284,7 +278,7 @@ def test_criterion_10_desk_scale_experiment(table_1m):
         psqlab.PrimeSubsetSpec.all_primes(),
         psqlab.PrimeSubsetSpec.residue_classes(11, range(1, 11)),
     ):
-        report = psqlab.theorem_experiment(8, spec, (5_000, 1_000_000), table_1m, sample_limit=0)
+        report = psqlab.theorem_experiment(8, spec, (5_000, 1_000_000), sample_limit=0)
         above = [e for e in report.exceptions if e > 10_000]
         results[spec.variant] = {
             "density": round(report.empirical_density, 6),
@@ -309,16 +303,12 @@ def test_criterion_11_transfer_round_trip():
     for w, start in ((4, 10_000), (6, 48_000)):
         ctx = psqlab.build_context(w)
         hi = start + 24 * 40
-        counts = psqlab.count_representations(
-            hi, 8, spec, psqlab.sieve(max(1000, math.isqrt(hi) + 1))
-        ).counts
+        counts = psqlab.count_representations(hi, 8, spec).counts
         first = start + ((8 - start) % 24)
         targets = [n for n in range(first, hi + 1, 24) if counts[n] > 0][:20]
         assert len(targets) == 20
-        N = (2 * targets[-1]) // (8 * ctx.W)
-        table = psqlab.sieve(math.isqrt(ctx.W * N + max(ctx.Z_W)) + 1)
         for n in targets:
-            witness = psqlab.transfer_witness(ctx, n, 8, spec, table)
+            witness = psqlab.transfer_witness(ctx, n, 8, spec)
             assert sum(p * p for p in witness.primes) == n
             for b, nj, p in zip(witness.residues, witness.indices, witness.primes):
                 assert ctx.W * nj + b == p * p

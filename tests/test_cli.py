@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -67,6 +68,22 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+def patch_sieve(monkeypatch, replacement):
+    """Bind replacement in place of sieve in every psqlab module that holds it;
+    returns the real sieve."""
+    import psqlab.primes as primes_mod
+
+    real = primes_mod.sieve
+    for name, mod in list(sys.modules.items()):
+        if name.partition(".")[0] == "psqlab" and getattr(mod, "sieve", None) is real:
+            monkeypatch.setattr(mod, "sieve", replacement)
+    return real
+
+
+def no_sieve(*args):
+    raise AssertionError("sieved before the budget check")
 
 
 def fft_length(args):
@@ -217,9 +234,10 @@ class TestExitCodes:
 
     def test_failed_self_check_is_exit_one(self, tmp_path, monkeypatch, capsys):
         # the transfer's own witness check fails when no index maps to a prime
-        from psqlab.primes import PrimeTable
+        import psqlab.representations as repr_mod
+        from psqlab.arith import Factorization
 
-        monkeypatch.setattr(PrimeTable, "is_prime", lambda self, p: False)
+        monkeypatch.setattr(repr_mod, "factorize", lambda p: Factorization(((p, 2),)))
         out = tmp_path / "tr.json"
         assert run(["transfer", "--w", "6", "--n", "960008", "--s", "8", "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -455,6 +473,20 @@ class TestRepresentAndTransfer:
         assert run(["represent", "--s", "40", "--limit", "0", "--n-lo", "1000"]) == 2
         assert "empty range (1000, 0)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "--s", "8", "--n-lo", "-1", "--n-hi", "300"],
+            ["represent", "--s", "8", "--limit", "300", "--n-lo", "-1"],
+        ],
+    )
+    def test_negative_n_lo_exits_two_before_sieve(self, argv, monkeypatch, capsys):
+        # the targets would start at n_lo: refused before any array is built
+        patch_sieve(monkeypatch, no_sieve)
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "must start at n >= 0, got -1" in err and "Traceback" not in err
+
     def test_transfer_found(self, tmp_path):
         out = tmp_path / "tr.json"
         assert run(["transfer", "--w", "4", "--n", "10016", "--out", str(out)]) == 0
@@ -476,12 +508,7 @@ class TestRepresentAndTransfer:
         # every residue is below W, so m >= (n - s*(W - 1)) / W, and the index
         # search over m would be refused after a sieve of up to 1.86 GiB and
         # weighted sequences of up to 14.9 GiB
-        import psqlab.cli as cli_mod
-
-        def no_sieve(limit):
-            raise AssertionError("sieved before the index-search budget check")
-
-        monkeypatch.setattr(cli_mod, "sieve", no_sieve)
+        patch_sieve(monkeypatch, no_sieve)
         assert run(["transfer", "--w", "6", "--n", str(n), "--s", "8"]) == 2
         err = capsys.readouterr().err
         assert "over budget" in err and "Traceback" not in err
@@ -586,23 +613,25 @@ class TestReports:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["experiment", "--s", "8", "--n-lo", "200", "--n-hi", "100000"],
-            ["represent", "--s", "8", "--limit", "100000", "--check", "--csv"],
+            ["experiment", "--s", "8", "--n-lo", "200", "--n-hi", "9000000"],
+            ["represent", "--s", "8", "--check", "--csv", "--limit", "100000"],
         ],
     )
     def test_only_the_density_reads_past_the_root(self, tmp_path, monkeypatch, argv):
-        # empirical_density's is the one subset_members call on the table
-        # sieved to 1e5; the squares, the witnesses and the --check oracle
-        # see only the primes up to isqrt(1e5) = 316
-        import psqlab.primes as primes_mod
-        import psqlab.representations as representations_mod
+        # the squares, the witnesses and the --check oracle sieve no further
+        # than isqrt(hi); past it, only the density's windows of 2^22
+        # integers, which tile [0, hi]
+        from psqlab.primes import DENSITY_WINDOW
 
-        calls = count_calls(monkeypatch, primes_mod, "subset_members")
-        monkeypatch.setattr(representations_mod, "subset_members", primes_mod.subset_members)
+        hi = int(argv[-1])
+        calls = []
+        real = patch_sieve(monkeypatch, lambda limit, lo=0: calls.append((lo, limit)) or real(limit, lo))
         assert run(argv + ["--out", str(tmp_path / "r.json")]) == 0
-        tops = sorted(int(table.primes[-1]) for _, table in calls)
-        assert len(tops) >= 2 and tops[-1] == 99991
-        assert all(top <= 316 for top in tops[:-1])
+        windows = [(lo, limit) for lo, limit in calls if limit > math.isqrt(hi)]
+        assert windows == [
+            (lo, min(lo + DENSITY_WINDOW - 1, hi)) for lo in range(0, hi + 1, DENSITY_WINDOW)
+        ]
+        assert len(calls) > len(windows)
 
     def test_arcs_grid_csv_parses_as_floats(self, tmp_path):
         out = tmp_path / "grid.json"
@@ -684,12 +713,7 @@ class TestReports:
 
     @pytest.mark.parametrize("flag", ["--check", "--csv"])
     def test_count_past_budget_exits_two_before_sieve(self, flag, tmp_path, monkeypatch, capsys):
-        import psqlab.cli as cli_mod
-
-        def no_sieve(limit):
-            raise AssertionError("sieved before the count budget check")
-
-        monkeypatch.setattr(cli_mod, "sieve", no_sieve)
+        patch_sieve(monkeypatch, no_sieve)
         # 2 * limit + 1 > MAX_CONV_LEN = 2^24, while the scan over K fits
         argv = ["represent", "--s", "8", "--limit", "9000000", flag, "--out", str(tmp_path / "r.json")]
         assert run(argv) == 2

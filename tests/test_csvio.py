@@ -7,7 +7,7 @@ import pytest
 from conftest import as_sequence
 from psqlab._csvio import _CHUNK_ROWS, write_csv
 from psqlab.expsums import FourierGrid
-from psqlab.primes import PrimeSubsetSpec, sieve
+from psqlab.primes import PrimeSubsetSpec
 from psqlab.representations import ReprCountTable, count_representations
 from psqlab.restriction import dyadic_profile
 
@@ -77,7 +77,7 @@ class TestSidecars:
         assert b"1180591620717411303424" in want
 
     def test_counts_int64(self, tmp_path):
-        table = count_representations(3000, 3, PrimeSubsetSpec.all_primes(), sieve(100))
+        table = count_representations(3000, 3, PrimeSubsetSpec.all_primes())
         assert table.counts.dtype == np.int64
         table.to_csv(tmp_path / "c.csv")
         want = reference_bytes(

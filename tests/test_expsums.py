@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import psqlab.expsums as expsums_mod
-from conftest import gauss_row_gcd, table_for
+from conftest import gauss_row_gcd
 from psqlab._gridfft import grid_transform
 from psqlab.arith import factorize, mod_inverse
 from psqlab.errors import TooLarge
@@ -116,13 +116,13 @@ class TestDftAt:
         seq = make_seq([0] + [1] * 16)
         assert dft_at(seq, 0.0) == pytest.approx(16)
 
-    def test_majorant_at_zero_matches_mean(self, ctx4, table_100k):
+    def test_majorant_at_zero_matches_mean(self, ctx4):
         N = 1 << 12
-        seq = nu_sequence(ctx4, 1, N, table_100k)
+        seq = nu_sequence(ctx4, 1, N)
         assert dft_at(seq, 0.0).real == pytest.approx(seq.total(), rel=1e-12)
 
-    def test_periodic_in_alpha(self, ctx4, table_100k):
-        seq = nu_sequence(ctx4, 1, 256, table_100k)
+    def test_periodic_in_alpha(self, ctx4):
+        seq = nu_sequence(ctx4, 1, 256)
         for alpha in (0.125, 0.7311):
             assert dft_at(seq, alpha + 1.0) == pytest.approx(dft_at(seq, alpha), rel=1e-9)
 
@@ -181,8 +181,8 @@ class TestDftGrid:
         rhs = N * np.sum(seq.values**2)
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
-    def test_value_at_zero_and_symmetry(self, ctx4, table_100k):
-        seq = nu_sequence(ctx4, 1, 512, table_100k)
+    def test_value_at_zero_and_symmetry(self, ctx4):
+        seq = nu_sequence(ctx4, 1, 512)
         grid = dft_grid(seq, 2)
         assert grid.values[0].real == pytest.approx(seq.total(), rel=1e-12)
         assert abs(grid.values[0].imag) < 1e-9
@@ -453,8 +453,7 @@ class TestCompareMajor:
 
     def test_majorant_model_error_small_at_q1(self, ctx6, all_spec):
         N = 1 << 18
-        table = table_for(ctx6, N)
-        seq = nu_sequence(ctx6, 1, N, table)
+        seq = nu_sequence(ctx6, 1, N)
         part = arc_partition(N, 2.0)
         model = lambda q, a, alpha: major_arc_model(ctx6, 1, q, a, alpha, N)
         report = compare_major(seq, part, model, qmax=8)
@@ -463,7 +462,7 @@ class TestCompareMajor:
 
     def test_rows_equal_pointwise_dft_bitwise(self, ctx6):
         N = 1 << 16
-        seq = nu_sequence(ctx6, 1, N, table_for(ctx6, N))
+        seq = nu_sequence(ctx6, 1, N)
         part = arc_partition(N, 1.5)
         model = lambda q, a, alpha: major_arc_model(ctx6, 1, q, a, alpha, N)
         report = compare_major(seq, part, model, qmax=6)
@@ -486,8 +485,7 @@ class TestMinorScan:
 
     def test_minor_below_main_peak(self, ctx6):
         N = 1 << 18
-        table = table_for(ctx6, N)
-        seq = nu_sequence(ctx6, 1, N, table)
+        seq = nu_sequence(ctx6, 1, N)
         part = arc_partition(N, 2.0)
         report = minor_arc_scan(dft_grid(seq, 4), part)
         main_peak = abs(dft_at(seq, 0.0))
@@ -539,7 +537,6 @@ class TestPseudorandomSup:
         reference = indicator_transform_grid(N, 4)
         sups = []
         for ctx in (ctx4, ctx6):
-            table = table_for(ctx, N)
-            seq = nu_sequence(ctx, 1, N, table)
+            seq = nu_sequence(ctx, 1, N)
             sups.append(pseudorandom_sup(seq, 4, reference) / N)
         assert sups[1] <= sups[0] * 1.10

@@ -6,6 +6,7 @@ import pytest
 
 from psqlab.errors import TooLarge
 from psqlab.primes import (
+    DENSITY_WINDOW,
     MAX_SIEVE_LIMIT,
     _splitmix64_array,
     PrimeSubsetSpec,
@@ -16,33 +17,60 @@ from psqlab.primes import (
 )
 
 
+def full_sieve(limit):
+    """The sieve of Eratosthenes over all of [0, limit], as sieve was before it
+    took windows: the oracle its windows are checked against."""
+    mark = np.ones(limit + 1, dtype=bool)
+    mark[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if mark[p]:
+            mark[p * p :: p] = False
+    return np.flatnonzero(mark).astype(np.int64)
+
+
+WINDOW = DENSITY_WINDOW  # 2^22
+EDGES = [0, 1, 2, 3, 4, 25, WINDOW - 1, WINDOW, WINDOW + 1]
+
+
+@pytest.fixture(scope="module")
+def oracle_primes():
+    return full_sieve(3 * WINDOW + 5)
+
+
 class TestSieve:
     def test_small(self):
-        assert list(sieve(10).primes) == [2, 3, 5, 7]
+        assert list(sieve(10)) == [2, 3, 5, 7]
 
     def test_hundred(self):
-        assert len(sieve(100).primes) == 25
+        assert len(sieve(100)) == 25
 
-    def test_million(self, table_1m):
-        assert len(table_1m.primes) == 78498
+    def test_million(self, primes_1m):
+        assert len(primes_1m) == 78498
 
-    def test_membership_spot_checks(self, table_100k):
+    def test_membership_spot_checks(self, primes_100k):
         rng = np.random.default_rng(0)
         for n in rng.integers(2, 100_000, 200):
             n = int(n)
             is_p = n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
-            assert table_100k.is_prime(n) == is_p
-
-    def test_is_prime_edges(self):
-        table = sieve(97)
-        assert [n for n in range(-3, 110) if table.is_prime(n)] == list(table.primes)
-        assert not sieve(100).is_prime(101)  # prime, but past the table
+            assert bool(np.isin(n, primes_100k)) == is_p
 
     def test_limit_validation(self):
+        assert len(sieve(0)) == len(sieve(1)) == 0
         with pytest.raises(ValueError):
-            sieve(1)
+            sieve(-1)
+        with pytest.raises(ValueError):
+            sieve(10, -1)
         with pytest.raises(TooLarge):
             sieve(MAX_SIEVE_LIMIT + 1)
+
+    def test_window_is_a_slice_of_the_full_sieve(self, oracle_primes):
+        full = sieve(WINDOW + 1)
+        assert np.array_equal(full, oracle_primes[oracle_primes <= WINDOW + 1])
+        for lo in EDGES:
+            for limit in EDGES:
+                got = sieve(limit, lo)
+                assert got.dtype == np.int64 and not got.flags.writeable
+                assert np.array_equal(got, full[(full >= lo) & (full <= limit)]), (lo, limit)
 
 
 class TestSplitmix:
@@ -63,64 +91,63 @@ class TestSplitmix:
 
 class TestSubsetMembers:
     @pytest.mark.parametrize("rho, seed", [(0.5, 42), (0.97, 7), (0.1, 2**40 + 3)])
-    def test_bernoulli_keeps_by_hash_threshold(self, table_1k, rho, seed):
+    def test_bernoulli_keeps_by_hash_threshold(self, primes_1k, rho, seed):
         threshold = int(rho * 2**64)
         key = splitmix64(seed)
-        want = [p for p in table_1k.primes.tolist()
+        want = [p for p in primes_1k.tolist()
                 if p >= 5 and splitmix64(key ^ p) < threshold]
-        got = subset_members(PrimeSubsetSpec.bernoulli(rho, seed), table_1k)
+        got = subset_members(PrimeSubsetSpec.bernoulli(rho, seed), primes_1k)
         assert got.tolist() == want
 
     def test_all_with_min_prime(self):
-        table = sieve(20)
-        assert list(subset_members(PrimeSubsetSpec.all_primes(), table)) == [5, 7, 11, 13, 17, 19]
+        assert list(subset_members(PrimeSubsetSpec.all_primes(), sieve(20))) == [5, 7, 11, 13, 17, 19]
 
-    def test_residue_filter(self, table_1k):
+    def test_residue_filter(self):
         spec = PrimeSubsetSpec.residue_classes(11, range(1, 11))
         got = set(subset_members(spec, sieve(100)).tolist())
-        want = {p for p in sieve(100).primes.tolist() if p >= 5 and p % 11 != 0}
+        want = {p for p in sieve(100).tolist() if p >= 5 and p % 11 != 0}
         assert got == want
         assert 11 not in got
 
     def test_bernoulli_rho_one_is_all(self):
-        table = sieve(50)
-        full = subset_members(PrimeSubsetSpec.all_primes(), table)
-        sampled = subset_members(PrimeSubsetSpec.bernoulli(1.0, seed=1), table)
+        primes = sieve(50)
+        full = subset_members(PrimeSubsetSpec.all_primes(), primes)
+        sampled = subset_members(PrimeSubsetSpec.bernoulli(1.0, seed=1), primes)
         assert np.array_equal(full, sampled)
 
-    def test_bernoulli_reproducible(self, table_100k):
+    def test_bernoulli_reproducible(self, primes_100k):
         spec = PrimeSubsetSpec.bernoulli(0.5, seed=42)
-        a = subset_members(spec, table_100k)
-        b = subset_members(spec, table_100k)
+        a = subset_members(spec, primes_100k)
+        b = subset_members(spec, primes_100k)
         assert np.array_equal(a, b)
-        other = subset_members(PrimeSubsetSpec.bernoulli(0.5, seed=43), table_100k)
+        other = subset_members(PrimeSubsetSpec.bernoulli(0.5, seed=43), primes_100k)
         assert not np.array_equal(a, other)
 
-    def test_members_subset_of_table(self, table_1k):
+    def test_members_subset_of_table(self, primes_1k):
         for spec in (
             PrimeSubsetSpec.all_primes(),
             PrimeSubsetSpec.bernoulli(0.3, seed=9),
             PrimeSubsetSpec.residue_classes(7, [1, 2, 4]),
             PrimeSubsetSpec.explicit([5, 11, 9999991]),
         ):
-            members = subset_members(spec, table_1k)
-            assert np.all(np.isin(members, table_1k.primes))
+            members = subset_members(spec, primes_1k)
+            assert np.all(np.isin(members, primes_1k))
             assert np.all(members >= spec.min_prime)
 
     @pytest.mark.parametrize("spec", [PrimeSubsetSpec.all_primes(2), PrimeSubsetSpec.bernoulli(1.0, 3, 2)])
     def test_members_never_share_the_table(self, spec):
-        table = sieve(1000)
-        members = subset_members(spec, table)
-        assert np.array_equal(members, table.primes)
-        assert not np.shares_memory(members, table.primes)
-        assert table.primes.dtype == np.int64
+        primes = sieve(1000)
+        members = subset_members(spec, primes)
+        assert np.array_equal(members, primes)
+        assert not np.shares_memory(members, primes)
+        assert members.flags.writeable and members.dtype == np.int64
 
-    def test_explicit_intersects_table(self, table_1k):
+    def test_explicit_intersects_table(self, primes_1k):
         spec = PrimeSubsetSpec.explicit([3, 5, 7, 2003])
         # 3 cut by min_prime, 2003 beyond the table
-        assert list(subset_members(spec, table_1k)) == [5, 7]
+        assert list(subset_members(spec, primes_1k)) == [5, 7]
 
-    def test_min_prime_override(self, table_1k):
+    def test_min_prime_override(self):
         spec = PrimeSubsetSpec.all_primes(min_prime=2)
         assert list(subset_members(spec, sieve(10))) == [2, 3, 5, 7]
 
@@ -141,28 +168,56 @@ class TestValidation:
             PrimeSubsetSpec.bernoulli(1.5, seed=1)
 
 
-class TestDensity:
-    def test_all_is_one(self, table_100k):
-        assert empirical_density(PrimeSubsetSpec.all_primes(), table_100k) == 1.0
+def density_from_the_full_table(spec, primes):
+    """empirical_density as it was: both counts over one table of all the
+    primes up to hi."""
+    reference = int(np.count_nonzero(primes >= spec.min_prime))
+    return len(subset_members(spec, primes)) / reference
 
-    def test_bernoulli_near_rho(self, table_1m):
-        d = empirical_density(PrimeSubsetSpec.bernoulli(0.9, seed=7), table_1m)
+
+class TestDensity:
+    def test_all_is_one(self):
+        assert empirical_density(PrimeSubsetSpec.all_primes(), 100_000) == 1.0
+
+    def test_bernoulli_near_rho(self):
+        d = empirical_density(PrimeSubsetSpec.bernoulli(0.9, seed=7), 1_000_000)
         assert abs(d - 0.9) < 0.01
 
-    def test_residue_classes_mod_11(self, table_1m):
+    def test_residue_classes_mod_11(self, primes_1m):
         # Dropping the zero class mod 11 removes only the prime 11 itself, so
         # the finite-scale density sits at essentially 1 (direct-count oracle).
         spec = PrimeSubsetSpec.residue_classes(11, range(1, 11))
-        base = table_1m.primes[table_1m.primes >= 5]
+        base = primes_1m[primes_1m >= 5]
         oracle = len(base[base % 11 != 0]) / len(base)
-        d = empirical_density(spec, table_1m)
+        d = empirical_density(spec, 1_000_000)
         assert d == pytest.approx(oracle, abs=0)
         assert d > 0.999
 
     def test_empty_reference(self):
-        table = sieve(3)
         with pytest.raises(ValueError, match="density undefined"):
-            empirical_density(PrimeSubsetSpec.all_primes(), table)
+            empirical_density(PrimeSubsetSpec.all_primes(), 4)
+        assert empirical_density(PrimeSubsetSpec.all_primes(), 5) == 1.0
+
+    @pytest.mark.parametrize("hi", [WINDOW - 1, WINDOW, WINDOW + 1, 3 * WINDOW + 5])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            PrimeSubsetSpec.all_primes(),
+            PrimeSubsetSpec.residue_classes(5, [1, 4]),
+            PrimeSubsetSpec.bernoulli(0.97, seed=7),
+            PrimeSubsetSpec.explicit([2, 3, 5, 4194301, 4194319, 12582917], min_prime=3),
+        ],
+        ids=["all", "residues", "bernoulli", "explicit"],
+    )
+    def test_windows_equal_the_full_table(self, spec, hi, oracle_primes, monkeypatch):
+        import psqlab.primes as primes_mod
+
+        calls = []
+        real = primes_mod.sieve
+        monkeypatch.setattr(primes_mod, "sieve", lambda limit, lo=0: calls.append((lo, limit)) or real(limit, lo))
+        table = oracle_primes[oracle_primes <= hi]
+        assert empirical_density(spec, hi) == density_from_the_full_table(spec, table)
+        assert max(limit - lo + 1 for lo, limit in calls) <= WINDOW  # no sieve past one window
 
 
 class TestJsonWireFormat:

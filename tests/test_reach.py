@@ -121,13 +121,13 @@ class TestSumsetPower:
                 sumset_power(np.array([1, 2]), s, 100)
 
 
-def lattice_ks(spec, s, hi, table):
+def lattice_ks(spec, s, hi, primes):
     """(ks, cap): k = (p^2 - 1)/24 for each member square p^2 <= hi, and the
     largest K with s + 24K <= hi.  Under all, ks is the exception scan's J
     plus one (J = (p^2 - 25)/24); under a residue spec it lies on a
     progression k0 + gZ, g > 1, where scan_mask falls back unless handed
     the reduced form (ks - k0)/g."""
-    members = subset_members(spec, table)
+    members = subset_members(spec, primes)
     members = members[members <= math.isqrt(hi)]
     return (members**2 - 1) // 24, (hi - s) // 24
 
@@ -164,7 +164,7 @@ specs_st = st.one_of(
 
 
 class TestScanMask:
-    table = sieve(2000)
+    primes = sieve(2000)
 
     @settings(max_examples=60, deadline=None)
     @given(specs_st, st.integers(5, 12), st.integers(0, 3_000_000))
@@ -173,7 +173,7 @@ class TestScanMask:
     @example(PrimeSubsetSpec.explicit(range(5, 1800)), 5, 3_000_000)
     @example(PrimeSubsetSpec.residue_classes(7, [1, 2, 3]), 9, 3_000_000)
     def test_matches_sumset_power(self, spec, s, hi):
-        ks, cap = lattice_ks(spec, s, max(hi, s), self.table)
+        ks, cap = lattice_ks(spec, s, max(hi, s), self.primes)
         mask = scan_mask(ks, s, cap)
         assert mask.dtype == bool and len(mask) == cap + 1
         assert np.array_equal(mask, sumset_power(ks, s, cap))
@@ -192,7 +192,7 @@ class TestScanMask:
 
     def test_cover_must_reach_cap(self, powers):
         # members up to 500 only: the union ends at the last k + c1 - 1 < cap
-        ks, _ = lattice_ks(PrimeSubsetSpec.all_primes(), 8, 500**2, self.table)
+        ks, _ = lattice_ks(PrimeSubsetSpec.all_primes(), 8, 500**2, self.primes)
         mask = scan_mask(ks, 8, 200_000)
         assert powers[-1] == (8, 200_000)
         assert np.array_equal(mask, sumset_power(ks, 8, 200_000))
@@ -209,7 +209,7 @@ class TestScanMask:
         # hands it, the descent closes: one dense layer, no sumset_power at
         # the reduced cap, and s*k0 + g*sJ is sA, which is empty off the line
         spec = PrimeSubsetSpec.residue_classes(modulus, classes)
-        ks, cap = lattice_ks(spec, 10, 2_000_000, self.table)
+        ks, cap = lattice_ks(spec, 10, 2_000_000, self.primes)
         assert int(ks.min()) == k0 and np.gcd.reduce(ks - k0) == g
         top_j = (cap - 10 * k0) // g
         mask = scan_mask((ks - k0) // g, 10, top_j)
@@ -254,14 +254,14 @@ class TestScanMask:
         # s = 1 and c1 >= cap (at n <= 400: ks 1, 2, 5, 7, 12, 15, G = 5,
         # c1 = 16 = cap) never build a dense layer; at s = 2, D = A misses up
         # to c1, so its cover fails
-        ks, cap = lattice_ks(PrimeSubsetSpec.all_primes(), s, hi, self.table)
+        ks, cap = lattice_ks(PrimeSubsetSpec.all_primes(), s, hi, self.primes)
         mask = scan_mask(ks, s, cap)
         assert powers[-1] == (s, cap) and len(powers) == (2 if s == 2 else 1)
         assert np.array_equal(mask, sumset_power(ks, s, cap))
 
     def test_descent_closes_at_two_hundred_million(self, powers):
-        table = sieve(math.isqrt(200_000_000))
-        ks, cap = lattice_ks(PrimeSubsetSpec.all_primes(), 8, 200_000_000, table)
+        primes = sieve(math.isqrt(200_000_000))
+        ks, cap = lattice_ks(PrimeSubsetSpec.all_primes(), 8, 200_000_000, primes)
         mask = scan_mask(ks, 8, cap)
         [(s_dense, top)] = powers
         c1 = top + 1
@@ -270,7 +270,7 @@ class TestScanMask:
 
     def test_descent_product_is_certified(self, monkeypatch, powers):
         # the descent's own product D + A is the last irfft; noise there must raise
-        ks, cap = lattice_ks(PrimeSubsetSpec.all_primes(), 8, 4_000_000, self.table)
+        ks, cap = lattice_ks(PrimeSubsetSpec.all_primes(), 8, 4_000_000, self.primes)
         real_irfft = np.fft.irfft
         seen = []
         monkeypatch.setattr(gridfft.np.fft, "irfft", lambda *a: seen.append(1) or real_irfft(*a))

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import as_sequence, table_for
+from conftest import as_sequence
 from psqlab._gridfft import grid_transform
 from psqlab.arith import divisor_count
 from psqlab.errors import TooLarge
@@ -58,31 +58,31 @@ class TestLevelSets:
         curve = level_sets(as_sequence(np.zeros(64)), [1.0, 0.5, 0.25])
         assert curve.counts == (0, 0, 0)
 
-    def test_above_sup_is_zero(self, ctx4, table_100k):
-        seq = nu_sequence(ctx4, 1, 512, table_100k)
+    def test_above_sup_is_zero(self, ctx4):
+        seq = nu_sequence(ctx4, 1, 512)
         sup = max(abs(dft_at(seq, n / 512)) for n in range(0, 512, 7))
         curve = level_sets(seq, [2 * sup / 512])
         assert curve.counts == (0,)
 
-    def test_against_direct_scan(self, ctx6, table_100k, all_spec):
+    def test_against_direct_scan(self, ctx6, all_spec):
         N = 1 << 12
-        seq = f_sequence(ctx6, 1, N, all_spec, table_100k)
+        seq = f_sequence(ctx6, 1, N, all_spec)
         levels = [0.5, 0.1, 0.02, 0.004]
         curve = level_sets(seq, levels)
         mags = np.array([abs(dft_at(seq, n / N)) for n in range(N)])
         for u, count in zip(levels, curve.counts):
             assert count == int(np.count_nonzero(mags >= u * N))
 
-    def test_monotone_and_bounded(self, ctx6, table_100k, all_spec):
+    def test_monotone_and_bounded(self, ctx6, all_spec):
         N = 1 << 10
-        seq = f_sequence(ctx6, 49, N, all_spec, table_100k)
+        seq = f_sequence(ctx6, 49, N, all_spec)
         levels = [2.0**k for k in range(0, -12, -1)]
         curve = level_sets(seq, levels)
         assert all(a <= b for a, b in zip(curve.counts, curve.counts[1:]))
         assert all(c <= N for c in curve.counts)
 
-    def test_chebyshev_column_dominates(self, ctx6, table_100k, all_spec):
-        seq = f_sequence(ctx6, 1, 1 << 10, all_spec, table_100k)
+    def test_chebyshev_column_dominates(self, ctx6, all_spec):
+        seq = f_sequence(ctx6, 1, 1 << 10, all_spec)
         curve = level_sets(seq, [0.5, 0.1, 0.05, 0.01])
         for count, bound in zip(curve.counts, curve.chebyshev_bound):
             assert count <= bound + 1e-9
@@ -106,8 +106,8 @@ class TestFourthMoment:
         # autocorrelation (1, 2, 1) gives N * (1 + 4 + 1)
         assert fourth_moment_routes(as_sequence(arr)) == pytest.approx((6 * 64.0, 6 * 64.0))
 
-    def test_weighted_sequence_input(self, ctx6, table_100k, all_spec):
-        seq = f_sequence(ctx6, 1, 1 << 12, all_spec, table_100k)
+    def test_weighted_sequence_input(self, ctx6, all_spec):
+        seq = f_sequence(ctx6, 1, 1 << 12, all_spec)
         grid_route, auto_route = fourth_moment_routes(seq)
         assert grid_route == pytest.approx(auto_route, rel=1e-9)
         # a second call reads the grid the sequence kept and gives the same bits
@@ -184,9 +184,9 @@ class TestSharedGrids:
     @pytest.mark.parametrize(
         "N, K", [(4096, 4), (3000, 4), (2048, 2), (1000, 3), (3000, 8), (4096, 1)]
     )
-    def test_bitwise_equal_separate_ffts(self, ctx6, table_100k, N, K):
+    def test_bitwise_equal_separate_ffts(self, ctx6, N, K):
         spec = PrimeSubsetSpec.bernoulli(0.9, 3)
-        seq = f_sequence(ctx6, 49, N, spec, table_100k)
+        seq = f_sequence(ctx6, 49, N, spec)
         route_grid, _ = fourth_moment_routes(seq)
         moment = lq_moment(seq, 5.0, K).moment
         want_grid, want_moment = self.separate_ffts(seq, 5.0, K)
@@ -202,8 +202,8 @@ class TestSharedGrids:
             with pytest.raises(ValueError, match="padding slot values\\[0\\] must be 0"):
                 WeightedSequence(1024, values)
 
-    def test_memo_is_read_only(self, ctx6, table_100k, all_spec):
-        seq = f_sequence(ctx6, 49, 512, all_spec, table_100k)
+    def test_memo_is_read_only(self, ctx6, all_spec):
+        seq = f_sequence(ctx6, 49, 512, all_spec)
         mags = seq.grid_magnitudes(4)
         assert seq.grid_magnitudes(4) is mags
         assert not mags.flags.writeable and not seq.values.flags.writeable
@@ -232,10 +232,10 @@ class TestSharedGrids:
         with pytest.raises(ValueError, match="length N \\+ 1 = 1025"):
             WeightedSequence(1024, np.zeros(length))
 
-    def test_memo_holds_one_grid(self, ctx6, table_100k, all_spec):
+    def test_memo_holds_one_grid(self, ctx6, all_spec):
         # moments at K != L/N: the fourth moment's grid is dropped before
         # lq_moment transforms, so at most one grid is ever resident
-        seq = f_sequence(ctx6, 49, 512, all_spec, table_100k)
+        seq = f_sequence(ctx6, 49, 512, all_spec)
         four = seq.grid_magnitudes(4)
         two = seq.grid_magnitudes(2)
         assert list(seq._grids) == [2] and seq._grids[2] is two
@@ -249,8 +249,8 @@ class TestPairGaps:
         assert table.rows == ()
         assert table.violations == ()
 
-    def test_gap_counts_match_brute_force(self, ctx4, table_100k):
-        seq = nu_sequence(ctx4, 1, 1000, table_100k)
+    def test_gap_counts_match_brute_force(self, ctx4):
+        seq = nu_sequence(ctx4, 1, 1000)
         table = pair_difference_counts(seq)
         support = seq.support().tolist()
         brute = {}
@@ -260,10 +260,10 @@ class TestPairGaps:
                     brute[m - n] = brute.get(m - n, 0) + 1
         assert {r.k: r.count for r in table.rows} == brute
 
-    def test_flags_divisor_bound_excess(self, ctx4, table_100k):
+    def test_flags_divisor_bound_excess(self, ctx4):
         # gap 5 carries three support pairs (13/7, 17/13, 31/29 squared),
         # one more than tau(5): the table must flag it
-        seq = nu_sequence(ctx4, 1, 1000, table_100k)
+        seq = nu_sequence(ctx4, 1, 1000)
         table = pair_difference_counts(seq)
         row5 = next(r for r in table.rows if r.k == 5)
         assert (row5.count, row5.tau) == (3, 2)
@@ -287,9 +287,8 @@ class TestPairGaps:
         from psqlab.wtrick import build_context
 
         ctx = build_context(w)
-        table = table_for(ctx, 10_000)
         for b in ctx.Z_W:
-            seq = nu_sequence(ctx, b, 10_000, table)
+            seq = nu_sequence(ctx, b, 10_000)
             gaps = pair_difference_counts(seq)
             for row in gaps.rows:
                 assert row.count <= divisor_count(ctx.W * row.k)
@@ -308,8 +307,8 @@ class TestLqMoment:
         assert ratios[0] == pytest.approx(0.599623, abs=1e-4)
         assert max(ratios) / min(ratios) < 1.01
 
-    def test_ratio_definition(self, ctx6, table_100k, all_spec):
-        seq = f_sequence(ctx6, 1, 1 << 10, all_spec, table_100k)
+    def test_ratio_definition(self, ctx6, all_spec):
+        seq = f_sequence(ctx6, 1, 1 << 10, all_spec)
         rep = lq_moment(seq, 5.0, K=2)
         assert rep.ratio == rep.moment / rep.normalizer
         assert rep.normalizer == (1 << 10) ** 4.0
@@ -324,15 +323,14 @@ class TestDyadicProfile:
         for u, c in zip(prof.levels, prof.counts):
             assert c == (N if u <= 1 / N else 0)
 
-    def test_counts_nonincreasing_in_u(self, ctx6, table_100k, all_spec):
-        seq = f_sequence(ctx6, 1, 1 << 12, all_spec, table_100k)
+    def test_counts_nonincreasing_in_u(self, ctx6, all_spec):
+        seq = f_sequence(ctx6, 1, 1 << 12, all_spec)
         prof = dyadic_profile(seq)
         assert all(a <= b for a, b in zip(prof.counts, prof.counts[1:]))
 
     def test_slope_steeper_than_reference(self, ctx6, all_spec):
         N = 1 << 18
-        table = table_for(ctx6, N)
-        seq = f_sequence(ctx6, 1, N, all_spec, table)
+        seq = f_sequence(ctx6, 1, N, all_spec)
         prof = dyadic_profile(seq)
         assert prof.slope is not None
         assert prof.slope <= -3.0

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import table_for
 from psqlab._csvio import write_csv
 from psqlab.errors import Infeasible, TooLarge
 from psqlab.primes import PrimeSubsetSpec
@@ -65,47 +64,41 @@ class TestBuildContext:
 
 
 class TestNuSequence:
-    def test_first_entry_weight(self, ctx4, table_1k):
-        seq = nu_sequence(ctx4, 1, 1, table_1k)
+    def test_first_entry_weight(self, ctx4):
+        seq = nu_sequence(ctx4, 1, 1)
         assert list(seq.support()) == [1]  # 24*1 + 1 = 25 = 5^2
         expected = (8 / (24 * 8)) * 2 * 5 * math.log(5)
         assert seq.values[1] == pytest.approx(expected, rel=1e-12)
 
-    def test_two_entries(self, ctx4, table_1k):
-        seq = nu_sequence(ctx4, 1, 2, table_1k)
+    def test_two_entries(self, ctx4):
+        seq = nu_sequence(ctx4, 1, 2)
         assert list(seq.support()) == [1, 2]  # 25 = 5^2, 49 = 7^2
 
-    def test_support_is_exactly_prime_squares(self, ctx6, table_100k):
+    def test_support_is_exactly_prime_squares(self, ctx6, primes_100k):
         N = 4096
-        seq = nu_sequence(ctx6, 49, N, table_100k)
+        seq = nu_sequence(ctx6, 49, N)
         support = set(seq.support().tolist())
+        primes = set(primes_100k.tolist())
         for n in range(1, N + 1):
             v = ctx6.W * n + 49
             r = math.isqrt(v)
-            expected = r * r == v and table_100k.is_prime(r)
+            expected = r * r == v and r in primes
             assert (n in support) == expected
 
-    def test_table_too_small(self, ctx4):
-        import psqlab
-
-        with pytest.raises(ValueError, match="table stops at"):
-            nu_sequence(ctx4, 1, 10**6, psqlab.sieve(100))
-
-    def test_rejects_non_residue(self, ctx6, table_1k):
+    def test_rejects_non_residue(self, ctx6):
         with pytest.raises(ValueError):
-            nu_sequence(ctx6, 2, 10, table_1k)
+            nu_sequence(ctx6, 2, 10)
 
     @settings(max_examples=30, deadline=None)
     @given(w=st.sampled_from([4, 6, 8]), pick=st.integers(0, 1000), N=st.integers(1, 5000))
-    def test_matches_definition(self, table_100k, w, pick, N):
+    def test_matches_definition(self, primes_100k, w, pick, N):
         # support {n <= N : W*n + b = p^2, p prime}, weight phi(W)/(W*H) * 2p*log(p)
         ctx = build_context(w)
         b = ctx.Z_W[pick % len(ctx.Z_W)]
-        seq = nu_sequence(ctx, b, N, table_100k)
+        seq = nu_sequence(ctx, b, N)
         roots = {n: math.isqrt(ctx.W * n + b) for n in range(1, N + 1)}
-        want = {
-            n: p for n, p in roots.items() if p * p == ctx.W * n + b and table_100k.is_prime(p)
-        }
+        primes = set(primes_100k.tolist())
+        want = {n: p for n, p in roots.items() if p * p == ctx.W * n + b and p in primes}
         assert seq.N == N and len(seq.values) == N + 1
         assert seq.support().tolist() == sorted(want)
         coeff = ctx.phi_W / (ctx.W * ctx.H)
@@ -114,37 +107,37 @@ class TestNuSequence:
 
 
 class TestFSequence:
-    def test_all_equals_majorant(self, ctx6, table_100k, all_spec):
+    def test_all_equals_majorant(self, ctx6, all_spec):
         N = 2048
-        nu = nu_sequence(ctx6, 1, N, table_100k)
-        f = f_sequence(ctx6, 1, N, all_spec, table_100k)
+        nu = nu_sequence(ctx6, 1, N)
+        f = f_sequence(ctx6, 1, N, all_spec)
         assert np.array_equal(nu.values, f.values)
 
-    def test_empty_subset_is_zero(self, ctx4, table_1k):
-        f = f_sequence(ctx4, 1, 50, PrimeSubsetSpec.explicit([]), table_1k)
+    def test_empty_subset_is_zero(self, ctx4):
+        f = f_sequence(ctx4, 1, 50, PrimeSubsetSpec.explicit([]))
         assert f.total() == 0.0
 
-    def test_residue_filter_zeroes_eleven(self, ctx4, table_1k):
+    def test_residue_filter_zeroes_eleven(self, ctx4):
         spec = PrimeSubsetSpec.residue_classes(11, range(1, 11))
-        nu = nu_sequence(ctx4, 1, 5, table_1k)
-        f = f_sequence(ctx4, 1, 5, spec, table_1k)
+        nu = nu_sequence(ctx4, 1, 5)
+        f = f_sequence(ctx4, 1, 5, spec)
         # n = 5 holds 121 = 11^2; the subset drops p = 11
         assert nu.values[5] > 0
         assert f.values[5] == 0.0
         assert np.array_equal(nu.values[:5], f.values[:5])
 
-    def test_pointwise_domination(self, ctx6, table_100k):
+    def test_pointwise_domination(self, ctx6):
         N = 2048
-        nu = nu_sequence(ctx6, 49, N, table_100k)
+        nu = nu_sequence(ctx6, 49, N)
         for spec in (
             PrimeSubsetSpec.bernoulli(0.5, seed=3),
             PrimeSubsetSpec.residue_classes(7, [1, 2, 4]),
         ):
-            f = f_sequence(ctx6, 49, N, spec, table_100k)
+            f = f_sequence(ctx6, 49, N, spec)
             assert np.all(f.values <= nu.values + 1e-15)
 
-    def test_csv_roundtrip(self, ctx4, table_1k, tmp_path, all_spec):
-        seq = f_sequence(ctx4, 1, 10, all_spec, table_1k)
+    def test_csv_roundtrip(self, ctx4, tmp_path, all_spec):
+        seq = f_sequence(ctx4, 1, 10, all_spec)
         path = tmp_path / "seq.csv"
         write_csv(path, ["n", "value"], [np.arange(1, seq.N + 1), seq.values[1:]])
         lines = path.read_text().strip().splitlines()
@@ -155,15 +148,14 @@ class TestFSequence:
 
 
 class TestDeltaTable:
-    def test_empty_spec_all_zero(self, ctx6, table_1k):
-        dt = delta_table(ctx6, 8, PrimeSubsetSpec.explicit([]), table_1k)
+    def test_empty_spec_all_zero(self, ctx6):
+        dt = delta_table(ctx6, 8, PrimeSubsetSpec.explicit([]))
         assert set(dt.entries) == {1, 49}
         assert all(v == 0.0 for v in dt.entries.values())
 
     def test_majorant_mean_near_one(self, ctx4, all_spec):
         N = 1 << 16
-        table = table_for(ctx4, N)
-        dt = delta_table(ctx4, N, all_spec, table)
+        dt = delta_table(ctx4, N, all_spec)
         assert dt.entries[1] == pytest.approx(1.0, abs=0.15)
 
     def test_subset_mean_against_squared_density(self, ctx6):
@@ -172,10 +164,9 @@ class TestDeltaTable:
         from psqlab.primes import empirical_density
 
         N = 1 << 18
-        table = table_for(ctx6, N)
         spec = PrimeSubsetSpec.bernoulli(0.95, seed=7)
-        d = empirical_density(spec, table)
-        dt = delta_table(ctx6, N, spec, table)
+        d = empirical_density(spec, math.isqrt(ctx6.W * N + max(ctx6.Z_W)) + 1)
+        dt = delta_table(ctx6, N, spec)
         mean = sum(dt.entries.values()) / len(dt.entries)
         assert abs(mean - d * d) < 0.1
 
