@@ -17,7 +17,7 @@ def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
     exact Python ints, also those above 2^63 from object arrays.  Numbers
     never need quoting, so body rows are joined in csv's default dialect
     (CRLF line ends), byte for byte what csv.writer writes for those cells.
-    Rows are formatted a fixed-size chunk at a time.
+    Rows are formatted and joined in C a fixed-size chunk at a time.
     """
     columns = [np.asarray(c) for c in columns]
     rows = len(columns[0]) if columns else 0
@@ -26,4 +26,4 @@ def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
         csv.writer(fh).writerow(header)
         for lo in range(0, rows, _CHUNK_ROWS):
             cells = [map(repr, c[lo : lo + _CHUNK_ROWS].tolist()) for c in columns]
-            fh.write("".join([sep.join(row) + eol for row in zip(*cells)]))
+            fh.write(eol.join(map(sep.join, zip(*cells))) + eol)

@@ -7,17 +7,17 @@ file plus rename); CSV sidecars land next to the report.
 
 Exit codes: 0 success, 1 verification failure (an oracle disagreed, or a
 computation's own certificate, second route or self-check failed:
-VerificationError), 2 usage (ValueError, OSError).
+VerificationError), 2 usage (ValueError, OSError) or out of memory (MemoryError).
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -62,18 +62,64 @@ FOURTH_MOMENT_TOL = 1e-6  # largest relative gap between the fourth moment's two
 # -- plumbing -----------------------------------------------------------------
 
 
+_INT_BATCH = 1 << 14  # plain ints joined per str.join call
+_FLUSH_CHARS = 1 << 20  # the most report text buffered before a write
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _scalar(o) -> str:
+    """A JSON scalar as json writes it; TypeError for what json rejects."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None or isinstance(o, bool):
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _NONFINITE.get(float.__repr__(o), float.__repr__(o))
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _pieces(o, nl: str):
+    """The text of json.dumps(o, sort_keys=True, indent=2) in pieces, nl a
+    newline and o's indent.  json's indent encoder is pure Python, a call per
+    element; here a list's plain ints are joined in C, _INT_BATCH at a time."""
+    inner = nl + "  "
+    if not isinstance(o, (dict, list, tuple)):
+        yield _scalar(o)
+    elif not o:
+        yield "{}" if isinstance(o, dict) else "[]"
+    elif isinstance(o, dict):
+        for i, (key, value) in enumerate(sorted(o.items())):
+            key = encode_basestring_ascii(key if isinstance(key, str) else _scalar(key))
+            yield ("," if i else "{") + inner + key + ": "
+            yield from _pieces(value, inner)
+        yield nl + "}"
+    else:
+        sep = "," + inner
+        for lo in range(0, len(o), _INT_BATCH):
+            batch = o[lo : lo + _INT_BATCH]
+            yield sep if lo else "[" + inner
+            if set(map(type, batch)) == {int}:
+                yield sep.join(map(int.__repr__, batch))
+                continue
+            for i, x in enumerate(batch):
+                yield sep if i else ""
+                yield from _pieces(x, inner)
+        yield nl + "]"
+
+
 def _dump(report: dict, fh) -> None:
-    """json.dumps(report, sort_keys=True, indent=2) and a newline, in batches
-    of joined chunks: the whole text is never held at once, and an unbuffered
-    stream (PYTHONUNBUFFERED) gets one write per batch, not one per chunk."""
-    chunks = []
-    for chunk in json.JSONEncoder(sort_keys=True, indent=2).iterencode(report):
-        chunks.append(chunk)
-        if len(chunks) == 1 << 14:
-            fh.write("".join(chunks))
-            chunks.clear()
-    chunks.append("\n")
-    fh.write("".join(chunks))
+    """json.dumps(report, sort_keys=True, indent=2) and a newline, written
+    each time _FLUSH_CHARS of it are buffered: the text is never held whole."""
+    parts, size = [], 0
+    for text in _pieces(report, "\n"):
+        parts.append(text)
+        size += len(text)
+        if size >= _FLUSH_CHARS:
+            fh.write("".join(parts))
+            parts, size = [], 0
+    fh.write("".join(parts) + "\n")
 
 
 def _emit(report: dict, out: Optional[str]) -> None:
@@ -95,11 +141,12 @@ def _emit(report: dict, out: Optional[str]) -> None:
         raise
 
 
-def _sidecar(out: Optional[str], suffix: str) -> Optional[str]:
-    if not out:
-        return None
-    stem, _ = os.path.splitext(out)
-    return f"{stem}.{suffix}.csv"
+def _sidecar(result: dict, out: Optional[str], suffix: str, write) -> None:
+    """With a report path out, write(path) a CSV sidecar beside it and name it in result."""
+    if out:
+        path = f"{os.path.splitext(out)[0]}.{suffix}.csv"
+        write(path)
+        result["csv"] = path
 
 
 def _report(command: str, config: dict, result: dict) -> dict:
@@ -136,15 +183,12 @@ def _parse_spec(text: Optional[str], seed: Optional[int]) -> PrimeSubsetSpec:
 
 
 def _resolve_threads(value: Optional[int]) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get(ENV_THREADS)
-    if env:
+    if value is None:
         try:
-            return max(1, int(env))
+            value = int(os.environ.get(ENV_THREADS) or 1)
         except ValueError:
-            pass
-    return 1
+            value = 1
+    return max(1, value)
 
 
 # -- subcommand handlers --------------------------------------------------------
@@ -159,9 +203,7 @@ def _cmd_gauss(args) -> tuple[dict, int]:
     kmax = args.kmax
     if kmax > MAX_GAUSS_MODULUS:
         raise TooLarge(f"--kmax {kmax} exceeds bound {MAX_GAUSS_MODULUS}")
-    violations = []
-    worst = 0.0
-    rows = []
+    violations, rows, worst = [], [], 0.0
     for k in range(1, kmax + 1):
         if k % 2 == 0:
             continue
@@ -173,8 +215,7 @@ def _cmd_gauss(args) -> tuple[dict, int]:
         row = gauss_sum_row(k)
         units = np.flatnonzero(unit_mask(fac))  # [0] at k = 1
         mags = np.abs(row[units])
-        ratio = float(np.max(mags) / bound)
-        worst = max(worst, ratio)
+        worst = max(worst, float(np.max(mags) / bound))
         rows.append((k, float(np.max(mags)), bound))
         bad = units[mags > bound + 1e-9]
         violations.extend((k, int(r)) for r in bad)
@@ -188,12 +229,9 @@ def _cmd_gauss(args) -> tuple[dict, int]:
         "max_ratio_to_bound": worst,
         "violations": [list(v) for v in violations],
     }
-    csv_path = _sidecar(args.out, "gauss")
-    if csv_path:
-        write_csv(csv_path, ["k", "max_abs", "bound"], list(zip(*rows)))
-        result["csv"] = csv_path
-    code = 1 if (args.check and violations) else 0
-    return result, code
+    header = ["k", "max_abs", "bound"]
+    _sidecar(result, args.out, "gauss", lambda path: write_csv(path, header, list(zip(*rows))))
+    return result, 1 if (args.check and violations) else 0
 
 
 def _cmd_saq(args) -> tuple[dict, int]:
@@ -247,10 +285,7 @@ def _cmd_arcs(args) -> tuple[dict, int]:
         result["b"] = b
         result["major"] = major.to_json()
         result["minor"] = minor.to_json()
-        csv_path = _sidecar(args.out, "grid")
-        if csv_path:
-            grid.to_csv(csv_path)
-            result["csv"] = csv_path
+        _sidecar(result, args.out, "grid", grid.to_csv)
     return result, 0
 
 
@@ -327,10 +362,7 @@ def _cmd_levelsets(args) -> tuple[dict, int]:
             "u": list(curve.u_values),
             "counts": [int(c) for c in curve.counts],
         }
-    csv_path = _sidecar(args.out, "levels")
-    if csv_path:
-        profile.to_csv(csv_path)
-        result["csv"] = csv_path
+    _sidecar(result, args.out, "levels", profile.to_csv)
     return result, 0
 
 
@@ -379,23 +411,22 @@ def _cmd_represent(args) -> tuple[dict, int]:
             f"--limit {args.limit} is below the default --n-lo 25 * s = {25 * args.s}; "
             "give a larger --limit or an explicit --n-lo"
         )
-    csv_path = _sidecar(args.out, "counts") if args.csv else None
-    if args.check or csv_path:
+    csv = bool(args.csv and args.out)
+    if args.check or csv:
         count_budget(args.limit, args.s)
     lo = args.n_lo if args.n_lo is not None else args.s * 25
     report = theorem_experiment(args.s, spec, (lo, args.limit))
     result = report.to_json()
     code = 0
-    if args.check or csv_path:
+    if args.check or csv:
         counts = count_representations(args.limit, args.s, spec)
     if args.check:
         bad = _count_violations(counts.counts, args.s, spec, lo, report.exceptions)
         result["congruence_scan_violations"] = bad[:20].tolist()
         if len(bad):
             code = 1
-    if csv_path:
-        counts.to_csv(csv_path)
-        result["csv"] = csv_path
+    if csv:
+        _sidecar(result, args.out, "counts", counts.to_csv)
     return result, code
 
 
@@ -419,11 +450,8 @@ def _cmd_transfer(args) -> tuple[dict, int]:
         witness = transfer_witness(ctx, args.n, args.s, spec, kappa=args.kappa)
         result["status"] = "found"
         result["witness"] = witness.to_json()
-    except Infeasible as exc:
-        result["status"] = "infeasible"
-        result["detail"] = str(exc)
-    except NotFound as exc:
-        result["status"] = "not_found"
+    except (Infeasible, NotFound) as exc:
+        result["status"] = "infeasible" if isinstance(exc, Infeasible) else "not_found"
         result["detail"] = str(exc)
     return result, 0
 
@@ -539,11 +567,7 @@ def run(argv: list[str]) -> int:
         return 0 if exc.code in (0, None) else 2
 
     args.threads_resolved = _resolve_threads(args.threads)
-    config = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("handler",) and not k.startswith("_")
-    }
+    config = {k: v for k, v in sorted(vars(args).items()) if k != "handler" and not k.startswith("_")}
     try:
         result, code = args.handler(args)
         report = _report(args.command, config, result)
@@ -553,6 +577,9 @@ def run(argv: list[str]) -> int:
         return 1
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"psqlab: error: {exc}\n")
+        return 2
+    except MemoryError as exc:  # numpy's names the allocation that failed; a bare one, nothing
+        sys.stderr.write(f"psqlab: error: out of memory: {exc}".rstrip(": ") + "\n")
         return 2
     return code
 

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import TooLarge
 
 MAX_SIEVE_LIMIT = 1 << 31
-DENSITY_WINDOW = 1 << 22  # integers per window of empirical_density's count
+DENSITY_WINDOW = 1 << 21  # integers per window of empirical_density's count: 1 MiB of odd marks
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MIX_C1 = 0xBF58476D1CE4E5B9
@@ -44,21 +44,26 @@ def _splitmix64_array(x: np.ndarray) -> np.ndarray:
 def sieve(limit: int, lo: int = 0) -> np.ndarray:
     """The primes in [lo, limit], ascending, as a read-only int64 array.
 
-    A window sieve: the primes up to isqrt(limit), from sieve(isqrt(limit)),
-    strike their multiples from the window, so only the window's
-    limit - lo + 1 integers are ever held.  Empty when limit < max(lo, 2).
+    A window sieve over the odd numbers only: odd n >= 3 sits at index
+    (n - o0) // 2, o0 the least of them >= lo, and each odd prime up to
+    isqrt(limit), from sieve(isqrt(limit)), strikes its odd multiples from
+    max(p^2, lo) with step p in that index.  2 is added when it lies in the
+    window.  Empty when limit < max(lo, 2).
     """
     if limit < 0 or lo < 0:
         raise ValueError(f"sieve bounds must be >= 0, got [{lo}, {limit}]")
     if limit > MAX_SIEVE_LIMIT:
         raise TooLarge(f"sieve limit {limit} exceeds bound {MAX_SIEVE_LIMIT}")
-    lo = max(lo, 2)
-    mark = np.ones(max(limit - lo + 1, 0), dtype=bool)
+    o0 = max(lo | 1, 3)
+    mark = np.ones(max((limit - o0) // 2 + 1, 0), dtype=bool)
     if len(mark):
-        for p in sieve(math.isqrt(limit)).tolist():
+        for p in sieve(math.isqrt(limit))[1:].tolist():
             start = max(p * p, -(-lo // p) * p)  # p's first multiple in the window, from p^2
-            mark[start - lo :: p] = False
-    primes = (np.flatnonzero(mark) + lo).astype(np.int64, copy=False)
+            start += p * (start % 2 == 0)  # and the first odd one
+            mark[(start - o0) // 2 :: p] = False
+    primes = np.flatnonzero(mark).astype(np.int64, copy=False) * 2 + o0
+    if lo <= 2 <= limit:
+        primes = np.concatenate(([2], primes))
     primes.flags.writeable = False
     return primes
 
@@ -189,9 +194,10 @@ def subset_members(spec: PrimeSubsetSpec, primes: np.ndarray) -> np.ndarray:
         draws = _splitmix64_array(np.uint64(key) ^ base.astype(np.uint64))
         threshold = np.uint64(int(spec.rho * float(1 << 64)))
         return base[draws < threshold]
-    if spec.variant == VARIANT_EXPLICIT:
-        wanted = np.asarray(spec.primes, dtype=np.int64)
-        return np.intersect1d(base, wanted)
+    if spec.variant == VARIANT_EXPLICIT:  # explicit() sorts spec.primes: a lookup, no sort
+        # a base prime past the last wanted one reads the -1, which no prime equals
+        wanted = np.append(np.asarray(spec.primes, dtype=np.int64), -1)
+        return base[wanted[np.searchsorted(wanted[:-1], base)] == base]
     raise ValueError(f"unknown variant {spec.variant!r}")
 
 
@@ -199,7 +205,13 @@ def empirical_density(spec: PrimeSubsetSpec, hi: int) -> float:
     """|P intersect [hi]| / |primes intersect [hi]|, both above min_prime.
 
     Both counts are integers summed over windows of DENSITY_WINDOW integers,
-    so no more than one window's primes are held at a time."""
+    so no more than one window's primes are held at a time.  A spec that
+    keeps every prime has density 1.0 wherever it is defined, and Bertrand's
+    postulate puts a prime in [m, 2m - 2] for m = max(min_prime, 2), so
+    from hi = 2m - 2 on it is 1.0 without a sieve."""
+    keeps_all = spec.variant == VARIANT_ALL or (spec.variant == VARIANT_BERNOULLI and spec.rho >= 1.0)
+    if keeps_all and hi >= 2 * max(spec.min_prime, 2) - 2:
+        return 1.0
     members = reference = 0
     for lo in range(0, hi + 1, DENSITY_WINDOW):
         primes = sieve(min(lo + DENSITY_WINDOW - 1, hi), lo)

@@ -1,4 +1,6 @@
 import csv
+import enum
+import io
 import json
 import math
 import os
@@ -6,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import gauss_row_gcd
@@ -68,6 +70,55 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+class Level(enum.IntEnum):
+    LOW = -2
+    HIGH = 2**40
+
+
+_INT_BATCH = 1 << 14  # ints per joined batch in cli._dump
+
+json_scalars = st.one_of(
+    st.text(),  # non-ASCII, quotes and control characters among them
+    st.integers(),
+    st.sampled_from([2**70, -(2**70), -1, 0]),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(list(Level)),
+    st.floats(),  # nan, +-inf and -0.0 among them
+)
+long_int_lists = st.builds(
+    lambda n, tail: list(range(-5, n)) + tail,
+    st.integers(_INT_BATCH - 8, _INT_BATCH + 8),
+    st.lists(json_scalars, max_size=2),
+)
+json_values = st.recursive(
+    st.one_of(json_scalars, long_int_lists),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.text(), kids, max_size=4),
+        st.dictionaries(st.integers(), kids, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+def dumps_or_error(x):
+    try:
+        return json.dumps(x, sort_keys=True, indent=2) + "\n"
+    except TypeError:
+        return TypeError
+
+
+def dump_or_error(dump, x):
+    buf = io.StringIO()
+    try:
+        dump(x, buf)
+    except TypeError:
+        return TypeError
+    return buf.getvalue()
 
 
 def patch_sieve(monkeypatch, replacement):
@@ -252,6 +303,30 @@ class TestExitCodes:
         assert run(["moments", "--w", "6", "--N", "4096", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err == "psqlab: verification failed: fourth-moment routes disagree: 1.0 vs 2.0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (MemoryError(), "psqlab: error: out of memory\n"),
+            (
+                MemoryError("Unable to allocate 84.5 MiB for an array with shape (11078937,)"),
+                "psqlab: error: out of memory: Unable to allocate 84.5 MiB for an array with shape (11078937,)\n",
+            ),
+        ],
+        ids=["bare", "numpy"],
+    )
+    def test_memory_error_exits_two(self, exc, line, tmp_path, monkeypatch, capsys):
+        # one stderr line and the usage code, not a traceback and the verification code
+        import psqlab.cli as cli_mod
+
+        def exhausted(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli_mod, "theorem_experiment", exhausted)
+        out = tmp_path / "exp.json"
+        assert run(["experiment", "--s", "8", "--n-lo", "5000", "--n-hi", "400000", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == line
         assert not out.exists()
 
     def test_check_failure_is_exit_one(self, tmp_path, monkeypatch):
@@ -562,6 +637,57 @@ class TestReports:
         _emit(report, None)
         assert capsys.readouterr().out == want
 
+    @settings(max_examples=200, deadline=None)
+    @given(report=json_values)
+    @example(report={"exceptions": list(range(-3, 3 * _INT_BATCH)), "empty": [[], {}, ()]})
+    @example(report=[list(range(_INT_BATCH)) + [True, 2**70, Level.HIGH, 1.5], (Level.LOW, -(2**70))])
+    @example(report={"f": [float("nan"), float("inf"), -float("inf"), -0.0, np.float64(0.1)]})
+    @example(report={"s": ['"q"', "\x00\x1f\\", "é∑😀\u2028"]})
+    @example(report={1: "int", -2: None})
+    @example(report={True: [], False: {}})
+    def test_dump_is_the_dumps_text(self, report):
+        from psqlab.cli import _dump
+
+        assert dump_or_error(_dump, report) == dumps_or_error(report)
+
+    @pytest.mark.parametrize(
+        "report",
+        [
+            {"a": np.int64(1)},
+            {"a": [1, 2, np.int64(3)]},
+            {"a": list(range(_INT_BATCH)) + [np.int64(3)]},
+            {"a": np.float32(1.5)},
+            {"a": np.bool_(True)},
+            {"a": {1, 2}},
+            {"a": object()},
+            {(1, 2): 3},
+            {"a": 1, 2: "b"},
+        ],
+        ids=["int64", "int64-in-list", "int64-in-batch", "float32", "bool_", "set", "object", "tuple-key", "mixed-keys"],
+    )
+    def test_dump_raises_where_dumps_raises(self, report):
+        from psqlab.cli import _dump
+
+        with pytest.raises(TypeError):
+            json.dumps(report, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            _dump(report, io.StringIO())
+
+    def test_dump_writes_are_bounded(self):
+        # a million-int report is written in pieces of about 1 MiB, never whole
+        from psqlab.cli import _dump
+
+        report = {"result": {"exceptions": list(range(10**8, 10**8 + 10**6))}}
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+
+        _dump(report, Recorder())
+        assert "".join(writes) == json.dumps(report, sort_keys=True, indent=2) + "\n"
+        assert len(writes) > 5 and max(map(len, writes)) <= 2 << 20
+
     def test_arcs_with_model(self, tmp_path):
         out = tmp_path / "arcs.json"
         code = run(
@@ -615,12 +741,14 @@ class TestReports:
         [
             ["experiment", "--s", "8", "--n-lo", "200", "--n-hi", "9000000"],
             ["represent", "--s", "8", "--check", "--csv", "--limit", "100000"],
+            ["experiment", "--s", "8", "--n-lo", "200", "--spec", "bernoulli:0.9:7", "--n-hi", "9000000"],
         ],
     )
     def test_only_the_density_reads_past_the_root(self, tmp_path, monkeypatch, argv):
         # the squares, the witnesses and the --check oracle sieve no further
-        # than isqrt(hi); past it, only the density's windows of 2^22
-        # integers, which tile [0, hi]
+        # than isqrt(hi); past it, only the density's windows of 2^21
+        # integers, which tile [0, hi], and none for the default spec all,
+        # whose density is 1.0 by Bertrand's postulate
         from psqlab.primes import DENSITY_WINDOW
 
         hi = int(argv[-1])
@@ -628,9 +756,8 @@ class TestReports:
         real = patch_sieve(monkeypatch, lambda limit, lo=0: calls.append((lo, limit)) or real(limit, lo))
         assert run(argv + ["--out", str(tmp_path / "r.json")]) == 0
         windows = [(lo, limit) for lo, limit in calls if limit > math.isqrt(hi)]
-        assert windows == [
-            (lo, min(lo + DENSITY_WINDOW - 1, hi)) for lo in range(0, hi + 1, DENSITY_WINDOW)
-        ]
+        tiles = [(lo, min(lo + DENSITY_WINDOW - 1, hi)) for lo in range(0, hi + 1, DENSITY_WINDOW)]
+        assert windows == ([] if "--spec" not in argv else tiles)
         assert len(calls) > len(windows)
 
     def test_arcs_grid_csv_parses_as_floats(self, tmp_path):

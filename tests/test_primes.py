@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from psqlab.errors import TooLarge
 from psqlab.primes import (
@@ -28,13 +30,14 @@ def full_sieve(limit):
     return np.flatnonzero(mark).astype(np.int64)
 
 
-WINDOW = DENSITY_WINDOW  # 2^22
+WINDOW = DENSITY_WINDOW  # 2^21
 EDGES = [0, 1, 2, 3, 4, 25, WINDOW - 1, WINDOW, WINDOW + 1]
+TOP = 6 * WINDOW + 5  # the largest bound checked against the oracle
 
 
 @pytest.fixture(scope="module")
 def oracle_primes():
-    return full_sieve(3 * WINDOW + 5)
+    return full_sieve(TOP)
 
 
 class TestSieve:
@@ -71,6 +74,27 @@ class TestSieve:
                 got = sieve(limit, lo)
                 assert got.dtype == np.int64 and not got.flags.writeable
                 assert np.array_equal(got, full[(full >= lo) & (full <= limit)]), (lo, limit)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lo=st.one_of(st.integers(0, 3), st.sampled_from(EDGES), st.integers(0, TOP)),
+        width=st.one_of(st.integers(-3, 64), st.integers(0, 3 * WINDOW)),
+    )
+    @example(lo=0, width=WINDOW - 1)
+    @example(lo=1, width=WINDOW)
+    @example(lo=2, width=WINDOW + 1)
+    @example(lo=3, width=WINDOW - 2)
+    @example(lo=WINDOW - 1, width=WINDOW + 2)
+    @example(lo=WINDOW, width=WINDOW - 1)
+    @example(lo=WINDOW + 1, width=WINDOW)
+    def test_odd_windows_equal_the_oracle(self, oracle_primes, lo, width):
+        # odd and even lo and limit, lo in 0..3, and the window edges 2^21 - 1,
+        # 2^21 and 2^21 + 1 as either bound
+        limit = min(max(lo + width, 0), TOP)
+        got = sieve(limit, lo)
+        assert got.dtype == np.int64 and not got.flags.writeable
+        want = oracle_primes[(oracle_primes >= lo) & (oracle_primes <= limit)]
+        assert np.array_equal(got, want), (lo, limit)
 
 
 class TestSplitmix:
@@ -142,6 +166,20 @@ class TestSubsetMembers:
         assert not np.shares_memory(members, primes)
         assert members.flags.writeable and members.dtype == np.int64
 
+    @pytest.mark.parametrize(
+        "primes",
+        [(), (5,), (2, 3, 5, 999983, 1000003), (4, 9, 15), tuple(range(1, 1_000_000, 7))],
+        ids=["empty", "one", "edges", "composites", "many"],
+    )
+    @pytest.mark.parametrize("lo", [0, 500_000, 999_000])
+    def test_explicit_equals_intersect1d(self, primes, lo, primes_1m):
+        # windows with and without the wanted primes, and an empty list
+        window = primes_1m[primes_1m >= lo]
+        spec = PrimeSubsetSpec.explicit(primes, min_prime=3)
+        got = subset_members(spec, window)
+        want = np.intersect1d(window[window >= 3], np.asarray(spec.primes, dtype=np.int64))
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
     def test_explicit_intersects_table(self, primes_1k):
         spec = PrimeSubsetSpec.explicit([3, 5, 7, 2003])
         # 3 cut by min_prime, 2003 beyond the table
@@ -175,6 +213,19 @@ def density_from_the_full_table(spec, primes):
     return len(subset_members(spec, primes)) / reference
 
 
+def windowed_density(spec, hi):
+    """empirical_density's windowed count with no shortcut for a spec that
+    keeps every prime."""
+    members = reference = 0
+    for lo in range(0, hi + 1, DENSITY_WINDOW):
+        primes = sieve(min(lo + DENSITY_WINDOW - 1, hi), lo)
+        reference += int(np.count_nonzero(primes >= spec.min_prime))
+        members += len(subset_members(spec, primes))
+    if reference == 0:
+        raise ValueError(f"no primes >= {spec.min_prime} below {hi}; density undefined")
+    return members / reference
+
+
 class TestDensity:
     def test_all_is_one(self):
         assert empirical_density(PrimeSubsetSpec.all_primes(), 100_000) == 1.0
@@ -198,7 +249,8 @@ class TestDensity:
             empirical_density(PrimeSubsetSpec.all_primes(), 4)
         assert empirical_density(PrimeSubsetSpec.all_primes(), 5) == 1.0
 
-    @pytest.mark.parametrize("hi", [WINDOW - 1, WINDOW, WINDOW + 1, 3 * WINDOW + 5])
+    # hi on the edges of the second window, and the oracle's top
+    @pytest.mark.parametrize("hi", [2 * WINDOW - 1, 2 * WINDOW, 2 * WINDOW + 1, TOP])
     @pytest.mark.parametrize(
         "spec",
         [
@@ -217,7 +269,23 @@ class TestDensity:
         monkeypatch.setattr(primes_mod, "sieve", lambda limit, lo=0: calls.append((lo, limit)) or real(limit, lo))
         table = oracle_primes[oracle_primes <= hi]
         assert empirical_density(spec, hi) == density_from_the_full_table(spec, table)
-        assert max(limit - lo + 1 for lo, limit in calls) <= WINDOW  # no sieve past one window
+        if spec.variant == "all":  # density 1.0 by Bertrand's postulate: no window
+            assert all(limit <= math.isqrt(hi) for lo, limit in calls)
+        else:
+            assert max(limit - lo + 1 for lo, limit in calls) <= WINDOW  # no sieve past one window
+
+    @pytest.mark.parametrize("min_prime", [-3, 0, 1, 2, 3, 4, 5, 7, 8, 100])
+    def test_keep_all_equals_the_windows(self, min_prime):
+        # the shortcut gives what the windowed count gives, raising where it raises
+        for spec in (PrimeSubsetSpec.all_primes(min_prime), PrimeSubsetSpec.bernoulli(1.0, 3, min_prime)):
+            for hi in range(0, 301):
+                try:
+                    want = windowed_density(spec, hi)
+                except ValueError:
+                    with pytest.raises(ValueError, match="density undefined"):
+                        empirical_density(spec, hi)
+                else:
+                    assert empirical_density(spec, hi) == want, (min_prime, hi)
 
 
 class TestJsonWireFormat:
