@@ -182,6 +182,26 @@ def _parse_spec(text: Optional[str], seed: Optional[int]) -> PrimeSubsetSpec:
     raise ValueError(f"cannot parse subset spec {text!r}")
 
 
+def finite_float(text: str) -> float:
+    """float(text), and ValueError for nan and +-inf: the type of every float
+    option, and of each --levels entry, so no report holds NaN or Infinity
+    from an option."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
+def _sequence(args, spec_text: str):
+    """(ctx, b, spec, seq) of a command with --w, --b and --N: the context
+    of w, b or by default the least residue of Z(W), the subset spec_text
+    and its sequence on [1, N]."""
+    ctx = build_context(args.w)
+    b = args.b if args.b is not None else ctx.Z_W[0]
+    spec = _parse_spec(spec_text, args.seed)
+    return ctx, b, spec, f_sequence(ctx, b, args.N, spec)
+
+
 def _resolve_threads(value: Optional[int]) -> int:
     if value is None:
         try:
@@ -274,17 +294,13 @@ def _cmd_arcs(args) -> tuple[dict, int]:
         "minor_measure": partition.minor_measure(),
     }
     if args.w is not None:
-        ctx = build_context(args.w)
-        b = args.b if args.b is not None else ctx.Z_W[0]
-        seq = nu_sequence(ctx, b, args.N)
+        ctx, b, _, seq = _sequence(args, "all")  # the majorant nu
         model = lambda q, a, alpha: major_arc_model(ctx, b, q, a, alpha, args.N)
-        major = compare_major(seq, partition, model, qmax=args.qmax)
+        result["major"] = compare_major(seq, partition, model, qmax=args.qmax)
         grid = dft_grid(seq, args.K)
-        minor = minor_arc_scan(grid, partition)
+        result["minor"] = minor_arc_scan(grid, partition)
         result["w"] = args.w
         result["b"] = b
-        result["major"] = major.to_json()
-        result["minor"] = minor.to_json()
         _sidecar(result, args.out, "grid", grid.to_csv)
     return result, 0
 
@@ -312,22 +328,18 @@ def _cmd_pseudo(args) -> tuple[dict, int]:
 
 
 def _cmd_moments(args) -> tuple[dict, int]:
-    ctx = build_context(args.w)
-    b = args.b if args.b is not None else ctx.Z_W[0]
-    spec = _parse_spec(args.spec, args.seed)
-    seq = f_sequence(ctx, b, args.N, spec)
+    _, b, spec, seq = _sequence(args, args.spec)
     grid_route, auto_route = fourth_moment_routes(seq)  # its budget check runs first
     rel_difference = abs(grid_route - auto_route) / max(abs(grid_route), 1e-300)
     if rel_difference > FOURTH_MOMENT_TOL:
         raise VerificationError(
             f"fourth-moment routes disagree: {grid_route!r} vs {auto_route!r}"
         )
-    report = lq_moment(seq, args.q_exponent, args.K)
     return {
         "w": args.w,
         "b": b,
         "spec": spec.to_json(),
-        "lq": report.to_json(),
+        "lq": lq_moment(seq, args.q_exponent, args.K),
         "fourth_moment": {
             "grid_route": grid_route,
             "autocorrelation_route": auto_route,
@@ -337,10 +349,8 @@ def _cmd_moments(args) -> tuple[dict, int]:
 
 
 def _cmd_levelsets(args) -> tuple[dict, int]:
-    ctx = build_context(args.w)
-    b = args.b if args.b is not None else ctx.Z_W[0]
-    spec = _parse_spec(args.spec, args.seed)
-    seq = f_sequence(ctx, b, args.N, spec)
+    levels = [finite_float(u) for u in args.levels.split(",")] if args.levels else None
+    _, b, spec, seq = _sequence(args, args.spec)
     profile = dyadic_profile(seq, q_exponent=args.q_exponent)
     result = {
         "w": args.w,
@@ -356,8 +366,8 @@ def _cmd_levelsets(args) -> tuple[dict, int]:
             "target": profile.ref_slope_target,
         },
     }
-    if args.levels:
-        curve = level_sets(seq, [float(u) for u in args.levels.split(",")])
+    if levels is not None:
+        curve = level_sets(seq, levels)
         result["requested_levels"] = {
             "u": list(curve.u_values),
             "counts": [int(c) for c in curve.counts],
@@ -369,7 +379,7 @@ def _cmd_levelsets(args) -> tuple[dict, int]:
 def _cmd_sumset_verify(args) -> tuple[dict, int]:
     ctx = build_context(args.w)
     report = exhaustive_lemma_check(ctx)
-    return {"lemma": report.to_json()}, 1 if report.failures else 0
+    return {"lemma": report}, 1 if report["failures"] else 0
 
 
 def _count_violations(
@@ -415,13 +425,12 @@ def _cmd_represent(args) -> tuple[dict, int]:
     if args.check or csv:
         count_budget(args.limit, args.s)
     lo = args.n_lo if args.n_lo is not None else args.s * 25
-    report = theorem_experiment(args.s, spec, (lo, args.limit))
-    result = report.to_json()
+    result = theorem_experiment(args.s, spec, (lo, args.limit))
     code = 0
     if args.check or csv:
         counts = count_representations(args.limit, args.s, spec)
     if args.check:
-        bad = _count_violations(counts.counts, args.s, spec, lo, report.exceptions)
+        bad = _count_violations(counts.counts, args.s, spec, lo, result["exceptions"])
         result["congruence_scan_violations"] = bad[:20].tolist()
         if len(bad):
             code = 1
@@ -447,9 +456,8 @@ def _cmd_transfer(args) -> tuple[dict, int]:
         "m_window_deviation": m_window_deviation(ctx, args.n, args.s),
     }
     try:
-        witness = transfer_witness(ctx, args.n, args.s, spec, kappa=args.kappa)
+        result["witness"] = transfer_witness(ctx, args.n, args.s, spec, kappa=args.kappa)
         result["status"] = "found"
-        result["witness"] = witness.to_json()
     except (Infeasible, NotFound) as exc:
         result["status"] = "infeasible" if isinstance(exc, Infeasible) else "not_found"
         result["detail"] = str(exc)
@@ -458,8 +466,7 @@ def _cmd_transfer(args) -> tuple[dict, int]:
 
 def _cmd_experiment(args) -> tuple[dict, int]:
     spec = _parse_spec(args.spec, args.seed)
-    report = theorem_experiment(args.s, spec, (args.n_lo, args.n_hi))
-    return report.to_json(), 0
+    return theorem_experiment(args.s, spec, (args.n_lo, args.n_hi)), 0
 
 
 # -- parser ----------------------------------------------------------------------
@@ -497,7 +504,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("arcs", help="arc partition; model comparison with --w"))
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--A", type=float, default=2.0)
+    p.add_argument("--A", type=finite_float, default=2.0)
     p.add_argument("--K", type=int, default=4)
     p.add_argument("--w", type=int, default=None)
     p.add_argument("--b", type=int, default=None)
@@ -515,7 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--b", type=int, default=None)
     p.add_argument("--K", type=int, default=4)
-    p.add_argument("--q-exponent", type=float, default=5.0)
+    p.add_argument("--q-exponent", type=finite_float, default=5.0)
     p.add_argument("--spec", default="all")
     p.set_defaults(handler=_cmd_moments)
 
@@ -523,7 +530,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--b", type=int, default=None)
-    p.add_argument("--q-exponent", type=float, default=5.0)
+    p.add_argument("--q-exponent", type=finite_float, default=5.0)
     p.add_argument("--spec", default="all")
     p.add_argument("--levels", default=None, help="comma-separated decreasing levels")
     p.set_defaults(handler=_cmd_levelsets)
@@ -545,7 +552,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, default=8)
-    p.add_argument("--kappa", type=float, default=0.1)
+    p.add_argument("--kappa", type=finite_float, default=0.1)
     p.add_argument("--spec", default="all")
     p.set_defaults(handler=_cmd_transfer)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -328,82 +328,45 @@ def major_arc_model(
     return scale * factor.value * _interval_transform(beta, N)
 
 
-@dataclass(frozen=True)
-class MajorArcRow:
-    q: int
-    a: int
-    center: float
-    err_abs: float
-
-
-@dataclass(frozen=True)
-class MajorReport:
-    N: int
-    rows: tuple[MajorArcRow, ...]
-    per_q_max: dict[int, float]
-    max_err: float
-    max_err_over_N: float
-    q1_rel_err: Optional[float]
-    zero_sequence: bool
-
-    def to_json(self) -> dict:
-        return {
-            "N": self.N,
-            "max_err": self.max_err,
-            "max_err_over_N": self.max_err_over_N,
-            "q1_rel_err": self.q1_rel_err,
-            "zero_sequence": self.zero_sequence,
-            "per_q_max": {str(q): v for q, v in sorted(self.per_q_max.items())},
-            "rows": [
-                {"q": r.q, "a": r.a, "center": r.center, "err_abs": r.err_abs}
-                for r in self.rows
-            ],
-        }
-
-
 def compare_major(
     seq_nu: WeightedSequence,
     partition: ArcPartition,
     model: Callable[[int, int, float], complex],
-    qmax: Optional[int] = None,
-) -> MajorReport:
-    """Max |seq transform - model| at center and edges of each major arc.
+    qmax: int,
+) -> dict:
+    """Max |seq transform - model| at center and edges of each major arc with
+    q <= qmax, as a report: per arc, per q and overall.
 
     The transform is dft_at's sum over the support, found once per call.
     """
     if seq_nu.N != partition.N:
         raise ValueError("sequence and partition disagree on N")
-    arcs = [a for a in partition.arcs if qmax is None or a.q <= qmax]
-    zero_sequence = seq_nu.total() == 0.0
+    N = partition.N
     idx = seq_nu.support()
     weights = seq_nu.values[idx]
 
     rows = []
-    for arc in arcs:
+    per_q: dict[int, float] = {}
+    for arc in partition.arcs:
+        if arc.q > qmax:
+            continue
         err = 0.0
         for alpha in (arc.center - arc.half_width, arc.center, arc.center + arc.half_width):
             d = _support_sum(idx, weights, alpha)
             err = max(err, abs(d - model(arc.q, arc.a, alpha)))
-        rows.append(MajorArcRow(q=arc.q, a=arc.a, center=arc.center, err_abs=err))
-
-    per_q: dict[int, float] = {}
-    for row in rows:
-        per_q[row.q] = max(per_q.get(row.q, 0.0), row.err_abs)
-    max_err = max((r.err_abs for r in rows), default=0.0)
-    q1_rel = None
-    for row in rows:
-        if row.q == 1:
-            q1_rel = row.err_abs / partition.N
-            break
-    return MajorReport(
-        N=partition.N,
-        rows=tuple(rows),
-        per_q_max=per_q,
-        max_err=max_err,
-        max_err_over_N=max_err / partition.N,
-        q1_rel_err=q1_rel,
-        zero_sequence=zero_sequence,
-    )
+        rows.append({"q": arc.q, "a": arc.a, "center": arc.center, "err_abs": err})
+        per_q[arc.q] = max(per_q.get(arc.q, 0.0), err)
+    max_err = max((r["err_abs"] for r in rows), default=0.0)
+    q1_err = next((r["err_abs"] for r in rows if r["q"] == 1), None)
+    return {
+        "N": N,
+        "max_err": max_err,
+        "max_err_over_N": max_err / N,
+        "q1_rel_err": None if q1_err is None else q1_err / N,
+        "zero_sequence": seq_nu.total() == 0.0,
+        "per_q_max": {str(q): v for q, v in sorted(per_q.items())},
+        "rows": rows,
+    }
 
 
 # -- minor arcs ----------------------------------------------------------------
@@ -426,58 +389,31 @@ def rational_approximation(alpha: float, qmax: int) -> tuple[int, int]:
     return h_prev, k_prev
 
 
-@dataclass(frozen=True)
-class MinorReport:
-    N: int
-    K: int
-    sup_abs: float
-    sup_over_N: float
-    argmax_alpha: float
-    argmax_index: int
-    nearest_a: int
-    nearest_q: int
-    minor_points: int
-
-    def to_json(self) -> dict:
-        return {
-            "N": self.N,
-            "K": self.K,
-            "sup_abs": self.sup_abs,
-            "sup_over_N": self.sup_over_N,
-            "argmax_alpha": self.argmax_alpha,
-            "argmax_index": self.argmax_index,
-            "nearest_rational": [self.nearest_a, self.nearest_q],
-            "minor_points": self.minor_points,
-        }
-
-
-def minor_arc_scan(grid: FourierGrid, partition: ArcPartition) -> MinorReport:
-    """Sup of |transform| over grid points in the minor arcs."""
+def minor_arc_scan(grid: FourierGrid, partition: ArcPartition) -> dict:
+    """Sup of |transform| over grid points in the minor arcs, with its grid
+    index, its alpha and the nearest rational a/q with q <= N/Q."""
     if grid.N != partition.N:
         raise ValueError("grid and partition disagree on N")
     L = grid.K * grid.N
     minor = ~partition.major_mask(L)
     count = int(np.count_nonzero(minor))
-    if count == 0:
-        return MinorReport(grid.N, grid.K, 0.0, 0.0, 0.0, 0, 0, 1, 0)
     mags = np.abs(grid.values)
     mags[~minor] = -1.0
+    # with no minor point every entry is -1: index 0, alpha 0 = 0/1, sup 0
     idx = int(np.argmax(mags))
-    sup = float(mags[idx])
+    sup = float(mags[idx]) if count else 0.0
     alpha = idx / L
-    qlim = max(1, int(partition.N / partition.Q))
-    a, q = rational_approximation(alpha, qlim)
-    return MinorReport(
-        N=grid.N,
-        K=grid.K,
-        sup_abs=sup,
-        sup_over_N=sup / grid.N,
-        argmax_alpha=alpha,
-        argmax_index=idx,
-        nearest_a=a,
-        nearest_q=q,
-        minor_points=count,
-    )
+    a, q = rational_approximation(alpha, max(1, int(partition.N / partition.Q)))
+    return {
+        "N": grid.N,
+        "K": grid.K,
+        "sup_abs": sup,
+        "sup_over_N": sup / grid.N,
+        "argmax_alpha": alpha,
+        "argmax_index": idx,
+        "nearest_rational": [a, q],
+        "minor_points": count,
+    }
 
 
 def pseudorandom_sup(seq_nu: WeightedSequence, K: int, reference: np.ndarray) -> float:

@@ -21,8 +21,7 @@ it cannot overflow, Python ints (object dtype) after.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,28 +108,6 @@ def count_representations(limit: int, s: int, spec: PrimeSubsetSpec) -> ReprCoun
     return ReprCountTable(counts=counts)
 
 
-# -- witnesses ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReprWitness:
-    """One representation, with the progression data when it came from a transfer."""
-
-    n: int
-    primes: tuple[int, ...]
-    residues: Optional[tuple[int, ...]] = None
-    indices: Optional[tuple[int, ...]] = None
-    m: Optional[int] = None
-
-    def to_json(self) -> dict:
-        out: dict = {"n": self.n, "primes": list(self.primes)}
-        if self.residues is not None:
-            out["residues"] = list(self.residues)
-            out["indices"] = list(self.indices)
-            out["m"] = self.m
-        return out
-
-
 def scan_lattice(s: int, spec: PrimeSubsetSpec, hi: int) -> None:
     """Raise TooLarge up front if the exception scan over n <= hi is too big.
 
@@ -148,51 +125,18 @@ def scan_lattice(s: int, spec: PrimeSubsetSpec, hi: int) -> None:
 # -- experiment ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
-    s: int
-    spec: PrimeSubsetSpec
-    lambda_threshold: float
-    empirical_density: float
-    density_exceeds_threshold: bool
-    range: tuple[int, int]
-    n_checked: int
-    exceptions: tuple[int, ...]
-    max_exception: Optional[int]
-    sample_witnesses: list[ReprWitness] = field(default_factory=list)
-    exploratory: bool = False
-
-    def to_json(self) -> dict:
-        return {
-            "s": self.s,
-            "spec": self.spec.to_json(),
-            "lambda_threshold": self.lambda_threshold,
-            "empirical_density": self.empirical_density,
-            "density_exceeds_threshold": self.density_exceeds_threshold,
-            "range": list(self.range),
-            "n_checked": self.n_checked,
-            "exceptions": list(self.exceptions),
-            "max_exception": self.max_exception,
-            "sample_witnesses": [w.to_json() for w in self.sample_witnesses],
-            "exploratory": self.exploratory,
-        }
-
-
-def theorem_experiment(
-    s: int,
-    spec: PrimeSubsetSpec,
-    n_range: tuple[int, int],
-    sample_limit: int = 3,
-) -> ExperimentReport:
+def theorem_experiment(s: int, spec: PrimeSubsetSpec, n_range: tuple[int, int]) -> dict:
     """Scan every n = s (mod 24) in the range for a representation.
 
     A target n = s*m0 + g*M is represented when M is a nonnegative integer
     in sJ (square_progression), which the scan reads from scan_mask;
-    witnesses for the first sample_limit represented targets come from a
-    Reach over J capped at the last of them.  Exceptions (no representation)
-    are reported, never fatal; a sampled target that Reach cannot back
-    raises VerificationError.  The range must start at n >= 0 (ValueError,
-    before anything is built), and the density counts the primes up to hi.
+    witnesses for the first three represented targets come from a Reach
+    over J capped at the last of them.  Exceptions (no representation) are
+    reported, never fatal; a sampled target that Reach cannot back raises
+    VerificationError.  The range must start at n >= 0 (ValueError, before
+    anything is built), and the density counts the primes up to hi.  The
+    report lists the exceptions in ascending order and each witness as its
+    n and primes.
     """
     lo, hi = n_range
     if lo > hi:
@@ -211,32 +155,32 @@ def theorem_experiment(
     M //= g
     np.clip(M, 0, None, out=M)
     hit &= scan_mask(J, s, max(hi - s * m0, 0) // g)[M]
-    exceptions = tuple(targets[~hit].tolist())
+    exceptions = targets[~hit].tolist()
     witnesses = []
-    sampled = targets[hit][:sample_limit]
+    sampled = targets[hit][:3]
     if len(sampled):
         reach = Reach([J] * s, (int(sampled[-1]) - s * m0) // g)
         for n in sampled.tolist():
             js = reach.smallest((n - s * m0) // g)
             if js is None:
                 raise VerificationError(f"scan marks n = {n} represented; no witness reaches it")
-            witnesses.append(ReprWitness(n, tuple(math.isqrt(m0 + g * j) for j in js)))
+            witnesses.append({"n": n, "primes": [math.isqrt(m0 + g * j) for j in js]})
 
     lam = lambda_threshold(s)
     density = empirical_density(spec, hi)
-    return ExperimentReport(
-        s=s,
-        spec=spec,
-        lambda_threshold=lam,
-        empirical_density=density,
-        density_exceeds_threshold=density > lam,
-        range=(lo, hi),
-        n_checked=len(targets),
-        exceptions=exceptions,
-        max_exception=exceptions[-1] if exceptions else None,  # targets ascend
-        sample_witnesses=witnesses,
-        exploratory=s < 8,
-    )
+    return {
+        "s": s,
+        "spec": spec.to_json(),
+        "lambda_threshold": lam,
+        "empirical_density": density,
+        "density_exceeds_threshold": density > lam,
+        "range": [lo, hi],
+        "n_checked": len(targets),
+        "exceptions": exceptions,
+        "max_exception": exceptions[-1] if exceptions else None,  # targets ascend
+        "sample_witnesses": witnesses,
+        "exploratory": s < 8,
+    }
 
 
 # -- transfer ---------------------------------------------------------------------
@@ -248,12 +192,13 @@ def transfer_witness(
     s: int,
     spec: PrimeSubsetSpec,
     kappa: float = 0.1,
-) -> ReprWitness:
+) -> dict:
     """Residue selection, then an index search in the transferred variables.
 
     Picks residues b_j by density, forms m = (n - sum b_j)/W, and searches
-    for indices n_j in the support of each subset sequence with sum m.
-    Raises Infeasible (residue selection) or NotFound (index search).
+    for indices n_j in the support of each subset sequence with sum m.  The
+    witness n = sum p_j^2 reports the primes p_j, residues b_j, indices n_j
+    and m.  Raises Infeasible (residue selection) or NotFound (index search).
     """
     if n % 24 != s % 24:
         raise ValueError(f"need n = s (mod 24); got n = {n}, s = {s}")
@@ -287,13 +232,13 @@ def transfer_witness(
         primes.append(p)
     if sum(p * p for p in primes) != n:
         raise VerificationError("transferred witness fails the square-sum identity")
-    return ReprWitness(
-        n=n,
-        primes=tuple(primes),
-        residues=tuple(residues),
-        indices=tuple(int(i) for i in indices),
-        m=m,
-    )
+    return {
+        "n": n,
+        "primes": primes,
+        "residues": residues,
+        "indices": [int(i) for i in indices],
+        "m": m,
+    }
 
 
 def m_window_deviation(ctx: WContext, n: int, s: int) -> float:

@@ -5,9 +5,11 @@ form: weights on n in [1, N] with values[0] as the padding slot, which is
 0.  The discrete fourth moment is computed along two independent routes,
 which the moments command cross-checks: a zero-padded frequency grid (no
 circular wraparound, so the grid sum is exactly the autocorrelation
-identity), and a direct time-domain autocorrelation.  Level-set counts use the exact N-point grid.  Each |grid|
-comes from WeightedSequence.grid_magnitudes, which keeps the sequence's
-last grid, so statistics that read the same grid in turn transform once.
+identity), and a direct time-domain autocorrelation over the support (at
+most MAX_AUTOCORRELATION_SUPPORT points).  Level-set counts use the exact
+N-point grid.  Each |grid| comes from WeightedSequence.grid_magnitudes,
+which keeps the sequence's last grid, so statistics that read the same grid
+in turn transform once.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ from .wtrick import WeightedSequence
 # Relative slack when comparing |transform| against u*N, absorbing the
 # rounding of unit-magnitude phases; far below any level spacing in use.
 _LEVEL_SLACK = 1e-12
+# Support points the autocorrelation route takes: its pair arrays hold the
+# square of this many entries.
+MAX_AUTOCORRELATION_SUPPORT = 2000
 
 
 # -- level sets ----------------------------------------------------------------
@@ -76,38 +81,30 @@ def fourth_moment_routes(seq_f: WeightedSequence) -> tuple[float, float]:
 
     c(k) = sum_{m-n=k} f(m) f(n) is the linear autocorrelation.  The grid
     route evaluates the transform on a zero-padded grid of length L >= 2*len,
-    where the identity sum |transform|^4 / L = sum |c(k)|^2 is exact; past
-    MAX_GRID points it raises TooLarge before either route allocates.  When
+    where the identity sum |transform|^4 / L = sum |c(k)|^2 is exact.  When
     L is a multiple of N, the padded input is that of the (L/N)-fold
     grid_transform, so the grid is seq_f.grid_magnitudes(L/N), shared with
-    lq_moment at the same K; otherwise it is its own FFT.  Up to
-    2000 support points the autocorrelation adds the products f(m) f(n) per
-    gap in row-major (m, n) order and sums the squares in the order each gap
-    first appears.  Past that it is a dense correlation over the support's
-    span, budgeted like a convolution: TooLarge, before either route
-    allocates, when span^2 passes MAX_CONV_LEN.
+    lq_moment at the same K; otherwise it is its own FFT.  The
+    autocorrelation adds the products f(m) f(n) per gap in row-major (m, n)
+    order and sums the squares in the order each gap first appears.  Past
+    MAX_GRID grid points or MAX_AUTOCORRELATION_SUPPORT support points it
+    raises TooLarge before either route allocates.
     """
     arr, N = seq_f.values, seq_f.N
     L = grid_length(_next_pow2(2 * len(arr)), 1)
     support = np.flatnonzero(arr)
-    dense = len(support) ** 2 > 4_000_000
-    if dense:
-        lo, hi = int(support[0]), int(support[-1]) + 1
-        if (hi - lo) ** 2 > MAX_CONV_LEN:
-            raise TooLarge(f"{hi - lo} x {hi - lo} autocorrelation over budget {MAX_CONV_LEN}")
+    if len(support) > MAX_AUTOCORRELATION_SUPPORT:
+        raise TooLarge(
+            f"autocorrelation of {len(support)} support points over budget "
+            f"{MAX_AUTOCORRELATION_SUPPORT}"
+        )
     if N >= 1 and L % N == 0:
         # the same zero-padded input as grid_transform's (L/N)-fold grid
         mags = seq_f.grid_magnitudes(L // N)
     else:
         mags = np.abs(np.fft.fft(arr, L))
     route_grid = N * float(np.sum(mags**4)) / L
-
-    if dense:
-        corr = np.correlate(arr[lo:hi], arr[lo:hi], mode="full")
-        route_auto = N * float(np.sum(corr**2))
-    else:
-        route_auto = N * _sparse_autocorrelation_energy(support, arr[support])
-    return route_grid, route_auto
+    return route_grid, N * _sparse_autocorrelation_energy(support, arr[support])
 
 
 def _sparse_autocorrelation_energy(support: np.ndarray, vals: np.ndarray) -> float:
@@ -171,27 +168,7 @@ def pair_difference_counts(seq_nu: WeightedSequence) -> PairGapTable:
 # -- L^q moments -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    N: int
-    q_exponent: float
-    K: int
-    moment: float  # (1/(K N)) * sum over the grid of |transform|^q
-    normalizer: float  # N^(q-1)
-    ratio: float
-
-    def to_json(self) -> dict:
-        return {
-            "N": self.N,
-            "q_exponent": self.q_exponent,
-            "K": self.K,
-            "moment": self.moment,
-            "normalizer": self.normalizer,
-            "ratio": self.ratio,
-        }
-
-
-def lq_moment(seq_f: WeightedSequence, q_exponent: float, K: int = 4) -> MomentReport:
+def lq_moment(seq_f: WeightedSequence, q_exponent: float, K: int = 4) -> dict:
     """(1/(K N)) sum |transform|^q over the K*N-point grid, against N^(q-1).
 
     The grid is seq_f.grid_magnitudes(K), so right after a fourth moment
@@ -203,14 +180,14 @@ def lq_moment(seq_f: WeightedSequence, q_exponent: float, K: int = 4) -> MomentR
     mags = seq_f.grid_magnitudes(K)
     moment = float(np.sum(mags**q_exponent)) / (K * N)
     normalizer = float(N) ** (q_exponent - 1.0)
-    return MomentReport(
-        N=N,
-        q_exponent=float(q_exponent),
-        K=K,
-        moment=moment,
-        normalizer=normalizer,
-        ratio=moment / normalizer,
-    )
+    return {
+        "N": N,
+        "q_exponent": float(q_exponent),
+        "K": K,
+        "moment": moment,
+        "normalizer": normalizer,
+        "ratio": moment / normalizer,
+    }
 
 
 # -- dyadic profile ----------------------------------------------------------------

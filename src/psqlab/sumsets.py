@@ -8,7 +8,6 @@ cyclic reachability engine (_gridfft.Reach): FFT convolutions thresholded at
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -31,78 +30,31 @@ def sumset(masks: list[np.ndarray]) -> np.ndarray:
     return Reach([supports[id(m)] for m in masks], modulus=len(masks[0])).layers[0]
 
 
-@dataclass(frozen=True)
-class CoverReport:
-    """Outcome of checking that folded sums of E hit every admissible class."""
+def verify_cover(ctx: WContext, E: Iterable[int]) -> dict:
+    """Check the 8-fold sumset of E mod W covers every class = 8 mod 24.
 
-    w: int
-    W: int
-    folds: int
-    e_members: tuple[int, ...]
-    covered: bool
-    missing: tuple[int, ...]
-    sumset_size: int
-
-    def to_json(self) -> dict:
-        return {
-            "w": self.w,
-            "W": self.W,
-            "folds": self.folds,
-            "e_members": list(self.e_members),
-            "covered": self.covered,
-            "missing": list(self.missing),
-            "sumset_size": self.sumset_size,
-        }
-
-
-def verify_cover(ctx: WContext, E: Iterable[int], folds: int = 8) -> CoverReport:
-    """Check the folds-fold sumset of E mod W covers every class = folds mod 24.
-
-    E must be a subset of Z_W.  folds other than 8 are exploratory.
+    E must be a subset of Z_W.
     """
-    members = tuple(sorted({int(m) % ctx.W for m in E}))
+    members = sorted({int(m) % ctx.W for m in E})
     if not set(members) <= set(ctx.Z_W):
         raise ValueError("E contains residues outside Z(W)")
-    required = range(folds % 24, ctx.W, 24)
-
-    if not members:
-        return CoverReport(ctx.w, ctx.W, folds, (), False, tuple(required), 0)
-
-    mask = np.zeros(ctx.W, dtype=bool)
-    mask[list(members)] = True
-    total = sumset([mask] * folds)
-    missing = tuple(r for r in required if not total[r])
-    return CoverReport(
-        w=ctx.w,
-        W=ctx.W,
-        folds=folds,
-        e_members=members,
-        covered=not missing,
-        missing=missing,
-        sumset_size=int(np.count_nonzero(total)),
-    )
+    total = np.zeros(ctx.W, dtype=bool)
+    if members:
+        mask = np.zeros(ctx.W, dtype=bool)
+        mask[members] = True
+        total = sumset([mask] * 8)
+    missing = [r for r in range(8, ctx.W, 24) if not total[r]]
+    return {
+        "w": ctx.w,
+        "W": ctx.W,
+        "e_members": members,
+        "covered": not missing,
+        "missing": missing,
+        "sumset_size": int(np.count_nonzero(total)),
+    }
 
 
-@dataclass(frozen=True)
-class LemmaReport:
-    w: int
-    W: int
-    z_size: int
-    subsets_checked: int
-    failures: tuple[tuple[int, ...], ...]
-    folds: int = 8
-
-    def to_json(self) -> dict:
-        return {
-            "w": self.w,
-            "W": self.W,
-            "z_size": self.z_size,
-            "subsets_checked": self.subsets_checked,
-            "failures": [list(f) for f in self.failures],
-        }
-
-
-def exhaustive_lemma_check(ctx: WContext, folds: int = 8) -> LemmaReport:
+def exhaustive_lemma_check(ctx: WContext) -> dict:
     """Verify the cover for every E with |E| > |Z_W| / 2, exhaustively."""
     z = ctx.Z_W
     if len(z) > MAX_EXHAUSTIVE_Z:
@@ -112,14 +64,12 @@ def exhaustive_lemma_check(ctx: WContext, folds: int = 8) -> LemmaReport:
     for size in range(len(z) // 2 + 1, len(z) + 1):
         for combo in itertools.combinations(z, size):
             checked += 1
-            report = verify_cover(ctx, combo, folds=folds)
-            if not report.covered:
-                failures.append(combo)
-    return LemmaReport(
-        w=ctx.w,
-        W=ctx.W,
-        z_size=len(z),
-        subsets_checked=checked,
-        failures=tuple(failures),
-        folds=folds,
-    )
+            if not verify_cover(ctx, combo)["covered"]:
+                failures.append(list(combo))
+    return {
+        "w": ctx.w,
+        "W": ctx.W,
+        "z_size": len(z),
+        "subsets_checked": checked,
+        "failures": failures,
+    }

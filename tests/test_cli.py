@@ -271,6 +271,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "exceeds bound 33554432" in err and "Traceback" not in err
 
+    def test_moments_past_support_budget_exits_two_before_any_fft(self, monkeypatch, capsys):
+        # 2220 support points: fits the grid budget, not the autocorrelation's
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an FFT ran past the support budget")
+
+        monkeypatch.setattr(np.fft, "fft", unreachable)
+        monkeypatch.setattr(np.fft, "rfft", unreachable)
+        assert run(["moments", "--w", "4", "--N", "16000000"]) == 2
+        err = capsys.readouterr().err
+        assert err == "psqlab: error: autocorrelation of 2220 support points over budget 2000\n"
+
     def test_verification_error_is_exit_one(self, tmp_path, monkeypatch, capsys):
         # a rounding certificate that fails is a verification failure, not usage
         real_irfft = np.fft.irfft
@@ -328,6 +339,43 @@ class TestExitCodes:
         assert run(["experiment", "--s", "8", "--n-lo", "5000", "--n-hi", "400000", "--out", str(out)]) == 2
         assert capsys.readouterr().err == line
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["levelsets", "--w", "4", "--N", "4096", "--levels", "nan"],
+            ["levelsets", "--w", "4", "--N", "4096", "--levels", "0.5,inf"],
+            ["levelsets", "--w", "4", "--N", "4096", "--q-exponent", "nan"],
+            ["moments", "--w", "4", "--N", "4096", "--q-exponent", "nan"],
+            ["moments", "--w", "4", "--N", "4096", "--q-exponent", "inf"],
+            ["transfer", "--w", "6", "--n", "48008", "--s", "8", "--kappa", "nan"],
+            ["transfer", "--w", "6", "--n", "48008", "--s", "8", "--kappa=-inf"],
+            ["arcs", "--N", "4096", "--A", "NaN"],
+            ["arcs", "--w", "4", "--N", "4096", "--A", "infinity"],
+        ],
+        ids=lambda argv: f"{argv[0]}:{argv[-1]}",
+    )
+    def test_non_finite_float_option_exits_two_before_any_work(self, argv, monkeypatch, capsys):
+        # each wrote NaN or Infinity into a report and exited 0, or failed late
+        import psqlab.cli as cli_mod
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work started on a non-finite option")
+
+        monkeypatch.setattr(cli_mod, "build_context", unreachable)
+        monkeypatch.setattr(cli_mod, "arc_partition", unreachable)
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        # argparse's "invalid finite_float value", or the handler's "not a finite number"
+        assert "finite" in err.splitlines()[-1]
+
+    def test_finite_float_options_keep_their_config(self, capsys):
+        argv = ["levelsets", "--w", "4", "--N", "4096", "--q-exponent", "4.5", "--levels", "0.5,1e-1"]
+        assert run(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["q_exponent"] == 4.5 and report["config"]["levels"] == "0.5,1e-1"
+        assert report["result"]["requested_levels"]["u"] == [0.5, 0.1]
 
     def test_check_failure_is_exit_one(self, tmp_path, monkeypatch):
         import psqlab.cli as cli_mod

@@ -448,8 +448,8 @@ class TestCompareMajor:
         part = arc_partition(N, 1.0)
         model = lambda q, a, alpha: major_arc_model(ctx4, 1, q, a, alpha, N)
         report = compare_major(seq, part, model, qmax=1)
-        assert report.zero_sequence
-        assert report.q1_rel_err == pytest.approx(1.0, abs=0.01)
+        assert report["zero_sequence"] is True
+        assert report["q1_rel_err"] == pytest.approx(1.0, abs=0.01)
 
     def test_majorant_model_error_small_at_q1(self, ctx6, all_spec):
         N = 1 << 18
@@ -457,8 +457,9 @@ class TestCompareMajor:
         part = arc_partition(N, 2.0)
         model = lambda q, a, alpha: major_arc_model(ctx6, 1, q, a, alpha, N)
         report = compare_major(seq, part, model, qmax=8)
-        assert report.q1_rel_err < 0.1
-        assert report.per_q_max[1] == report.q1_rel_err * N
+        assert report["q1_rel_err"] < 0.1
+        assert report["per_q_max"]["1"] == report["q1_rel_err"] * N
+        assert list(report["per_q_max"]) == [str(q) for q in range(1, 9)]
 
     def test_rows_equal_pointwise_dft_bitwise(self, ctx6):
         N = 1 << 16
@@ -467,12 +468,12 @@ class TestCompareMajor:
         model = lambda q, a, alpha: major_arc_model(ctx6, 1, q, a, alpha, N)
         report = compare_major(seq, part, model, qmax=6)
         arcs = [arc for arc in part.arcs if arc.q <= 6]
-        assert len(report.rows) == len(arcs)
-        for row, arc in zip(report.rows, arcs):
+        assert len(report["rows"]) == len(arcs)
+        for row, arc in zip(report["rows"], arcs):
             alphas = (arc.center - arc.half_width, arc.center, arc.center + arc.half_width)
             want = max(abs(dft_at(seq, x) - model(arc.q, arc.a, x)) for x in alphas)
-            assert (row.q, row.a) == (arc.q, arc.a)
-            assert row.err_abs.hex() == want.hex()
+            assert (row["q"], row["a"], row["center"]) == (arc.q, arc.a, arc.center)
+            assert row["err_abs"].hex() == want.hex()
 
 
 class TestMinorScan:
@@ -481,7 +482,7 @@ class TestMinorScan:
         seq = make_seq(np.zeros(N + 1))
         part = arc_partition(N, 1.0)
         report = minor_arc_scan(dft_grid(seq, 2), part)
-        assert report.sup_abs == 0.0
+        assert report["sup_abs"] == 0.0
 
     def test_minor_below_main_peak(self, ctx6):
         N = 1 << 18
@@ -489,10 +490,12 @@ class TestMinorScan:
         part = arc_partition(N, 2.0)
         report = minor_arc_scan(dft_grid(seq, 4), part)
         main_peak = abs(dft_at(seq, 0.0))
-        assert 0 < report.sup_abs < main_peak
+        assert 0 < report["sup_abs"] < main_peak
         # the reported rational approximation has a minor-range denominator
-        assert part.Q < report.nearest_q <= N / part.Q
-        assert abs(report.argmax_alpha - report.nearest_a / report.nearest_q) < 1e-3
+        a, q = report["nearest_rational"]
+        assert part.Q < q <= N / part.Q
+        assert abs(report["argmax_alpha"] - a / q) < 1e-3
+        assert report["argmax_alpha"] == report["argmax_index"] / (4 * N)
 
 
 class TestRationalApproximation:

@@ -1,0 +1,50 @@
+"""Golden reports: the stdout JSON of fixed small runs, byte for byte.
+
+Each file under tests/golden/ is a command's report with its generated_at
+line dropped.  The reports hold only ints, strings and correctly rounded
+floats (square roots, integer ratios, Python float arithmetic), so every
+supported numpy gives the same bytes.
+"""
+
+import os
+
+import pytest
+
+from psqlab.cli import run
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+CASES = {
+    "context_w4": "context --w 4",
+    "context_w6": "context --w 6",
+    "context_w8": "context --w 8",
+    "sumset_verify_w6": "sumset-verify --w 6",
+    "sumset_verify_w8": "sumset-verify --w 8",
+    "represent_all_check": "represent --s 8 --limit 100000 --spec all --check",
+    "represent_res5_check": "represent --s 10 --limit 100000 --spec residues:5:1,4 --check",
+    "experiment_all": "experiment --s 8 --n-lo 5000 --n-hi 1000000 --spec all",
+    "experiment_res5": "experiment --s 10 --n-lo 5000 --n-hi 100000 --spec residues:5:1,4",
+    "experiment_bern": "experiment --s 8 --n-lo 5000 --n-hi 1000000 --spec bernoulli:0.9:7",
+    "experiment_s5": "experiment --s 5 --n-lo 100 --n-hi 20000 --spec all",
+    "transfer_w6": "transfer --w 6 --n 48008 --s 8",
+    "transfer_w6_bern": "transfer --w 6 --n 48008 --s 8 --spec bernoulli:0.5:7",
+    "transfer_w6_small": "transfer --w 6 --n 1448 --s 8",
+    "transfer_w6_window": "transfer --w 6 --n 200 --s 8",
+}
+
+
+def test_every_golden_file_has_a_case():
+    assert sorted(f"{name}.json" for name in CASES) == sorted(os.listdir(GOLDEN))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden_bytes(name, capsys, monkeypatch):
+    monkeypatch.delenv("PSQ_LAB_THREADS", raising=False)
+    assert run(CASES[name].split()) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    got = "".join(
+        line for line in out.splitlines(True) if not line.startswith('  "generated_at": ')
+    )
+    with open(os.path.join(GOLDEN, f"{name}.json"), encoding="ascii", newline="") as fh:
+        assert got == fh.read()

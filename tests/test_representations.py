@@ -250,11 +250,11 @@ class TestTheoremExperiment:
         report = theorem_experiment(s, spec, (lo, hi))
         counts = count_representations(hi, s, spec).counts
         targets = range(lo + ((s - lo) % 24), hi + 1, 24)
-        assert report.exceptions == tuple(n for n in targets if counts[n] == 0)
+        assert report["exceptions"] == [n for n in targets if counts[n] == 0]
         represented = [n for n in targets if counts[n] != 0]
-        assert [w.n for w in report.sample_witnesses] == represented[:3]
-        for w in report.sample_witnesses:
-            assert w.primes == brute_smallest(w.n, s, spec, sieve(100))
+        assert [w["n"] for w in report["sample_witnesses"]] == represented[:3]
+        for w in report["sample_witnesses"]:
+            assert tuple(w["primes"]) == brute_smallest(w["n"], s, spec, sieve(100))
 
     def test_scan_lattice_reach(self, all_spec):
         # stride 24: the FFT over K holds 2 * (cap + 1) <= MAX_CONV_LEN points
@@ -269,13 +269,13 @@ class TestTheoremExperiment:
 
     def test_small_range_no_exceptions(self, all_spec):
         report = theorem_experiment(8, all_spec, (200, 20_000))
-        assert report.exceptions == ()
-        assert report.max_exception is None
-        assert report.n_checked == len(range(200, 20_001, 24))
-        assert report.density_exceeds_threshold
-        assert not report.exploratory
-        for w in report.sample_witnesses:
-            assert sum(p * p for p in w.primes) == w.n
+        assert report["exceptions"] == []
+        assert report["max_exception"] is None
+        assert report["n_checked"] == len(range(200, 20_001, 24))
+        assert report["density_exceeds_threshold"] is True
+        assert report["exploratory"] is False
+        for w in report["sample_witnesses"]:
+            assert sum(p * p for p in w["primes"]) == w["n"]
 
     def test_witness_reach_capped_at_last_sample(self, all_spec, monkeypatch):
         import psqlab.representations as reprs
@@ -289,10 +289,10 @@ class TestTheoremExperiment:
 
         monkeypatch.setattr(reprs, "Reach", recording)
         report = theorem_experiment(8, all_spec, (5000, 400_000))
-        assert len(report.sample_witnesses) == 3
-        assert caps == [(report.sample_witnesses[-1].n - 8 * 25) // 24]  # M of n = 8*5^2 + 24M
+        assert len(report["sample_witnesses"]) == 3
+        # M of n = 8*5^2 + 24M
+        assert caps == [(report["sample_witnesses"][-1]["n"] - 8 * 25) // 24]
         caps.clear()
-        theorem_experiment(8, all_spec, (5000, 400_000), sample_limit=0)
         theorem_experiment(8, all_spec, (8, 199))  # every target an exception
         assert caps == []
 
@@ -322,8 +322,8 @@ class TestTheoremExperiment:
         assert s_dense == 9 and top < (hi - 10 * m0) // g
         monkeypatch.setattr(reprs, "scan_mask", real)
         plain = theorem_experiment(10, spec, (0, hi))
-        assert report.exceptions == plain.exceptions and len(report.exceptions) > 0
-        assert report.sample_witnesses == plain.sample_witnesses
+        assert report["exceptions"] == plain["exceptions"] and len(report["exceptions"]) > 0
+        assert report["sample_witnesses"] == plain["sample_witnesses"]
 
     def test_unbacked_witness_raises(self, monkeypatch):
         # 10J misses M = 1 under residues:5:1,4; marked reachable, its target
@@ -354,16 +354,17 @@ class TestTheoremExperiment:
 
     def test_exceptions_reported_not_fatal(self, all_spec):
         # below 8 * 25 nothing is representable: every target is an exception
-        report = theorem_experiment(8, all_spec, (8, 199), sample_limit=0)
-        assert report.exceptions == tuple(range(8, 200, 24))
-        assert report.max_exception == 176
+        report = theorem_experiment(8, all_spec, (8, 199))
+        assert report["exceptions"] == list(range(8, 200, 24))
+        assert report["max_exception"] == 176
+        assert report["sample_witnesses"] == []
 
     def test_exploratory_flag(self, all_spec):
-        report = theorem_experiment(4, all_spec, (100, 500), sample_limit=0)
-        assert report.exploratory
+        report = theorem_experiment(4, all_spec, (100, 500))
+        assert report["exploratory"] is True
 
     def test_json_fields(self, all_spec):
-        blob = theorem_experiment(8, all_spec, (200, 1000)).to_json()
+        blob = theorem_experiment(8, all_spec, (200, 1000))
         for key in (
             "s",
             "spec",
@@ -393,19 +394,20 @@ class TestTransferWitness:
     def test_w4_round_trip(self, ctx4, all_spec):
         n = 10016
         w = transfer_witness(ctx4, n, 8, all_spec)
-        assert w.residues == (1,) * 8
-        assert sum(w.indices) == w.m == (n - 8) // 24
-        assert all(24 * nj + 1 == p * p for nj, p in zip(w.indices, w.primes))
-        assert sum(p * p for p in w.primes) == n
+        assert set(w) == {"n", "primes", "residues", "indices", "m"} and w["n"] == n
+        assert w["residues"] == [1] * 8
+        assert sum(w["indices"]) == w["m"] == (n - 8) // 24
+        assert all(24 * nj + 1 == p * p for nj, p in zip(w["indices"], w["primes"]))
+        assert sum(p * p for p in w["primes"]) == n
 
     def test_w6_residues_match_squares(self, ctx6, all_spec):
         n = 48008
         w = transfer_witness(ctx6, n, 8, all_spec)
-        assert set(w.residues) <= {1, 49}
-        for b, nj, p in zip(w.residues, w.indices, w.primes):
+        assert set(w["residues"]) <= {1, 49}
+        for b, nj, p in zip(w["residues"], w["indices"], w["primes"]):
             assert 120 * nj + b == p * p
             assert p * p % 120 == b
-        assert sum(w.indices) == w.m == (n - sum(w.residues)) // 120
+        assert sum(w["indices"]) == w["m"] == (n - sum(w["residues"])) // 120
 
     def test_congruence_precondition(self, ctx4, all_spec):
         with pytest.raises(ValueError):

@@ -113,26 +113,20 @@ class TestFourthMoment:
         # a second call reads the grid the sequence kept and gives the same bits
         assert fourth_moment_routes(seq) == (grid_route, auto_route)
 
-    def test_dense_route_correlates_the_support_span(self):
-        # 2100 support points (past the dict loop) starting well inside [1, N]
-        arr = np.zeros(4000)
-        arr[1000:3100] = np.random.default_rng(5).random(2100) + 0.5
-        grid_route, auto_route = fourth_moment_routes(as_sequence(arr))
-        assert grid_route == pytest.approx(auto_route, rel=1e-9)
-
     def test_dense_route_past_budget_raises_before_either_route(self, monkeypatch):
-        # 2001 support points spread over N = 10^6: span^2 is far past MAX_CONV_LEN
-        arr = np.zeros(10**6)
-        arr[np.linspace(0, 10**6 - 1, 2001).astype(np.int64)] = 1.0
-        seq = as_sequence(arr)
+        # 2001 support points, one past MAX_AUTOCORRELATION_SUPPORT, at any span
+        import psqlab.restriction as restriction
 
         def unreachable(*args, **kwargs):
             raise AssertionError("a route ran past the budget")
 
-        monkeypatch.setattr(np, "correlate", unreachable)
         monkeypatch.setattr(np.fft, "fft", unreachable)
-        with pytest.raises(TooLarge, match="over budget"):
-            fourth_moment_routes(seq)
+        monkeypatch.setattr(restriction, "_sparse_autocorrelation_energy", unreachable)
+        for N in (2001, 10**6):
+            arr = np.zeros(N)
+            arr[np.linspace(0, N - 1, 2001).astype(np.int64)] = 1.0
+            with pytest.raises(TooLarge, match="2001 support points over budget 2000"):
+                fourth_moment_routes(as_sequence(arr))
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -188,7 +182,7 @@ class TestSharedGrids:
         spec = PrimeSubsetSpec.bernoulli(0.9, 3)
         seq = f_sequence(ctx6, 49, N, spec)
         route_grid, _ = fourth_moment_routes(seq)
-        moment = lq_moment(seq, 5.0, K).moment
+        moment = lq_moment(seq, 5.0, K)["moment"]
         want_grid, want_moment = self.separate_ffts(seq, 5.0, K)
         assert np.float64(route_grid).view(np.uint64) == np.float64(want_grid).view(np.uint64)
         assert np.float64(moment).view(np.uint64) == np.float64(want_moment).view(np.uint64)
@@ -217,14 +211,14 @@ class TestSharedGrids:
         view = base[::2]
         view[[3, 700]] = [1.0, 2.0]
         seq = WeightedSequence(1024, view)
-        before = lq_moment(seq, 5.0, 4).moment  # fills the memo
+        before = lq_moment(seq, 5.0, 4)["moment"]  # fills the memo
         base[6] = 50.0  # view[3]
         view[700] = 0.0
         assert seq.values[3] == 1.0 and seq.values[700] == 2.0
         clean = np.zeros(1025)
         clean[[3, 700]] = [1.0, 2.0]
-        want = lq_moment(WeightedSequence(1024, clean), 5.0, 4).moment
-        for got in (before, lq_moment(seq, 5.0, 4).moment):
+        want = lq_moment(WeightedSequence(1024, clean), 5.0, 4)["moment"]
+        for got in (before, lq_moment(seq, 5.0, 4)["moment"]):
             assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 
     @pytest.mark.parametrize("length", [1024, 1026, 2 * 1025])
@@ -296,22 +290,24 @@ class TestPairGaps:
 
 class TestLqMoment:
     def test_zero_sequence(self):
-        assert lq_moment(as_sequence(np.zeros(64)), 5.0).moment == 0.0
+        assert lq_moment(as_sequence(np.zeros(64)), 5.0)["moment"] == 0.0
 
     def test_exponent_validation(self):
         with pytest.raises(ValueError):
             lq_moment(as_sequence(np.ones(16)), 4.0)
 
     def test_dirichlet_kernel_ratio_stable(self):
-        ratios = [lq_moment(as_sequence(np.ones(1 << k)), 5.0, K=4).ratio for k in (10, 12, 14)]
+        ratios = [lq_moment(as_sequence(np.ones(1 << k)), 5.0, K=4)["ratio"] for k in (10, 12, 14)]
         assert ratios[0] == pytest.approx(0.599623, abs=1e-4)
         assert max(ratios) / min(ratios) < 1.01
 
     def test_ratio_definition(self, ctx6, all_spec):
         seq = f_sequence(ctx6, 1, 1 << 10, all_spec)
         rep = lq_moment(seq, 5.0, K=2)
-        assert rep.ratio == rep.moment / rep.normalizer
-        assert rep.normalizer == (1 << 10) ** 4.0
+        assert rep["ratio"] == rep["moment"] / rep["normalizer"]
+        assert rep["normalizer"] == (1 << 10) ** 4.0
+        assert (rep["N"], rep["K"], rep["q_exponent"]) == (1 << 10, 2, 5.0)
+        assert type(lq_moment(seq, 5, K=2)["q_exponent"]) is float
 
 
 class TestDyadicProfile:
