@@ -6,8 +6,6 @@ so W*N + b and p**2 comparisons stay exact at any desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .primes import sieve
 
 # Trial-division table: every n whose part free of primes below 2**16 is
@@ -16,28 +14,9 @@ _TABLE_LIMIT = 1 << 16
 _SMALL_PRIMES = sieve(_TABLE_LIMIT).tolist()
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Canonical factorization as (prime, exponent) pairs, primes increasing."""
-
-    prime_powers: tuple[tuple[int, int], ...]
-
-    def expand(self) -> int:
-        n = 1
-        for p, e in self.prime_powers:
-            n *= p**e
-        return n
-
-    def is_squarefree(self) -> bool:
-        return all(e == 1 for _, e in self.prime_powers)
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.prime_powers)
-
-
-def factorize(n: int) -> Factorization:
-    """Factor n >= 1 by trial division against the primes below 2^16.
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Factor n >= 1 by trial division against the primes below 2^16: its
+    (prime, exponent) pairs, primes increasing, and () at n = 1.
 
     ValueError when the cofactor left after them is 2^32 or more, since it
     may then be composite.  No caller reaches that.  The gauss and saq
@@ -62,7 +41,7 @@ def factorize(n: int) -> Factorization:
         raise ValueError(f"{n} leaves a cofactor {rem} >= 2^32 with no prime factor below 2^16")
     if rem > 1:
         pairs.append((rem, 1))
-    return Factorization(tuple(pairs))
+    return tuple(pairs)
 
 
 def mod_inverse(a: int, m: int) -> int:
@@ -78,7 +57,7 @@ def mod_inverse(a: int, m: int) -> int:
 def euler_phi(n: int) -> int:
     """Euler totient of n >= 1."""
     phi = 1
-    for p, e in factorize(n).prime_powers:
+    for p, e in factorize(n):
         phi *= (p - 1) * p ** (e - 1)
     return phi
 
@@ -86,6 +65,6 @@ def euler_phi(n: int) -> int:
 def divisor_count(n: int) -> int:
     """Number of positive divisors of n >= 1."""
     tau = 1
-    for _, e in factorize(n).prime_powers:
+    for _, e in factorize(n):
         tau *= e + 1
     return tau

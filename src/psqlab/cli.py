@@ -34,12 +34,12 @@ from .expsums import (
     gauss_sum,
     gauss_sum_row,
     indicator_transform_grid,
-    major_arc_model,
     minor_arc_scan,
     pseudorandom_sup,
     s_closed,
     s_direct,
     unit_mask,
+    vanishes,
 )
 from .arith import factorize
 from .primes import PrimeSubsetSpec
@@ -50,6 +50,7 @@ from .representations import (
     member_roots,
     theorem_experiment,
     transfer_witness,
+    window_length,
 )
 from .restriction import dyadic_profile, fourth_moment_routes, level_sets, lq_moment
 from .sumsets import exhaustive_lemma_check
@@ -64,11 +65,11 @@ FOURTH_MOMENT_TOL = 1e-6  # largest relative gap between the fourth moment's two
 
 _INT_BATCH = 1 << 14  # plain ints joined per str.join call
 _FLUSH_CHARS = 1 << 20  # the most report text buffered before a write
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _scalar(o) -> str:
-    """A JSON scalar as json writes it; TypeError for what json rejects."""
+    """A JSON scalar as json.dumps(allow_nan=False) writes it: TypeError for
+    what json rejects, ValueError for nan and +-inf."""
     if isinstance(o, str):
         return encode_basestring_ascii(o)
     if o is None or isinstance(o, bool):
@@ -76,7 +77,9 @@ def _scalar(o) -> str:
     if isinstance(o, int):
         return int.__repr__(o)
     if isinstance(o, float):
-        return _NONFINITE.get(float.__repr__(o), float.__repr__(o))
+        if not math.isfinite(o):
+            raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
+        return float.__repr__(o)
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
@@ -227,13 +230,12 @@ def _cmd_gauss(args) -> tuple[dict, int]:
     for k in range(1, kmax + 1):
         if k % 2 == 0:
             continue
-        fac = factorize(k)
-        if not fac.is_squarefree():
+        pairs = factorize(k)
+        if any(e > 1 for _, e in pairs):
             continue
-        omega = len(fac.prime_powers)
-        bound = (2**omega) * math.sqrt(k)
+        bound = (2 ** len(pairs)) * math.sqrt(k)
         row = gauss_sum_row(k)
-        units = np.flatnonzero(unit_mask(fac))  # [0] at k = 1
+        units = np.flatnonzero(unit_mask(k))  # [0] at k = 1
         mags = np.abs(row[units])
         worst = max(worst, float(np.max(mags) / bound))
         rows.append((k, float(np.max(mags)), bound))
@@ -263,13 +265,13 @@ def _cmd_saq(args) -> tuple[dict, int]:
     for b in bs:
         for q in range(1, args.qmax + 1):
             units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
-            for direct in s_direct(ctx, b, q, units):
-                closed = s_closed(ctx, b, q, direct.a)
-                diff = abs(direct.value - closed.value)
+            zero = vanishes(q, ctx.W)
+            for a, direct in zip(units, s_direct(ctx, b, q, units)):
+                diff = abs(direct - s_closed(ctx, b, q, a))
                 worst = max(worst, diff)
                 per_q[q] = max(per_q.get(q, 0.0), diff)
-                if closed.case_tag in ("zero_gcd", "zero_q2"):
-                    zero_violation = max(zero_violation, abs(direct.value))
+                if zero:
+                    zero_violation = max(zero_violation, abs(direct))
     ok = worst <= 1e-9 and zero_violation <= 1e-9
     result = {
         "w": args.w,
@@ -295,8 +297,7 @@ def _cmd_arcs(args) -> tuple[dict, int]:
     }
     if args.w is not None:
         ctx, b, _, seq = _sequence(args, "all")  # the majorant nu
-        model = lambda q, a, alpha: major_arc_model(ctx, b, q, a, alpha, args.N)
-        result["major"] = compare_major(seq, partition, model, qmax=args.qmax)
+        result["major"] = compare_major(ctx, b, seq, partition, args.qmax)
         grid = dft_grid(seq, args.K)
         result["minor"] = minor_arc_scan(grid, partition)
         result["w"] = args.w
@@ -358,7 +359,7 @@ def _cmd_levelsets(args) -> tuple[dict, int]:
         "spec": spec.to_json(),
         "N": args.N,
         "levels": list(profile.levels),
-        "counts": [int(c) for c in profile.counts],
+        "counts": list(profile.counts),
         "chebyshev_bound": list(profile.chebyshev_bound),
         "fitted_slope": profile.slope,
         "reference_slopes": {
@@ -367,11 +368,8 @@ def _cmd_levelsets(args) -> tuple[dict, int]:
         },
     }
     if levels is not None:
-        curve = level_sets(seq, levels)
-        result["requested_levels"] = {
-            "u": list(curve.u_values),
-            "counts": [int(c) for c in curve.counts],
-        }
+        counts, _ = level_sets(seq, levels)
+        result["requested_levels"] = {"u": levels, "counts": list(counts)}
     _sidecar(result, args.out, "levels", profile.to_csv)
     return result, 0
 
@@ -442,7 +440,6 @@ def _cmd_represent(args) -> tuple[dict, int]:
 def _cmd_transfer(args) -> tuple[dict, int]:
     ctx = build_context(args.w)
     spec = _parse_spec(args.spec, args.seed)
-    N = max(1, (2 * args.n) // (args.s * ctx.W))
     # the index search sums s indices to m = (n - sum of s residues < W) / W,
     # so its reachability budget at the least such m is refused before any sieve
     reach_budget(args.s + 1, max((args.n - args.s * (ctx.W - 1)) // ctx.W, 0) + 1)
@@ -452,7 +449,7 @@ def _cmd_transfer(args) -> tuple[dict, int]:
         "s": args.s,
         "kappa": args.kappa,
         "spec": spec.to_json(),
-        "window_length": N,
+        "window_length": window_length(ctx, args.n, args.s),
         "m_window_deviation": m_window_deviation(ctx, args.n, args.s),
     }
     try:

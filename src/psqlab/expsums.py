@@ -1,12 +1,12 @@
 """Exponential sums, Gauss sums, local factors, and arc partitions.
 
-The local factor S(q, a) attached to a residue b mod W is computed two
-independent ways: a literal double sum over square roots h of b and
-l in [q], evaluated by s_direct(ctx, b, q, units) for all the given units a
-of one (b, q) at once, and a closed form s_closed(ctx, b, q, a) dispatching
-on gcd(q, W) through quadratic Gauss sums.  Their agreement is the main
-oracle of this module.  All rational phases are reduced in exact integer
-arithmetic before any trigonometry.
+The local factor S(q, a) attached to a residue b mod W is a complex value,
+computed two independent ways: a literal double sum over square roots h of
+b and l in [q], s_direct(ctx, b, q, units) for all the given units a of one
+(b, q) at once, and a closed form s_closed(ctx, b, q, a) dispatching on
+gcd(q, W) through quadratic Gauss sums, 0j where vanishes(q, W).  Their
+agreement is the main oracle of this module.  All rational phases are
+reduced in exact integer arithmetic before any trigonometry.
 """
 
 from __future__ import annotations
@@ -14,13 +14,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ._csvio import write_csv
 from ._gridfft import grid_length, grid_transform
-from .arith import Factorization, euler_phi, factorize, mod_inverse
+from .arith import euler_phi, factorize, mod_inverse
 from .errors import TooLarge, VerificationError
 from .wtrick import WContext, WeightedSequence
 
@@ -84,12 +84,12 @@ MAX_LOCAL_FACTOR_Q = 50_000
 _DIRECT_CELLS = 1 << 20  # (unit x l) phase-table cells s_direct holds at once
 
 
-def unit_mask(fac: Factorization) -> np.ndarray:
-    """Boolean mask over r = 0 .. k-1, k = fac.expand(), of the units mod k:
-    True exactly where gcd(r, k) = 1, so [True] at k = 1.  Each prime factor
-    p of k clears the multiples of p; no gcd is taken."""
-    mask = np.ones(fac.expand(), dtype=bool)
-    for p in fac.primes:
+def unit_mask(k: int) -> np.ndarray:
+    """Boolean mask over r = 0 .. k-1 of the units mod k: True exactly where
+    gcd(r, k) = 1, so [True] at k = 1.  Each prime factor p of k, from
+    factorize(k), clears the multiples of p; no gcd is taken."""
+    mask = np.ones(k, dtype=bool)
+    for p, _ in factorize(k):
         mask[::p] = False
     return mask
 
@@ -109,7 +109,7 @@ def gauss_sum(k: int, r: int) -> complex:
     r %= k
     if math.gcd(r, k) != 1:
         raise ValueError(f"gcd({r}, {k}) != 1")
-    ls = np.flatnonzero(unit_mask(factorize(k)))
+    ls = np.flatnonzero(unit_mask(k))
     phases = (r * ls * ls) % k
     return complex(np.sum(np.exp(2j * np.pi * phases / k)))
 
@@ -117,7 +117,7 @@ def gauss_sum(k: int, r: int) -> complex:
 def gauss_sum_row(k: int) -> np.ndarray:
     """All G(k, r) for r = 0 .. k-1 at once, via the FFT of the square counts.
 
-    The units l mod k come from unit_mask(factorize(k)), in increasing order.
+    The units l mod k come from unit_mask(k), in increasing order.
     Only entries with gcd(r, k) = 1 are meaningful Gauss sums; the rest come
     along for free.  Cross-checked against gauss_sum in the tests.
     ValueError for k < 1 and TooLarge past MAX_GAUSS_MODULUS, as gauss_sum.
@@ -125,36 +125,18 @@ def gauss_sum_row(k: int) -> np.ndarray:
     _check_gauss_modulus(k)
     if k == 1:
         return np.array([1 + 0j])
-    ls = np.flatnonzero(unit_mask(factorize(k)))
+    ls = np.flatnonzero(unit_mask(k))
     counts = np.bincount((ls * ls) % k, minlength=k).astype(float)
     return np.conj(np.fft.fft(counts))
 
 
 # -- the local factor S(q, a) -------------------------------------------------
 
-CASE_COPRIME = "coprime"
-CASE_GCD_TWO = "gcd2"
-CASE_ZERO_GCD = "zero_gcd"
-CASE_ZERO_Q2 = "zero_q2"
 
-
-def _case_tag(q: int, W: int) -> str:
-    if q == 2:
-        return CASE_ZERO_Q2
-    t = math.gcd(q, W)
-    if t == 1:
-        return CASE_COPRIME
-    if t == 2:
-        return CASE_GCD_TWO
-    return CASE_ZERO_GCD
-
-
-@dataclass(frozen=True)
-class LocalFactor:
-    q: int
-    a: int
-    value: complex
-    case_tag: str
+def vanishes(q: int, W: int) -> bool:
+    """Whether S(q, a) is a structural zero for every unit a: q = 2, or q
+    shares an odd prime with W (gcd(q, W) > 2)."""
+    return q == 2 or math.gcd(q, W) > 2
 
 
 def _check_local_args(ctx: WContext, b: int, q: int, a: int) -> None:
@@ -168,15 +150,15 @@ def _check_local_args(ctx: WContext, b: int, q: int, a: int) -> None:
         raise ValueError(f"b = {b} not a reduced quadratic residue mod {ctx.W}")
 
 
-def s_direct(ctx: WContext, b: int, q: int, units: Sequence[int]) -> list[LocalFactor]:
+def s_direct(ctx: WContext, b: int, q: int, units: Sequence[int]) -> list[complex]:
     """Literal double sum over h in H(b) and l in [q] with W*l + h a unit mod q,
-    for every a in units at once: one LocalFactor per unit, in order.
+    for every a in units at once: one complex S(q, a) per unit, in order.
 
-    Whether W*l + h is a unit mod q is read from unit_mask(factorize(q)),
-    built once per call.  Each h adds one row sum of a (unit x l) phase table
-    to that unit's total, so every total accumulates in h order.  Units are
-    taken in chunks of at most _DIRECT_CELLS table cells, which bounds the
-    memory at any q.
+    Whether W*l + h is a unit mod q is read from unit_mask(q), built once
+    per call.  Each h adds one row sum of a (unit x l) phase table to that
+    unit's total, so every total accumulates in h order.  Units are taken in
+    chunks of at most _DIRECT_CELLS table cells, which bounds the memory at
+    any q.
     """
     for a in units:
         _check_local_args(ctx, b, q, a)
@@ -184,7 +166,7 @@ def s_direct(ctx: WContext, b: int, q: int, units: Sequence[int]) -> list[LocalF
     table = np.exp(2j * np.pi * np.arange(q) / q)
     ls = np.arange(1, q + 1, dtype=np.int64)
     wmod = W % q
-    is_unit = unit_mask(factorize(q))
+    is_unit = unit_mask(q)
     totals = [0j] * len(units)
     step = max(1, _DIRECT_CELLS // q)
     for lo in range(0, len(units), step):
@@ -199,30 +181,26 @@ def s_direct(ctx: WContext, b: int, q: int, units: Sequence[int]) -> list[LocalF
             nums = (((i_h % q) * amod) % q + (wmod * lv * lv + 2 * hq * lv) * amod) % q
             for i, row in enumerate(np.sum(table[nums], axis=1).tolist(), lo):
                 totals[i] += row
-    tag = _case_tag(q, W)
-    return [LocalFactor(q=q, a=a, value=t / ctx.H, case_tag=tag) for a, t in zip(units, totals)]
+    return [t / ctx.H for t in totals]
 
 
-def s_closed(ctx: WContext, b: int, q: int, a: int) -> LocalFactor:
+def s_closed(ctx: WContext, b: int, q: int, a: int) -> complex:
     """Closed form for the local factor, dispatching on t = gcd(q, W).
 
-    t > 2 and q = 2 vanish; t = 1 reduces to a single Gauss sum with a
-    phase in b; t = 2 averages phases over the square roots of b against
-    a Gauss sum to the odd modulus q/2.
+    0j where vanishes(q, W) (t > 2, or q = 2); t = 1 reduces to a single
+    Gauss sum with a phase in b; t = 2 averages phases over the square roots
+    of b against a Gauss sum to the odd modulus q/2.
     """
     _check_local_args(ctx, b, q, a)
     W = ctx.W
-    tag = _case_tag(q, W)
-    if tag in (CASE_ZERO_Q2, CASE_ZERO_GCD):
-        return LocalFactor(q=q, a=a, value=0j, case_tag=tag)
-
-    if tag == CASE_COPRIME:
-        if q == 1:
-            return LocalFactor(q=q, a=a, value=1 + 0j, case_tag=tag)
+    if vanishes(q, W):
+        return 0j
+    if q == 1:
+        return 1 + 0j
+    if q % 2:  # 8 | W, so an odd q has t = 1
         w_inv = mod_inverse(W % q, q)
         phase = (-w_inv * b * a) % q
-        value = cmath.exp(2j * cmath.pi * phase / q) * gauss_sum(q, (w_inv * a) % q)
-        return LocalFactor(q=q, a=a, value=value, case_tag=tag)
+        return cmath.exp(2j * cmath.pi * phase / q) * gauss_sum(q, (w_inv * a) % q)
 
     # t == 2: q = 2 * q0 with q0 odd and coprime to W.
     q0 = q // 2
@@ -233,8 +211,7 @@ def s_closed(ctx: WContext, b: int, q: int, a: int) -> LocalFactor:
         i_h = (h * h - b) // W
         num = (i_h * a - 2 * inv2w * h * h * a) % q
         total += cmath.exp(2j * cmath.pi * num / q)
-    value = (2.0 / ctx.H) * total * g
-    return LocalFactor(q=q, a=a, value=value, case_tag=CASE_GCD_TWO)
+    return (2.0 / ctx.H) * total * g
 
 
 # -- arcs ---------------------------------------------------------------------
@@ -316,26 +293,21 @@ def _interval_transform(beta: float, N: int) -> complex:
     return cmath.exp(1j * z) * math.sin(z) / (math.pi * beta)
 
 
-def major_arc_model(
-    ctx: WContext, b: int, q: int, a: int, alpha: float, N: int
-) -> complex:
+def major_arc_model(ctx: WContext, b: int, q: int, a: int, alpha: float, N: int) -> complex:
     """Local factor times the interval transform at beta = alpha - a/q."""
     factor = s_closed(ctx, b, q, a)
-    if factor.value == 0:
+    if factor == 0:
         return 0j
     beta = alpha - a / q
     scale = ctx.phi_W / euler_phi(q * ctx.W)
-    return scale * factor.value * _interval_transform(beta, N)
+    return scale * factor * _interval_transform(beta, N)
 
 
 def compare_major(
-    seq_nu: WeightedSequence,
-    partition: ArcPartition,
-    model: Callable[[int, int, float], complex],
-    qmax: int,
+    ctx: WContext, b: int, seq_nu: WeightedSequence, partition: ArcPartition, qmax: int
 ) -> dict:
-    """Max |seq transform - model| at center and edges of each major arc with
-    q <= qmax, as a report: per arc, per q and overall.
+    """Max |seq transform - major_arc_model(ctx, b, ...)| at center and edges
+    of each major arc with q <= qmax, as a report: per arc, per q and overall.
 
     The transform is dft_at's sum over the support, found once per call.
     """
@@ -353,7 +325,7 @@ def compare_major(
         err = 0.0
         for alpha in (arc.center - arc.half_width, arc.center, arc.center + arc.half_width):
             d = _support_sum(idx, weights, alpha)
-            err = max(err, abs(d - model(arc.q, arc.a, alpha)))
+            err = max(err, abs(d - major_arc_model(ctx, b, arc.q, arc.a, alpha, N)))
         rows.append({"q": arc.q, "a": arc.a, "center": arc.center, "err_abs": err})
         per_q[arc.q] = max(per_q.get(arc.q, 0.0), err)
     max_err = max((r["err_abs"] for r in rows), default=0.0)

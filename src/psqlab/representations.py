@@ -203,12 +203,12 @@ def transfer_witness(
     if n % 24 != s % 24:
         raise ValueError(f"need n = s (mod 24); got n = {n}, s = {s}")
     W = ctx.W
-    N = (2 * n) // (s * W)
+    N = window_length(ctx, n, s)
     if N < 1:
         raise NotFound(f"target {n} gives window length {N} < 1 at W = {W}")
 
-    dt = delta_table(ctx, N, spec)
-    residues = select_residues(ctx, dt, n, s, kappa)  # may raise Infeasible
+    density = delta_table(ctx, N, spec)
+    residues = select_residues(ctx, density, n, s, kappa)  # may raise Infeasible
 
     m, rem = divmod(n - sum(residues), W)
     if rem:
@@ -227,7 +227,7 @@ def transfer_witness(
     for b, nj in zip(residues, indices):
         p = math.isqrt(W * nj + b)
         # primality by trial division, apart from the sieve behind the supports
-        if p * p != W * nj + b or factorize(p).prime_powers != ((p, 1),):
+        if p * p != W * nj + b or factorize(p) != ((p, 1),):
             raise VerificationError("support index does not correspond to a prime square")
         primes.append(p)
     if sum(p * p for p in primes) != n:
@@ -241,10 +241,16 @@ def transfer_witness(
     }
 
 
-def m_window_deviation(ctx: WContext, n: int, s: int) -> float:
-    """Relative deviation of m from its nominal value s*N/2 (reporting aid)."""
-    N = (2 * n) // (s * ctx.W)
+def window_length(ctx: WContext, n: int, s: int) -> int:
+    """N = 2n / (sW), rounded down: the index window [1, N] of the transfer."""
+    return (2 * n) // (s * ctx.W)
+
+
+def m_window_deviation(ctx: WContext, n: int, s: int) -> float | None:
+    """Relative deviation of m from its nominal value s*N/2 (reporting aid),
+    None when the window is empty (N < 1)."""
+    N = window_length(ctx, n, s)
     if N < 1:
-        return math.inf
+        return None
     nominal = s * N / 2.0
     return abs(n / ctx.W - nominal) / nominal

@@ -37,24 +37,12 @@ MAX_AUTOCORRELATION_SUPPORT = 2000
 # -- level sets ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LevelSetCurve:
-    """Counts of frequencies n/N with |transform| >= u * N, per level u.
-
-    chebyshev_bound is the derived column (N-grid fourth moment) / (u^4 N^4),
-    an upper bound for each count.
-    """
-
-    N: int
-    u_values: tuple[float, ...]
-    counts: tuple[int, ...]
-    chebyshev_bound: tuple[float, ...]
-
-
-def level_sets(seq_f: WeightedSequence, u_list: Sequence[float]) -> LevelSetCurve:
-    """Counts on the N-point grid seq_f.grid_magnitudes(1), which the sequence
-    keeps, so a second call on the same sequence does not transform again."""
-    u_values = tuple(float(u) for u in u_list)
+def level_sets(seq_f: WeightedSequence, u_list: Sequence[float]) -> tuple[tuple, tuple]:
+    """(counts, chebyshev_bound) per level u: how many frequencies n/N of the
+    N-point grid seq_f.grid_magnitudes(1), which the sequence keeps, have
+    |transform| >= u * N, and the bound (N-grid fourth moment) / (u^4 N^4) on
+    that count.  ValueError names --levels where u^4 N^4 leaves the float range."""
+    u_values = [float(u) for u in u_list]
     if any(u <= 0 for u in u_values):
         raise ValueError("levels must be positive")
     if any(a <= b for a, b in zip(u_values, u_values[1:])):
@@ -65,8 +53,13 @@ def level_sets(seq_f: WeightedSequence, u_list: Sequence[float]) -> LevelSetCurv
         int(np.count_nonzero(mags >= u * N * (1.0 - _LEVEL_SLACK))) for u in u_values
     )
     m4 = float(np.sum(mags**4))
-    bounds = tuple(m4 / (u**4 * N**4) for u in u_values)
-    return LevelSetCurve(N=N, u_values=u_values, counts=counts, chebyshev_bound=bounds)
+    bounds = []
+    for u in u_values:
+        try:
+            bounds.append(m4 / (u**4 * N**4))
+        except (OverflowError, ZeroDivisionError):  # u^4 overflows, or u^4 N^4 is 0
+            raise ValueError(f"--levels {u!r}: u^4 N^4 at N = {N} leaves the float range") from None
+    return counts, tuple(bounds)
 
 
 # -- fourth moment ---------------------------------------------------------------
@@ -172,14 +165,21 @@ def lq_moment(seq_f: WeightedSequence, q_exponent: float, K: int = 4) -> dict:
     """(1/(K N)) sum |transform|^q over the K*N-point grid, against N^(q-1).
 
     The grid is seq_f.grid_magnitudes(K), so right after a fourth moment
-    taken on the same padded grid it does not transform again.
+    taken on the same padded grid it does not transform again.  ValueError
+    naming --q-exponent where N^(q-1) or the moment leaves the float range.
     """
     if q_exponent <= 4:
         raise ValueError(f"q exponent must exceed 4, got {q_exponent}")
     N = seq_f.N
+    try:
+        normalizer = float(N) ** (q_exponent - 1.0)
+    except OverflowError:
+        raise ValueError(f"--q-exponent {q_exponent!r}: N^(q-1) at N = {N} overflows") from None
     mags = seq_f.grid_magnitudes(K)
-    moment = float(np.sum(mags**q_exponent)) / (K * N)
-    normalizer = float(N) ** (q_exponent - 1.0)
+    with np.errstate(over="ignore"):
+        moment = float(np.sum(mags**q_exponent)) / (K * N)
+    if math.isinf(moment):
+        raise ValueError(f"--q-exponent {q_exponent!r}: the L^q moment at N = {N} overflows")
     return {
         "N": N,
         "q_exponent": float(q_exponent),
@@ -217,11 +217,11 @@ class DyadicProfile:
 def dyadic_profile(seq_f: WeightedSequence, q_exponent: float = 5.0) -> DyadicProfile:
     N = seq_f.N
     kmax = int(math.ceil(math.log2(N))) + 1
-    levels = [2.0**k for k in range(0, -kmax - 1, -1)]
-    curve = level_sets(seq_f, levels)
+    levels = tuple(2.0**k for k in range(0, -kmax - 1, -1))
+    counts, bounds = level_sets(seq_f, levels)
 
     xs, ys = [], []
-    for u, c in zip(curve.u_values, curve.counts):
+    for u, c in zip(levels, counts):
         if 0 < c <= N / 4:
             xs.append(math.log(u))
             ys.append(math.log(c))
@@ -230,9 +230,9 @@ def dyadic_profile(seq_f: WeightedSequence, q_exponent: float = 5.0) -> DyadicPr
         slope = float(np.polyfit(xs, ys, 1)[0])
     return DyadicProfile(
         N=N,
-        levels=curve.u_values,
-        counts=curve.counts,
-        chebyshev_bound=curve.chebyshev_bound,
+        levels=levels,
+        counts=counts,
+        chebyshev_bound=bounds,
         slope=slope,
         ref_slope_moment=-4.0,
         ref_slope_target=-(q_exponent + 4.0) / 2.0,

@@ -1,6 +1,6 @@
 """Residue sumsets in Z_q and the 8-fold cover check.
 
-A residue set is a length-q boolean mask.  Sumsets go through the shared
+The 8-fold sumset of a residue set mod W is the top layer of the shared
 cyclic reachability engine (_gridfft.Reach): FFT convolutions thresholded at
 1/2 under a rounding-residual certificate, exact for every modulus used here.
 """
@@ -19,17 +19,6 @@ from .wtrick import WContext
 MAX_EXHAUSTIVE_Z = 22
 
 
-def sumset(masks: list[np.ndarray]) -> np.ndarray:
-    """Mask of {a_1 + ... + a_n mod q : a_j in masks[j]}, q = len(masks[0]); n >= 1.
-
-    A mask repeated by identity ([A] * n) is transformed once.
-    """
-    if not masks:
-        raise ValueError("a sumset needs at least one summand")
-    supports = {id(m): np.flatnonzero(m) for m in masks}
-    return Reach([supports[id(m)] for m in masks], modulus=len(masks[0])).layers[0]
-
-
 def verify_cover(ctx: WContext, E: Iterable[int]) -> dict:
     """Check the 8-fold sumset of E mod W covers every class = 8 mod 24.
 
@@ -38,11 +27,8 @@ def verify_cover(ctx: WContext, E: Iterable[int]) -> dict:
     members = sorted({int(m) % ctx.W for m in E})
     if not set(members) <= set(ctx.Z_W):
         raise ValueError("E contains residues outside Z(W)")
-    total = np.zeros(ctx.W, dtype=bool)
-    if members:
-        mask = np.zeros(ctx.W, dtype=bool)
-        mask[members] = True
-        total = sumset([mask] * 8)
+    # eight references to one array, which Reach transforms once
+    total = Reach([np.array(members, dtype=np.int64)] * 8, modulus=ctx.W).layers[0]
     missing = [r for r in range(8, ctx.W, 24) if not total[r]]
     return {
         "w": ctx.w,

@@ -162,35 +162,22 @@ def f_sequence(ctx: WContext, b: int, N: int, spec: PrimeSubsetSpec) -> Weighted
     return WeightedSequence(N=N, values=values)
 
 
-@dataclass(frozen=True)
-class DensityTable:
-    """Mean value of the subset sequence for every residue b in Z_W."""
-
-    N: int
-    entries: dict[int, float]
-
-    def max_entry(self) -> tuple[int, float]:
-        mu = max(self.entries.values())
-        b0 = min(b for b, d in self.entries.items() if d == mu)
-        return b0, mu
-
-
-def delta_table(ctx: WContext, N: int, spec: PrimeSubsetSpec) -> DensityTable:
-    entries = {b: f_sequence(ctx, b, N, spec).mean() for b in ctx.Z_W}
-    return DensityTable(N=N, entries=entries)
+def delta_table(ctx: WContext, N: int, spec: PrimeSubsetSpec) -> dict[int, float]:
+    """{b: mean of the subset sequence on [1, N]} for every residue b in Z_W."""
+    return {b: f_sequence(ctx, b, N, spec).mean() for b in ctx.Z_W}
 
 
 def select_residues(
-    ctx: WContext, dt: DensityTable, n: int, s: int, kappa: float
+    ctx: WContext, density: dict[int, float], n: int, s: int, kappa: float
 ) -> list[int]:
     """Pick s residues b_j with sum congruent to n mod W and high density.
 
-    The result is b0 repeated (s - 8) times, b0 the densest residue, plus the
-    lexicographically smallest nondecreasing 8-tuple of residues whose density
-    clears 2*lambda^2 - mu + kappa/4.  Every b is 1 mod 24, so on k = (b - 1)/24
-    the 8-fold sum condition mod W is a cyclic reachability search mod
-    W' = W/24.  Raises Infeasible when the threshold or the sum condition
-    cannot be met.
+    density is delta_table's {b: mean}.  The result is b0 repeated (s - 8)
+    times, b0 the least b of greatest density mu, plus the lexicographically
+    smallest nondecreasing 8-tuple of residues whose density clears
+    2*lambda^2 - mu + kappa/4.  Every b is 1 mod 24, so on k = (b - 1)/24 the
+    8-fold sum condition mod W is a cyclic reachability search mod W' = W/24.
+    Raises Infeasible when the threshold or the sum condition cannot be met.
     """
     if s < 8:
         raise ValueError(f"s must be >= 8, got {s}")
@@ -200,9 +187,10 @@ def select_residues(
         raise ValueError(f"need n = s (mod 24); got n = {n}, s = {s}")
 
     lam_sq = 1.0 - min(s, 16) / 32.0
-    b0, mu = dt.max_entry()
+    mu = max(density.values())
+    b0 = min(b for b, d in density.items() if d == mu)
     threshold = 2.0 * lam_sq - mu + kappa / 4.0
-    pool = sorted(b for b, d in dt.entries.items() if d >= threshold)
+    pool = sorted(b for b, d in density.items() if d >= threshold)
     if not pool:
         raise Infeasible(
             f"no residue density reaches threshold {threshold:.4f} (max is {mu:.4f})"

@@ -32,10 +32,10 @@ def gauss_result_gcd(kmax, csv_path):
     for k in range(1, kmax + 1):
         if k % 2 == 0:
             continue
-        fac = factorize(k)
-        if not fac.is_squarefree():
+        pairs = factorize(k)
+        if any(e > 1 for _, e in pairs):
             continue
-        bound = (2 ** len(fac.prime_powers)) * math.sqrt(k)
+        bound = (2 ** len(pairs)) * math.sqrt(k)
         row = gauss_row_gcd(k)
         rs = np.arange(k)
         units = rs[np.gcd(rs, k) == 1] if k > 1 else np.array([0])
@@ -107,17 +107,17 @@ json_values = st.recursive(
 
 def dumps_or_error(x):
     try:
-        return json.dumps(x, sort_keys=True, indent=2) + "\n"
-    except TypeError:
-        return TypeError
+        return json.dumps(x, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except (TypeError, ValueError) as exc:
+        return type(exc)
 
 
 def dump_or_error(dump, x):
     buf = io.StringIO()
     try:
         dump(x, buf)
-    except TypeError:
-        return TypeError
+    except (TypeError, ValueError) as exc:
+        return type(exc)
     return buf.getvalue()
 
 
@@ -297,9 +297,8 @@ class TestExitCodes:
     def test_failed_self_check_is_exit_one(self, tmp_path, monkeypatch, capsys):
         # the transfer's own witness check fails when no index maps to a prime
         import psqlab.representations as repr_mod
-        from psqlab.arith import Factorization
 
-        monkeypatch.setattr(repr_mod, "factorize", lambda p: Factorization(((p, 2),)))
+        monkeypatch.setattr(repr_mod, "factorize", lambda p: ((p, 2),))
         out = tmp_path / "tr.json"
         assert run(["transfer", "--w", "6", "--n", "960008", "--s", "8", "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -370,6 +369,26 @@ class TestExitCodes:
         # argparse's "invalid finite_float value", or the handler's "not a finite number"
         assert "finite" in err.splitlines()[-1]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--w", "4", "--N", "4096", "--q-exponent", "88"],
+            ["moments", "--w", "4", "--N", "4096", "--q-exponent", "86"],
+            ["levelsets", "--w", "4", "--N", "4096", "--levels", "1e80"],
+            ["levelsets", "--w", "4", "--N", "4096", "--levels", "1e-100"],
+        ],
+        ids=lambda argv: f"{argv[0]}:{argv[-1]}",
+    )
+    def test_float_range_exceeded_exits_two(self, argv, capsys):
+        # N^(q-1), u^4 or 1/(u^4 N^4) out of the float range: a traceback and
+        # exit 1, or (q = 86) a moment of Infinity in the report and exit 0
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"psqlab: error: {argv[-2]} {float(argv[-1])!r}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_finite_float_options_keep_their_config(self, capsys):
         argv = ["levelsets", "--w", "4", "--N", "4096", "--q-exponent", "4.5", "--levels", "0.5,1e-1"]
         assert run(argv) == 0
@@ -381,9 +400,7 @@ class TestExitCodes:
         import psqlab.cli as cli_mod
 
         def broken(ctx, b, q, a):
-            from psqlab.expsums import LocalFactor
-
-            return LocalFactor(q=q, a=a, value=123 + 0j, case_tag="coprime")
+            return 123 + 0j
 
         monkeypatch.setattr(cli_mod, "s_closed", broken)
         out = tmp_path / "bad.json"
@@ -676,7 +693,7 @@ class TestReports:
         # the batches join to the text json.dumps builds whole, also past one batch
         from psqlab.cli import _emit
 
-        report = {"b": [1.5, -0.0, 1e-300, float("inf")], "a": {"z": "é", "y": None, "x": []}}
+        report = {"b": [1.5, -0.0, 1e-300, 5e-324], "a": {"z": "é", "y": None, "x": []}}
         report["c"] = list(range(20_000))
         want = json.dumps(report, sort_keys=True, indent=2) + "\n"
         out = tmp_path / "r.json"
@@ -684,6 +701,15 @@ class TestReports:
         assert out.read_text() == want and os.listdir(tmp_path) == ["r.json"]
         _emit(report, None)
         assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_float_raises_and_leaves_no_file(self, x, tmp_path):
+        # json.dumps(allow_nan=False) raises here too: no report holds NaN or Infinity
+        from psqlab.cli import _emit
+
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _emit({"a": [1.5, x]}, str(tmp_path / "r.json"))
+        assert os.listdir(tmp_path) == []
 
     @settings(max_examples=200, deadline=None)
     @given(report=json_values)

@@ -12,8 +12,6 @@ from psqlab._gridfft import grid_transform
 from psqlab.arith import factorize, mod_inverse
 from psqlab.errors import TooLarge
 from psqlab.expsums import (
-    LocalFactor,
-    _case_tag,
     arc_partition,
     compare_major,
     dft_at,
@@ -28,6 +26,7 @@ from psqlab.expsums import (
     s_closed,
     s_direct,
     unit_mask,
+    vanishes,
 )
 from psqlab.wtrick import WeightedSequence, nu_sequence
 
@@ -59,7 +58,7 @@ def s_direct_one_unit(ctx, b, q, a):
         lv = ls[ok]
         nums = (((i_h % q) * amod) % q + (wmod * lv * lv + 2 * hq * lv) * amod) % q
         total += complex(np.sum(table[nums]))
-    return LocalFactor(q=q, a=a, value=total / ctx.H, case_tag=_case_tag(q, W))
+    return total / ctx.H
 
 
 def s_direct_gcd(ctx, b, q, units):
@@ -208,7 +207,7 @@ class TestUnitMask:
     @example(4999)  # prime
     def test_matches_gcd(self, k):
         r = np.arange(k)
-        assert np.array_equal(unit_mask(factorize(k)), np.gcd(r, k) == 1)
+        assert np.array_equal(unit_mask(k), np.gcd(r, k) == 1)
 
     def test_gauss_sum_bitwise_equal_gcd_units(self):
         for k in (3, 9, 15, 49, 105, 1024 + 1, 4999):
@@ -247,10 +246,10 @@ class TestGaussSum:
 
     def test_magnitude_bound_small(self):
         for k in range(3, 100, 2):
-            fac = factorize(k)
-            if not fac.is_squarefree():
+            pairs = factorize(k)
+            if any(e > 1 for _, e in pairs):
                 continue
-            bound = 2 ** len(fac.prime_powers) * math.sqrt(k)
+            bound = 2 ** len(pairs) * math.sqrt(k)
             for r in range(1, k):
                 if math.gcd(r, k) == 1:
                     assert abs(gauss_sum(k, r)) <= bound + 1e-9
@@ -278,38 +277,48 @@ class TestGaussSum:
 class TestLocalFactor:
     def test_q_one_is_one(self, ctx4, ctx6):
         for ctx, b in ((ctx4, 1), (ctx6, 49)):
-            assert s_direct(ctx, b, 1, [1])[0].value == pytest.approx(1, abs=1e-12)
-            assert s_closed(ctx, b, 1, 1).value == pytest.approx(1, abs=1e-12)
+            assert s_direct(ctx, b, 1, [1])[0] == pytest.approx(1, abs=1e-12)
+            assert s_closed(ctx, b, 1, 1) == pytest.approx(1, abs=1e-12)
 
     def test_q_two_vanishes(self, ctx4):
-        lf = s_direct(ctx4, 1, 2, [1])[0]
-        assert abs(lf.value) < 1e-12
-        assert s_closed(ctx4, 1, 2, 1).value == 0
-        assert lf.case_tag == "zero_q2"
+        assert abs(s_direct(ctx4, 1, 2, [1])[0]) < 1e-12
+        assert s_closed(ctx4, 1, 2, 1) == 0
 
     def test_shared_odd_factor_vanishes(self, ctx4):
         for q in (3, 6, 9, 12, 24):
-            direct = s_direct(ctx4, 1, q, [1])[0]
-            closed = s_closed(ctx4, 1, q, 1)
-            assert abs(direct.value) < 1e-12
-            assert closed.value == 0
-            assert closed.case_tag == "zero_gcd" if q != 2 else "zero_q2"
+            assert abs(s_direct(ctx4, 1, q, [1])[0]) < 1e-12
+            assert s_closed(ctx4, 1, q, 1) == 0
+
+    @pytest.mark.parametrize("w", [4, 6])
+    def test_vanishes_exactly_where_closed_form_is_zero(self, ctx4, ctx6, w):
+        # vanishes(q, W) holds exactly for the q whose closed form is 0j at every
+        # b and unit a.  A gcd(q, W) = 2 factor may also be 0j at a single a (its
+        # root phases cancel), so the closed form alone does not decide vanishes.
+        ctx = {4: ctx4, 6: ctx6}[w]
+        for q in range(1, 61):
+            units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
+            zeros = []
+            for b in ctx.Z_W:
+                for a, direct in zip(units, s_direct(ctx, b, q, units)):
+                    zeros.append(s_closed(ctx, b, q, a) == 0j)
+                    if zeros[-1]:
+                        assert abs(direct) <= 1e-9
+            assert vanishes(q, ctx.W) == all(zeros), q
+            if any(zeros) and not all(zeros):
+                assert math.gcd(q, ctx.W) == 2
 
     def test_coprime_case_formula(self, ctx4):
         # q = 5: phase e(-inv(W) * b * a / 5) times G(5, inv(W) * a)
         w_inv = mod_inverse(24, 5)
         assert w_inv == 4
         want = cmath.exp(2j * cmath.pi * ((-w_inv) % 5) / 5) * gauss_direct(5, 4)
-        got = s_closed(ctx4, 1, 5, 1)
-        assert got.value == pytest.approx(want, abs=1e-12)
-        assert got.case_tag == "coprime"
-        assert s_direct(ctx4, 1, 5, [1])[0].value == pytest.approx(want, abs=1e-9)
+        assert s_closed(ctx4, 1, 5, 1) == pytest.approx(want, abs=1e-12)
+        assert s_direct(ctx4, 1, 5, [1])[0] == pytest.approx(want, abs=1e-9)
 
     def test_gcd_two_case(self, ctx6):
+        assert math.gcd(14, ctx6.W) == 2
         direct = s_direct(ctx6, 49, 14, [1])[0]
-        closed = s_closed(ctx6, 49, 14, 1)
-        assert closed.case_tag == "gcd2"
-        assert abs(direct.value - closed.value) < 1e-9
+        assert abs(direct - s_closed(ctx6, 49, 14, 1)) < 1e-9
 
     def test_closed_matches_direct_sweep(self, ctx4):
         for q in range(1, 41):
@@ -318,8 +327,8 @@ class TestLocalFactor:
                     continue
                 d = s_direct(ctx4, 1, q, [a])[0]
                 c = s_closed(ctx4, 1, q, a)
-                assert abs(d.value - c.value) <= 1e-9
-                assert abs(d.value) <= q + 1e-9  # trivial bound
+                assert abs(d - c) <= 1e-9
+                assert abs(d) <= q + 1e-9  # trivial bound
 
     def test_not_coprime_rejected(self, ctx4):
         with pytest.raises(ValueError, match="!= 1"):
@@ -332,8 +341,8 @@ class TestLocalFactor:
         for q in (997, 1999):
             direct = s_direct(ctx6, 49, q, [7])[0]
             closed = s_closed(ctx6, 49, q, 7)
-            assert abs(direct.value - closed.value) < 1e-9
-            assert abs(direct.value) < 2 * math.sqrt(q)
+            assert abs(direct - closed) < 1e-9
+            assert abs(direct) < 2 * math.sqrt(q)
 
     @settings(max_examples=60, deadline=None)
     @given(w=st.sampled_from([4, 6, 8]), data=st.data())
@@ -343,11 +352,9 @@ class TestLocalFactor:
         q = data.draw(st.integers(1, 90), label="q")
         units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
         got = s_direct(ctx, b, q, units)
-        assert [lf.a for lf in got] == units
-        for lf in got:
-            want = s_direct_one_unit(ctx, b, q, lf.a)
-            assert bits(lf.value) == bits(want.value)
-            assert lf.case_tag == want.case_tag
+        assert len(got) == len(units)
+        for a, value in zip(units, got):
+            assert bits(value) == bits(s_direct_one_unit(ctx, b, q, a))
 
     def test_unit_chunks_bitwise_equal(self, ctx6, monkeypatch):
         # a few table cells per chunk: units are split over many chunks
@@ -355,8 +362,8 @@ class TestLocalFactor:
         for q in (1, 7, 37, 120, 211):
             units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
             got = s_direct(ctx6, 49, q, units)
-            assert [bits(lf.value) for lf in got] == [
-                bits(s_direct_one_unit(ctx6, 49, q, a).value) for a in units
+            assert [bits(v) for v in got] == [
+                bits(s_direct_one_unit(ctx6, 49, q, a)) for a in units
             ]
 
     @pytest.mark.parametrize("w", [4, 6, 8])
@@ -365,14 +372,14 @@ class TestLocalFactor:
         for b in ctx.Z_W[:2]:
             for q in (*range(1, 91), 128, 243, 625, 997, 1001):
                 units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1][:40]
-                got = [bits(lf.value) for lf in s_direct(ctx, b, q, units)]
+                got = [bits(v) for v in s_direct(ctx, b, q, units)]
                 assert got == [bits(v) for v in s_direct_gcd(ctx, b, q, units)]
 
     def test_units_unreduced_and_unordered(self, ctx4):
         got = s_direct(ctx4, 1, 7, [13, 1, 8, -1])
-        assert [lf.a for lf in got] == [13, 1, 8, -1]
-        assert bits(got[0].value) == bits(s_direct_one_unit(ctx4, 1, 7, 13).value)
-        assert bits(got[1].value) == bits(got[2].value)
+        assert len(got) == 4
+        assert bits(got[0]) == bits(s_direct_one_unit(ctx4, 1, 7, 13))
+        assert bits(got[1]) == bits(got[2])
         assert s_direct(ctx4, 1, 7, []) == []
 
     def test_overflow_guards(self, ctx6):
@@ -446,8 +453,7 @@ class TestCompareMajor:
         N = 1 << 16
         seq = make_seq(np.zeros(N + 1))
         part = arc_partition(N, 1.0)
-        model = lambda q, a, alpha: major_arc_model(ctx4, 1, q, a, alpha, N)
-        report = compare_major(seq, part, model, qmax=1)
+        report = compare_major(ctx4, 1, seq, part, 1)
         assert report["zero_sequence"] is True
         assert report["q1_rel_err"] == pytest.approx(1.0, abs=0.01)
 
@@ -455,8 +461,7 @@ class TestCompareMajor:
         N = 1 << 18
         seq = nu_sequence(ctx6, 1, N)
         part = arc_partition(N, 2.0)
-        model = lambda q, a, alpha: major_arc_model(ctx6, 1, q, a, alpha, N)
-        report = compare_major(seq, part, model, qmax=8)
+        report = compare_major(ctx6, 1, seq, part, 8)
         assert report["q1_rel_err"] < 0.1
         assert report["per_q_max"]["1"] == report["q1_rel_err"] * N
         assert list(report["per_q_max"]) == [str(q) for q in range(1, 9)]
@@ -465,13 +470,14 @@ class TestCompareMajor:
         N = 1 << 16
         seq = nu_sequence(ctx6, 1, N)
         part = arc_partition(N, 1.5)
-        model = lambda q, a, alpha: major_arc_model(ctx6, 1, q, a, alpha, N)
-        report = compare_major(seq, part, model, qmax=6)
+        report = compare_major(ctx6, 1, seq, part, 6)
         arcs = [arc for arc in part.arcs if arc.q <= 6]
         assert len(report["rows"]) == len(arcs)
         for row, arc in zip(report["rows"], arcs):
             alphas = (arc.center - arc.half_width, arc.center, arc.center + arc.half_width)
-            want = max(abs(dft_at(seq, x) - model(arc.q, arc.a, x)) for x in alphas)
+            want = max(
+                abs(dft_at(seq, x) - major_arc_model(ctx6, 1, arc.q, arc.a, x, N)) for x in alphas
+            )
             assert (row["q"], row["a"], row["center"]) == (arc.q, arc.a, arc.center)
             assert row["err_abs"].hex() == want.hex()
 

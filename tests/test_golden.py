@@ -3,9 +3,11 @@
 Each file under tests/golden/ is a command's report with its generated_at
 line dropped.  The reports hold only ints, strings and correctly rounded
 floats (square roots, integer ratios, Python float arithmetic), so every
-supported numpy gives the same bytes.
+supported numpy gives the same bytes.  Each report must also parse as strict
+JSON, with no NaN or Infinity.
 """
 
+import json
 import os
 
 import pytest
@@ -33,6 +35,10 @@ CASES = {
 }
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def test_every_golden_file_has_a_case():
     assert sorted(f"{name}.json" for name in CASES) == sorted(os.listdir(GOLDEN))
 
@@ -46,5 +52,6 @@ def test_report_matches_golden_bytes(name, capsys, monkeypatch):
     got = "".join(
         line for line in out.splitlines(True) if not line.startswith('  "generated_at": ')
     )
+    json.loads(out, parse_constant=_reject_constant)  # no NaN or Infinity
     with open(os.path.join(GOLDEN, f"{name}.json"), encoding="ascii", newline="") as fh:
         assert got == fh.read()

@@ -19,6 +19,7 @@ from psqlab.representations import (
     scan_lattice,
     theorem_experiment,
     transfer_witness,
+    window_length,
 )
 
 
@@ -428,6 +429,9 @@ class TestTransferWitness:
         with pytest.raises(NotFound):
             transfer_witness(ctx6, 128, 8, all_spec)
 
-    def test_m_window_deviation(self, ctx4):
+    def test_m_window_deviation(self, ctx4, ctx6):
         # m/(s N / 2) stays within a modest window once n clears the scale
         assert m_window_deviation(ctx4, 10016, 8) < 0.2
+        # no window below n = sW/2: no deviation, where it was math.inf
+        assert window_length(ctx6, 200, 8) == 0
+        assert m_window_deviation(ctx6, 200, 8) is None

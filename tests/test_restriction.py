@@ -55,36 +55,36 @@ _mixed_weights = st.builds(
 
 class TestLevelSets:
     def test_zero_sequence(self):
-        curve = level_sets(as_sequence(np.zeros(64)), [1.0, 0.5, 0.25])
-        assert curve.counts == (0, 0, 0)
+        counts, bounds = level_sets(as_sequence(np.zeros(64)), [1.0, 0.5, 0.25])
+        assert counts == (0, 0, 0)
+        assert bounds == (0.0, 0.0, 0.0)
 
     def test_above_sup_is_zero(self, ctx4):
         seq = nu_sequence(ctx4, 1, 512)
         sup = max(abs(dft_at(seq, n / 512)) for n in range(0, 512, 7))
-        curve = level_sets(seq, [2 * sup / 512])
-        assert curve.counts == (0,)
+        counts, _ = level_sets(seq, [2 * sup / 512])
+        assert counts == (0,)
 
     def test_against_direct_scan(self, ctx6, all_spec):
         N = 1 << 12
         seq = f_sequence(ctx6, 1, N, all_spec)
         levels = [0.5, 0.1, 0.02, 0.004]
-        curve = level_sets(seq, levels)
+        counts, _ = level_sets(seq, levels)
         mags = np.array([abs(dft_at(seq, n / N)) for n in range(N)])
-        for u, count in zip(levels, curve.counts):
+        for u, count in zip(levels, counts):
             assert count == int(np.count_nonzero(mags >= u * N))
 
     def test_monotone_and_bounded(self, ctx6, all_spec):
         N = 1 << 10
         seq = f_sequence(ctx6, 49, N, all_spec)
         levels = [2.0**k for k in range(0, -12, -1)]
-        curve = level_sets(seq, levels)
-        assert all(a <= b for a, b in zip(curve.counts, curve.counts[1:]))
-        assert all(c <= N for c in curve.counts)
+        counts, _ = level_sets(seq, levels)
+        assert all(a <= b for a, b in zip(counts, counts[1:]))
+        assert all(c <= N for c in counts)
 
     def test_chebyshev_column_dominates(self, ctx6, all_spec):
         seq = f_sequence(ctx6, 1, 1 << 10, all_spec)
-        curve = level_sets(seq, [0.5, 0.1, 0.05, 0.01])
-        for count, bound in zip(curve.counts, curve.chebyshev_bound):
+        for count, bound in zip(*level_sets(seq, [0.5, 0.1, 0.05, 0.01])):
             assert count <= bound + 1e-9
 
     def test_validation(self):

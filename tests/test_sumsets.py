@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from psqlab.arith import factorize
 from psqlab.errors import TooLarge
-from psqlab.sumsets import exhaustive_lemma_check, sumset, verify_cover
+from psqlab._gridfft import Reach
+from psqlab.sumsets import exhaustive_lemma_check, verify_cover
 from psqlab.wtrick import build_context
 
-SQUAREFREE = [q for q in range(2, 4000) if factorize(q).is_squarefree()]
+SQUAREFREE = [q for q in range(2, 4000) if all(e == 1 for _, e in factorize(q))]
 
 
 def mask(q, members):
@@ -27,12 +28,12 @@ def members(m):
 def downset(a, q):
     """Oracle: mask of all b in Z_q, q squarefree, with every CRT coordinate
     at most the coordinate of a."""
-    fac = factorize(q)
-    if not fac.is_squarefree():
+    pairs = factorize(q)
+    if any(e > 1 for _, e in pairs):
         raise ValueError(f"{q} is not squarefree")
     idx = np.arange(q)
     keep = np.ones(q, dtype=bool)
-    for p in fac.primes:
+    for p, _ in pairs:
         keep &= (idx % p) <= (a % p)
     return keep
 
@@ -41,7 +42,7 @@ def is_downset(S):
     """Oracle: closed under decreasing any single CRT coordinate by one."""
     q = len(S)
     idx = np.arange(q)
-    for p in factorize(q).primes:
+    for p, _ in factorize(q):
         step = (q // p) * pow(q // p, -1, p)  # 1 mod p, 0 mod q / p
         src = np.flatnonzero(S & ((idx % p) > 0))
         if np.any(~S[(src - step) % q]):
@@ -91,7 +92,7 @@ class TestDownset:
     def test_size_formula_and_closure(self, q, a):
         a %= q
         d = downset(a, q)
-        expected = math.prod((a % p) + 1 for p in factorize(q).primes)
+        expected = math.prod((a % p) + 1 for p, _ in factorize(q))
         assert np.count_nonzero(d) == expected
         assert is_downset(d)
 
@@ -101,17 +102,14 @@ class TestDownset:
 
 
 class TestSumset:
+    """Residue sumsets mod q: the top layer of Reach(supports, modulus=q)."""
+
     def test_identity_element(self):
         A = mask(9, [1, 3, 7])
-        assert np.array_equal(sumset([A, mask(9, [0])]), A)
+        assert np.array_equal(Reach([members(A), [0]], modulus=9).layers[0], A)
 
     def test_small_example(self):
-        A = mask(5, [0, 1])
-        assert members(sumset([A, A])) == [0, 1, 2]
-
-    def test_needs_a_summand(self):
-        with pytest.raises(ValueError):
-            sumset([])
+        assert members(Reach([[0, 1]] * 2, modulus=5).layers[0]) == [0, 1, 2]
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -123,8 +121,7 @@ class TestSumset:
     @example(21, [2, 20], 2)
     @example(30, [0, 7, 11, 29], 2)
     def test_against_brute_force(self, q, elems, n):
-        A = mask(q, elems)
-        total = sumset([A] * n)
+        total = Reach([members(mask(q, elems))] * n, modulus=q).layers[0]
         assert total.dtype == bool and len(total) == q
         assert set(members(total)) == brute_fold(q, {e % q for e in elems}, n)
 
@@ -135,22 +132,23 @@ class TestSumset:
         st.integers(0, 10**6),
     )
     def test_sum_of_downsets_is_downset(self, q, a, b):
-        total = sumset([downset(a % q, q), downset(b % q, q)])
+        supports = [members(downset(a % q, q)), members(downset(b % q, q))]
+        total = Reach(supports, modulus=q).layers[0]
         assert is_downset(total)
 
     def test_n_fold_matches_iteration(self):
-        A = mask(13, [1, 5])
+        A = [1, 5]
         folded = A
         for _ in range(7):
-            folded = sumset([folded, A])
-        assert np.array_equal(sumset([A] * 8), folded)
+            folded = members(Reach([folded, A], modulus=13).layers[0])
+        assert members(Reach([A] * 8, modulus=13).layers[0]) == folded
 
-    def test_repeated_mask_transformed_once(self, monkeypatch):
-        # one spectrum for the support plus one transform per layer
+    def test_repeated_mask_transformed_once(self, ctx8, monkeypatch):
+        # verify_cover: one spectrum for the support plus one transform per layer
         calls = []
         rfft = np.fft.rfft
         monkeypatch.setattr(np.fft, "rfft", lambda *a: calls.append(1) or rfft(*a))
-        sumset([mask(13, [1, 5])] * 8)
+        verify_cover(ctx8, ctx8.Z_W)
         assert len(calls) == 1 + 8
 
 
@@ -160,7 +158,7 @@ class TestVerifyCover:
         assert report["covered"]
         assert report["missing"] == []
         # 8-fold sums of {1, 49} land exactly on {8 + 48k mod 120}
-        total = sumset([mask(120, ctx6.Z_W)] * 8)
+        total = Reach([list(ctx6.Z_W)] * 8, modulus=120).layers[0]
         assert members(total) == [8, 32, 56, 80, 104]
         assert report["sumset_size"] == 5
 
@@ -222,7 +220,7 @@ class TestProofDevices:
     def test_middle_element_downset_size(self, w):
         ctx = build_context(w)
         Wp = ctx.W // 24
-        u = middle(factorize(Wp).primes)
+        u = middle([p for p, _ in factorize(Wp)])
         d = downset(u - 1, Wp)
         z_wp = {pow(x, 2, Wp) for x in range(1, Wp) if math.gcd(x, Wp) == 1}
         assert np.count_nonzero(d) == len(z_wp) == len(ctx.Z_W)
@@ -231,8 +229,8 @@ class TestProofDevices:
     def test_four_fold_middle_downset_fills_ring(self, w):
         ctx = build_context(w)
         Wp = ctx.W // 24
-        u = middle(factorize(Wp).primes)
-        assert sumset([downset(u - 1, Wp)] * 4).all()
+        u = middle([p for p, _ in factorize(Wp)])
+        assert Reach([members(downset(u - 1, Wp))] * 4, modulus=Wp).layers[0].all()
 
     @pytest.mark.parametrize("w", [6, 8])
     def test_reduction_view_agrees(self, w):
@@ -243,5 +241,5 @@ class TestProofDevices:
         for combo in itertools.islice(itertools.combinations(ctx.Z_W, half), 8):
             reduced = mask(Wp, combo)
             assert np.count_nonzero(reduced) == half  # reduction mod W' is injective on Z(W)
-            filled = sumset([reduced] * 8).all()
+            filled = Reach([members(reduced)] * 8, modulus=Wp).layers[0].all()
             assert filled == verify_cover(ctx, combo)["covered"]

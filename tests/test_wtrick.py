@@ -10,7 +10,6 @@ from psqlab._csvio import write_csv
 from psqlab.errors import Infeasible, TooLarge
 from psqlab.primes import PrimeSubsetSpec
 from psqlab.wtrick import (
-    DensityTable,
     build_context,
     delta_table,
     f_sequence,
@@ -150,13 +149,13 @@ class TestFSequence:
 class TestDeltaTable:
     def test_empty_spec_all_zero(self, ctx6):
         dt = delta_table(ctx6, 8, PrimeSubsetSpec.explicit([]))
-        assert set(dt.entries) == {1, 49}
-        assert all(v == 0.0 for v in dt.entries.values())
+        assert set(dt) == {1, 49}
+        assert all(v == 0.0 for v in dt.values())
 
     def test_majorant_mean_near_one(self, ctx4, all_spec):
         N = 1 << 16
         dt = delta_table(ctx4, N, all_spec)
-        assert dt.entries[1] == pytest.approx(1.0, abs=0.15)
+        assert dt[1] == pytest.approx(1.0, abs=0.15)
 
     def test_subset_mean_against_squared_density(self, ctx6):
         # lower bound at density d is d^2; a Bernoulli sample actually sits
@@ -167,20 +166,22 @@ class TestDeltaTable:
         spec = PrimeSubsetSpec.bernoulli(0.95, seed=7)
         d = empirical_density(spec, math.isqrt(ctx6.W * N + max(ctx6.Z_W)) + 1)
         dt = delta_table(ctx6, N, spec)
-        mean = sum(dt.entries.values()) / len(dt.entries)
+        mean = sum(dt.values()) / len(dt)
         assert abs(mean - d * d) < 0.1
 
-    def test_max_entry_tie_break(self):
-        dt = DensityTable(N=10, entries={49: 0.5, 1: 0.5})
-        assert dt.max_entry() == (1, 0.5)
+    def test_max_entry_tie_break(self, ctx6):
+        # b0 is the least residue of greatest density; s = 9 repeats it once
+        assert select_residues(ctx6, {49: 0.9, 1: 0.9}, 129, 9, kappa=0.1)[0] == 1
+        assert select_residues(ctx6, {49: 0.95, 1: 0.9}, 129, 9, kappa=0.1)[0] == 49
 
 
 def select_residues_oracle(ctx, dt, n, s, kappa):
     """Exhaustive reference: the densest residue (s - 8) times, then the first
     sorted 8-multiset of threshold-clearing residues with the right sum mod W."""
-    b0, mu = dt.max_entry()
+    mu = max(dt.values())
+    b0 = min(b for b, d in dt.items() if d == mu)
     threshold = 2.0 * (1.0 - min(s, 16) / 32.0) - mu + kappa / 4.0
-    pool = sorted(b for b, d in dt.entries.items() if d >= threshold)
+    pool = sorted(b for b, d in dt.items() if d >= threshold)
     target = (n - (s - 8) * b0) % ctx.W
     for combo in itertools.combinations_with_replacement(pool, 8):
         if sum(combo) % ctx.W == target:
@@ -195,7 +196,7 @@ class TestSelectResidues:
     def test_matches_exhaustive_oracle_random_densities(self, w, data):
         ctx = build_context(w)
         dens = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(ctx.Z_W), max_size=len(ctx.Z_W)))
-        dt = DensityTable(N=100, entries=dict(zip(ctx.Z_W, dens)))
+        dt = dict(zip(ctx.Z_W, dens))
         s = data.draw(st.integers(8, 12))
         n = s + 24 * data.draw(st.integers(0, 10 * ctx.W))
         want = select_residues_oracle(ctx, dt, n, s, 0.1)
@@ -209,7 +210,7 @@ class TestSelectResidues:
         # W = 120120 and |Z| = 180: C(183, 4) tuples per half for a 4+4 split
         ctx = build_context(14)
         assert (ctx.W, len(ctx.Z_W)) == (120120, 180)
-        dt = DensityTable(N=100, entries={b: 0.9 for b in ctx.Z_W})
+        dt = {b: 0.9 for b in ctx.Z_W}
         for n in (8 + 24 * 12345, 10 + 24 * 987654):
             s = n % 24
             chosen = select_residues(ctx, dt, n, s, kappa=0.1)
@@ -218,7 +219,7 @@ class TestSelectResidues:
 
 
     def test_singleton_context(self, ctx4):
-        dt = DensityTable(N=100, entries={1: 0.95})
+        dt = {1: 0.95}
         for s, n in ((8, 200), (10, 250 + 24)):
             if n % 24 != s % 24:
                 n += (s - n) % 24
@@ -227,24 +228,24 @@ class TestSelectResidues:
             assert sum(chosen) % 24 == n % 24
 
     def test_precondition_congruence(self, ctx4):
-        dt = DensityTable(N=100, entries={1: 0.95})
+        dt = {1: 0.95}
         with pytest.raises(ValueError):
             select_residues(ctx4, dt, 9, 8, kappa=0.1)
 
     def test_small_s_rejected(self, ctx4):
-        dt = DensityTable(N=100, entries={1: 0.95})
+        dt = {1: 0.95}
         with pytest.raises(ValueError):
             select_residues(ctx4, dt, 7 * 24 + 7, 7, kappa=0.1)
 
     def test_all_zero_density_infeasible(self, ctx6):
-        dt = DensityTable(N=100, entries={1: 0.0, 49: 0.0})
+        dt = {1: 0.0, 49: 0.0}
         with pytest.raises(Infeasible):
             select_residues(ctx6, dt, 128, 8, kappa=0.1)
 
     def test_matches_exhaustive_oracle(self, ctx6):
         import itertools
 
-        dt = DensityTable(N=100, entries={1: 0.9, 49: 0.9})
+        dt = {1: 0.9, 49: 0.9}
         for n in (368, 32, 896, 8 + 120 * 4 + 24):
             got = select_residues(ctx6, dt, n, 8, kappa=0.1)
             best = None
@@ -255,7 +256,7 @@ class TestSelectResidues:
             assert tuple(got) == best
 
     def test_sum_congruence_postcondition(self, ctx8):
-        dt = DensityTable(N=100, entries={b: 0.9 for b in ctx8.Z_W})
+        dt = {b: 0.9 for b in ctx8.Z_W}
         for n in (848, 848 + 24 * 17, 848 + 24 * 100):
             for s in (8, 11):
                 target = n + (s - n) % 24
@@ -265,6 +266,6 @@ class TestSelectResidues:
 
     def test_threshold_respected(self, ctx6):
         # only b = 1 clears the threshold, so the 8-tuple must avoid 49
-        dt = DensityTable(N=100, entries={1: 1.0, 49: 0.1})
+        dt = {1: 1.0, 49: 0.1}
         chosen = select_residues(ctx6, dt, 8 + 120, 8, kappa=0.1)
         assert set(chosen) == {1}
