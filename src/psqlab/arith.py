@@ -1,10 +1,13 @@
 """Exact integer and modular arithmetic primitives.
 
 Everything here is pure and reentrant; all intermediates are Python ints,
-so W*N + b and p**2 comparisons stay exact at any desk scale.
+so W*N + b and p**2 comparisons stay exact at any desk scale.  unit_mask is
+the one builder of the units mod m, for W as for the Gauss and saq moduli.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .primes import sieve
 
@@ -42,6 +45,16 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     if rem > 1:
         pairs.append((rem, 1))
     return tuple(pairs)
+
+
+def unit_mask(k: int) -> np.ndarray:
+    """Boolean mask over r = 0 .. k-1 of the units mod k: True exactly where
+    gcd(r, k) = 1, so [True] at k = 1.  Each prime factor p of k, from
+    factorize(k), clears the multiples of p; no gcd is taken."""
+    mask = np.ones(k, dtype=bool)
+    for p, _ in factorize(k):
+        mask[::p] = False
+    return mask
 
 
 def mod_inverse(a: int, m: int) -> int:

@@ -28,6 +28,7 @@ from ._gridfft import MAX_LAYER_CELLS, reach_budget, sumset_power
 from .errors import Infeasible, NotFound, TooLarge, VerificationError
 from .expsums import (
     MAX_GAUSS_MODULUS,
+    MAX_LOCAL_FACTOR_Q,
     arc_partition,
     compare_major,
     dft_grid,
@@ -38,10 +39,9 @@ from .expsums import (
     pseudorandom_sup,
     s_closed,
     s_direct,
-    unit_mask,
     vanishes,
 )
-from .arith import factorize
+from .arith import factorize, unit_mask
 from .primes import PrimeSubsetSpec
 from .representations import (
     count_budget,
@@ -56,7 +56,6 @@ from .restriction import dyadic_profile, fourth_moment_routes, level_sets, lq_mo
 from .sumsets import exhaustive_lemma_check
 from .wtrick import build_context, f_sequence, nu_sequence
 
-ENV_THREADS = "PSQ_LAB_THREADS"
 FOURTH_MOMENT_TOL = 1e-6  # largest relative gap between the fourth moment's two routes
 
 
@@ -205,15 +204,6 @@ def _sequence(args, spec_text: str):
     return ctx, b, spec, f_sequence(ctx, b, args.N, spec)
 
 
-def _resolve_threads(value: Optional[int]) -> int:
-    if value is None:
-        try:
-            value = int(os.environ.get(ENV_THREADS) or 1)
-        except ValueError:
-            value = 1
-    return max(1, value)
-
-
 # -- subcommand handlers --------------------------------------------------------
 
 
@@ -258,6 +248,8 @@ def _cmd_gauss(args) -> tuple[dict, int]:
 
 def _cmd_saq(args) -> tuple[dict, int]:
     ctx = build_context(args.w)
+    if args.qmax > MAX_LOCAL_FACTOR_Q:  # refused before any q, not at the first q past it
+        raise TooLarge(f"--qmax {args.qmax} exceeds bound {MAX_LOCAL_FACTOR_Q}")
     bs = [args.b] if args.b is not None else list(ctx.Z_W)
     worst = 0.0
     zero_violation = 0.0
@@ -483,7 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="seed for inline bernoulli specs")
         return p
 
-    p = common(sub.add_parser("context", help="W-trick environment for a given w"))
+    p = common(sub.add_parser("context", help="W-trick context for a given w"))
     p.add_argument("--w", type=int, required=True)
     p.set_defaults(handler=_cmd_context)
 
@@ -570,7 +562,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
 
-    args.threads_resolved = _resolve_threads(args.threads)
+    args.threads_resolved = max(1, args.threads or 1)
     config = {k: v for k, v in sorted(vars(args).items()) if k != "handler" and not k.startswith("_")}
     try:
         result, code = args.handler(args)

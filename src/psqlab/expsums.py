@@ -20,7 +20,7 @@ import numpy as np
 
 from ._csvio import write_csv
 from ._gridfft import grid_length, grid_transform
-from .arith import euler_phi, factorize, mod_inverse
+from .arith import euler_phi, mod_inverse, unit_mask
 from .errors import TooLarge, VerificationError
 from .wtrick import WContext, WeightedSequence
 
@@ -82,16 +82,6 @@ def indicator_transform_grid(N: int, K: int) -> np.ndarray:
 MAX_GAUSS_MODULUS = 2_000_000
 MAX_LOCAL_FACTOR_Q = 50_000
 _DIRECT_CELLS = 1 << 20  # (unit x l) phase-table cells s_direct holds at once
-
-
-def unit_mask(k: int) -> np.ndarray:
-    """Boolean mask over r = 0 .. k-1 of the units mod k: True exactly where
-    gcd(r, k) = 1, so [True] at k = 1.  Each prime factor p of k, from
-    factorize(k), clears the multiples of p; no gcd is taken."""
-    mask = np.ones(k, dtype=bool)
-    for p, _ in factorize(k):
-        mask[::p] = False
-    return mask
 
 
 def _check_gauss_modulus(k: int) -> None:

@@ -80,7 +80,9 @@ class PrimeSubsetSpec:
 
     Variants: the full prime set, primes restricted to residue classes mod q,
     a Bernoulli(rho) subsample keyed by (seed, p), or an explicit list.
-    Primes below min_prime are always excluded.
+    Primes below min_prime are always excluded.  Build one through the four
+    constructors, which validate their arguments: every inline and JSON spec
+    enters through them.
     """
 
     variant: str = VARIANT_ALL
@@ -91,25 +93,6 @@ class PrimeSubsetSpec:
     primes: tuple[int, ...] = ()
     min_prime: int = 5
 
-    def __post_init__(self):
-        if self.variant == VARIANT_RESIDUE_CLASSES:
-            if not self.modulus or self.modulus < 2:
-                raise ValueError("residue_classes requires a modulus >= 2")
-            if not self.classes:
-                raise ValueError("residue_classes requires a nonempty allowed set")
-            for c in self.classes:
-                if math.gcd(c, self.modulus) != 1:
-                    raise ValueError(f"class {c} not coprime to modulus {self.modulus}")
-        elif self.variant == VARIANT_BERNOULLI:
-            if self.rho is None or not (0.0 < self.rho <= 1.0):
-                raise ValueError(f"rho must lie in (0, 1], got {self.rho}")
-            if self.seed is None:
-                raise ValueError("bernoulli_sample requires a seed")
-        elif self.variant == VARIANT_EXPLICIT:
-            pass
-        elif self.variant != VARIANT_ALL:
-            raise ValueError(f"unknown variant {self.variant!r}")
-
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -118,26 +101,27 @@ class PrimeSubsetSpec:
 
     @classmethod
     def residue_classes(cls, modulus: int, classes, min_prime: int = 5) -> "PrimeSubsetSpec":
-        if modulus < 2:  # checked here too: the classes are reduced mod it below
+        if modulus < 2:
             raise ValueError("residue_classes requires a modulus >= 2")
-        return cls(
-            variant=VARIANT_RESIDUE_CLASSES,
-            modulus=modulus,
-            classes=tuple(sorted(set(int(c) % modulus for c in classes))),
-            min_prime=min_prime,
-        )
+        classes = tuple(sorted(set(int(c) % modulus for c in classes)))
+        if not classes:
+            raise ValueError("residue_classes requires a nonempty allowed set")
+        for c in classes:
+            if math.gcd(c, modulus) != 1:
+                raise ValueError(f"class {c} not coprime to modulus {modulus}")
+        return cls(variant=VARIANT_RESIDUE_CLASSES, modulus=modulus, classes=classes, min_prime=min_prime)
 
     @classmethod
     def bernoulli(cls, rho: float, seed: int, min_prime: int = 5) -> "PrimeSubsetSpec":
-        return cls(variant=VARIANT_BERNOULLI, rho=float(rho), seed=int(seed), min_prime=min_prime)
+        rho = float(rho)
+        if not 0.0 < rho <= 1.0:
+            raise ValueError(f"rho must lie in (0, 1], got {rho}")
+        return cls(variant=VARIANT_BERNOULLI, rho=rho, seed=int(seed), min_prime=min_prime)
 
     @classmethod
     def explicit(cls, primes, min_prime: int = 5) -> "PrimeSubsetSpec":
-        return cls(
-            variant=VARIANT_EXPLICIT,
-            primes=tuple(sorted(set(int(p) for p in primes))),
-            min_prime=min_prime,
-        )
+        primes = tuple(sorted(set(int(p) for p in primes)))
+        return cls(variant=VARIANT_EXPLICIT, primes=primes, min_prime=min_prime)
 
     # -- JSON wire format ---------------------------------------------------
 
@@ -161,16 +145,28 @@ class PrimeSubsetSpec:
             except RecursionError:
                 raise ValueError("subset spec JSON nested too deeply") from None
         variant = obj.get("variant", VARIANT_ALL)
+
+        def integer(key, value):  # a JSON integer: no bool, float or str is coerced
+            if type(value) is not int:
+                raise TypeError(f"{key} must be a JSON integer, got {type(value).__name__}")
+            return value
+
         try:  # a missing, null, mistyped or infinite field is malformed input
-            min_prime = int(obj.get("min_prime", 5))
+            min_prime = integer("min_prime", obj.get("min_prime", 5))
             if variant == VARIANT_ALL:
                 return cls.all_primes(min_prime)
             if variant == VARIANT_RESIDUE_CLASSES:
-                return cls.residue_classes(int(obj["modulus"]), obj["classes"], min_prime)
+                modulus = integer("modulus", obj["modulus"])
+                classes = [integer("classes entry", c) for c in obj["classes"]]
+                return cls.residue_classes(modulus, classes, min_prime)
             if variant == VARIANT_BERNOULLI:
-                return cls.bernoulli(float(obj["rho"]), int(obj["seed"]), min_prime)
+                rho = obj["rho"]
+                if type(rho) not in (int, float):
+                    raise TypeError(f"rho must be a JSON number, got {type(rho).__name__}")
+                return cls.bernoulli(rho, integer("seed", obj["seed"]), min_prime)
             if variant == VARIANT_EXPLICIT:
-                return cls.explicit(obj.get("primes", ()), min_prime)
+                primes = [integer("primes entry", p) for p in obj.get("primes", ())]
+                return cls.explicit(primes, min_prime)
         except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed {variant!r} subset spec: {exc!r}") from None
         raise ValueError(f"unknown variant {variant!r}")
@@ -194,11 +190,10 @@ def subset_members(spec: PrimeSubsetSpec, primes: np.ndarray) -> np.ndarray:
         draws = _splitmix64_array(np.uint64(key) ^ base.astype(np.uint64))
         threshold = np.uint64(int(spec.rho * float(1 << 64)))
         return base[draws < threshold]
-    if spec.variant == VARIANT_EXPLICIT:  # explicit() sorts spec.primes: a lookup, no sort
-        # a base prime past the last wanted one reads the -1, which no prime equals
-        wanted = np.append(np.asarray(spec.primes, dtype=np.int64), -1)
-        return base[wanted[np.searchsorted(wanted[:-1], base)] == base]
-    raise ValueError(f"unknown variant {spec.variant!r}")
+    # explicit_list, whose primes explicit() sorts: a lookup, no sort; a base
+    # prime past the last wanted one reads the -1, which no prime equals
+    wanted = np.append(np.asarray(spec.primes, dtype=np.int64), -1)
+    return base[wanted[np.searchsorted(wanted[:-1], base)] == base]
 
 
 def empirical_density(spec: PrimeSubsetSpec, hi: int) -> float:

@@ -1,4 +1,4 @@
-"""The W-trick environment and weighted prime-square sequences.
+"""The W-trick context and weighted prime-square sequences.
 
 W = 8 * prod of odd primes below w.  For a reduced quadratic residue b
 mod W, the sequence n -> (phi(W)/(W*H)) * 2p*log(p) is supported on the
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._gridfft import Reach, grid_transform
-from .arith import _SMALL_PRIMES
+from .arith import _SMALL_PRIMES, unit_mask
 from .errors import Infeasible, TooLarge, VerificationError
 from .primes import PrimeSubsetSpec, sieve, subset_members
 
@@ -51,18 +51,15 @@ class WContext:
 
 
 def build_context(w: int) -> WContext:
-    """Enumerate units mod W = 8 * prod(2 < p < w) and group them by square."""
+    """Group the units mod W = 8 * prod(2 < p < w), from unit_mask(W), by square."""
     if w < 4:
         raise ValueError(f"w must be >= 4, got {w}")
     odd = [p for p in _SMALL_PRIMES if 2 < p < w]
-    W = 8
-    for p in odd:
-        W *= p
+    W = 8 * math.prod(odd)
     if W > MAX_W:
         raise TooLarge(f"W = {W} exceeds supported bound {MAX_W}")
 
-    values = np.arange(W, dtype=np.int64)
-    units = values[np.gcd(values, W) == 1]
+    units = np.flatnonzero(unit_mask(W))
     squares = (units * units) % W
     order = np.argsort(squares, kind="stable")
     squares_sorted = squares[order]

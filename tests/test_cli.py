@@ -15,7 +15,7 @@ from conftest import gauss_row_gcd
 from psqlab._csvio import write_csv
 from psqlab.arith import factorize
 from psqlab.cli import _parse_spec, run
-from psqlab.expsums import MAX_GAUSS_MODULUS
+from psqlab.expsums import MAX_GAUSS_MODULUS, MAX_LOCAL_FACTOR_Q
 from psqlab.primes import PrimeSubsetSpec
 
 
@@ -164,6 +164,11 @@ class TestSpecParsing:
         blob = json.dumps({"variant": "bernoulli_sample", "rho": 0.5, "seed": 1})
         assert _parse_spec(blob, None) == PrimeSubsetSpec.bernoulli(0.5, 1)
 
+    def test_json_integer_rho_is_a_number(self):
+        blob = json.dumps({"variant": "bernoulli_sample", "rho": 1, "seed": 1})
+        spec = _parse_spec(blob, None)
+        assert spec == PrimeSubsetSpec.bernoulli(1.0, 1) and type(spec.rho) is float
+
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
             _parse_spec("nonsense:1", None)
@@ -228,13 +233,26 @@ class TestExitCodes:
             '{"variant": "residue_classes"}',
             '{"variant": "bernoulli_sample", "rho": 0.5, "seed": null}',
             '{"variant": "all", "x": ' + "[" * 100_000 + "]" * 100_000 + "}",
+            # JSON fields of the wrong type are refused, not coerced
+            '{"variant": "explicit_list", "primes": "57"}',
+            '{"variant": "residue_classes", "modulus": 5, "classes": "14"}',
+            '{"variant": "residue_classes", "modulus": 5, "classes": [1.5, 4]}',
+            '{"variant": "residue_classes", "modulus": 5.7, "classes": [1, 4]}',
+            '{"variant": "bernoulli_sample", "rho": 0.5, "seed": 1.9}',
+            '{"variant": "all", "min_prime": true}',
+            '{"variant": "bernoulli_sample", "rho": "0.5", "seed": 1}',
         ],
-        ids=["zero-modulus", "missing-modulus", "null-seed", "deep-nesting"],
+        ids=[
+            "zero-modulus", "missing-modulus", "null-seed", "deep-nesting",
+            "str-primes", "str-classes", "float-class", "float-modulus",
+            "float-seed", "bool-min-prime", "str-rho",
+        ],
     )
     def test_malformed_spec_exits_two(self, spec, capsys):
         assert run(["represent", "--s", "8", "--limit", "1000", "--spec", spec]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("psqlab: error:") and "Traceback" not in err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("psqlab: error:") and "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
         "argv",
@@ -458,6 +476,22 @@ class TestChecks:
         err = capsys.readouterr().err
         assert "--kmax" in err and "Traceback" not in err
 
+    def test_saq_qmax_past_bound_exits_two_before_loop(self, monkeypatch, capsys):
+        import psqlab.cli as cli_mod
+
+        def no_loop(*args):
+            raise AssertionError("the saq loop started past the bound")
+
+        monkeypatch.setattr(cli_mod, "s_direct", no_loop)
+        monkeypatch.setattr(cli_mod, "s_closed", no_loop)
+        qmax = MAX_LOCAL_FACTOR_Q + 1
+        assert run(["saq", "--w", "4", "--qmax", str(qmax)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"psqlab: error: --qmax {qmax} exceeds bound {MAX_LOCAL_FACTOR_Q}\n"
+        with pytest.raises(AssertionError, match="saq loop"):  # the bound itself starts the loop
+            run(["saq", "--w", "4", "--qmax", str(MAX_LOCAL_FACTOR_Q)])
+
     def test_sumset_verify(self, tmp_path):
         out = tmp_path / "lemma.json"
         assert run(["sumset-verify", "--w", "8", "--out", str(out)]) == 0
@@ -677,11 +711,19 @@ class TestReports:
         assert blob["config"]["N"] == 1024
         assert blob["version"]
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PSQ_LAB_THREADS", "3")
+    def test_threads_env_is_ignored(self, tmp_path, monkeypatch):
+        # a report depends on its argv alone: no environment variable sets threads
         out = tmp_path / "ctx.json"
-        run(["context", "--w", "4", "--out", str(out)])
-        assert load(out)["config"]["threads_resolved"] == 3
+
+        def report():
+            assert run(["context", "--w", "4", "--out", str(out)]) == 0
+            return [line for line in out.read_text().splitlines() if "generated_at" not in line]
+
+        monkeypatch.delenv("PSQ_LAB_THREADS", raising=False)
+        plain = report()
+        monkeypatch.setenv("PSQ_LAB_THREADS", "3")
+        assert report() == plain
+        assert load(out)["config"]["threads_resolved"] == 1
 
     def test_no_partial_file_on_unwritable_path(self, tmp_path):
         missing = tmp_path / "no_such_dir" / "x.json"

@@ -4,7 +4,8 @@ Each file under tests/golden/ is a command's report with its generated_at
 line dropped.  The reports hold only ints, strings and correctly rounded
 floats (square roots, integer ratios, Python float arithmetic), so every
 supported numpy gives the same bytes.  Each report must also parse as strict
-JSON, with no NaN or Infinity.
+JSON, with no NaN or Infinity.  SIDECARS pins CSV sidecars the same way, by
+the command that writes them with --out.
 """
 
 import json
@@ -32,6 +33,18 @@ CASES = {
     "transfer_w6_bern": "transfer --w 6 --n 48008 --s 8 --spec bernoulli:0.5:7",
     "transfer_w6_small": "transfer --w 6 --n 1448 --s 8",
     "transfer_w6_window": "transfer --w 6 --n 200 --s 8",
+    "experiment_explicit": "experiment --s 8 --n-lo 200 --n-hi 3000 --spec explicit:5,7,11,13",
+    "experiment_res5_json": "experiment --s 10 --n-lo 5000 --n-hi 30000 --spec "
+    '{"variant":"residue_classes","modulus":5,"classes":[1,4],"min_prime":7}',
+    "experiment_bern_json": "experiment --s 8 --n-lo 5000 --n-hi 200000 --spec "
+    '{"variant":"bernoulli_sample","rho":0.8,"seed":3}',
+    "experiment_bern_seed": "experiment --s 8 --n-lo 5000 --n-hi 200000 --spec bernoulli:0.6 --seed 9",
+}
+
+# sidecar file name -> the command that writes it, given --out with the
+# name's first part and .json: represent_res5_csv.json here
+SIDECARS = {
+    "represent_res5_csv.counts.csv": "represent --s 10 --limit 200000 --spec residues:5:1,4 --check --csv",
 }
 
 
@@ -40,12 +53,11 @@ def _reject_constant(name):
 
 
 def test_every_golden_file_has_a_case():
-    assert sorted(f"{name}.json" for name in CASES) == sorted(os.listdir(GOLDEN))
+    assert sorted([f"{name}.json" for name in CASES] + list(SIDECARS)) == sorted(os.listdir(GOLDEN))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_report_matches_golden_bytes(name, capsys, monkeypatch):
-    monkeypatch.delenv("PSQ_LAB_THREADS", raising=False)
+def test_report_matches_golden_bytes(name, capsys):
     assert run(CASES[name].split()) == 0
     out, err = capsys.readouterr()
     assert err == ""
@@ -55,3 +67,12 @@ def test_report_matches_golden_bytes(name, capsys, monkeypatch):
     json.loads(out, parse_constant=_reject_constant)  # no NaN or Infinity
     with open(os.path.join(GOLDEN, f"{name}.json"), encoding="ascii", newline="") as fh:
         assert got == fh.read()
+
+
+@pytest.mark.parametrize("name", sorted(SIDECARS))
+def test_sidecar_matches_golden_bytes(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(SIDECARS[name].split() + ["--out", name.partition(".")[0] + ".json"]) == 0
+    assert capsys.readouterr() == ("", "")
+    with open(os.path.join(GOLDEN, name), "rb") as want, open(name, "rb") as got:
+        assert got.read() == want.read()

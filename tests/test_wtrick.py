@@ -48,6 +48,16 @@ class TestBuildContext:
                 assert math.gcd(h, ctx.W) == 1
                 assert (h * h) % ctx.W == b
 
+    @pytest.mark.parametrize("w", range(4, 20))
+    def test_root_map_units_are_the_gcd_units(self, w):
+        # build_context takes its units from unit_mask(W): the same set as gcd(h, W) = 1
+        ctx = build_context(w)
+        values = np.arange(ctx.W, dtype=np.int64)
+        want = values[np.gcd(values, ctx.W) == 1]
+        got = np.sort(np.fromiter((h for hs in ctx.root_map.values() for h in hs), dtype=np.int64))
+        assert np.array_equal(got, want)
+        assert ctx.phi_W == len(want)
+
     def test_rejects_small_w(self):
         with pytest.raises(ValueError):
             build_context(3)
