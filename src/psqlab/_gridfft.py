@@ -7,6 +7,11 @@ Every boolean sumset product (the suffix layers of Reach, the binary
 powers of sumset_power and the last product of scan_mask's descent) is an
 FFT of 0/1 indicators rounded by `certified`: thresholded at 1/2 under one
 rounding-residual certificate that raises rather than falls back.
+
+Witnesses need no FFT: lex_smallest_sum, behind the experiment's sample
+witnesses and the transfer's index search, is an exact lex-order search over
+a boolean mask of pair sums, and builds a Reach only past its step cap.
+Reach stays for cyclic sums (residue selection mod W/24, the residue cover).
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from .errors import TooLarge, VerificationError
 MAX_GRID = 1 << 25
 MAX_CONV_LEN = 1 << 24
 MAX_LAYER_CELLS = 1 << 28  # bytes of boolean reachability layers kept at once
+MAX_SEARCH_STEPS = 1 << 20  # lex_smallest_sum's steps before Reach takes over
+SEARCH_CHUNK = 1 << 12  # cells of one of its vectorized steps, which cost about a DFS node
 
 
 def grid_length(N: int, K: int) -> int:
@@ -142,6 +149,8 @@ class Reach:
     from supports[j:] on [0, cap], or on Z/modulus when one is given.  Each
     layer is the FFT convolution of the next with a 0/1 support indicator,
     rounded by `certified`: a residual above 0.25 raises, never falls back.
+    The cyclic mode serves residue selection and the residue cover; the capped
+    mode is lex_smallest_sum's fallback past its step cap.
     """
 
     def __init__(self, supports, cap: int = 0, modulus: Optional[int] = None):
@@ -179,6 +188,141 @@ class Reach:
         return tuple(out)
 
 
+class _GiveUp(Exception):
+    """lex_smallest_sum's search ran out of steps: Reach takes over."""
+
+
 def lex_smallest_sum(supports, target: int) -> Optional[tuple[int, ...]]:
-    """Lexicographically smallest (v_0, ..., v_{s-1}), v_j in supports[j], summing to target."""
-    return Reach(supports, target).smallest(target) if target >= 0 else None
+    """Lexicographically smallest (v_0, ..., v_{s-1}), v_j in supports[j], summing
+    to target, or None.  Supports are sorted nonnegative integer arrays.
+
+    An exact depth-first search in lexicographic order, with no FFT.  The
+    first s - 4 supports are walked in ascending order, keeping a value only
+    while the suffix sums of the later supports' minima and maxima can still
+    meet the remainder; a (level, remainder) that failed once is not tried
+    again.  The last four levels are vectorized on an exact boolean mask of
+    the pair sums of the last two supports (np.add.outer): the first d of
+    supports[-4] for which some u of supports[-3] has r - d - u in the mask,
+    then the first such u, then the last two values by lookup; fewer than
+    four supports take the same bottom step with fewer levels.  Every test is
+    integer membership, so the first tuple found is the lex-smallest and an
+    exhausted search proves there is none: nothing to certify.  Past
+    MAX_SEARCH_STEPS steps (a DFS node, or SEARCH_CHUNK cells of vectorized
+    work) or a pair-sum mask longer than MAX_CONV_LEN, the answer is
+    Reach(supports, target).smallest(target), with its certificate and its
+    TooLarge.
+    """
+    if target < 0:
+        return None
+    try:
+        return _lex_search([np.asarray(sup, dtype=np.int64) for sup in supports], target)
+    except _GiveUp:
+        return Reach(supports, target).smallest(target)
+
+
+def _lex_search(sups: list, target: int) -> Optional[tuple[int, ...]]:
+    s = len(sups)
+    if s == 0 or not all(len(sup) for sup in sups):
+        return () if s == 0 and target == 0 else None
+    slack = target - sum(int(sup[0]) for sup in sups)
+    if slack < 0:
+        return None
+    # no value past its support's least by more than the slack can be used
+    sups = [sup[: np.searchsorted(sup, int(sup[0]) + slack, "right")] for sup in sups]
+    rest_lo, rest_hi = [0] * (s + 1), [0] * (s + 1)  # sums of the minima, maxima of sups[j:]
+    for j in reversed(range(s)):
+        rest_lo[j] = rest_lo[j + 1] + int(sups[j][0])
+        rest_hi[j] = rest_hi[j + 1] + int(sups[j][-1])
+    steps = 0
+
+    def charge(cells: int = 0) -> None:
+        nonlocal steps
+        steps += 1 + cells // SEARCH_CHUNK
+        if steps > MAX_SEARCH_STEPS:
+            raise _GiveUp
+
+    def span(sup: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        return sup[np.searchsorted(sup, lo) : np.searchsorted(sup, hi, "right")]
+
+    def window(j: int, r: int) -> np.ndarray:
+        """The values v of sups[j] whose remainder r - v sups[j+1:] can still meet."""
+        return span(sups[j], r - rest_hi[j + 1], r - rest_lo[j + 1])
+
+    def pair(r: int) -> Optional[tuple[int, int]]:
+        """Lex-smallest (a, b) from the last two supports with a + b = r, or None."""
+        a = window(s - 2, r)
+        charge(len(a))
+        last = sups[-1]
+        hit = last[np.minimum(np.searchsorted(last, r - a), len(last) - 1)] == r - a
+        return (int(a[np.argmax(hit)]), int(r - a[np.argmax(hit)])) if hit.any() else None
+
+    k = min(s, 4)  # levels of the vectorized bottom step
+    top = s - k
+    if k >= 3:
+        # mask[i]: base + i is a pair sum of the last two supports, up to the
+        # largest remainder they can be left with
+        base = rest_lo[s - 2]
+        length = min(rest_hi[s - 2], base + slack) - base + 1
+        if length > MAX_CONV_LEN:
+            raise _GiveUp
+        charge(len(sups[-2]) * len(sups[-1]))  # up front: no mask that cannot be finished
+        mask = np.zeros(length, dtype=bool)
+        rows = max(1, SEARCH_CHUNK // len(sups[-1]))
+        for i in range(0, len(sups[-2]), rows):
+            sums = np.add.outer(sups[-2][i : i + rows] - base, sups[-1]).ravel()
+            mask[sums[sums < length]] = True
+
+    def bottom(r: int) -> Optional[tuple[int, ...]]:
+        """Lex-smallest tail from sups[top:] summing to r, or None."""
+        if k == 1:
+            charge()
+            return (r,) if len(window(s - 1, r)) else None
+        if k == 2:
+            return pair(r)
+        # the first head d (then u, at four levels) leaving a pair sum in the mask
+        heads = window(top, r)
+        inner = sups[-3] if k == 4 else np.zeros(1, dtype=np.int64)
+        rows = max(1, SEARCH_CHUNK // len(inner))
+        for i in range(0, len(heads), rows):
+            d = heads[i : i + rows]
+            u = span(inner, r - int(d[-1]) - rest_hi[s - 2], r - int(d[0]) - base)
+            charge(len(d) * len(u))
+            idx = r - base - np.add.outer(d, u)
+            ok = (idx >= 0) & (idx < length) & mask[np.clip(idx, 0, length - 1)]
+            if ok.any():
+                row = int(np.argmax(ok.any(axis=1)))
+                col = int(np.argmax(ok[row]))
+                head = (int(d[row]),) + ((int(u[col]),) if k == 4 else ())
+                return head + pair(r - sum(head))
+        return None
+
+    if top == 0:
+        return bottom(target)
+    # the levels above the bottom step, walked in ascending order by a stack
+    # of candidate iterators; path[j] is the value taken at level j, rem[j]
+    # the remainder level j must meet
+    dead = set()  # (level, remainder) with no completion
+    path, rem, stack = [], [target], [iter(window(0, target).tolist())]
+    while stack:
+        j = len(stack) - 1
+        v = next(stack[-1], None)
+        if v is None:
+            dead.add((j, rem.pop()))
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        charge()
+        r = rem[-1] - v
+        if (j + 1, r) in dead:
+            continue
+        if j + 1 == top:
+            tail = bottom(r)
+            if tail is not None:
+                return tuple(path) + (v,) + tail
+            dead.add((top, r))
+        else:
+            path.append(v)
+            rem.append(r)
+            stack.append(iter(window(j + 1, r).tolist()))
+    return None

@@ -432,8 +432,8 @@ def _cmd_represent(args) -> tuple[dict, int]:
 def _cmd_transfer(args) -> tuple[dict, int]:
     ctx = build_context(args.w)
     spec = _parse_spec(args.spec, args.seed)
-    # the index search sums s indices to m = (n - sum of s residues < W) / W,
-    # so its reachability budget at the least such m is refused before any sieve
+    # the index search sums s indices to m = (n - sum of s residues < W) / W;
+    # the budget of its Reach fallback at the least such m is refused before any sieve
     reach_budget(args.s + 1, max((args.n - args.s * (ctx.W - 1)) // ctx.W, 0) + 1)
     result: dict = {
         "w": args.w,

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import TooLarge
 
 MAX_SIEVE_LIMIT = 1 << 31
+INT64_BOUND = 1 << 63  # spec integers, which subset_members converts to int64, lie below it in size
 DENSITY_WINDOW = 1 << 21  # integers per window of empirical_density's count: 1 MiB of odd marks
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -82,7 +83,8 @@ class PrimeSubsetSpec:
     a Bernoulli(rho) subsample keyed by (seed, p), or an explicit list.
     Primes below min_prime are always excluded.  Build one through the four
     constructors, which validate their arguments: every inline and JSON spec
-    enters through them.
+    enters through them.  The modulus, and so every class reduced mod it, and
+    each explicit prime must fit in int64, as subset_members converts them.
     """
 
     variant: str = VARIANT_ALL
@@ -103,6 +105,8 @@ class PrimeSubsetSpec:
     def residue_classes(cls, modulus: int, classes, min_prime: int = 5) -> "PrimeSubsetSpec":
         if modulus < 2:
             raise ValueError("residue_classes requires a modulus >= 2")
+        if modulus >= INT64_BOUND:  # then every class, reduced mod modulus, is an int64 too
+            raise ValueError(f"residue_classes modulus {modulus} is not below 2^63")
         classes = tuple(sorted(set(int(c) % modulus for c in classes)))
         if not classes:
             raise ValueError("residue_classes requires a nonempty allowed set")
@@ -121,6 +125,9 @@ class PrimeSubsetSpec:
     @classmethod
     def explicit(cls, primes, min_prime: int = 5) -> "PrimeSubsetSpec":
         primes = tuple(sorted(set(int(p) for p in primes)))
+        for p in primes:
+            if not -INT64_BOUND <= p < INT64_BOUND:
+                raise ValueError(f"explicit_list primes entry {p} is outside the int64 range")
         return cls(variant=VARIANT_EXPLICIT, primes=primes, min_prime=min_prime)
 
     # -- JSON wire format ---------------------------------------------------

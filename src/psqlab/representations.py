@@ -8,8 +8,8 @@ multiple of 24; under a residue spec such as p = +-1 (mod 5) the squares
 lie on 121 + 120Z and g = 120.
 
 Existence (the exception scan, witnesses) is boolean reachability over M.
-The scan reads only the s-fold sumset sJ, from scan_mask; the suffix layers
-that witnesses need are built only up to the last sampled target.
+The scan reads only the s-fold sumset sJ, from scan_mask; each sample
+witness is an exact lex-order search for its own M (lex_smallest_sum).
 
 Ordered representation counts come from s-fold convolution of the
 prime-square indicator on the same progression, in s - 1 rounds of shifted
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvio import write_csv
-from ._gridfft import MAX_CONV_LEN, Reach, lex_smallest_sum, reach_budget, scan_mask
+from ._gridfft import MAX_CONV_LEN, lex_smallest_sum, reach_budget, scan_mask
 from .arith import factorize
 from .errors import NotFound, TooLarge, VerificationError
 from .primes import PrimeSubsetSpec, empirical_density, sieve, subset_members
@@ -129,10 +129,10 @@ def theorem_experiment(s: int, spec: PrimeSubsetSpec, n_range: tuple[int, int]) 
     """Scan every n = s (mod 24) in the range for a representation.
 
     A target n = s*m0 + g*M is represented when M is a nonnegative integer
-    in sJ (square_progression), which the scan reads from scan_mask;
-    witnesses for the first three represented targets come from a Reach
-    over J capped at the last of them.  Exceptions (no representation) are
-    reported, never fatal; a sampled target that Reach cannot back raises
+    in sJ (square_progression), which the scan reads from scan_mask; the
+    witness of each of the first three represented targets is
+    lex_smallest_sum([J] * s, M).  Exceptions (no representation) are
+    reported, never fatal; a sampled target that search cannot back raises
     VerificationError.  The range must start at n >= 0 (ValueError, before
     anything is built), and the density counts the primes up to hi.  The
     report lists the exceptions in ascending order and each witness as its
@@ -157,14 +157,11 @@ def theorem_experiment(s: int, spec: PrimeSubsetSpec, n_range: tuple[int, int]) 
     hit &= scan_mask(J, s, max(hi - s * m0, 0) // g)[M]
     exceptions = targets[~hit].tolist()
     witnesses = []
-    sampled = targets[hit][:3]
-    if len(sampled):
-        reach = Reach([J] * s, (int(sampled[-1]) - s * m0) // g)
-        for n in sampled.tolist():
-            js = reach.smallest((n - s * m0) // g)
-            if js is None:
-                raise VerificationError(f"scan marks n = {n} represented; no witness reaches it")
-            witnesses.append({"n": n, "primes": [math.isqrt(m0 + g * j) for j in js]})
+    for n in targets[hit][:3].tolist():
+        js = lex_smallest_sum([J] * s, (n - s * m0) // g)
+        if js is None:
+            raise VerificationError(f"scan marks n = {n} represented; no witness reaches it")
+        witnesses.append({"n": n, "primes": [math.isqrt(m0 + g * j) for j in js]})
 
     lam = lambda_threshold(s)
     density = empirical_density(spec, hi)

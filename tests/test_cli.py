@@ -255,6 +255,39 @@ class TestExitCodes:
         assert captured.err.startswith("psqlab: error:") and "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ("residues:99999999999999999999:1", "modulus 99999999999999999999"),
+            ("explicit:5,99999999999999999999", "primes entry 99999999999999999999"),
+            ("explicit:-9223372036854775809", "primes entry -9223372036854775809"),
+            (
+                '{"variant": "residue_classes", "modulus": 99999999999999999999, "classes": [1]}',
+                "modulus 99999999999999999999",
+            ),
+            (
+                '{"variant": "explicit_list", "primes": [5, 9223372036854775808]}',
+                "primes entry 9223372036854775808",
+            ),
+        ],
+        ids=[
+            "inline-modulus", "inline-prime", "inline-negative-prime", "json-modulus", "json-prime",
+        ],
+    )
+    def test_spec_integer_past_int64_exits_two(self, spec, field, capsys):
+        # bounded in the constructors, before subset_members converts to int64
+        assert run(["represent", "--s", "8", "--limit", "1000", "--spec", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("psqlab: error:") and field in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_spec_integers_at_int64_edges_run(self, capsys):
+        edges = ("explicit:-9223372036854775808,5,9223372036854775807", "residues:9223372036854775807:1")
+        for spec in edges:
+            assert run(["experiment", "--s", "8", "--n-lo", "200", "--n-hi", "3000", "--spec", spec]) == 0
+            capsys.readouterr()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["pseudo", "--N", "0"],

@@ -33,6 +33,10 @@ CASES = {
     "transfer_w6_bern": "transfer --w 6 --n 48008 --s 8 --spec bernoulli:0.5:7",
     "transfer_w6_small": "transfer --w 6 --n 1448 --s 8",
     "transfer_w6_window": "transfer --w 6 --n 200 --s 8",
+    # the largest in-budget transfer and a high-range experiment, whose
+    # witnesses come from lex_smallest_sum at its largest in-budget targets
+    "transfer_w6_1e9": "transfer --w 6 --n 1000000016 --s 8",
+    "experiment_all_2e8": "experiment --s 8 --n-lo 190000000 --n-hi 200000000 --spec all",
     "experiment_explicit": "experiment --s 8 --n-lo 200 --n-hi 3000 --spec explicit:5,7,11,13",
     "experiment_res5_json": "experiment --s 10 --n-lo 5000 --n-hi 30000 --spec "
     '{"variant":"residue_classes","modulus":5,"classes":[1,4],"min_prime":7}',

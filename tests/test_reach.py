@@ -31,11 +31,103 @@ def brute_smallest(supports, target):
     return min(found) if found else None
 
 
+def sorted_support(values):
+    return np.array(sorted(set(values)), dtype=np.int64)
+
+
+@st.composite
+def deep_supports(draw):
+    """1 to 8 supports, some empty; at most 3 elements each past 4 supports,
+    so the product a brute force walks stays small."""
+    s = draw(st.integers(1, 8))
+    size = 5 if s <= 4 else 3
+    return [draw(st.lists(st.integers(0, 15), max_size=size).map(sorted_support)) for _ in range(s)]
+
+
 class TestLexSmallestSumOracle:
     @settings(max_examples=200, deadline=None)
     @given(supports_st, st.integers(-3, 50))
     def test_matches_product_minimum(self, supports, target):
         assert lex_smallest_sum(supports, target) == brute_smallest(supports, target)
+
+    @settings(max_examples=300, deadline=None)
+    @given(deep_supports(), st.integers(-5, 125))
+    @example([sorted_support([0, 1])] * 8, 8)
+    @example([sorted_support([2, 4])] * 8, 17)  # every sum is even
+    @example([sorted_support([1, 3]), sorted_support([])] + [sorted_support([0])] * 4, 1)
+    @example([sorted_support([5, 7])] * 6, -1)
+    def test_matches_product_minimum_up_to_eight_supports(self, supports, target):
+        # the DFS levels above the bottom step, and the bottom step at 1-4 levels
+        assert lex_smallest_sum(supports, target) == brute_smallest(supports, target)
+
+    @pytest.mark.parametrize(
+        "supports, target, expected",
+        [
+            ([], 0, ()),
+            ([], 3, None),
+            ([[1, 2], []], 3, None),  # an empty support
+            ([[1, 2]] * 5, 11, None),  # past the sum of the maxima
+            ([[1, 2]] * 5, 4, None),  # below the sum of the minima
+            ([[1, 2]] * 5, -2, None),
+            ([[0, 3]] * 6, 7, None),  # inside the bounds, unreachable
+            ([[0, 3]] * 6, 9, (0, 0, 0, 3, 3, 3)),
+            ([[0, 10, 11], [0, 1], [0, 100]], 112, (11, 1, 100)),
+        ],
+    )
+    def test_edges(self, supports, target, expected):
+        supports = [np.array(sup, dtype=np.int64) for sup in supports]
+        assert lex_smallest_sum(supports, target) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(deep_supports(), st.integers(-5, 125))
+    def test_step_cap_falls_back_to_reach(self, supports, target):
+        # with no steps allowed, every search that the bounds of the supports
+        # do not settle up front is answered by Reach, with the same answers
+        calls = []
+
+        class Recording(Reach):
+            def __init__(self, supports, cap=0, modulus=None):
+                calls.append(cap)
+                super().__init__(supports, cap, modulus)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gridfft, "MAX_SEARCH_STEPS", 0)
+            mp.setattr(gridfft, "Reach", Recording)
+            got = lex_smallest_sum(supports, target)
+        assert got == brute_smallest(supports, target)
+        assert calls in ([], [target])
+        if got:  # a tuple is found by a step, never by the bounds alone
+            assert calls == [target]
+
+    def test_mask_past_budget_falls_back_to_reachs_too_large(self):
+        # the pair sums of the last two supports would need a mask of 2^25 + 1
+        # cells; the fallback Reach refuses that target before allocating
+        with pytest.raises(TooLarge):
+            lex_smallest_sum([np.array([0, 1 << 25], dtype=np.int64)] * 3, 1 << 25)
+
+    def test_transfer_search_runs_no_fft(self, monkeypatch, ctx6, all_spec):
+        # the index search of transfer --w 6 --n 960008 --s 8, with every FFT
+        # raising while it runs, gives the witness the FFT Reach gives
+        import psqlab.representations as reprs
+
+        searches = []
+
+        def no_fft(*args, **kwargs):
+            raise AssertionError("lex_smallest_sum called an FFT")
+
+        def guarded(supports, target):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(gridfft.np.fft, "rfft", no_fft)
+                mp.setattr(gridfft.np.fft, "irfft", no_fft)
+                found = lex_smallest_sum(supports, target)
+            searches.append((supports, target, found))
+            return found
+
+        monkeypatch.setattr(reprs, "lex_smallest_sum", guarded)
+        witness = reprs.transfer_witness(ctx6, 960_008, 8, all_spec)
+        [(supports, target, found)] = searches
+        assert len(supports) == 8 and target == witness["m"]
+        assert found == tuple(witness["indices"]) == Reach(supports, target).smallest(target)
 
 
 class TestReach:

@@ -278,24 +278,24 @@ class TestTheoremExperiment:
         for w in report["sample_witnesses"]:
             assert sum(p * p for p in w["primes"]) == w["n"]
 
-    def test_witness_reach_capped_at_last_sample(self, all_spec, monkeypatch):
+    def test_witness_search_asked_for_the_sampled_targets(self, all_spec, monkeypatch):
         import psqlab.representations as reprs
 
-        caps = []
-        real_reach = reprs.Reach
+        targets = []
+        real = reprs.lex_smallest_sum
 
-        def recording(supports, cap=0, modulus=None):
-            caps.append(cap)
-            return real_reach(supports, cap, modulus)
+        def recording(supports, target):
+            targets.append(target)
+            return real(supports, target)
 
-        monkeypatch.setattr(reprs, "Reach", recording)
+        monkeypatch.setattr(reprs, "lex_smallest_sum", recording)
         report = theorem_experiment(8, all_spec, (5000, 400_000))
         assert len(report["sample_witnesses"]) == 3
-        # M of n = 8*5^2 + 24M
-        assert caps == [(report["sample_witnesses"][-1]["n"] - 8 * 25) // 24]
-        caps.clear()
+        # M of each sampled n = 8*5^2 + 24M, once each
+        assert targets == [(w["n"] - 8 * 25) // 24 for w in report["sample_witnesses"]]
+        targets.clear()
         theorem_experiment(8, all_spec, (8, 199))  # every target an exception
-        assert caps == []
+        assert targets == []
 
     @pytest.mark.parametrize(
         "modulus, classes, m0, g",
