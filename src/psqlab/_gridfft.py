@@ -9,9 +9,10 @@ FFT of 0/1 indicators rounded by `certified`: thresholded at 1/2 under one
 rounding-residual certificate that raises rather than falls back.
 
 Witnesses need no FFT: lex_smallest_sum, behind the experiment's sample
-witnesses and the transfer's index search, is an exact lex-order search over
-a boolean mask of pair sums, and builds a Reach only past its step cap.
-Reach stays for cyclic sums (residue selection mod W/24, the residue cover).
+witnesses, the transfer's residue selection and its index search, is an
+exact lex-order search over a boolean mask of pair sums, and builds a Reach
+only past its step cap.  Reach's cyclic mode stays for the residue cover
+(sumsets.verify_cover).
 """
 
 from __future__ import annotations
@@ -149,8 +150,8 @@ class Reach:
     from supports[j:] on [0, cap], or on Z/modulus when one is given.  Each
     layer is the FFT convolution of the next with a 0/1 support indicator,
     rounded by `certified`: a residual above 0.25 raises, never falls back.
-    The cyclic mode serves residue selection and the residue cover; the capped
-    mode is lex_smallest_sum's fallback past its step cap.
+    The cyclic mode serves only the residue cover (sumsets.verify_cover); the
+    capped mode is lex_smallest_sum's fallback past its step cap.
     """
 
     def __init__(self, supports, cap: int = 0, modulus: Optional[int] = None):
@@ -192,41 +193,45 @@ class _GiveUp(Exception):
     """lex_smallest_sum's search ran out of steps: Reach takes over."""
 
 
-def lex_smallest_sum(supports, target: int) -> Optional[tuple[int, ...]]:
-    """Lexicographically smallest (v_0, ..., v_{s-1}), v_j in supports[j], summing
-    to target, or None.  Supports are sorted nonnegative integer arrays.
+def lex_smallest_sum(supports, targets) -> list[Optional[tuple[int, ...]]]:
+    """For each target, the lexicographically smallest (v_0, ..., v_{s-1}),
+    v_j in supports[j], summing to it, or None.  Supports are sorted
+    nonnegative integer arrays.
 
     An exact depth-first search in lexicographic order, with no FFT.  The
     first s - 4 supports are walked in ascending order, keeping a value only
     while the suffix sums of the later supports' minima and maxima can still
-    meet the remainder; a (level, remainder) that failed once is not tried
-    again.  The last four levels are vectorized on an exact boolean mask of
-    the pair sums of the last two supports (np.add.outer): the first d of
-    supports[-4] for which some u of supports[-3] has r - d - u in the mask,
-    then the first such u, then the last two values by lookup; fewer than
-    four supports take the same bottom step with fewer levels.  Every test is
-    integer membership, so the first tuple found is the lex-smallest and an
-    exhausted search proves there is none: nothing to certify.  Past
-    MAX_SEARCH_STEPS steps (a DFS node, or SEARCH_CHUNK cells of vectorized
-    work) or a pair-sum mask longer than MAX_CONV_LEN, the answer is
-    Reach(supports, target).smallest(target), with its certificate and its
-    TooLarge.
+    meet the remainder; a (level, remainder) that failed once, for any
+    target, is not tried again.  The last four levels are vectorized on an
+    exact boolean mask of the pair sums of the last two supports
+    (np.add.outer), built once for all the targets, up to the largest: the
+    first d of supports[-4] for which some u of supports[-3] has r - d - u in
+    the mask, then the first such u, then the last two values by lookup;
+    fewer than four supports take the same bottom step with fewer levels.
+    Every test is integer membership, so the first tuple found is the
+    lex-smallest and an exhausted search proves there is none: nothing to
+    certify.  Past MAX_SEARCH_STEPS steps over all the targets (a DFS node,
+    or SEARCH_CHUNK cells of vectorized work, the mask's cells counted once)
+    or a pair-sum mask longer than MAX_CONV_LEN, the answers are
+    Reach(supports, max(targets)).smallest(target), with its certificate and
+    its TooLarge.
     """
-    if target < 0:
-        return None
+    targets = [int(t) for t in targets]
     try:
-        return _lex_search([np.asarray(sup, dtype=np.int64) for sup in supports], target)
+        return _lex_search([np.asarray(sup, dtype=np.int64) for sup in supports], targets)
     except _GiveUp:
-        return Reach(supports, target).smallest(target)
+        reach = Reach(supports, max(targets))
+        return [reach.smallest(t) for t in targets]
 
 
-def _lex_search(sups: list, target: int) -> Optional[tuple[int, ...]]:
+def _lex_search(sups: list, targets: list[int]) -> list[Optional[tuple[int, ...]]]:
     s = len(sups)
     if s == 0 or not all(len(sup) for sup in sups):
-        return () if s == 0 and target == 0 else None
-    slack = target - sum(int(sup[0]) for sup in sups)
+        return [() if s == 0 and t == 0 else None for t in targets]
+    least = sum(int(sup[0]) for sup in sups)
+    slack = max(targets, default=least - 1) - least
     if slack < 0:
-        return None
+        return [None] * len(targets)
     # no value past its support's least by more than the slack can be used
     sups = [sup[: np.searchsorted(sup, int(sup[0]) + slack, "right")] for sup in sups]
     rest_lo, rest_hi = [0] * (s + 1), [0] * (s + 1)  # sums of the minima, maxima of sups[j:]
@@ -296,33 +301,39 @@ def _lex_search(sups: list, target: int) -> Optional[tuple[int, ...]]:
                 return head + pair(r - sum(head))
         return None
 
-    if top == 0:
-        return bottom(target)
-    # the levels above the bottom step, walked in ascending order by a stack
-    # of candidate iterators; path[j] is the value taken at level j, rem[j]
-    # the remainder level j must meet
     dead = set()  # (level, remainder) with no completion
-    path, rem, stack = [], [target], [iter(window(0, target).tolist())]
-    while stack:
-        j = len(stack) - 1
-        v = next(stack[-1], None)
-        if v is None:
-            dead.add((j, rem.pop()))
-            stack.pop()
-            if path:
-                path.pop()
-            continue
-        charge()
-        r = rem[-1] - v
-        if (j + 1, r) in dead:
-            continue
-        if j + 1 == top:
-            tail = bottom(r)
-            if tail is not None:
-                return tuple(path) + (v,) + tail
-            dead.add((top, r))
-        else:
-            path.append(v)
-            rem.append(r)
-            stack.append(iter(window(j + 1, r).tolist()))
-    return None
+
+    def search(target: int) -> Optional[tuple[int, ...]]:
+        if not least <= target <= rest_hi[0]:
+            return None
+        if top == 0:
+            return bottom(target)
+        # the levels above the bottom step, walked in ascending order by a
+        # stack of candidate iterators; path[j] is the value taken at level j,
+        # rem[j] the remainder level j must meet
+        path, rem, stack = [], [target], [iter(window(0, target).tolist())]
+        while stack:
+            j = len(stack) - 1
+            v = next(stack[-1], None)
+            if v is None:
+                dead.add((j, rem.pop()))
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            charge()
+            r = rem[-1] - v
+            if (j + 1, r) in dead:
+                continue
+            if j + 1 == top:
+                tail = bottom(r)
+                if tail is not None:
+                    return tuple(path) + (v,) + tail
+                dead.add((top, r))
+            else:
+                path.append(v)
+                rem.append(r)
+                stack.append(iter(window(j + 1, r).tolist()))
+        return None
+
+    return [search(t) for t in targets]

@@ -47,12 +47,13 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def unit_mask(k: int) -> np.ndarray:
+def unit_mask(k: int, pairs: tuple[tuple[int, int], ...] | None = None) -> np.ndarray:
     """Boolean mask over r = 0 .. k-1 of the units mod k: True exactly where
-    gcd(r, k) = 1, so [True] at k = 1.  Each prime factor p of k, from
-    factorize(k), clears the multiples of p; no gcd is taken."""
+    gcd(r, k) = 1, so [True] at k = 1.  Each prime factor p of k, from pairs
+    (a caller's factorize(k)) or else factorize(k), clears the multiples of
+    p; no gcd is taken."""
     mask = np.ones(k, dtype=bool)
-    for p, _ in factorize(k):
+    for p, _ in factorize(k) if pairs is None else pairs:
         mask[::p] = False
     return mask
 

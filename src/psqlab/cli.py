@@ -225,7 +225,7 @@ def _cmd_gauss(args) -> tuple[dict, int]:
             continue
         bound = (2 ** len(pairs)) * math.sqrt(k)
         row = gauss_sum_row(k)
-        units = np.flatnonzero(unit_mask(k))  # [0] at k = 1
+        units = np.flatnonzero(unit_mask(k, pairs))  # [0] at k = 1
         mags = np.abs(row[units])
         worst = max(worst, float(np.max(mags) / bound))
         rows.append((k, float(np.max(mags)), bound))
@@ -461,102 +461,110 @@ def _cmd_experiment(args) -> tuple[dict, int]:
 # -- parser ----------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _int(default: Optional[int] = None) -> dict:
+    return {"type": int, "default": default}
+
+
+def _float(default: float) -> dict:
+    return {"type": finite_float, "default": default}
+
+
+_REQUIRED = {"type": int, "required": True}
+_FLAG = {"action": "store_true"}
+_SPEC = {"default": "all"}
+
+# name: (help, handler, options besides --out, --threads and --seed, in help order)
+_COMMANDS = {
+    "context": ("W-trick context for a given w", _cmd_context, {"--w": _REQUIRED}),
+    "gauss": (
+        "quadratic Gauss sum magnitudes and bound",
+        _cmd_gauss,
+        {"--kmax": _int(1000), "--check": _FLAG},
+    ),
+    "saq": (
+        "local factor: closed form vs direct sum",
+        _cmd_saq,
+        {"--w": _REQUIRED, "--b": _int(), "--qmax": _int(60), "--check": _FLAG},
+    ),
+    "arcs": (
+        "arc partition; model comparison with --w",
+        _cmd_arcs,
+        {"--N": _REQUIRED, "--A": _float(2.0), "--K": _int(4), "--w": _int(), "--b": _int(),
+         "--qmax": _int(20)},
+    ),
+    "pseudo": (
+        "sup distance to the interval transform",
+        _cmd_pseudo,
+        {"--N": _REQUIRED, "--K": _int(4), "--w-list": {"default": "4,6,8"}},
+    ),
+    "moments": (
+        "L^q moment and fourth-moment routes",
+        _cmd_moments,
+        {"--w": _REQUIRED, "--N": _REQUIRED, "--b": _int(), "--K": _int(4),
+         "--q-exponent": _float(5.0), "--spec": _SPEC},
+    ),
+    "levelsets": (
+        "level-set counts and dyadic profile",
+        _cmd_levelsets,
+        {"--w": _REQUIRED, "--N": _REQUIRED, "--b": _int(), "--q-exponent": _float(5.0),
+         "--spec": _SPEC, "--levels": {"help": "comma-separated decreasing levels"}},
+    ),
+    "sumset-verify": ("exhaustive subset cover check", _cmd_sumset_verify, {"--w": _REQUIRED}),
+    "represent": (
+        "representation counts and exceptions",
+        _cmd_represent,
+        {"--s": _REQUIRED, "--limit": _REQUIRED, "--n-lo": _int(), "--spec": _SPEC,
+         "--check": {**_FLAG, "help": "scan the congruence invariant"},
+         "--csv": {**_FLAG, "help": "write nonzero counts as CSV"}},
+    ),
+    "transfer": (
+        "witness through the residue transfer",
+        _cmd_transfer,
+        {"--w": _REQUIRED, "--n": _REQUIRED, "--s": _int(8), "--kappa": _float(0.1),
+         "--spec": _SPEC},
+    ),
+    "experiment": (
+        "density experiment over a range",
+        _cmd_experiment,
+        {"--s": _REQUIRED, "--n-lo": _REQUIRED, "--n-hi": _REQUIRED, "--spec": _SPEC},
+    ),
+}
+
+
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand in _COMMANDS, or of `command` alone.
+
+    A one-command parser parses that command's argv as the full one does,
+    to the same namespace, output and exit code: its subcommand metavar
+    lists every name, so the top-level usage its errors print is the same
+    text.  The full parser keeps argparse's own metavar, which its "required"
+    and "invalid choice" errors name the argument by.
+    """
     parser = argparse.ArgumentParser(
         prog="psqlab",
         description="Experiments on sums of squares of primes from dense prime subsets",
     )
     parser.add_argument("--version", action="version", version=f"psqlab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    names = [command] if command else list(_COMMANDS)
+    metavar = {"metavar": "{" + ",".join(_COMMANDS) + "}"} if command else {}
+    sub = parser.add_subparsers(dest="command", required=True, **metavar)
+    for name in names:
+        help_text, handler, options = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", help="write the JSON report here (atomic)")
         p.add_argument("--threads", type=int, default=None, help="recorded only; no effect")
         p.add_argument("--seed", type=int, default=None, help="seed for inline bernoulli specs")
-        return p
-
-    p = common(sub.add_parser("context", help="W-trick context for a given w"))
-    p.add_argument("--w", type=int, required=True)
-    p.set_defaults(handler=_cmd_context)
-
-    p = common(sub.add_parser("gauss", help="quadratic Gauss sum magnitudes and bound"))
-    p.add_argument("--kmax", type=int, default=1000)
-    p.add_argument("--check", action="store_true")
-    p.set_defaults(handler=_cmd_gauss)
-
-    p = common(sub.add_parser("saq", help="local factor: closed form vs direct sum"))
-    p.add_argument("--w", type=int, required=True)
-    p.add_argument("--b", type=int, default=None)
-    p.add_argument("--qmax", type=int, default=60)
-    p.add_argument("--check", action="store_true")
-    p.set_defaults(handler=_cmd_saq)
-
-    p = common(sub.add_parser("arcs", help="arc partition; model comparison with --w"))
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--A", type=finite_float, default=2.0)
-    p.add_argument("--K", type=int, default=4)
-    p.add_argument("--w", type=int, default=None)
-    p.add_argument("--b", type=int, default=None)
-    p.add_argument("--qmax", type=int, default=20)
-    p.set_defaults(handler=_cmd_arcs)
-
-    p = common(sub.add_parser("pseudo", help="sup distance to the interval transform"))
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--K", type=int, default=4)
-    p.add_argument("--w-list", default="4,6,8")
-    p.set_defaults(handler=_cmd_pseudo)
-
-    p = common(sub.add_parser("moments", help="L^q moment and fourth-moment routes"))
-    p.add_argument("--w", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--b", type=int, default=None)
-    p.add_argument("--K", type=int, default=4)
-    p.add_argument("--q-exponent", type=finite_float, default=5.0)
-    p.add_argument("--spec", default="all")
-    p.set_defaults(handler=_cmd_moments)
-
-    p = common(sub.add_parser("levelsets", help="level-set counts and dyadic profile"))
-    p.add_argument("--w", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--b", type=int, default=None)
-    p.add_argument("--q-exponent", type=finite_float, default=5.0)
-    p.add_argument("--spec", default="all")
-    p.add_argument("--levels", default=None, help="comma-separated decreasing levels")
-    p.set_defaults(handler=_cmd_levelsets)
-
-    p = common(sub.add_parser("sumset-verify", help="exhaustive subset cover check"))
-    p.add_argument("--w", type=int, required=True)
-    p.set_defaults(handler=_cmd_sumset_verify)
-
-    p = common(sub.add_parser("represent", help="representation counts and exceptions"))
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--n-lo", type=int, default=None)
-    p.add_argument("--spec", default="all")
-    p.add_argument("--check", action="store_true", help="scan the congruence invariant")
-    p.add_argument("--csv", action="store_true", help="write nonzero counts as CSV")
-    p.set_defaults(handler=_cmd_represent)
-
-    p = common(sub.add_parser("transfer", help="witness through the residue transfer"))
-    p.add_argument("--w", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, default=8)
-    p.add_argument("--kappa", type=finite_float, default=0.1)
-    p.add_argument("--spec", default="all")
-    p.set_defaults(handler=_cmd_transfer)
-
-    p = common(sub.add_parser("experiment", help="density experiment over a range"))
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--n-lo", type=int, required=True)
-    p.add_argument("--n-hi", type=int, required=True)
-    p.add_argument("--spec", default="all")
-    p.set_defaults(handler=_cmd_experiment)
-
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
+    """Run one command line; the exit code.  Only the invoked subcommand's
+    parser is built when argv[0] names one, every subcommand's otherwise
+    (no command, an unknown one, -h, --version)."""
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -8,8 +8,8 @@ multiple of 24; under a residue spec such as p = +-1 (mod 5) the squares
 lie on 121 + 120Z and g = 120.
 
 Existence (the exception scan, witnesses) is boolean reachability over M.
-The scan reads only the s-fold sumset sJ, from scan_mask; each sample
-witness is an exact lex-order search for its own M (lex_smallest_sum).
+The scan reads only the s-fold sumset sJ, from scan_mask; the sample
+witnesses come from one exact lex-order search for their M (lex_smallest_sum).
 
 Ordered representation counts come from s-fold convolution of the
 prime-square indicator on the same progression, in s - 1 rounds of shifted
@@ -130,9 +130,9 @@ def theorem_experiment(s: int, spec: PrimeSubsetSpec, n_range: tuple[int, int]) 
 
     A target n = s*m0 + g*M is represented when M is a nonnegative integer
     in sJ (square_progression), which the scan reads from scan_mask; the
-    witness of each of the first three represented targets is
-    lex_smallest_sum([J] * s, M).  Exceptions (no representation) are
-    reported, never fatal; a sampled target that search cannot back raises
+    witnesses of the first three represented targets are
+    lex_smallest_sum([J] * s, [M1, M2, M3]).  Exceptions (no representation)
+    are reported, never fatal; a sampled target the search cannot back raises
     VerificationError.  The range must start at n >= 0 (ValueError, before
     anything is built), and the density counts the primes up to hi.  The
     report lists the exceptions in ascending order and each witness as its
@@ -157,8 +157,9 @@ def theorem_experiment(s: int, spec: PrimeSubsetSpec, n_range: tuple[int, int]) 
     hit &= scan_mask(J, s, max(hi - s * m0, 0) // g)[M]
     exceptions = targets[~hit].tolist()
     witnesses = []
-    for n in targets[hit][:3].tolist():
-        js = lex_smallest_sum([J] * s, (n - s * m0) // g)
+    sampled = targets[hit][:3].tolist()
+    found = lex_smallest_sum([J] * s, [(n - s * m0) // g for n in sampled])
+    for n, js in zip(sampled, found):
         if js is None:
             raise VerificationError(f"scan marks n = {n} represented; no witness reaches it")
         witnesses.append({"n": n, "primes": [math.isqrt(m0 + g * j) for j in js]})
@@ -213,7 +214,7 @@ def transfer_witness(
 
     support = {b: f_sequence(ctx, b, N, spec).support() for b in set(residues)}
     supports = [support[b] for b in residues]
-    indices = lex_smallest_sum(supports, m)
+    [indices] = lex_smallest_sum(supports, [m])
     if indices is None:
         raise NotFound(
             f"no index combination sums to m = {m} over supports of sizes "

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._gridfft import Reach, grid_transform
+from ._gridfft import grid_transform, lex_smallest_sum
 from .arith import _SMALL_PRIMES, unit_mask
 from .errors import Infeasible, TooLarge, VerificationError
 from .primes import PrimeSubsetSpec, sieve, subset_members
@@ -172,9 +172,13 @@ def select_residues(
     density is delta_table's {b: mean}.  The result is b0 repeated (s - 8)
     times, b0 the least b of greatest density mu, plus the lexicographically
     smallest nondecreasing 8-tuple of residues whose density clears
-    2*lambda^2 - mu + kappa/4.  Every b is 1 mod 24, so on k = (b - 1)/24 the
-    8-fold sum condition mod W is a cyclic reachability search mod W' = W/24.
-    Raises Infeasible when the threshold or the sum condition cannot be met.
+    2*lambda^2 - mu + kappa/4.  Every b is 1 mod 24, so on k = (b - 1)/24 in
+    [0, m), m = W/24, the 8-fold sum condition mod W is sum k = t (mod m).
+    An 8-tuple's integer sum lies in [0, 8(m - 1)], so the tuples meeting it
+    are those whose sum is t + i*m for some i in 0..7, and the lex-smallest
+    of them is the least of the eight exact lex_smallest_sum answers (one
+    search, one pair-sum mask): no FFT and nothing to certify.  Raises
+    Infeasible when the threshold or the sum condition cannot be met.
     """
     if s < 8:
         raise ValueError(f"s must be >= 8, got {s}")
@@ -196,7 +200,9 @@ def select_residues(
     W = ctx.W
     target = (n - (s - 8) * b0) % W
     ks = (np.asarray(pool, dtype=np.int64) - 1) // 24
-    found = Reach([ks] * 8, modulus=W // 24).smallest((target - 8) // 24)
+    m, t = W // 24, (target - 8) // 24  # target = 8 (mod 24): t in [0, m)
+    lifts = lex_smallest_sum([ks] * 8, [t + i * m for i in range(8)])
+    found = min((js for js in lifts if js is not None), default=None)
     if found is None:
         raise Infeasible(f"no 8-fold combination from {pool} sums to {target} mod {W}")
     chosen = [b0] * (s - 8) + [24 * k + 1 for k in found]

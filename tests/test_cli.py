@@ -1,10 +1,13 @@
+import argparse
 import csv
 import enum
 import io
 import json
 import math
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import gauss_row_gcd
 from psqlab._csvio import write_csv
 from psqlab.arith import factorize
-from psqlab.cli import _parse_spec, run
+from psqlab.cli import _COMMANDS, _build_parser, _parse_spec, run
 from psqlab.expsums import MAX_GAUSS_MODULUS, MAX_LOCAL_FACTOR_Q
 from psqlab.primes import PrimeSubsetSpec
 
@@ -525,6 +528,20 @@ class TestChecks:
         with pytest.raises(AssertionError, match="saq loop"):  # the bound itself starts the loop
             run(["saq", "--w", "4", "--qmax", str(MAX_LOCAL_FACTOR_Q)])
 
+    def test_gauss_factorizes_each_odd_k_once(self, monkeypatch, capsys):
+        # the squarefree test factorizes each odd k (2500), the units of a
+        # squarefree k come from those pairs, gauss_sum_row's unit_mask
+        # factorizes each squarefree k > 1 (2026), and the four reference
+        # gauss_sum calls one each
+        import psqlab.arith as arith_mod
+        import psqlab.cli as cli_mod
+
+        calls = count_calls(monkeypatch, arith_mod, "factorize")
+        monkeypatch.setattr(cli_mod, "factorize", arith_mod.factorize)
+        assert run(["gauss", "--kmax", "5000", "--check"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 4530
+
     def test_sumset_verify(self, tmp_path):
         out = tmp_path / "lemma.json"
         assert run(["sumset-verify", "--w", "8", "--out", str(out)]) == 0
@@ -719,6 +736,106 @@ class TestRepresentAndTransfer:
         assert run(["transfer", "--w", "6", "--n", str(n), "--s", "8"]) == 2
         err = capsys.readouterr().err
         assert "over budget" in err and "Traceback" not in err
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# the benchmark's transfer ops, bernoulli subsets at seed 7
+BENCH_TRANSFERS = [
+    "transfer --w 6 --n 960008 --s 8",
+    "transfer --w 6 --n 960008 --s 8 --spec residues:7:1,2,3,4,5",
+    "transfer --w 6 --n 480008 --s 8 --spec bernoulli:0.95:7",
+    "transfer --w 8 --n 960008 --s 8",
+]
+
+
+def readme_argvs():
+    """The argv of each psqlab line in the README's sh blocks, as CI reads them."""
+    argvs, in_sh = [], False
+    for line in README.read_text().splitlines():
+        if line in ("```sh", "```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("psqlab "):
+            argvs.append(line[len("psqlab ") :].partition("#")[0].split())
+    return argvs
+
+
+def parse_outcome(parser, argv, capsys):
+    """(stdout, stderr, exit code or None, vars of the namespace or None)."""
+    try:
+        ns, code = vars(parser.parse_args(argv)), None
+    except SystemExit as exc:
+        ns, code = None, exc.code
+    out, err = capsys.readouterr()
+    return out, err, code, ns
+
+
+def parser_cases(name):
+    """-h, no options (a missing required option, where there is one), a bad
+    value for the first typed option, unrecognized arguments after a valid
+    line (the top-level parser reports them), and the README's lines of the
+    command."""
+    _, _, options = _COMMANDS[name]
+    typed = next(flag for flag, kwargs in options.items() if "type" in kwargs)
+    readme = [argv for argv in readme_argvs() if argv[0] == name]
+    cases = [[name, "-h"], [name], [name, typed, "x"], readme[0] + ["--bogus", "extra"]]
+    return cases + readme
+
+
+class TestParser:
+    @pytest.mark.parametrize("name", list(_COMMANDS))
+    def test_one_command_parser_matches_the_full_one(self, name, capsys):
+        one = _build_parser(name)
+        [sub] = [a for a in one._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == [name]
+        for argv in parser_cases(name):
+            want = parse_outcome(_build_parser(), argv, capsys)
+            assert parse_outcome(one, argv, capsys) == want, argv
+
+    @pytest.mark.parametrize(
+        "argv, built",
+        [
+            (["transfer", "--w", "4", "--n", "10016"], "transfer"),
+            (["context", "--w", "4"], "context"),
+            (["represent", "--bogus"], "represent"),
+            ([], None),
+            (["-h"], None),
+            (["--version"], None),
+            (["transfe"], None),
+            (["--out", "x", "context"], None),
+        ],
+    )
+    def test_run_builds_the_invoked_commands_parser(self, argv, built, monkeypatch, capsys):
+        import psqlab.cli as cli_mod
+
+        calls = count_calls(monkeypatch, cli_mod, "_build_parser")
+        run(argv)
+        capsys.readouterr()
+        assert calls == [(built,)]
+
+    def test_full_parser_errors_name_the_command_argument(self, capsys):
+        assert run([]) == 2
+        assert "the following arguments are required: command" in capsys.readouterr().err
+        assert run(["transfe"]) == 2
+        assert "argument command: invalid choice: 'transfe'" in capsys.readouterr().err
+
+    def test_bench_transfers_never_import_numpy_fft(self):
+        # a fresh interpreter, as each benchmark op runs: residue selection
+        # and the index search run no FFT, so numpy.fft is never imported
+        script = (
+            "import io, sys, contextlib\n"
+            "import psqlab.cli as cli\n"
+            "for line in sys.argv[1:]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.run(line.split()) == 0, line\n"
+            "    assert 'numpy.fft' not in sys.modules, line\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *BENCH_TRANSFERS], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestReports:

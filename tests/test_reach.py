@@ -48,7 +48,7 @@ class TestLexSmallestSumOracle:
     @settings(max_examples=200, deadline=None)
     @given(supports_st, st.integers(-3, 50))
     def test_matches_product_minimum(self, supports, target):
-        assert lex_smallest_sum(supports, target) == brute_smallest(supports, target)
+        assert lex_smallest_sum(supports, [target]) == [brute_smallest(supports, target)]
 
     @settings(max_examples=300, deadline=None)
     @given(deep_supports(), st.integers(-5, 125))
@@ -58,7 +58,40 @@ class TestLexSmallestSumOracle:
     @example([sorted_support([5, 7])] * 6, -1)
     def test_matches_product_minimum_up_to_eight_supports(self, supports, target):
         # the DFS levels above the bottom step, and the bottom step at 1-4 levels
-        assert lex_smallest_sum(supports, target) == brute_smallest(supports, target)
+        assert lex_smallest_sum(supports, [target]) == [brute_smallest(supports, target)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(deep_supports(), st.lists(st.integers(-5, 125), max_size=6))
+    def test_several_targets_match_product_minimum(self, supports, targets):
+        expected = [brute_smallest(supports, t) for t in targets]
+        assert lex_smallest_sum(supports, targets) == expected
+
+    def test_mask_built_and_charged_once_for_several_targets(self, monkeypatch):
+        # the pair-sum mask of J + J, the one boolean array the search
+        # allocates, costs len(J)^2 / SEARCH_CHUNK steps; with a cap of twice
+        # that, three targets are answered with no Reach only if it is
+        # charged once
+        def no_reach(*args, **kwargs):
+            raise AssertionError("the search gave up")
+
+        J = np.arange(1024, dtype=np.int64)
+        mask_steps = len(J) ** 2 // gridfft.SEARCH_CHUNK
+        monkeypatch.setattr(gridfft, "Reach", no_reach)
+        monkeypatch.setattr(gridfft, "MAX_SEARCH_STEPS", 2 * mask_steps)
+        masks = []
+        real_zeros = np.zeros
+
+        def zeros(shape, dtype=float):
+            masks.extend([shape] if dtype is bool else [])
+            return real_zeros(shape, dtype=dtype)
+
+        monkeypatch.setattr(gridfft.np, "zeros", zeros)
+        targets = [4000, 4001, 8000]
+        found = lex_smallest_sum([J] * 8, targets)
+        monkeypatch.undo()
+        assert masks == [2 * 1023 + 1]  # one mask, of the pair sums 0 .. 2046
+        assert [sum(f) for f in found] == targets
+        assert found[2] == (839,) + (1023,) * 7  # the least v_0 with seven maxima after it
 
     @pytest.mark.parametrize(
         "supports, target, expected",
@@ -76,7 +109,7 @@ class TestLexSmallestSumOracle:
     )
     def test_edges(self, supports, target, expected):
         supports = [np.array(sup, dtype=np.int64) for sup in supports]
-        assert lex_smallest_sum(supports, target) == expected
+        assert lex_smallest_sum(supports, [target]) == [expected]
 
     @settings(max_examples=100, deadline=None)
     @given(deep_supports(), st.integers(-5, 125))
@@ -93,7 +126,7 @@ class TestLexSmallestSumOracle:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gridfft, "MAX_SEARCH_STEPS", 0)
             mp.setattr(gridfft, "Reach", Recording)
-            got = lex_smallest_sum(supports, target)
+            [got] = lex_smallest_sum(supports, [target])
         assert got == brute_smallest(supports, target)
         assert calls in ([], [target])
         if got:  # a tuple is found by a step, never by the bounds alone
@@ -103,7 +136,7 @@ class TestLexSmallestSumOracle:
         # the pair sums of the last two supports would need a mask of 2^25 + 1
         # cells; the fallback Reach refuses that target before allocating
         with pytest.raises(TooLarge):
-            lex_smallest_sum([np.array([0, 1 << 25], dtype=np.int64)] * 3, 1 << 25)
+            lex_smallest_sum([np.array([0, 1 << 25], dtype=np.int64)] * 3, [1 << 25])
 
     def test_transfer_search_runs_no_fft(self, monkeypatch, ctx6, all_spec):
         # the index search of transfer --w 6 --n 960008 --s 8, with every FFT
@@ -115,17 +148,17 @@ class TestLexSmallestSumOracle:
         def no_fft(*args, **kwargs):
             raise AssertionError("lex_smallest_sum called an FFT")
 
-        def guarded(supports, target):
+        def guarded(supports, targets):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(gridfft.np.fft, "rfft", no_fft)
                 mp.setattr(gridfft.np.fft, "irfft", no_fft)
-                found = lex_smallest_sum(supports, target)
-            searches.append((supports, target, found))
-            return found
+                [found] = lex_smallest_sum(supports, targets)
+            searches.append((supports, targets, found))
+            return [found]
 
         monkeypatch.setattr(reprs, "lex_smallest_sum", guarded)
         witness = reprs.transfer_witness(ctx6, 960_008, 8, all_spec)
-        [(supports, target, found)] = searches
+        [(supports, [target], found)] = searches
         assert len(supports) == 8 and target == witness["m"]
         assert found == tuple(witness["indices"]) == Reach(supports, target).smallest(target)
 

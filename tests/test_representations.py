@@ -50,7 +50,7 @@ def smallest_witness(n, s, spec):
     summing to n, from lex_smallest_sum over [0, n], or None.  The smallest
     ordered tuple is nondecreasing, since its sorted copy is a solution too."""
     squares = member_roots(spec, max(n, 0)) ** 2
-    found = lex_smallest_sum([squares] * s, n)
+    [found] = lex_smallest_sum([squares] * s, [n])
     return None if found is None else tuple(math.isqrt(v) for v in found)
 
 
@@ -281,21 +281,21 @@ class TestTheoremExperiment:
     def test_witness_search_asked_for_the_sampled_targets(self, all_spec, monkeypatch):
         import psqlab.representations as reprs
 
-        targets = []
+        calls = []
         real = reprs.lex_smallest_sum
 
-        def recording(supports, target):
-            targets.append(target)
-            return real(supports, target)
+        def recording(supports, targets):
+            calls.append(list(targets))
+            return real(supports, targets)
 
         monkeypatch.setattr(reprs, "lex_smallest_sum", recording)
         report = theorem_experiment(8, all_spec, (5000, 400_000))
         assert len(report["sample_witnesses"]) == 3
-        # M of each sampled n = 8*5^2 + 24M, once each
-        assert targets == [(w["n"] - 8 * 25) // 24 for w in report["sample_witnesses"]]
-        targets.clear()
+        # M of each sampled n = 8*5^2 + 24M, all in one search
+        assert calls == [[(w["n"] - 8 * 25) // 24 for w in report["sample_witnesses"]]]
+        calls.clear()
         theorem_experiment(8, all_spec, (8, 199))  # every target an exception
-        assert targets == []
+        assert calls == [[]]
 
     @pytest.mark.parametrize(
         "modulus, classes, m0, g",
@@ -382,13 +382,13 @@ class TestTheoremExperiment:
 class TestLexSmallestSum:
     def test_finds_lex_smallest(self):
         sup = np.array([1, 2, 5])
-        got = lex_smallest_sum([sup, sup, sup, sup], 9)
-        assert got == (1, 1, 2, 5)
+        got = lex_smallest_sum([sup, sup, sup, sup], [9])
+        assert got == [(1, 1, 2, 5)]
 
     def test_impossible_target(self):
         sup = np.array([1, 5])
-        assert lex_smallest_sum([sup, sup], 100) is None
-        assert lex_smallest_sum([sup, np.array([], dtype=np.int64)], 2) is None
+        assert lex_smallest_sum([sup, sup], [100]) == [None]
+        assert lex_smallest_sum([sup, np.array([], dtype=np.int64)], [2]) == [None]
 
 
 class TestTransferWitness:
@@ -421,7 +421,7 @@ class TestTransferWitness:
     def test_not_found_when_search_fails(self, ctx4, all_spec, monkeypatch):
         import psqlab.representations as reprs
 
-        monkeypatch.setattr(reprs, "lex_smallest_sum", lambda sup, t: None)
+        monkeypatch.setattr(reprs, "lex_smallest_sum", lambda sup, ts: [None] * len(ts))
         with pytest.raises(NotFound):
             transfer_witness(ctx4, 10016, 8, all_spec)
 

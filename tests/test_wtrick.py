@@ -1,21 +1,28 @@
+import functools
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import psqlab._gridfft as gridfft
 from psqlab._csvio import write_csv
+from psqlab._gridfft import Reach
 from psqlab.errors import Infeasible, TooLarge
 from psqlab.primes import PrimeSubsetSpec
 from psqlab.wtrick import (
+    WContext,
     build_context,
     delta_table,
     f_sequence,
     nu_sequence,
     select_residues,
 )
+
+context = functools.lru_cache(maxsize=None)(build_context)
 
 
 class TestBuildContext:
@@ -279,3 +286,80 @@ class TestSelectResidues:
         dt = {1: 1.0, 49: 0.1}
         chosen = select_residues(ctx6, dt, 8 + 120, 8, kappa=0.1)
         assert set(chosen) == {1}
+
+
+def modulus_context(m):
+    """A context holding only W = 24m, all select_residues reads of one."""
+    return WContext(w=0, W=24 * m, phi_W=0, H=0, Z_W=(), root_map={})
+
+
+@st.composite
+def lift_cases(draw):
+    """(ctx, pool, n): a pool from Z(W) at w = 10, 12 or 14, or of residues
+    1 (mod 24) below W = 24m for a modulus m up to 200, and a target
+    n = 8 (mod 24)."""
+    rng = draw(st.randoms(use_true_random=False))
+    w = draw(st.sampled_from([None, 10, 12, 14]))
+    if w is None:
+        m = draw(st.integers(1, 200))
+        ctx = modulus_context(m)
+        residues = [24 * k + 1 for k in range(m)]
+    else:
+        ctx = context(w)
+        residues = list(ctx.Z_W)
+    size = draw(st.sampled_from([1, 2, 3, 5, 10, 30, len(residues)]))
+    pool = rng.sample(residues, min(size, len(residues)))
+    return ctx, pool, 8 + 24 * draw(st.integers(0, 3 * ctx.W // 24))
+
+
+def select_or_none(ctx, pool, n):
+    """The 8 residues select_residues picks from pool for n at s = 8, or None."""
+    try:
+        return select_residues(ctx, dict.fromkeys(pool, 1.0), n, 8, kappa=0.1)
+    except Infeasible:
+        return None
+
+
+class TestResidueLifts:
+    """select_residues' 8-tuple, from the eight lifts t + i*m of its sum mod m."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(lift_cases(), st.booleans())
+    # k = 9 alone at m = 10: t = 72 mod 10 = 2 is met only by the top lift 2 + 7*10
+    @example((modulus_context(10), [24 * 9 + 1], 8 + 24 * 2), False)
+    @example((modulus_context(10), [24 * 9 + 1], 8 + 24 * 3), False)  # by none
+    @example((modulus_context(10), [1], 8), False)  # k = 0 alone: the bottom lift
+    def test_matches_cyclic_reach(self, case, past_step_cap):
+        # the least of the eight lex-smallest lifts is Reach's cyclic answer,
+        # None included; with no steps allowed, the capped Reach fallback
+        # gives the same
+        ctx, pool, n = case
+        m = ctx.W // 24
+        ks = (np.array(sorted(pool), dtype=np.int64) - 1) // 24
+        want = Reach([ks] * 8, modulus=m).smallest((n % ctx.W - 8) // 24)
+        with pytest.MonkeyPatch.context() as mp:
+            if past_step_cap:
+                mp.setattr(gridfft, "MAX_SEARCH_STEPS", 0)
+            got = select_or_none(ctx, pool, n)
+        assert got == (None if want is None else [24 * k + 1 for k in want])
+
+    def test_searches_stay_far_under_the_step_cap(self, monkeypatch):
+        # random pools from Z(W) at w = 12 and 14, and all of Z(W) at w = 18
+        # (m = 85085, the largest modulus a CLI run reaches), each
+        # answered within a sixteenth of MAX_SEARCH_STEPS, with no Reach
+        def no_reach(*args, **kwargs):
+            raise AssertionError("the lift search gave up")
+
+        monkeypatch.setattr(gridfft, "Reach", no_reach)
+        monkeypatch.setattr(gridfft, "MAX_SEARCH_STEPS", gridfft.MAX_SEARCH_STEPS // 16)
+        rng = random.Random(1)
+        for w in (12, 14):
+            Z = context(w).Z_W
+            for _ in range(60):
+                size = rng.choice([1, 3, 6, 15, 31, len(Z) // 4, len(Z) // 2, len(Z)])
+                pool = rng.sample(Z, min(size, len(Z)))
+                select_or_none(context(w), pool, 8 + 24 * rng.randrange(context(w).W // 24))
+        ctx = context(18)
+        for k in (0, 1, 12345, 85084):
+            chosen = select_or_none(ctx, ctx.Z_W, 8 + 24 * k)
+            assert sum(chosen) % ctx.W == (8 + 24 * k) % ctx.W
