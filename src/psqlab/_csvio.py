@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-_CHUNK_ROWS = 1 << 16
+_CHUNK_ROWS = 1 << 12
 
 
 def write_csv(path, header: Sequence[str], columns: Sequence) -> None:

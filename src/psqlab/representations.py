@@ -13,8 +13,9 @@ witnesses come from one exact lex-order search for their M (lex_smallest_sum).
 
 Ordered representation counts come from s-fold convolution of the
 prime-square indicator on the same progression, in s - 1 rounds of shifted
-integer adds (one per member square), then are scattered onto [0, limit].
-No floating point is involved: int64 while a bound on the next round proves
+integer adds (one per member square), and stay on it: a count table holds
+the progression only, never an array over all of [0, limit].  No floating
+point is involved: int64 while a bound on the next round proves
 it cannot overflow, Python ints (object dtype) after.
 """
 
@@ -60,14 +61,20 @@ def square_progression(spec: PrimeSubsetSpec, hi: int) -> tuple[int, int, np.nda
 
 @dataclass(frozen=True)
 class ReprCountTable:
-    """Ordered s-tuple counts: counts[n] = #{(p_1..p_s) in P^s : sum p_j^2 = n}."""
+    """Ordered s-tuple counts #{(p_1..p_s) in P^s : sum p_j^2 = n} over
+    [0, limit] on one progression: n = start + step*i has count values[i],
+    and every other n has count 0.  A step-1 table from start 0 is the
+    whole line."""
 
-    counts: np.ndarray
+    limit: int
+    start: int
+    step: int
+    values: np.ndarray
 
     def to_csv(self, path) -> None:
-        """Write the nonzero counts as (n, count) rows."""
-        n = np.flatnonzero(self.counts)
-        write_csv(path, ["n", "count"], [n, self.counts[n]])
+        """Write the nonzero counts as (n, count) rows, n ascending."""
+        i = np.flatnonzero(self.values)
+        write_csv(path, ["n", "count"], [self.start + self.step * i, self.values[i]])
 
 
 def count_budget(limit: int, s: int) -> None:
@@ -82,8 +89,9 @@ def count_representations(limit: int, s: int, spec: PrimeSubsetSpec) -> ReprCoun
 
     Runs on the member squares' progression (square_progression): after j
     factors, entry M counts n = j*m0 + g*M, which holds every nonzero count
-    (the rest of the line is zero).  Each of the s - 1 rounds adds one shifted
-    copy of the counts per member square.  A round's entries are sums of
+    (the rest of the line is zero), and the table keeps just that progression
+    (start s*m0, step g).  Each of the s - 1 rounds adds one shifted copy of
+    the counts per member square.  A round's entries are sums of
     len(J) entries of the last, so while max * len(J) < 2^63 int64 cannot
     overflow; past that the counts move to Python ints (object dtype).  The
     progression holds the line's maximum, so the switch falls in the same
@@ -103,9 +111,7 @@ def count_representations(limit: int, s: int, spec: PrimeSubsetSpec) -> ReprCoun
         for k in J[J < width]:
             nxt[k:] += acc[: width - k]
         acc = nxt
-    counts = np.zeros(limit + 1, dtype=acc.dtype)
-    counts[s * m0 :: g] = acc
-    return ReprCountTable(counts=counts)
+    return ReprCountTable(limit=limit, start=s * m0, step=g, values=acc)
 
 
 def scan_lattice(s: int, spec: PrimeSubsetSpec, hi: int) -> None:
@@ -144,6 +150,7 @@ def theorem_experiment(s: int, spec: PrimeSubsetSpec, n_range: tuple[int, int]) 
     if lo < 0:
         raise ValueError(f"the range must start at n >= 0, got {lo}")
     scan_lattice(s, spec, hi)
+    density = empirical_density(spec, hi)  # its sieve windows before the scan's arrays
     m0, g, J = square_progression(spec, hi)
 
     first = lo + ((s - lo) % 24)
@@ -165,7 +172,6 @@ def theorem_experiment(s: int, spec: PrimeSubsetSpec, n_range: tuple[int, int]) 
         witnesses.append({"n": n, "primes": [math.isqrt(m0 + g * j) for j in js]})
 
     lam = lambda_threshold(s)
-    density = empirical_density(spec, hi)
     return {
         "s": s,
         "spec": spec.to_json(),

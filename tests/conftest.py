@@ -53,3 +53,12 @@ def gauss_row_gcd(k):
     ls = ls[np.gcd(ls, k) == 1]
     counts = np.bincount((ls * ls) % k, minlength=k).astype(float)
     return np.conj(np.fft.fft(counts))
+
+
+def count_line(table):
+    """The table's counts scattered onto [0, limit]: line[n] is the count of n.
+    The progression must fill [start, limit] exactly, as count_representations'
+    tables do."""
+    line = np.zeros(table.limit + 1, dtype=table.values.dtype)
+    line[table.start :: table.step] = table.values
+    return line

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import psqlab
-from conftest import as_sequence
+from conftest import as_sequence, count_line
 from psqlab.arith import factorize
 from psqlab.expsums import gauss_sum_row
 from psqlab.restriction import fourth_moment_routes, pair_difference_counts
@@ -258,10 +258,10 @@ def test_criterion_09_counting_oracle():
 
     exact = True
     for s in (2, 3):
-        got = psqlab.count_representations(5000, s, spec).counts
+        got = count_line(psqlab.count_representations(5000, s, spec))
         exact &= bool(np.array_equal(got, brute(5000, s)))
 
-    counts = psqlab.count_representations(100_000, 8, spec).counts
+    counts = count_line(psqlab.count_representations(100_000, 8, spec))
     ns = np.arange(100_001)
     stray = int(np.count_nonzero(counts[ns % 24 != 8]))
     _gate(
@@ -306,7 +306,7 @@ def test_criterion_11_transfer_round_trip():
     for w, start in ((4, 10_000), (6, 48_000)):
         ctx = psqlab.build_context(w)
         hi = start + 24 * 40
-        counts = psqlab.count_representations(hi, 8, spec).counts
+        counts = count_line(psqlab.count_representations(hi, 8, spec))
         first = start + ((8 - start) % 24)
         targets = [n for n in range(first, hi + 1, 24) if counts[n] > 0][:20]
         assert len(targets) == 20

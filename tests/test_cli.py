@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import enum
 import io
 import json
@@ -7,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,12 +16,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import gauss_row_gcd
+from conftest import count_line, gauss_row_gcd
 from psqlab._csvio import write_csv
 from psqlab.arith import factorize
 from psqlab.cli import _COMMANDS, _build_parser, _parse_spec, run
 from psqlab.expsums import MAX_GAUSS_MODULUS, MAX_LOCAL_FACTOR_Q
 from psqlab.primes import PrimeSubsetSpec
+from psqlab.representations import theorem_experiment
 
 
 def load(path):
@@ -568,17 +571,72 @@ class TestRepresentAndTransfer:
         real = cli_mod.count_representations
 
         def corrupted(*args):
-            counts = real(*args).counts.copy()
+            counts = count_line(real(*args))
             assert counts[100] == 1 and counts[101] == 0  # 100 = 4 * 5^2; 101 = 5 (mod 24)
             counts[100] = 0  # a dropped count, on the lattice
             counts[101] = 1  # a count off the lattice
-            return ReprCountTable(counts=counts)
+            return ReprCountTable(limit=len(counts) - 1, start=0, step=1, values=counts)
 
         monkeypatch.setattr(cli_mod, "count_representations", corrupted)
         out = tmp_path / "rep.json"
         argv = ["represent", "--s", "4", "--limit", "3000", "--check", "--out", str(out)]
         assert run(argv) == 1
         assert load(out)["result"]["congruence_scan_violations"] == [100, 101]
+
+    def test_check_and_csv_build_no_line_of_counts(self, tmp_path):
+        # the table, its check and its sidecar read the progression only, so
+        # nothing of 4 bytes per n in [0, limit] is ever held
+        limit = 1_000_000
+        out = tmp_path / "rep.json"
+        argv = ["represent", "--s", "8", "--limit", str(limit), "--spec", "all", "--check", "--csv"]
+        tracemalloc.start()
+        try:
+            assert run([*argv, "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert load(out)["result"]["congruence_scan_violations"] == []
+        assert peak < 4 * (limit + 1)
+
+    def test_check_flags_counts_off_the_lattice_from_a_wrong_step(self, tmp_path, monkeypatch):
+        # a step of 12 puts every odd i on n = 16 (mod 24); past the window
+        # (n > 100 + 2^12) only the congruence test can see them
+        import psqlab.cli as cli_mod
+
+        spec = PrimeSubsetSpec.all_primes()
+        table = cli_mod.count_representations(20000, 4, spec)
+        assert (table.start, table.step) == (100, 24)
+        wrong = dataclasses.replace(table, step=12)
+        i = np.flatnonzero(wrong.values)
+        off = (wrong.start + 12 * i[i % 2 == 1]).tolist()
+        assert max(off) > 100 + 4096 and all(n % 24 == 16 for n in off)
+        exceptions = theorem_experiment(4, spec, (100, 20000))["exceptions"]
+        bad = cli_mod._count_violations(wrong, 4, spec, 100, exceptions).tolist()
+        assert set(off) <= set(bad)
+
+        monkeypatch.setattr(cli_mod, "count_representations", lambda *args: wrong)
+        out = tmp_path / "rep.json"
+        argv = ["represent", "--s", "4", "--limit", "20000", "--check", "--out", str(out)]
+        assert run(argv) == 1
+        assert load(out)["result"]["congruence_scan_violations"] == bad[:20]
+
+    def test_check_flags_a_count_dropped_from_the_values(self, tmp_path, monkeypatch):
+        import psqlab.cli as cli_mod
+
+        real = cli_mod.count_representations
+
+        def dropped(*args):
+            table = real(*args)
+            values = table.values.copy()
+            assert table.start + table.step * 500 == 12100 and values[500] > 0
+            values[500] = 0  # n = 12100, a scan target past the window
+            return dataclasses.replace(table, values=values)
+
+        monkeypatch.setattr(cli_mod, "count_representations", dropped)
+        out = tmp_path / "rep.json"
+        argv = ["represent", "--s", "4", "--limit", "20000", "--check", "--out", str(out)]
+        assert run(argv) == 1
+        assert load(out)["result"]["congruence_scan_violations"] == [12100]
 
     @pytest.mark.parametrize("min_prime", [2, 3])
     @pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 8, 9])
@@ -597,11 +655,11 @@ class TestRepresentAndTransfer:
         real = cli_mod.count_representations
 
         def corrupted(*args):
-            counts = real(*args).counts.copy()
+            counts = count_line(real(*args))
             assert counts[16] == 1 and counts[17] == 0  # 16 = 4 * 2^2; 17 is no sum of 4
             counts[16] = 0
             counts[17] = 1
-            return ReprCountTable(counts=counts)
+            return ReprCountTable(limit=len(counts) - 1, start=0, step=1, values=counts)
 
         monkeypatch.setattr(cli_mod, "count_representations", corrupted)
         out = tmp_path / "rep.json"
@@ -619,11 +677,11 @@ class TestRepresentAndTransfer:
         real = cli_mod.count_representations
 
         def corrupted(*args):
-            counts = real(*args).counts.copy()
+            counts = count_line(real(*args))
             assert counts[5000] == 1 and not counts[:5000].any()
             counts[5000] = 0  # dropped: the only representation is all 5^2
             counts[4976] = 1  # on the lattice, but below every sum of 200 squares
-            return ReprCountTable(counts=counts)
+            return ReprCountTable(limit=len(counts) - 1, start=0, step=1, values=counts)
 
         monkeypatch.setattr(cli_mod, "count_representations", corrupted)
         out = tmp_path / "rep.json"

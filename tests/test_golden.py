@@ -49,6 +49,11 @@ CASES = {
 # name's first part and .json: represent_res5_csv.json here
 SIDECARS = {
     "represent_res5_csv.counts.csv": "represent --s 10 --limit 200000 --spec residues:5:1,4 --check --csv",
+    # counts past 2^63, held as Python ints (object dtype)
+    "represent_s30_csv.counts.csv": "represent --s 30 --limit 30000 --csv",
+    # 2 and 3 admitted: the squares' progression has step 1
+    "represent_step1_csv.counts.csv": "represent --s 5 --limit 3000 --n-lo 0 --spec "
+    '{"variant":"all","min_prime":2} --check --csv',
 }
 
 

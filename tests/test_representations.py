@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import count_line
+
 from psqlab._gridfft import lex_smallest_sum
 from psqlab.errors import Infeasible, NotFound, TooLarge, VerificationError
 from psqlab.primes import PrimeSubsetSpec, sieve, subset_members
@@ -78,17 +80,17 @@ class TestSquareIndicator:
     member_roots squared."""
 
     def test_small(self, all_spec):
-        ind = count_representations(30, 1, all_spec).counts
+        ind = count_line(count_representations(30, 1, all_spec))
         assert list(ind) == [0] * 25 + [1] + [0] * 5
 
     def test_medium(self, all_spec):
-        ind = count_representations(130, 1, all_spec).counts
+        ind = count_line(count_representations(130, 1, all_spec))
         assert list(np.flatnonzero(ind)) == [25, 49, 121]
         assert set(ind.tolist()) == {0, 1}
         assert list(member_roots(all_spec, 130)) == [5, 7, 11]
 
     def test_empty_subset(self):
-        ind = count_representations(100, 1, PrimeSubsetSpec.explicit([])).counts
+        ind = count_line(count_representations(100, 1, PrimeSubsetSpec.explicit([])))
         assert len(ind) == 101 and not ind.any()
 
     def test_member_roots_edges(self, all_spec):
@@ -120,29 +122,29 @@ class TestCountRepresentations:
         limit = 2000
         table = count_representations(limit, s, all_spec)
         brute = brute_force_counts(limit, s, all_spec, primes_1k)
-        assert np.array_equal(table.counts, brute)
+        assert np.array_equal(count_line(table), brute)
 
     def test_two_squares_of_74(self, all_spec):
-        counts = count_representations(100, 2, all_spec).counts
+        counts = count_line(count_representations(100, 2, all_spec))
         assert counts[74] == 2  # (5,7) and (7,5)
         assert counts[50] == 1  # (5,5)
 
     def test_eight_fives(self, all_spec):
-        counts = count_representations(200, 8, all_spec).counts
+        counts = count_line(count_representations(200, 8, all_spec))
         assert counts[200] >= 1
 
     def test_congruence_vanishing(self, all_spec):
-        counts = count_representations(3000, 8, all_spec).counts
+        counts = count_line(count_representations(3000, 8, all_spec))
         ns = np.arange(3001)
         assert not counts[ns % 24 != 8].any()
 
     def test_agrees_with_repeated_plain_convolution(self, all_spec):
         limit = 20_000
-        ind = count_representations(limit, 1, all_spec).counts
+        ind = count_line(count_representations(limit, 1, all_spec))
         want = ind.copy()
         for _ in range(2):
             want = np.convolve(want, ind)[: limit + 1]
-        got = count_representations(limit, 3, all_spec).counts
+        got = count_line(count_representations(limit, 3, all_spec))
         assert np.array_equal(got, want)
 
     @settings(max_examples=60, deadline=None)
@@ -155,7 +157,7 @@ class TestCountRepresentations:
     @example(PrimeSubsetSpec.residue_classes(5, [1, 4]), 3, 8000)
     @example(PrimeSubsetSpec.explicit([11, 13]), 4, 400)
     def test_matches_brute_force_any_spec(self, spec, s, limit):
-        got = count_representations(limit, s, spec).counts
+        got = count_line(count_representations(limit, s, spec))
         assert len(got) == limit + 1
         assert np.array_equal(got, brute_force_counts(limit, s, spec, sieve(100)))
 
@@ -163,7 +165,7 @@ class TestCountRepresentations:
         # a twos and 70 - a threes sum to 630 - 5a, in comb(70, a) orders;
         # comb(70, 35) is about 1.1e20 > 2^63
         spec = PrimeSubsetSpec.explicit([2, 3], min_prime=2)
-        counts = count_representations(630, 70, spec).counts
+        counts = count_line(count_representations(630, 70, spec))
         want = [0] * 631
         for a in range(71):
             want[630 - 5 * a] = math.comb(70, a)
@@ -174,7 +176,7 @@ class TestCountRepresentations:
         # a fives and b = 70 - a sevens sum to 1750 + 24b, in comb(70, b)
         # orders: the object switch on the stride-24 lattice
         spec = PrimeSubsetSpec.explicit([5, 7])
-        counts = count_representations(3430, 70, spec).counts
+        counts = count_line(count_representations(3430, 70, spec))
         want = [0] * 3431
         for b in range(71):
             want[1750 + 24 * b] = math.comb(70, b)
@@ -188,7 +190,7 @@ class TestCountRepresentations:
             count_budget(MAX_CONV_LEN // 2, 2)
 
     def test_counts_divisible_by_orbit(self, all_spec):
-        counts = count_representations(500, 3, all_spec).counts
+        counts = count_line(count_representations(500, 3, all_spec))
         w = smallest_witness(171, 3, all_spec)  # 25 + 25 + 121
         assert w == (5, 5, 11)
         from collections import Counter
@@ -249,7 +251,7 @@ class TestTheoremExperiment:
                 theorem_experiment(s, spec, (lo, hi))
             return
         report = theorem_experiment(s, spec, (lo, hi))
-        counts = count_representations(hi, s, spec).counts
+        counts = count_line(count_representations(hi, s, spec))
         targets = range(lo + ((s - lo) % 24), hi + 1, 24)
         assert report["exceptions"] == [n for n in targets if counts[n] == 0]
         represented = [n for n in targets if counts[n] != 0]
