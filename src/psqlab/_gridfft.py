@@ -11,8 +11,7 @@ rounding-residual certificate that raises rather than falls back.
 Witnesses need no FFT: lex_smallest_sum, behind the experiment's sample
 witnesses, the transfer's residue selection and its index search, is an
 exact lex-order search over a boolean mask of pair sums, and builds a Reach
-only past its step cap.  Reach's cyclic mode stays for the residue cover
-(sumsets.verify_cover).
+only past its step cap.
 """
 
 from __future__ import annotations
@@ -147,43 +146,35 @@ class Reach:
     """Which targets are sums v_0 + ... + v_{s-1} with each v_j in supports[j].
 
     Supports are sorted nonnegative integer arrays; layers[j] marks the sums
-    from supports[j:] on [0, cap], or on Z/modulus when one is given.  Each
-    layer is the FFT convolution of the next with a 0/1 support indicator,
-    rounded by `certified`: a residual above 0.25 raises, never falls back.
-    The cyclic mode serves only the residue cover (sumsets.verify_cover); the
-    capped mode is lex_smallest_sum's fallback past its step cap.
+    from supports[j:] on [0, cap].  Each layer is the FFT convolution of the
+    next with a 0/1 support indicator, rounded by `certified`: a residual
+    above 0.25 raises, never falls back.  It is lex_smallest_sum's fallback
+    past its step cap.
     """
 
-    def __init__(self, supports, cap: int = 0, modulus: Optional[int] = None):
+    def __init__(self, supports, cap: int):
         self.supports = [np.asarray(sup, dtype=np.int64) for sup in supports]
-        self.modulus = modulus
-        width = modulus or cap + 1
+        width = cap + 1
         L = reach_budget(len(self.supports) + 1, width)
         layer = np.arange(width) == 0  # the empty suffix sums to 0
         self.layers = [layer]
         spectra: dict[int, np.ndarray] = {}  # by id: a repeated support is transformed once
         for sup in reversed(self.supports):
             if id(sup) not in spectra:
-                ind = np.bincount(sup % width if modulus else sup[sup < width], minlength=width)
-                spectra[id(sup)] = np.fft.rfft(ind > 0, L)
-            raw = np.fft.irfft(np.fft.rfft(layer, L) * spectra[id(sup)], L)
-            raw = raw[:width] + raw[width : 2 * width] if modulus else raw[:width]
-            layer = certified(raw)
+                spectra[id(sup)] = np.fft.rfft(np.bincount(sup[sup < width], minlength=width) > 0, L)
+            layer = certified(np.fft.irfft(np.fft.rfft(layer, L) * spectra[id(sup)], L)[:width])
             self.layers.append(layer)
         self.layers.reverse()
 
     def smallest(self, target: int) -> Optional[tuple[int, ...]]:
         """Lexicographically smallest (v_0, ..., v_{s-1}) summing to target, or None:
         each v_j is the least element whose remainder the next layer reaches."""
-        if self.modulus:
-            target %= self.modulus
         if not 0 <= target < len(self.layers[0]) or not self.layers[0][target]:
             return None
         out = []
         for sup, rest in zip(self.supports, self.layers[1:]):
-            if not self.modulus:
-                sup = sup[sup <= target]
-            v = int(sup[np.argmax(rest[(target - sup) % len(rest)])])
+            sup = sup[sup <= target]
+            v = int(sup[np.argmax(rest[target - sup])])
             out.append(v)
             target -= v
         return tuple(out)
@@ -206,8 +197,9 @@ def lex_smallest_sum(supports, targets) -> list[Optional[tuple[int, ...]]]:
     exact boolean mask of the pair sums of the last two supports
     (np.add.outer), built once for all the targets, up to the largest: the
     first d of supports[-4] for which some u of supports[-3] has r - d - u in
-    the mask, then the first such u, then the last two values by lookup;
-    fewer than four supports take the same bottom step with fewer levels.
+    the mask, then the first such u, then the last two values by lookup.
+    Trailing {0} supports pad fewer than four, with the same sums in the
+    same lex order, and each answer is cut back to its first s values.
     Every test is integer membership, so the first tuple found is the
     lex-smallest and an exhausted search proves there is none: nothing to
     certify.  Past MAX_SEARCH_STEPS steps over all the targets (a DFS node,
@@ -217,17 +209,20 @@ def lex_smallest_sum(supports, targets) -> list[Optional[tuple[int, ...]]]:
     its TooLarge.
     """
     targets = [int(t) for t in targets]
+    sups = [np.asarray(sup, dtype=np.int64) for sup in supports]
+    s = len(sups)
     try:
-        return _lex_search([np.asarray(sup, dtype=np.int64) for sup in supports], targets)
+        found = _lex_search(sups + [np.zeros(1, dtype=np.int64)] * (4 - s), targets)
+        return [None if f is None else f[:s] for f in found]
     except _GiveUp:
         reach = Reach(supports, max(targets))
         return [reach.smallest(t) for t in targets]
 
 
 def _lex_search(sups: list, targets: list[int]) -> list[Optional[tuple[int, ...]]]:
-    s = len(sups)
-    if s == 0 or not all(len(sup) for sup in sups):
-        return [() if s == 0 and t == 0 else None for t in targets]
+    s = len(sups)  # at least 4
+    if not all(len(sup) for sup in sups):
+        return [None] * len(targets)
     least = sum(int(sup[0]) for sup in sups)
     slack = max(targets, default=least - 1) - least
     if slack < 0:
@@ -261,32 +256,25 @@ def _lex_search(sups: list, targets: list[int]) -> list[Optional[tuple[int, ...]
         hit = last[np.minimum(np.searchsorted(last, r - a), len(last) - 1)] == r - a
         return (int(a[np.argmax(hit)]), int(r - a[np.argmax(hit)])) if hit.any() else None
 
-    k = min(s, 4)  # levels of the vectorized bottom step
-    top = s - k
-    if k >= 3:
-        # mask[i]: base + i is a pair sum of the last two supports, up to the
-        # largest remainder they can be left with
-        base = rest_lo[s - 2]
-        length = min(rest_hi[s - 2], base + slack) - base + 1
-        if length > MAX_CONV_LEN:
-            raise _GiveUp
-        charge(len(sups[-2]) * len(sups[-1]))  # up front: no mask that cannot be finished
-        mask = np.zeros(length, dtype=bool)
-        rows = max(1, SEARCH_CHUNK // len(sups[-1]))
-        for i in range(0, len(sups[-2]), rows):
-            sums = np.add.outer(sups[-2][i : i + rows] - base, sups[-1]).ravel()
-            mask[sums[sums < length]] = True
+    top = s - 4  # levels above the vectorized bottom step
+    # mask[i]: base + i is a pair sum of the last two supports, up to the
+    # largest remainder they can be left with
+    base = rest_lo[s - 2]
+    length = min(rest_hi[s - 2], base + slack) - base + 1
+    if length > MAX_CONV_LEN:
+        raise _GiveUp
+    charge(len(sups[-2]) * len(sups[-1]))  # up front: no mask that cannot be finished
+    mask = np.zeros(length, dtype=bool)
+    rows = max(1, SEARCH_CHUNK // len(sups[-1]))
+    for i in range(0, len(sups[-2]), rows):
+        sums = np.add.outer(sups[-2][i : i + rows] - base, sups[-1]).ravel()
+        mask[sums[sums < length]] = True
 
     def bottom(r: int) -> Optional[tuple[int, ...]]:
         """Lex-smallest tail from sups[top:] summing to r, or None."""
-        if k == 1:
-            charge()
-            return (r,) if len(window(s - 1, r)) else None
-        if k == 2:
-            return pair(r)
-        # the first head d (then u, at four levels) leaving a pair sum in the mask
+        # the first head d, then u, leaving a pair sum in the mask
         heads = window(top, r)
-        inner = sups[-3] if k == 4 else np.zeros(1, dtype=np.int64)
+        inner = sups[-3]
         rows = max(1, SEARCH_CHUNK // len(inner))
         for i in range(0, len(heads), rows):
             d = heads[i : i + rows]
@@ -297,7 +285,7 @@ def _lex_search(sups: list, targets: list[int]) -> list[Optional[tuple[int, ...]
             if ok.any():
                 row = int(np.argmax(ok.any(axis=1)))
                 col = int(np.argmax(ok[row]))
-                head = (int(d[row]),) + ((int(u[col]),) if k == 4 else ())
+                head = (int(d[row]), int(u[col]))
                 return head + pair(r - sum(head))
         return None
 

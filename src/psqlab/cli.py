@@ -455,8 +455,6 @@ def _cmd_transfer(args) -> tuple[dict, int]:
         "s": args.s,
         "kappa": args.kappa,
         "spec": spec.to_json(),
-        "window_length": window_length(ctx, args.n, args.s),
-        "m_window_deviation": m_window_deviation(ctx, args.n, args.s),
     }
     try:
         result["witness"] = transfer_witness(ctx, args.n, args.s, spec, kappa=args.kappa)
@@ -464,6 +462,9 @@ def _cmd_transfer(args) -> tuple[dict, int]:
     except (Infeasible, NotFound) as exc:
         result["status"] = "infeasible" if isinstance(exc, Infeasible) else "not_found"
         result["detail"] = str(exc)
+    # after transfer_witness, which refuses s < 8 before these divide by s
+    result["window_length"] = window_length(ctx, args.n, args.s)
+    result["m_window_deviation"] = m_window_deviation(ctx, args.n, args.s)
     return result, 0
 
 

@@ -204,6 +204,8 @@ def transfer_witness(
     witness n = sum p_j^2 reports the primes p_j, residues b_j, indices n_j
     and m.  Raises Infeasible (residue selection) or NotFound (index search).
     """
+    if s < 8:
+        raise ValueError(f"s must be >= 8, got {s}")
     if n % 24 != s % 24:
         raise ValueError(f"need n = s (mod 24); got n = {n}, s = {s}")
     W = ctx.W

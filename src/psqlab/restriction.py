@@ -216,6 +216,7 @@ class DyadicProfile:
 
 def dyadic_profile(seq_f: WeightedSequence, q_exponent: float = 5.0) -> DyadicProfile:
     N = seq_f.N
+    grid_length(N, 1)  # N >= 1 before log2(N)
     kmax = int(math.ceil(math.log2(N))) + 1
     levels = tuple(2.0**k for k in range(0, -kmax - 1, -1))
     counts, bounds = level_sets(seq_f, levels)

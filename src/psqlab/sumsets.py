@@ -1,8 +1,6 @@
-"""Residue sumsets in Z_q and the 8-fold cover check.
-
-The 8-fold sumset of a residue set mod W is the top layer of the shared
-cyclic reachability engine (_gridfft.Reach): FFT convolutions thresholded at
-1/2 under a rounding-residual certificate, exact for every modulus used here.
+"""The 8-fold residue cover check over Z(W): the integer 8-fold sumset of
+k = (b - 1)/24 from the shared engine (_gridfft.sumset_power, FFT products
+under a rounding-residual certificate), folded mod W/24.
 """
 
 from __future__ import annotations
@@ -12,7 +10,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._gridfft import Reach
+from ._gridfft import sumset_power
 from .errors import TooLarge
 from .wtrick import WContext
 
@@ -22,21 +20,25 @@ MAX_EXHAUSTIVE_Z = 22
 def verify_cover(ctx: WContext, E: Iterable[int]) -> dict:
     """Check the 8-fold sumset of E mod W covers every class = 8 mod 24.
 
-    E must be a subset of Z_W.
+    E must be a subset of Z_W, whose members are 1 (mod 24): an 8-fold sum
+    mod W is 8 + 24*(sum of k mod m), k = (b - 1)/24, m = W/24, with the
+    integer sum of the k in [0, 8(m - 1)].
     """
-    members = sorted({int(m) % ctx.W for m in E})
+    members = sorted({int(b) % ctx.W for b in E})
     if not set(members) <= set(ctx.Z_W):
         raise ValueError("E contains residues outside Z(W)")
-    # eight references to one array, which Reach transforms once
-    total = Reach([np.array(members, dtype=np.int64)] * 8, modulus=ctx.W).layers[0]
-    missing = [r for r in range(8, ctx.W, 24) if not total[r]]
+    m = ctx.W // 24
+    line = np.zeros(8 * m, dtype=bool)
+    line[: 8 * m - 7] = sumset_power((np.array(members, dtype=np.int64) - 1) // 24, 8, 8 * (m - 1))
+    hit = line.reshape(8, m).any(axis=0)
+    missing = [8 + 24 * k for k in np.flatnonzero(~hit).tolist()]
     return {
         "w": ctx.w,
         "W": ctx.W,
         "e_members": members,
         "covered": not missing,
         "missing": missing,
-        "sumset_size": int(np.count_nonzero(total)),
+        "sumset_size": int(np.count_nonzero(hit)),
     }
 
 

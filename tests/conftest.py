@@ -62,3 +62,35 @@ def count_line(table):
     line = np.zeros(table.limit + 1, dtype=table.values.dtype)
     line[table.start :: table.step] = table.values
     return line
+
+
+class CyclicSumset:
+    """Exact reference for the sums v_0 + ... + v_{s-1} mod q, v_j in
+    supports[j], with no FFT.  layers[j] marks the sums of supports[j:] on
+    Z/q: the OR of the next layer rolled (np.roll) by each element's
+    residue.  smallest(target) is the lex-smallest tuple summing to target
+    mod q, or None, taken greedily from those layers."""
+
+    def __init__(self, supports, q):
+        self.supports = [sorted({int(v) for v in sup}) for sup in supports]
+        self.q = q
+        layer = np.arange(q) == 0  # the empty suffix sums to 0
+        self.layers = [layer]
+        for sup in reversed(self.supports):
+            rolled = np.zeros(q, dtype=bool)
+            for r in {v % q for v in sup}:
+                rolled |= np.roll(layer, r)
+            layer = rolled
+            self.layers.append(layer)
+        self.layers.reverse()
+
+    def smallest(self, target):
+        target %= self.q
+        if not self.layers[0][target]:
+            return None
+        out = []
+        for sup, rest in zip(self.supports, self.layers[1:]):
+            v = next(v for v in sup if rest[(target - v) % self.q])
+            out.append(v)
+            target = (target - v) % self.q
+        return tuple(out)

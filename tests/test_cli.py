@@ -300,13 +300,16 @@ class TestExitCodes:
             ["pseudo", "--N", "4096", "--K", "0"],
             ["moments", "--w", "6", "--N", "0"],
             ["arcs", "--N", "1", "--w", "6"],
+            ["levelsets", "--w", "6", "--N", "0"],
         ],
-        ids=["pseudo-N0", "pseudo-K0", "moments-N0", "arcs-N1"],
+        ids=["pseudo-N0", "pseudo-K0", "moments-N0", "arcs-N1", "levelsets-N0"],
     )
     def test_empty_grid_or_arcs_exit_two(self, argv, capsys):
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("psqlab: error:") and "Traceback" not in err
+        if argv[0] == "levelsets":  # named, not log2(0)'s "math domain error"
+            assert err == "psqlab: error: N must be >= 1, got 0\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -784,6 +787,17 @@ class TestRepresentAndTransfer:
         )
         assert code == 0
         assert load(out)["result"]["status"] == "infeasible"
+
+    @pytest.mark.parametrize(
+        "n, s",
+        [("0", "0"), ("24", "0"), ("960000", "0"), ("31", "7"), ("960007", "7")],
+    )
+    def test_transfer_s_below_eight_exits_two_before_sieve(self, n, s, monkeypatch, capsys):
+        # s = 0 divided by zero in window_length (a traceback, exit 1), and
+        # s = 7 exited 0 with not_found when the window was empty
+        patch_sieve(monkeypatch, no_sieve)
+        assert run(["transfer", "--w", "6", "--n", n, "--s", s]) == 2
+        assert capsys.readouterr().err == f"psqlab: error: s must be >= 8, got {s}\n"
 
     @pytest.mark.parametrize("n", [96000000008, 960000000008, 4000000000000000008])
     def test_transfer_past_index_budget_exits_two_before_sieve(self, n, monkeypatch, capsys):

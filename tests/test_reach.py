@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import CyclicSumset
 import psqlab._gridfft as gridfft
 from psqlab._gridfft import (
     MAX_CONV_LEN,
@@ -35,6 +36,20 @@ def sorted_support(values):
     return np.array(sorted(set(values)), dtype=np.int64)
 
 
+def mask_lengths(monkeypatch):
+    """The lengths of the boolean arrays (the search's pair-sum masks)
+    allocated while gridfft.np.zeros stays patched."""
+    masks = []
+    real_zeros = np.zeros
+
+    def zeros(shape, dtype=float):
+        masks.extend([shape] if dtype is bool else [])
+        return real_zeros(shape, dtype=dtype)
+
+    monkeypatch.setattr(gridfft.np, "zeros", zeros)
+    return masks
+
+
 @st.composite
 def deep_supports(draw):
     """1 to 8 supports, some empty; at most 3 elements each past 4 supports,
@@ -57,7 +72,8 @@ class TestLexSmallestSumOracle:
     @example([sorted_support([1, 3]), sorted_support([])] + [sorted_support([0])] * 4, 1)
     @example([sorted_support([5, 7])] * 6, -1)
     def test_matches_product_minimum_up_to_eight_supports(self, supports, target):
-        # the DFS levels above the bottom step, and the bottom step at 1-4 levels
+        # the DFS levels above the bottom step, and the bottom step padded to
+        # four levels with trailing {0} supports below four supports
         assert lex_smallest_sum(supports, [target]) == [brute_smallest(supports, target)]
 
     @settings(max_examples=100, deadline=None)
@@ -78,20 +94,25 @@ class TestLexSmallestSumOracle:
         mask_steps = len(J) ** 2 // gridfft.SEARCH_CHUNK
         monkeypatch.setattr(gridfft, "Reach", no_reach)
         monkeypatch.setattr(gridfft, "MAX_SEARCH_STEPS", 2 * mask_steps)
-        masks = []
-        real_zeros = np.zeros
-
-        def zeros(shape, dtype=float):
-            masks.extend([shape] if dtype is bool else [])
-            return real_zeros(shape, dtype=dtype)
-
-        monkeypatch.setattr(gridfft.np, "zeros", zeros)
+        masks = mask_lengths(monkeypatch)
         targets = [4000, 4001, 8000]
         found = lex_smallest_sum([J] * 8, targets)
         monkeypatch.undo()
         assert masks == [2 * 1023 + 1]  # one mask, of the pair sums 0 .. 2046
         assert [sum(f) for f in found] == targets
         assert found[2] == (839,) + (1023,) * 7  # the least v_0 with seven maxima after it
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_padding_keeps_a_one_cell_mask(self, monkeypatch, s):
+        # fewer than four supports are padded with trailing {0} supports, so
+        # the pair-sum mask of the last two holds only 0; leading ones would
+        # make it as long as the slack
+        masks = mask_lengths(monkeypatch)
+        J = np.arange(0, 3000, 3, dtype=np.int64)
+        found = lex_smallest_sum([J] * s, [2997 * s, 1])
+        monkeypatch.undo()
+        assert masks == [1]
+        assert found == [(2997,) * s, None]
 
     @pytest.mark.parametrize(
         "supports, target, expected",
@@ -119,9 +140,9 @@ class TestLexSmallestSumOracle:
         calls = []
 
         class Recording(Reach):
-            def __init__(self, supports, cap=0, modulus=None):
+            def __init__(self, supports, cap):
                 calls.append(cap)
-                super().__init__(supports, cap, modulus)
+                super().__init__(supports, cap)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gridfft, "MAX_SEARCH_STEPS", 0)
@@ -172,7 +193,8 @@ class TestReach:
             for t in itertools.product(*[s.tolist() for s in supports])
             if (sum(t) - target) % modulus == 0
         ]
-        reach = Reach(supports, modulus=modulus)
+        # the roll-OR reference that the residue tests compare against
+        reach = CyclicSumset(supports, modulus)
         assert reach.smallest(target) == (min(found) if found else None)
         assert bool(reach.layers[0][target % modulus]) == bool(found)
 

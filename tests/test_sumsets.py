@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import CyclicSumset
 from psqlab.arith import factorize
 from psqlab.errors import TooLarge
-from psqlab._gridfft import Reach
 from psqlab.sumsets import exhaustive_lemma_check, verify_cover
 from psqlab.wtrick import build_context
 
@@ -102,14 +102,15 @@ class TestDownset:
 
 
 class TestSumset:
-    """Residue sumsets mod q: the top layer of Reach(supports, modulus=q)."""
+    """Residue sumsets mod q: the top layer of the roll-OR reference
+    CyclicSumset(supports, q), which the cover tests compare against."""
 
     def test_identity_element(self):
         A = mask(9, [1, 3, 7])
-        assert np.array_equal(Reach([members(A), [0]], modulus=9).layers[0], A)
+        assert np.array_equal(CyclicSumset([members(A), [0]], 9).layers[0], A)
 
     def test_small_example(self):
-        assert members(Reach([[0, 1]] * 2, modulus=5).layers[0]) == [0, 1, 2]
+        assert members(CyclicSumset([[0, 1]] * 2, 5).layers[0]) == [0, 1, 2]
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -121,7 +122,7 @@ class TestSumset:
     @example(21, [2, 20], 2)
     @example(30, [0, 7, 11, 29], 2)
     def test_against_brute_force(self, q, elems, n):
-        total = Reach([members(mask(q, elems))] * n, modulus=q).layers[0]
+        total = CyclicSumset([members(mask(q, elems))] * n, q).layers[0]
         assert total.dtype == bool and len(total) == q
         assert set(members(total)) == brute_fold(q, {e % q for e in elems}, n)
 
@@ -133,23 +134,23 @@ class TestSumset:
     )
     def test_sum_of_downsets_is_downset(self, q, a, b):
         supports = [members(downset(a % q, q)), members(downset(b % q, q))]
-        total = Reach(supports, modulus=q).layers[0]
+        total = CyclicSumset(supports, q).layers[0]
         assert is_downset(total)
 
     def test_n_fold_matches_iteration(self):
         A = [1, 5]
         folded = A
         for _ in range(7):
-            folded = members(Reach([folded, A], modulus=13).layers[0])
-        assert members(Reach([A] * 8, modulus=13).layers[0]) == folded
+            folded = members(CyclicSumset([folded, A], 13).layers[0])
+        assert members(CyclicSumset([A] * 8, 13).layers[0]) == folded
 
     def test_repeated_mask_transformed_once(self, ctx8, monkeypatch):
-        # verify_cover: one spectrum for the support plus one transform per layer
+        # verify_cover: one spectrum per squaring of the 8-fold power
         calls = []
         rfft = np.fft.rfft
         monkeypatch.setattr(np.fft, "rfft", lambda *a: calls.append(1) or rfft(*a))
         verify_cover(ctx8, ctx8.Z_W)
-        assert len(calls) == 1 + 8
+        assert len(calls) == 3
 
 
 class TestVerifyCover:
@@ -158,7 +159,7 @@ class TestVerifyCover:
         assert report["covered"]
         assert report["missing"] == []
         # 8-fold sums of {1, 49} land exactly on {8 + 48k mod 120}
-        total = Reach([list(ctx6.Z_W)] * 8, modulus=120).layers[0]
+        total = CyclicSumset([list(ctx6.Z_W)] * 8, 120).layers[0]
         assert members(total) == [8, 32, 56, 80, 104]
         assert report["sumset_size"] == 5
 
@@ -181,6 +182,21 @@ class TestVerifyCover:
     def test_rejects_non_z_members(self, ctx6):
         with pytest.raises(ValueError):
             verify_cover(ctx6, [7])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([12, 14]).map(build_context), st.randoms(use_true_random=False), st.data())
+    def test_matches_roll_or_reference_past_exhaustive_range(self, ctx, rng, data):
+        # W/24 = 385 and 5005, past the |Z(W)| <= 22 that sumset-verify reaches:
+        # the 8-fold sumset mod W itself, by roll-OR, against the k-line fold
+        z = ctx.Z_W
+        size = data.draw(st.sampled_from([0, 1, 2, 5, len(z) // 4, len(z) // 2, len(z) // 2 + 1, len(z)]))
+        E = rng.sample(z, size)
+        total = CyclicSumset([E] * 8, ctx.W).layers[0]
+        missing = [r for r in range(8, ctx.W, 24) if not total[r]]
+        report = verify_cover(ctx, E)
+        assert report["covered"] == (not missing)
+        assert report["missing"] == missing
+        assert report["sumset_size"] == np.count_nonzero(total)
 
 
 
@@ -230,7 +246,7 @@ class TestProofDevices:
         ctx = build_context(w)
         Wp = ctx.W // 24
         u = middle([p for p, _ in factorize(Wp)])
-        assert Reach([members(downset(u - 1, Wp))] * 4, modulus=Wp).layers[0].all()
+        assert CyclicSumset([members(downset(u - 1, Wp))] * 4, Wp).layers[0].all()
 
     @pytest.mark.parametrize("w", [6, 8])
     def test_reduction_view_agrees(self, w):
@@ -241,5 +257,5 @@ class TestProofDevices:
         for combo in itertools.islice(itertools.combinations(ctx.Z_W, half), 8):
             reduced = mask(Wp, combo)
             assert np.count_nonzero(reduced) == half  # reduction mod W' is injective on Z(W)
-            filled = Reach([members(reduced)] * 8, modulus=Wp).layers[0].all()
+            filled = CyclicSumset([members(reduced)] * 8, Wp).layers[0].all()
             assert filled == verify_cover(ctx, combo)["covered"]

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import CyclicSumset
 import psqlab._gridfft as gridfft
 from psqlab._csvio import write_csv
-from psqlab._gridfft import Reach
 from psqlab.errors import Infeasible, TooLarge
 from psqlab.primes import PrimeSubsetSpec
 from psqlab.wtrick import (
@@ -330,13 +330,13 @@ class TestResidueLifts:
     @example((modulus_context(10), [24 * 9 + 1], 8 + 24 * 3), False)  # by none
     @example((modulus_context(10), [1], 8), False)  # k = 0 alone: the bottom lift
     def test_matches_cyclic_reach(self, case, past_step_cap):
-        # the least of the eight lex-smallest lifts is Reach's cyclic answer,
-        # None included; with no steps allowed, the capped Reach fallback
-        # gives the same
+        # the least of the eight lex-smallest lifts is the cyclic reference's
+        # answer mod m, None included; with no steps allowed, the capped Reach
+        # fallback gives the same
         ctx, pool, n = case
         m = ctx.W // 24
         ks = (np.array(sorted(pool), dtype=np.int64) - 1) // 24
-        want = Reach([ks] * 8, modulus=m).smallest((n % ctx.W - 8) // 24)
+        want = CyclicSumset([ks] * 8, m).smallest((n % ctx.W - 8) // 24)
         with pytest.MonkeyPatch.context() as mp:
             if past_step_cap:
                 mp.setattr(gridfft, "MAX_SEARCH_STEPS", 0)
