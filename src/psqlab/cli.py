@@ -24,7 +24,6 @@ import numpy as np
 
 from . import __version__
 from ._csvio import write_csv
-from ._gridfft import MAX_LAYER_CELLS, reach_budget, sumset_power
 from .errors import Infeasible, NotFound, TooLarge, VerificationError
 from .expsums import (
     MAX_GAUSS_MODULUS,
@@ -44,11 +43,10 @@ from .expsums import (
 from .arith import factorize, unit_mask
 from .primes import PrimeSubsetSpec
 from .representations import (
-    ReprCountTable,
     count_budget,
     count_representations,
+    count_violations,
     m_window_deviation,
-    member_roots,
     theorem_experiment,
     transfer_witness,
     window_length,
@@ -373,51 +371,6 @@ def _cmd_sumset_verify(args) -> tuple[dict, int]:
     return {"lemma": report}, 1 if report["failures"] else 0
 
 
-def _nonzero_at(table: ReprCountTable, n: np.ndarray) -> np.ndarray:
-    """Whether the table's count at each n is nonzero."""
-    i, r = np.divmod(n - table.start, table.step)
-    on = (r == 0) & (i >= 0) & (i < len(table.values))
-    on[on] = table.values[i[on]] != 0
-    return on
-
-
-def _count_violations(
-    table: ReprCountTable, s: int, spec: PrimeSubsetSpec, n_lo: int, exceptions
-) -> np.ndarray:
-    """Sorted n with a nonzero count off n = s (mod 24) (when the spec leaves
-    out 2 and 3), together with the n where "count is nonzero" disagrees
-    with a stride-1 route that never divides by the step g the counts were
-    built on, and the scan's targets (n = s mod 24 in [n_lo, limit]) where
-    "n is one of its exceptions" disagrees with "count is zero".  With m0
-    the least member square, no n below s*m0 is a sum of s member squares,
-    and on the window of 2^12 + 1 values from s*m0 the sums are s*m0 plus
-    the s-fold sumset of the member squares less m0.  The window costs a few
-    ms at any s; it shrinks only past s = 65,000, to stay in sumset_power's
-    budget, so no input that ran before now exits 2.  The table is read only
-    at the n each test needs, never spread over [0, limit]."""
-    limit, start, step, values = table.limit, table.start, table.step, table.values
-    bad = [np.zeros(0, dtype=np.int64)]
-    if spec.min_prime >= 5:  # every p^2 is 1 mod 24
-        period = 24 // math.gcd(step, 24)  # the period in i of n = start + step*i mod 24
-        for r in range(period):
-            if (start + step * r - s) % 24:
-                bad.append(start + step * (r + period * np.flatnonzero(values[r::period])))
-    squares = member_roots(spec, limit) ** 2
-    lo = min(s * int(squares[0]), limit + 1) if len(squares) else limit + 1
-    below = max(-((start - lo) // step), 0)  # n = start + step*i < lo for i < below
-    bad.append(start + step * np.flatnonzero(values[:below]))
-    width = max(0, min(limit + 1 - lo, (1 << 12) + 1, MAX_LAYER_CELLS // (s + 1)))
-    if width:
-        window = np.arange(lo, lo + width)
-        reached = sumset_power(squares - squares[0], s, width - 1)
-        bad.append(window[_nonzero_at(table, window) != reached])
-    # the scan's targets n >= 0: from the first one at or past n_lo, or s mod 24
-    targets = np.arange(max(n_lo + (s - n_lo) % 24, s % 24), limit + 1, 24)
-    bad.append(targets[np.isin(targets, exceptions) == _nonzero_at(table, targets)])
-    bad = np.sort(np.concatenate(bad))
-    return bad[np.diff(bad, prepend=-1) != 0]  # np.unique imports numpy.ma: ~12 ms
-
-
 def _cmd_represent(args) -> tuple[dict, int]:
     spec = _parse_spec(args.spec, args.seed)
     if args.n_lo is None and args.limit < 25 * args.s:
@@ -434,7 +387,7 @@ def _cmd_represent(args) -> tuple[dict, int]:
     if args.check or csv:
         counts = count_representations(args.limit, args.s, spec)
     if args.check:
-        bad = _count_violations(counts, args.s, spec, lo, result["exceptions"])
+        bad = count_violations(counts, args.s, spec, lo, result["exceptions"])
         result["congruence_scan_violations"] = bad[:20].tolist()
         if len(bad):
             code = 1
@@ -446,9 +399,6 @@ def _cmd_represent(args) -> tuple[dict, int]:
 def _cmd_transfer(args) -> tuple[dict, int]:
     ctx = build_context(args.w)
     spec = _parse_spec(args.spec, args.seed)
-    # the index search sums s indices to m = (n - sum of s residues < W) / W;
-    # the budget of its Reach fallback at the least such m is refused before any sieve
-    reach_budget(args.s + 1, max((args.n - args.s * (ctx.W - 1)) // ctx.W, 0) + 1)
     result: dict = {
         "w": args.w,
         "n": args.n,
@@ -605,3 +555,7 @@ def run(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvio import write_csv
-from ._gridfft import MAX_CONV_LEN, lex_smallest_sum, reach_budget, scan_mask
+from ._gridfft import MAX_CONV_LEN, lex_smallest_sum, reach_budget, scan_mask, sumset_power
 from .arith import factorize
 from .errors import NotFound, TooLarge, VerificationError
 from .primes import PrimeSubsetSpec, empirical_density, sieve, subset_members
@@ -76,6 +76,13 @@ class ReprCountTable:
         i = np.flatnonzero(self.values)
         write_csv(path, ["n", "count"], [self.start + self.step * i, self.values[i]])
 
+    def nonzero_at(self, n: np.ndarray) -> np.ndarray:
+        """Whether the count at each n is nonzero."""
+        i, r = np.divmod(n - self.start, self.step)
+        on = (r == 0) & (i >= 0) & (i < len(self.values))
+        on[on] = self.values[i[on]] != 0
+        return on
+
 
 def count_budget(limit: int, s: int) -> None:
     """Raise TooLarge, before any allocation, when an s-fold count over
@@ -114,6 +121,41 @@ def count_representations(limit: int, s: int, spec: PrimeSubsetSpec) -> ReprCoun
     return ReprCountTable(limit=limit, start=s * m0, step=g, values=acc)
 
 
+def count_violations(
+    table: ReprCountTable, s: int, spec: PrimeSubsetSpec, n_lo: int, exceptions
+) -> np.ndarray:
+    """Sorted n with a nonzero count off n = s (mod 24) (when the spec leaves
+    out 2 and 3), together with the n where "count is nonzero" disagrees
+    with a stride-1 route that never divides by the step g the counts were
+    built on, and the scan's targets (n = s mod 24 in [n_lo, limit]) where
+    "n is one of its exceptions" disagrees with "count is zero".  With m0
+    the least member square, no n below s*m0 is a sum of s member squares,
+    and on the window of 2^12 + 1 values from s*m0 the sums are s*m0 plus
+    the s-fold sumset of the member squares less m0.  The table is read only
+    at the n each test needs, never spread over [0, limit]."""
+    limit, start, step, values = table.limit, table.start, table.step, table.values
+    bad = [np.zeros(0, dtype=np.int64)]
+    if spec.min_prime >= 5:  # every p^2 is 1 mod 24
+        period = 24 // math.gcd(step, 24)  # the period in i of n = start + step*i mod 24
+        for r in range(period):
+            if (start + step * r - s) % 24:
+                bad.append(start + step * (r + period * np.flatnonzero(values[r::period])))
+    squares = member_roots(spec, limit) ** 2
+    lo = min(s * int(squares[0]), limit + 1) if len(squares) else limit + 1
+    below = max(-((start - lo) // step), 0)  # n = start + step*i < lo for i < below
+    bad.append(start + step * np.flatnonzero(values[:below]))
+    width = max(0, min(limit + 1 - lo, (1 << 12) + 1))
+    if width:
+        window = np.arange(lo, lo + width)
+        reached = sumset_power(squares - squares[0], s, width - 1)
+        bad.append(window[table.nonzero_at(window) != reached])
+    # the scan's targets n >= 0: from the first one at or past n_lo, or s mod 24
+    targets = np.arange(max(n_lo + (s - n_lo) % 24, s % 24), limit + 1, 24)
+    bad.append(targets[np.isin(targets, exceptions) == table.nonzero_at(targets)])
+    bad = np.sort(np.concatenate(bad))
+    return bad[np.diff(bad, prepend=-1) != 0]  # np.unique imports numpy.ma: ~12 ms
+
+
 def scan_lattice(s: int, spec: PrimeSubsetSpec, hi: int) -> None:
     """Raise TooLarge up front if the exception scan over n <= hi is too big.
 
@@ -122,8 +164,6 @@ def scan_lattice(s: int, spec: PrimeSubsetSpec, hi: int) -> None:
     over K <= (hi - s)/24.  The scan itself runs on the member squares'
     progression, whose step is no shorter than that stride and whose least
     square is no smaller than its unit, so it is never longer."""
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
     stride, unit = (24, 1) if spec.min_prime >= 5 else (1, 0)
     reach_budget(s + 1, max(hi - s * unit, 0) // stride + 1)
 
@@ -139,11 +179,13 @@ def theorem_experiment(s: int, spec: PrimeSubsetSpec, n_range: tuple[int, int]) 
     witnesses of the first three represented targets are
     lex_smallest_sum([J] * s, [M1, M2, M3]).  Exceptions (no representation)
     are reported, never fatal; a sampled target the search cannot back raises
-    VerificationError.  The range must start at n >= 0 (ValueError, before
-    anything is built), and the density counts the primes up to hi.  The
-    report lists the exceptions in ascending order and each witness as its
-    n and primes.
+    VerificationError.  Needs s >= 1, then a range that starts at n >= 0
+    (ValueError, before anything is built); the density counts the primes up
+    to hi.  The report lists the exceptions in ascending order and each
+    witness as its n and primes.
     """
+    if s < 1:
+        raise ValueError(f"s must be >= 1, got {s}")
     lo, hi = n_range
     if lo > hi:
         raise ValueError(f"empty range {n_range}")
@@ -203,12 +245,19 @@ def transfer_witness(
     for indices n_j in the support of each subset sequence with sum m.  The
     witness n = sum p_j^2 reports the primes p_j, residues b_j, indices n_j
     and m.  Raises Infeasible (residue selection) or NotFound (index search).
+    Before any sieve: ValueError for s < 8, n != s (mod 24) or kappa <= 0, in
+    that order, then TooLarge for an index search over budget.
     """
     if s < 8:
         raise ValueError(f"s must be >= 8, got {s}")
     if n % 24 != s % 24:
         raise ValueError(f"need n = s (mod 24); got n = {n}, s = {s}")
+    if kappa <= 0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
     W = ctx.W
+    # the index search sums s indices to m = (n - sum of s residues < W) / W:
+    # the budget of its Reach fallback at the least such m
+    reach_budget(s + 1, max((n - s * (W - 1)) // W, 0) + 1)
     N = window_length(ctx, n, s)
     if N < 1:
         raise NotFound(f"target {n} gives window length {N} < 1 at W = {W}")

@@ -22,7 +22,7 @@ from psqlab.arith import factorize
 from psqlab.cli import _COMMANDS, _build_parser, _parse_spec, run
 from psqlab.expsums import MAX_GAUSS_MODULUS, MAX_LOCAL_FACTOR_Q
 from psqlab.primes import PrimeSubsetSpec
-from psqlab.representations import theorem_experiment
+from psqlab.representations import count_violations, theorem_experiment
 
 
 def load(path):
@@ -614,7 +614,7 @@ class TestRepresentAndTransfer:
         off = (wrong.start + 12 * i[i % 2 == 1]).tolist()
         assert max(off) > 100 + 4096 and all(n % 24 == 16 for n in off)
         exceptions = theorem_experiment(4, spec, (100, 20000))["exceptions"]
-        bad = cli_mod._count_violations(wrong, 4, spec, 100, exceptions).tolist()
+        bad = count_violations(wrong, 4, spec, 100, exceptions).tolist()
         assert set(off) <= set(bad)
 
         monkeypatch.setattr(cli_mod, "count_representations", lambda *args: wrong)
@@ -799,7 +799,7 @@ class TestRepresentAndTransfer:
         assert run(["transfer", "--w", "6", "--n", n, "--s", s]) == 2
         assert capsys.readouterr().err == f"psqlab: error: s must be >= 8, got {s}\n"
 
-    @pytest.mark.parametrize("n", [96000000008, 960000000008, 4000000000000000008])
+    @pytest.mark.parametrize("n", [96000000008, 960000000008, 4000000000000000016])
     def test_transfer_past_index_budget_exits_two_before_sieve(self, n, monkeypatch, capsys):
         # every residue is below W, so m >= (n - s*(W - 1)) / W, and the index
         # search over m would be refused after a sieve of up to 1.86 GiB and
@@ -808,6 +808,57 @@ class TestRepresentAndTransfer:
         assert run(["transfer", "--w", "6", "--n", str(n), "--s", "8"]) == 2
         err = capsys.readouterr().err
         assert "over budget" in err and "Traceback" not in err
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(10**11 // 24, 10**20 // 24),
+        r=st.integers(0, 23),
+        s=st.integers(0, 20),
+        kappa=st.sampled_from([-1.0, 0.0, 0.1]),
+    )
+    @example(k=4000000000, r=7, s=8, kappa=0.1)  # n = 96000000007
+    @example(k=4000000000, r=8, s=7, kappa=0.1)
+    @example(k=4000000000, r=8, s=8, kappa=-1.0)
+    @example(k=4000000000, r=8, s=8, kappa=0.1)
+    def test_transfer_checks_s_congruence_kappa_then_budget(self, k, r, s, kappa):
+        # every n >= 1e11 is over the index budget at w = 6, so the budget
+        # is the last check to fail, and none of them sieves
+        n = 24 * k + r
+        argv = ["transfer", "--w", "6", "--n", str(n), "--s", str(s), "--kappa", str(kappa)]
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            patch_sieve(mp, no_sieve)
+            mp.setattr(sys, "stderr", err)
+            assert run(argv) == 2
+        text = err.getvalue()
+        assert text.startswith("psqlab: error: ") and text.count("\n") == 1
+        if s < 8:
+            assert text.endswith(f"s must be >= 8, got {s}\n")
+        elif r != s % 24:
+            assert text.endswith(f"need n = s (mod 24); got n = {n}, s = {s}\n")
+        elif kappa <= 0:
+            assert text.endswith(f"kappa must be positive, got {kappa}\n")
+        else:
+            # the FFT length of the index search's fallback at the least m
+            width = (n - s * 119) // 120 + 1
+            length = 1 << (2 * width - 1).bit_length()
+            assert text.endswith(f"convolution length {length} over budget 16777216\n")
+
+    def test_negative_s_named_before_the_range(self, monkeypatch, capsys):
+        # --n-lo defaults to 25 * s = -25: the range check would name it
+        patch_sieve(monkeypatch, no_sieve)
+        assert run(["represent", "--s", "-1", "--limit", "100"]) == 2
+        assert capsys.readouterr().err == "psqlab: error: s must be >= 1, got -1\n"
+
+    def test_module_runs_as_a_script(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "psqlab.cli", "context", "--w", "4"],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["result"]["context"]["W"] == 24
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
