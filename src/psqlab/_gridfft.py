@@ -3,15 +3,15 @@
 A grid transform takes a weighted sequence on [1, N] in its one form: an
 array indexed by n, with values[0] as the padding slot, which is 0.
 
-Every boolean sumset product (the suffix layers of Reach, the binary
-powers of sumset_power and the last product of scan_mask's descent) is an
-FFT of 0/1 indicators rounded by `certified`: thresholded at 1/2 under one
-rounding-residual certificate that raises rather than falls back.
+Every boolean sumset product (the binary powers of sumset_power and the
+last product of scan_mask's descent) is an FFT of 0/1 indicators rounded by
+`certified`: thresholded at 1/2 under one rounding-residual certificate
+that raises rather than falls back.
 
 Witnesses need no FFT: lex_smallest_sum, behind the experiment's sample
 witnesses, the transfer's residue selection and its index search, is an
-exact lex-order search over a boolean mask of pair sums, and builds a Reach
-only past its step cap.
+exact lex-order search over a boolean mask of pair sums, and raises
+TooLarge past its step cap or its mask budget.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import TooLarge, VerificationError
 MAX_GRID = 1 << 25
 MAX_CONV_LEN = 1 << 24
 MAX_LAYER_CELLS = 1 << 28  # bytes of boolean reachability layers kept at once
-MAX_SEARCH_STEPS = 1 << 20  # lex_smallest_sum's steps before Reach takes over
+MAX_SEARCH_STEPS = 1 << 20  # lex_smallest_sum's steps before it raises TooLarge
 SEARCH_CHUNK = 1 << 12  # cells of one of its vectorized steps, which cost about a DFS node
 
 
@@ -85,9 +85,8 @@ def sumset_power(support, s: int, cap: int) -> np.ndarray:
 
     Binary powering: A -> 2A -> 4A -> ..., with one product per set bit of s,
     each a certified FFT product at the length reach_budget(s + 1, cap + 1)
-    gives, so the budget and its TooLarge are those of Reach([support] * s,
-    cap), whose layers[0] this equals.  Truncating every partial sumset to
-    [0, cap] is exact, since adding nonnegative elements never comes back down.
+    gives, with its TooLarge.  Truncating every partial sumset to [0, cap] is
+    exact, since adding nonnegative elements never comes back down.
     """
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
@@ -142,48 +141,6 @@ def scan_mask(support, s: int, cap: int) -> np.ndarray:
     return sumset_power(ks, s, cap)
 
 
-class Reach:
-    """Which targets are sums v_0 + ... + v_{s-1} with each v_j in supports[j].
-
-    Supports are sorted nonnegative integer arrays; layers[j] marks the sums
-    from supports[j:] on [0, cap].  Each layer is the FFT convolution of the
-    next with a 0/1 support indicator, rounded by `certified`: a residual
-    above 0.25 raises, never falls back.  It is lex_smallest_sum's fallback
-    past its step cap.
-    """
-
-    def __init__(self, supports, cap: int):
-        self.supports = [np.asarray(sup, dtype=np.int64) for sup in supports]
-        width = cap + 1
-        L = reach_budget(len(self.supports) + 1, width)
-        layer = np.arange(width) == 0  # the empty suffix sums to 0
-        self.layers = [layer]
-        spectra: dict[int, np.ndarray] = {}  # by id: a repeated support is transformed once
-        for sup in reversed(self.supports):
-            if id(sup) not in spectra:
-                spectra[id(sup)] = np.fft.rfft(np.bincount(sup[sup < width], minlength=width) > 0, L)
-            layer = certified(np.fft.irfft(np.fft.rfft(layer, L) * spectra[id(sup)], L)[:width])
-            self.layers.append(layer)
-        self.layers.reverse()
-
-    def smallest(self, target: int) -> Optional[tuple[int, ...]]:
-        """Lexicographically smallest (v_0, ..., v_{s-1}) summing to target, or None:
-        each v_j is the least element whose remainder the next layer reaches."""
-        if not 0 <= target < len(self.layers[0]) or not self.layers[0][target]:
-            return None
-        out = []
-        for sup, rest in zip(self.supports, self.layers[1:]):
-            sup = sup[sup <= target]
-            v = int(sup[np.argmax(rest[target - sup])])
-            out.append(v)
-            target -= v
-        return tuple(out)
-
-
-class _GiveUp(Exception):
-    """lex_smallest_sum's search ran out of steps: Reach takes over."""
-
-
 def lex_smallest_sum(supports, targets) -> list[Optional[tuple[int, ...]]]:
     """For each target, the lexicographically smallest (v_0, ..., v_{s-1}),
     v_j in supports[j], summing to it, or None.  Supports are sorted
@@ -204,22 +161,13 @@ def lex_smallest_sum(supports, targets) -> list[Optional[tuple[int, ...]]]:
     lex-smallest and an exhausted search proves there is none: nothing to
     certify.  Past MAX_SEARCH_STEPS steps over all the targets (a DFS node,
     or SEARCH_CHUNK cells of vectorized work, the mask's cells counted once)
-    or a pair-sum mask longer than MAX_CONV_LEN, the answers are
-    Reach(supports, max(targets)).smallest(target), with its certificate and
-    its TooLarge.
+    or for a pair-sum mask longer than MAX_CONV_LEN, before it is built, it
+    raises TooLarge.
     """
     targets = [int(t) for t in targets]
+    given = len(supports)
     sups = [np.asarray(sup, dtype=np.int64) for sup in supports]
-    s = len(sups)
-    try:
-        found = _lex_search(sups + [np.zeros(1, dtype=np.int64)] * (4 - s), targets)
-        return [None if f is None else f[:s] for f in found]
-    except _GiveUp:
-        reach = Reach(supports, max(targets))
-        return [reach.smallest(t) for t in targets]
-
-
-def _lex_search(sups: list, targets: list[int]) -> list[Optional[tuple[int, ...]]]:
+    sups += [np.zeros(1, dtype=np.int64)] * (4 - given)
     s = len(sups)  # at least 4
     if not all(len(sup) for sup in sups):
         return [None] * len(targets)
@@ -239,7 +187,7 @@ def _lex_search(sups: list, targets: list[int]) -> list[Optional[tuple[int, ...]
         nonlocal steps
         steps += 1 + cells // SEARCH_CHUNK
         if steps > MAX_SEARCH_STEPS:
-            raise _GiveUp
+            raise TooLarge(f"witness search past its cap of {MAX_SEARCH_STEPS} steps")
 
     def span(sup: np.ndarray, lo: int, hi: int) -> np.ndarray:
         return sup[np.searchsorted(sup, lo) : np.searchsorted(sup, hi, "right")]
@@ -262,7 +210,7 @@ def _lex_search(sups: list, targets: list[int]) -> list[Optional[tuple[int, ...]
     base = rest_lo[s - 2]
     length = min(rest_hi[s - 2], base + slack) - base + 1
     if length > MAX_CONV_LEN:
-        raise _GiveUp
+        raise TooLarge(f"pair-sum mask of {length} cells over budget {MAX_CONV_LEN}")
     charge(len(sups[-2]) * len(sups[-1]))  # up front: no mask that cannot be finished
     mask = np.zeros(length, dtype=bool)
     rows = max(1, SEARCH_CHUNK // len(sups[-1]))
@@ -324,4 +272,5 @@ def _lex_search(sups: list, targets: list[int]) -> list[Optional[tuple[int, ...]
                 stack.append(iter(window(j + 1, r).tolist()))
         return None
 
-    return [search(t) for t in targets]
+    found = [search(t) for t in targets]
+    return [None if f is None else f[:given] for f in found]

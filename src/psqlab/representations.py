@@ -246,7 +246,9 @@ def transfer_witness(
     witness n = sum p_j^2 reports the primes p_j, residues b_j, indices n_j
     and m.  Raises Infeasible (residue selection) or NotFound (index search).
     Before any sieve: ValueError for s < 8, n != s (mod 24) or kappa <= 0, in
-    that order, then TooLarge for an index search over budget.
+    that order, then TooLarge for a window N = 2n/(sW) with 2N - 1 past
+    MAX_CONV_LEN: the longest pair-sum mask the index search can build from
+    two supports in [1, N], which also bounds delta_table's N + 1 points.
     """
     if s < 8:
         raise ValueError(f"s must be >= 8, got {s}")
@@ -255,10 +257,9 @@ def transfer_witness(
     if kappa <= 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     W = ctx.W
-    # the index search sums s indices to m = (n - sum of s residues < W) / W:
-    # the budget of its Reach fallback at the least such m
-    reach_budget(s + 1, max((n - s * (W - 1)) // W, 0) + 1)
     N = window_length(ctx, n, s)
+    if 2 * N - 1 > MAX_CONV_LEN:
+        raise TooLarge(f"transfer window N = {N} over budget: 2N - 1 > {MAX_CONV_LEN}")
     if N < 1:
         raise NotFound(f"target {n} gives window length {N} < 1 at W = {W}")
 

@@ -54,10 +54,17 @@ def build_context(w: int) -> WContext:
     """Group the units mod W = 8 * prod(2 < p < w), from unit_mask(W), by square."""
     if w < 4:
         raise ValueError(f"w must be >= 4, got {w}")
-    odd = [p for p in _SMALL_PRIMES if 2 < p < w]
-    W = 8 * math.prod(odd)
-    if W > MAX_W:
-        raise TooLarge(f"W = {W} exceeds supported bound {MAX_W}")
+    W, odd = 8, []
+    for p in _SMALL_PRIMES[1:]:  # the odd primes below w, while W stays within MAX_W
+        if p >= w:
+            break
+        if W * p > MAX_W:
+            raise TooLarge(
+                f"w = {w} puts W = 8 * prod(2 < p < w) past MAX_W = {MAX_W}; "
+                f"the largest supported w is {p}"
+            )
+        W *= p
+        odd.append(p)
 
     units = np.flatnonzero(unit_mask(W))
     squares = (units * units) % W

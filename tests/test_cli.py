@@ -482,6 +482,17 @@ class TestContextCommand:
         blob = json.loads(capsys.readouterr().out)
         assert blob["result"]["context"]["W"] == 24
 
+    @pytest.mark.parametrize("w", [20, 9000, 20000, 10**9])
+    @pytest.mark.parametrize("command", [["context"], ["transfer", "--n", "960008"]])
+    def test_w_past_bound_names_w(self, command, w, capsys):
+        # the refusal names w and the bound, never W, which has 3,900 digits
+        # at w = 9000, and past 4300 digits cannot be converted to a string
+        assert run(command + ["--w", str(w)]) == 2
+        assert capsys.readouterr().err == (
+            f"psqlab: error: w = {w} puts W = 8 * prod(2 < p < w) past MAX_W = 4000000; "
+            "the largest supported w is 19\n"
+        )
+
 
 class TestChecks:
     def test_saq_check_passes(self, tmp_path):
@@ -821,8 +832,8 @@ class TestRepresentAndTransfer:
     @example(k=4000000000, r=8, s=8, kappa=-1.0)
     @example(k=4000000000, r=8, s=8, kappa=0.1)
     def test_transfer_checks_s_congruence_kappa_then_budget(self, k, r, s, kappa):
-        # every n >= 1e11 is over the index budget at w = 6, so the budget
-        # is the last check to fail, and none of them sieves
+        # every n >= 1e11 gives a window N = 2n/(sW) past 2^23 at w = 6, so
+        # the budget is the last check to fail, and none of them sieves
         n = 24 * k + r
         argv = ["transfer", "--w", "6", "--n", str(n), "--s", str(s), "--kappa", str(kappa)]
         err = io.StringIO()
@@ -839,10 +850,46 @@ class TestRepresentAndTransfer:
         elif kappa <= 0:
             assert text.endswith(f"kappa must be positive, got {kappa}\n")
         else:
-            # the FFT length of the index search's fallback at the least m
-            width = (n - s * 119) // 120 + 1
-            length = 1 << (2 * width - 1).bit_length()
-            assert text.endswith(f"convolution length {length} over budget 16777216\n")
+            N = 2 * n // (s * 120)
+            assert text.endswith(f"transfer window N = {N} over budget: 2N - 1 > 16777216\n")
+
+    def test_transfer_window_budget_boundary(self, monkeypatch, capsys):
+        # at w = 6, s = 8: N = 2^23 (pair-sum masks of up to 2^24 - 1 cells)
+        # passes the check and reaches delta_table; N = 2^23 + 1 is refused
+        # before any sieve
+        import psqlab.representations as reprs
+
+        class Reached(Exception):
+            pass
+
+        def reached(ctx, N, spec):
+            raise Reached(N)
+
+        monkeypatch.setattr(reprs, "delta_table", reached)
+        with pytest.raises(Reached, match=f"^{1 << 23}$"):
+            run(["transfer", "--w", "6", "--n", "4026531848", "--s", "8"])
+        patch_sieve(monkeypatch, no_sieve)
+        assert run(["transfer", "--w", "6", "--n", "4026532328", "--s", "8"]) == 2
+        assert capsys.readouterr().err == (
+            f"psqlab: error: transfer window N = {(1 << 23) + 1} over budget: 2N - 1 > 16777216\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["transfer", "--w", "6", "--n", "960008", "--s", "8"],
+            ["experiment", "--s", "8", "--n-lo", "5000", "--n-hi", "100000"],
+        ],
+    )
+    def test_search_past_step_cap_exits_two(self, argv, monkeypatch, capsys):
+        # with no steps allowed, the residue selection or witness search
+        # refuses rather than answering by another engine
+        import psqlab._gridfft as gridfft
+
+        monkeypatch.setattr(gridfft, "MAX_SEARCH_STEPS", 0)
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "psqlab: error: witness search past its cap of 0 steps\n"
 
     def test_negative_s_named_before_the_range(self, monkeypatch, capsys):
         # --n-lo defaults to 25 * s = -25: the range check would name it

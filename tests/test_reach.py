@@ -11,7 +11,6 @@ import psqlab._gridfft as gridfft
 from psqlab._gridfft import (
     MAX_CONV_LEN,
     MAX_LAYER_CELLS,
-    Reach,
     lex_smallest_sum,
     reach_budget,
     scan_mask,
@@ -85,14 +84,10 @@ class TestLexSmallestSumOracle:
     def test_mask_built_and_charged_once_for_several_targets(self, monkeypatch):
         # the pair-sum mask of J + J, the one boolean array the search
         # allocates, costs len(J)^2 / SEARCH_CHUNK steps; with a cap of twice
-        # that, three targets are answered with no Reach only if it is
-        # charged once
-        def no_reach(*args, **kwargs):
-            raise AssertionError("the search gave up")
-
+        # that, three targets are answered, not refused with TooLarge, only
+        # if it is charged once
         J = np.arange(1024, dtype=np.int64)
         mask_steps = len(J) ** 2 // gridfft.SEARCH_CHUNK
-        monkeypatch.setattr(gridfft, "Reach", no_reach)
         monkeypatch.setattr(gridfft, "MAX_SEARCH_STEPS", 2 * mask_steps)
         masks = mask_lengths(monkeypatch)
         targets = [4000, 4001, 8000]
@@ -134,34 +129,32 @@ class TestLexSmallestSumOracle:
 
     @settings(max_examples=100, deadline=None)
     @given(deep_supports(), st.integers(-5, 125))
-    def test_step_cap_falls_back_to_reach(self, supports, target):
-        # with no steps allowed, every search that the bounds of the supports
-        # do not settle up front is answered by Reach, with the same answers
-        calls = []
-
-        class Recording(Reach):
-            def __init__(self, supports, cap):
-                calls.append(cap)
-                super().__init__(supports, cap)
-
+    def test_step_cap_raises_too_large(self, supports, target):
+        # with no steps allowed, only a search the supports settle up front (one
+        # of them empty, or the target below the sum of their minima) answers,
+        # with the product minimum; every other raises TooLarge, since a tuple
+        # is found by a step, never by the bounds alone
+        settled = not all(len(sup) for sup in supports) or target < sum(int(sup[0]) for sup in supports)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gridfft, "MAX_SEARCH_STEPS", 0)
-            mp.setattr(gridfft, "Reach", Recording)
-            [got] = lex_smallest_sum(supports, [target])
-        assert got == brute_smallest(supports, target)
-        assert calls in ([], [target])
-        if got:  # a tuple is found by a step, never by the bounds alone
-            assert calls == [target]
+            if settled:
+                assert lex_smallest_sum(supports, [target]) == [brute_smallest(supports, target)]
+            else:
+                with pytest.raises(TooLarge, match="past its cap of 0 steps"):
+                    lex_smallest_sum(supports, [target])
 
-    def test_mask_past_budget_falls_back_to_reachs_too_large(self):
+    def test_mask_past_budget_raises_too_large(self, monkeypatch):
         # the pair sums of the last two supports would need a mask of 2^25 + 1
-        # cells; the fallback Reach refuses that target before allocating
-        with pytest.raises(TooLarge):
+        # cells: refused before it is allocated
+        masks = mask_lengths(monkeypatch)
+        with pytest.raises(TooLarge, match=f"mask of {(1 << 25) + 1} cells over budget {MAX_CONV_LEN}"):
             lex_smallest_sum([np.array([0, 1 << 25], dtype=np.int64)] * 3, [1 << 25])
+        assert masks == []
 
     def test_transfer_search_runs_no_fft(self, monkeypatch, ctx6, all_spec):
         # the index search of transfer --w 6 --n 960008 --s 8, with every FFT
-        # raising while it runs, gives the witness the FFT Reach gives
+        # raising while it runs, gives the witness of the FFT-free reference on
+        # the supports cut to [0, m], modulo q = 8m + 1, past every such sum
         import psqlab.representations as reprs
 
         searches = []
@@ -181,7 +174,8 @@ class TestLexSmallestSumOracle:
         witness = reprs.transfer_witness(ctx6, 960_008, 8, all_spec)
         [(supports, [target], found)] = searches
         assert len(supports) == 8 and target == witness["m"]
-        assert found == tuple(witness["indices"]) == Reach(supports, target).smallest(target)
+        reference = CyclicSumset([sup[sup <= target] for sup in supports], 8 * target + 1)
+        assert found == tuple(witness["indices"]) == reference.smallest(target)
 
 
 class TestReach:
@@ -198,29 +192,12 @@ class TestReach:
         assert reach.smallest(target) == (min(found) if found else None)
         assert bool(reach.layers[0][target % modulus]) == bool(found)
 
-    def test_reachable_mask_outside_range(self):
-        reach = Reach([np.array([1, 2])], cap=3)
-        assert list(reach.layers[0]) == [False, True, True, False]
-        assert [reach.smallest(t) for t in (-1, 0, 1, 2, 3, 4)] == [None, None, (1,), (2,), None, None]
-
     def test_budget_checked_before_allocation(self):
         assert reach_budget(9, MAX_CONV_LEN // 2) == MAX_CONV_LEN
         with pytest.raises(TooLarge):
             reach_budget(2, MAX_CONV_LEN // 2 + 1)
         with pytest.raises(TooLarge):
             reach_budget(MAX_LAYER_CELLS // 1000 + 1, 1000)
-        with pytest.raises(TooLarge):
-            Reach([np.array([1])], cap=MAX_CONV_LEN // 2)
-
-    def test_rounding_certificate_raises(self, monkeypatch):
-        real_irfft = np.fft.irfft
-
-        def noisy(*args, **kwargs):
-            return real_irfft(*args, **kwargs) + 0.3
-
-        monkeypatch.setattr(gridfft.np.fft, "irfft", noisy)
-        with pytest.raises(VerificationError):
-            Reach([np.array([1, 2])], cap=10)
 
 
 class TestSumsetPower:
@@ -233,9 +210,12 @@ class TestSumsetPower:
         st.integers(0, 5000),
     )
     def test_matches_reach_layer(self, support, s, cap):
+        # the FFT-free reference on the support cut to [0, cap], modulo a q
+        # past every sum of s of its elements, so nothing wraps
         powered = sumset_power(support, s, cap)
         assert powered.dtype == bool and len(powered) == cap + 1
-        assert np.array_equal(powered, Reach([support] * s, cap).layers[0])
+        reference = CyclicSumset([support[support <= cap]] * s, s * cap + 1)
+        assert np.array_equal(powered, reference.layers[0][: cap + 1])
 
     def test_budget_is_reachs(self):
         with pytest.raises(TooLarge):

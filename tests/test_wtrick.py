@@ -331,27 +331,30 @@ class TestResidueLifts:
     @example((modulus_context(10), [1], 8), False)  # k = 0 alone: the bottom lift
     def test_matches_cyclic_reach(self, case, past_step_cap):
         # the least of the eight lex-smallest lifts is the cyclic reference's
-        # answer mod m, None included; with no steps allowed, the capped Reach
-        # fallback gives the same
+        # answer mod m, None included; with no steps allowed, the search raises
+        # TooLarge unless every lift t + 7m is below the least sum 8 min(ks),
+        # which leaves no tuple
         ctx, pool, n = case
         m = ctx.W // 24
         ks = (np.array(sorted(pool), dtype=np.int64) - 1) // 24
-        want = CyclicSumset([ks] * 8, m).smallest((n % ctx.W - 8) // 24)
+        t = (n % ctx.W - 8) // 24
+        want = CyclicSumset([ks] * 8, m).smallest(t)
         with pytest.MonkeyPatch.context() as mp:
             if past_step_cap:
                 mp.setattr(gridfft, "MAX_SEARCH_STEPS", 0)
+            if past_step_cap and t + 7 * m >= 8 * int(ks[0]):
+                with pytest.raises(TooLarge, match="past its cap of 0 steps"):
+                    select_or_none(ctx, pool, n)
+                return
             got = select_or_none(ctx, pool, n)
         assert got == (None if want is None else [24 * k + 1 for k in want])
 
     def test_searches_stay_far_under_the_step_cap(self, monkeypatch):
         # random pools from Z(W) at w = 12 and 14, and all of Z(W) at w = 18
         # (m = 85085, the largest modulus a CLI run reaches), each
-        # answered within a sixteenth of MAX_SEARCH_STEPS, with no Reach
-        def no_reach(*args, **kwargs):
-            raise AssertionError("the lift search gave up")
-
-        monkeypatch.setattr(gridfft, "Reach", no_reach)
-        monkeypatch.setattr(gridfft, "MAX_SEARCH_STEPS", gridfft.MAX_SEARCH_STEPS // 16)
+        # answered within 2^16 steps, a sixteenth of MAX_SEARCH_STEPS, as a
+        # search past its cap raises TooLarge
+        monkeypatch.setattr(gridfft, "MAX_SEARCH_STEPS", 1 << 16)
         rng = random.Random(1)
         for w in (12, 14):
             Z = context(w).Z_W
