@@ -255,7 +255,7 @@ def _cmd_saq(args) -> tuple[dict, int]:
     per_q: dict[int, float] = {}
     for b in bs:
         for q in range(1, args.qmax + 1):
-            units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
+            units = np.flatnonzero(unit_mask(q)).tolist()  # [0] at q = 1: the class of 1
             zero = vanishes(q, ctx.W)
             for a, direct in zip(units, s_direct(ctx, b, q, units)):
                 diff = abs(direct - s_closed(ctx, b, q, a))
@@ -307,10 +307,7 @@ def _cmd_pseudo(args) -> tuple[dict, int]:
         seq = nu_sequence(ctx, b, args.N)
         sup = pseudorandom_sup(seq, args.K, reference)
         rows.append({"w": w, "b": b, "W": ctx.W, "sup": sup, "sup_over_N": sup / args.N})
-    nonincreasing = all(
-        rows[i + 1]["sup_over_N"] <= rows[i]["sup_over_N"] * 1.10
-        for i in range(len(rows) - 1)
-    )
+    nonincreasing = all(b["sup_over_N"] <= a["sup_over_N"] * 1.10 for a, b in zip(rows, rows[1:]))
     return {
         "N": args.N,
         "K": args.K,

@@ -241,8 +241,7 @@ class ArcPartition:
         for arc in self.arcs:
             lo = math.ceil((arc.center - arc.half_width) * grid_len - eps)
             hi = math.floor((arc.center + arc.half_width) * grid_len + eps)
-            for k in range(lo, hi + 1):
-                mask[k % grid_len] = True
+            mask[np.arange(lo, hi + 1) % grid_len] = True
         return mask
 
 

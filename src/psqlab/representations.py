@@ -31,7 +31,7 @@ from ._gridfft import MAX_CONV_LEN, lex_smallest_sum, reach_budget, scan_mask, s
 from .arith import factorize
 from .errors import NotFound, TooLarge, VerificationError
 from .primes import PrimeSubsetSpec, empirical_density, sieve, subset_members
-from .wtrick import WContext, delta_table, f_sequence, select_residues
+from .wtrick import WContext, delta_table, progression_roots, select_residues
 
 
 def lambda_threshold(s: int) -> float:
@@ -241,14 +241,15 @@ def transfer_witness(
 ) -> dict:
     """Residue selection, then an index search in the transferred variables.
 
-    Picks residues b_j by density, forms m = (n - sum b_j)/W, and searches
-    for indices n_j in the support of each subset sequence with sum m.  The
-    witness n = sum p_j^2 reports the primes p_j, residues b_j, indices n_j
-    and m.  Raises Infeasible (residue selection) or NotFound (index search).
-    Before any sieve: ValueError for s < 8, n != s (mod 24) or kappa <= 0, in
-    that order, then TooLarge for a window N = 2n/(sW) with 2N - 1 past
-    MAX_CONV_LEN: the longest pair-sum mask the index search can build from
-    two supports in [1, N], which also bounds delta_table's N + 1 points.
+    One sieve (progression_roots) gives the roots p in every progression;
+    picks residues b_j by density (delta_table), forms m = (n - sum b_j)/W,
+    and searches for indices n_j = (p^2 - b_j)/W of roots of b_j with sum m.
+    The witness reports the primes p_j, residues b_j, indices n_j and m.
+    Raises Infeasible (residue selection) or NotFound (index search).  Before
+    the sieve: ValueError for s < 8, n != s (mod 24) or kappa <= 0, in that
+    order, then TooLarge for a window N = 2n/(sW) with 2N - 1 past
+    MAX_CONV_LEN: the longest pair-sum mask of two supports in [1, N], which
+    also bounds delta_table's N + 1 points.
     """
     if s < 8:
         raise ValueError(f"s must be >= 8, got {s}")
@@ -263,14 +264,16 @@ def transfer_witness(
     if N < 1:
         raise NotFound(f"target {n} gives window length {N} < 1 at W = {W}")
 
-    density = delta_table(ctx, N, spec)
+    roots = progression_roots(ctx, N, spec)
+    density = delta_table(ctx, N, roots)
     residues = select_residues(ctx, density, n, s, kappa)  # may raise Infeasible
 
     m, rem = divmod(n - sum(residues), W)
     if rem:
         raise VerificationError("residue sum violates the congruence; selection is broken")
 
-    support = {b: f_sequence(ctx, b, N, spec).support() for b in set(residues)}
+    _, index, root_residue = roots
+    support = {b: index[root_residue == b] for b in set(residues)}
     supports = [support[b] for b in residues]
     [indices] = lex_smallest_sum(supports, [m])
     if indices is None:
@@ -279,13 +282,11 @@ def transfer_witness(
             f"{[len(x) for x in supports]}"
         )
 
-    primes = []
-    for b, nj in zip(residues, indices):
-        p = math.isqrt(W * nj + b)
-        # primality by trial division, apart from the sieve behind the supports
+    primes = [math.isqrt(W * nj + b) for b, nj in zip(residues, indices)]
+    # primality by trial division, apart from the sieve behind the supports
+    for p, b, nj in zip(primes, residues, indices):
         if p * p != W * nj + b or factorize(p) != ((p, 1),):
             raise VerificationError("support index does not correspond to a prime square")
-        primes.append(p)
     if sum(p * p for p in primes) != n:
         raise VerificationError("transferred witness fails the square-sum identity")
     return {

@@ -145,17 +145,12 @@ def pair_difference_counts(seq_nu: WeightedSequence) -> PairGapTable:
         raise TooLarge(f"{len(support)} x {len(support)} pair matrix over budget {MAX_CONV_LEN}")
     diffs = (support[:, None] - support[None, :]).ravel()
     diffs = diffs[diffs > 0]
-    rows = []
-    violations = []
-    if len(diffs):
-        counts = np.bincount(diffs)
-        for k in np.flatnonzero(counts):
-            c = int(counts[k])
-            tau = divisor_count(int(k))
-            rows.append(PairGapRow(k=int(k), count=c, tau=tau))
-            if c > tau:
-                violations.append(int(k))
-    return PairGapTable(N=seq_nu.N, rows=tuple(rows), violations=tuple(violations))
+    counts = np.bincount(diffs)  # empty for an empty diffs
+    rows = tuple(
+        PairGapRow(k=int(k), count=int(counts[k]), tau=divisor_count(int(k)))
+        for k in np.flatnonzero(counts)
+    )
+    return PairGapTable(seq_nu.N, rows, tuple(r.k for r in rows if r.count > r.tau))
 
 
 # -- L^q moments -----------------------------------------------------------------
@@ -221,14 +216,8 @@ def dyadic_profile(seq_f: WeightedSequence, q_exponent: float = 5.0) -> DyadicPr
     levels = tuple(2.0**k for k in range(0, -kmax - 1, -1))
     counts, bounds = level_sets(seq_f, levels)
 
-    xs, ys = [], []
-    for u, c in zip(levels, counts):
-        if 0 < c <= N / 4:
-            xs.append(math.log(u))
-            ys.append(math.log(c))
-    slope = None
-    if len(xs) >= 2:
-        slope = float(np.polyfit(xs, ys, 1)[0])
+    fit = [(math.log(u), math.log(c)) for u, c in zip(levels, counts) if 0 < c <= N / 4]
+    slope = float(np.polyfit(*zip(*fit), 1)[0]) if len(fit) >= 2 else None
     return DyadicProfile(
         N=N,
         levels=levels,

@@ -5,7 +5,8 @@ mod W, the sequence n -> (phi(W)/(W*H)) * 2p*log(p) is supported on the
 n in [1, N] with W*n + b a prime square.  Restricting the primes to a
 subset P gives the sequence f; the majorant nu is the all-primes subset
 sequence, so it dominates every f.  A WeightedSequence(N, values) is the
-one sequence form the transform and restriction code takes.
+one sequence form the transform and restriction code takes.  One sieve
+(progression_roots) gives the roots in every progression at once.
 """
 
 from __future__ import annotations
@@ -119,9 +120,6 @@ class WeightedSequence:
     def total(self) -> float:
         return float(np.sum(self.values))
 
-    def mean(self) -> float:
-        return self.total() / self.N
-
     def grid_magnitudes(self, K: int) -> np.ndarray:
         """|grid_transform(values, N, K)|, read-only.  The last grid asked for is
         kept: asking again for the same K reuses it, and asking for another K
@@ -136,14 +134,16 @@ class WeightedSequence:
         return mags
 
 
-def _squares_in_progression(ctx: WContext, b: int, N: int, spec: PrimeSubsetSpec):
-    """Subset primes p with p^2 = W*n + b for some n in [1, N], and those n."""
-    if b not in ctx.root_map:
-        raise ValueError(f"b = {b} is not a reduced quadratic residue mod {ctx.W}")
-    p = subset_members(spec, sieve(math.isqrt(ctx.W * N + b)))  # so n <= N
-    r = p * p - b
-    p = p[(r > 0) & (r % ctx.W == 0)]
-    return p, (p * p - b) // ctx.W
+def progression_roots(ctx: WContext, N: int, spec: PrimeSubsetSpec) -> tuple[np.ndarray, ...]:
+    """(p, n, b) for the subset primes p, ascending, with p^2 = W*n + b and n in
+    [1, N]: one sieve to isqrt(W*(N + 1) - 1), then n, b = divmod(p^2, W).
+    Every b is in Z_W, as a prime dividing W has p^2 < W.  ValueError for N < 1."""
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    p = subset_members(spec, sieve(math.isqrt(ctx.W * (N + 1) - 1)))
+    n, b = np.divmod(p * p, ctx.W)
+    keep = n >= 1
+    return p[keep], n[keep], b[keep]
 
 
 def _weights(ctx: WContext, p: np.ndarray) -> np.ndarray:
@@ -160,15 +160,27 @@ def nu_sequence(ctx: WContext, b: int, N: int) -> WeightedSequence:
 
 def f_sequence(ctx: WContext, b: int, N: int, spec: PrimeSubsetSpec) -> WeightedSequence:
     """Subset sequence: same weights, kept only when the root lies in P."""
-    p, n = _squares_in_progression(ctx, b, N, spec)
+    if b not in ctx.root_map:
+        raise ValueError(f"b = {b} is not a reduced quadratic residue mod {ctx.W}")
+    p, n, r = progression_roots(ctx, N, spec)
+    keep = r == b
     values = np.zeros(N + 1)
-    values[n] = _weights(ctx, p)
+    values[n[keep]] = _weights(ctx, p[keep])
     return WeightedSequence(N=N, values=values)
 
 
-def delta_table(ctx: WContext, N: int, spec: PrimeSubsetSpec) -> dict[int, float]:
-    """{b: mean of the subset sequence on [1, N]} for every residue b in Z_W."""
-    return {b: f_sequence(ctx, b, N, spec).mean() for b in ctx.Z_W}
+def delta_table(ctx: WContext, N: int, roots: tuple[np.ndarray, ...]) -> dict[int, float]:
+    """{b: mean of the subset sequence on [1, N]} for every b in Z_W, from
+    roots = progression_roots(ctx, N, spec): each the bits of
+    f_sequence(ctx, b, N, spec).total() / N, summed over one reused buffer."""
+    p, n, r = roots
+    order = np.argsort(r, kind="stable")  # p stays ascending within each b
+    values, table = np.zeros(N + 1), {}
+    for b, g in zip(ctx.Z_W, np.split(order, np.searchsorted(r[order], ctx.Z_W[1:]))):
+        values[n[g]] = _weights(ctx, p[g])
+        table[b] = float(np.sum(values)) / N
+        values[n[g]] = 0.0
+    return table
 
 
 def select_residues(

@@ -301,15 +301,21 @@ class TestExitCodes:
             ["moments", "--w", "6", "--N", "0"],
             ["arcs", "--N", "1", "--w", "6"],
             ["levelsets", "--w", "6", "--N", "0"],
+            ["moments", "--w", "6", "--N", "-5"],
+            ["levelsets", "--w", "6", "--N", "-5"],
         ],
-        ids=["pseudo-N0", "pseudo-K0", "moments-N0", "arcs-N1", "levelsets-N0"],
+        ids=[
+            "pseudo-N0", "pseudo-K0", "moments-N0", "arcs-N1", "levelsets-N0",
+            "moments-N-5", "levelsets-N-5",
+        ],
     )
     def test_empty_grid_or_arcs_exit_two(self, argv, capsys):
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("psqlab: error:") and "Traceback" not in err
-        if argv[0] == "levelsets":  # named, not log2(0)'s "math domain error"
-            assert err == "psqlab: error: N must be >= 1, got 0\n"
+        # named, not log2(0)'s "math domain error" or isqrt's negative argument
+        if argv[0] == "levelsets" or argv[-1] == "-5":
+            assert err == f"psqlab: error: N must be >= 1, got {argv[-1]}\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -862,7 +868,7 @@ class TestRepresentAndTransfer:
         class Reached(Exception):
             pass
 
-        def reached(ctx, N, spec):
+        def reached(ctx, N, roots):
             raise Reached(N)
 
         monkeypatch.setattr(reprs, "delta_table", reached)

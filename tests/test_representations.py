@@ -23,6 +23,7 @@ from psqlab.representations import (
     transfer_witness,
     window_length,
 )
+from psqlab.wtrick import build_context
 
 
 def brute_force_counts(limit, s, spec, primes):
@@ -426,6 +427,27 @@ class TestTransferWitness:
         monkeypatch.setattr(reprs, "lex_smallest_sum", lambda sup, ts: [None] * len(ts))
         with pytest.raises(NotFound):
             transfer_witness(ctx4, 10016, 8, all_spec)
+
+    @pytest.mark.parametrize("w, n", [(6, 48008), (10, 6720008), (12, 73920008)])
+    def test_one_sieve_and_no_sequence(self, w, n, monkeypatch):
+        # the densities and the supports both come from one progression table
+        import psqlab.wtrick as wtrick
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sieve(*args)
+
+        def no_sequence(*args, **kwargs):
+            raise AssertionError("transfer_witness built a WeightedSequence")
+
+        monkeypatch.setattr(wtrick, "sieve", counted)
+        monkeypatch.setattr(wtrick, "WeightedSequence", no_sequence)
+        ctx = build_context(w)
+        result = transfer_witness(ctx, n, 8, PrimeSubsetSpec.all_primes())
+        assert sum(p * p for p in result["primes"]) == n
+        assert len(calls) == 1
 
     def test_window_too_small(self, ctx6, all_spec):
         with pytest.raises(NotFound):

@@ -12,13 +12,14 @@ from conftest import CyclicSumset
 import psqlab._gridfft as gridfft
 from psqlab._csvio import write_csv
 from psqlab.errors import Infeasible, TooLarge
-from psqlab.primes import PrimeSubsetSpec
+from psqlab.primes import PrimeSubsetSpec, sieve, subset_members
 from psqlab.wtrick import (
     WContext,
     build_context,
     delta_table,
     f_sequence,
     nu_sequence,
+    progression_roots,
     select_residues,
 )
 
@@ -163,15 +164,64 @@ class TestFSequence:
         assert int(n) == 1 and float(value) == seq.values[1]
 
 
+SWEEP_SPECS = (
+    PrimeSubsetSpec.all_primes(),
+    PrimeSubsetSpec.bernoulli(0.6, seed=3),
+    PrimeSubsetSpec.residue_classes(7, [1, 2, 3, 4, 5]),
+    PrimeSubsetSpec.explicit([5, 7, 11, 13, 29, 31, 41, 59, 71, 73, 89, 97, 101]),
+)
+SWEEP = [
+    (w, spec, N) for w in (4, 6, 8, 10, 12) for spec in SWEEP_SPECS for N in (1, 7, 1 << 12)
+]
+
+
+def densities(ctx, N, spec):
+    return delta_table(ctx, N, progression_roots(ctx, N, spec))
+
+
+class TestProgressionRoots:
+    @pytest.mark.parametrize("w, spec, N", SWEEP)
+    def test_matches_per_residue_rule(self, w, spec, N):
+        # each residue's own rule: p <= isqrt(W*N + b), p^2 - b > 0 and W | p^2 - b
+        ctx = context(w)
+        p, n, r = progression_roots(ctx, N, spec)
+        assert set(r.tolist()) <= set(ctx.Z_W)
+        assert np.array_equal(p * p, ctx.W * n + r)
+        for b in ctx.Z_W:
+            want = [
+                int(q)
+                for q in subset_members(spec, sieve(math.isqrt(ctx.W * N + b)))
+                if int(q) ** 2 > b and (int(q) ** 2 - b) % ctx.W == 0
+            ]
+            assert p[r == b].tolist() == want
+            assert n[r == b].tolist() == [(q * q - b) // ctx.W for q in want]
+
+    @pytest.mark.parametrize("N", [0, -5])
+    def test_rejects_empty_window_before_sieving(self, ctx6, all_spec, N, monkeypatch):
+        import psqlab.wtrick as wtrick
+
+        monkeypatch.setattr(wtrick, "sieve", lambda *args: pytest.fail("sieved"))
+        with pytest.raises(ValueError, match=f"^N must be >= 1, got {N}$"):
+            progression_roots(ctx6, N, all_spec)
+
+
 class TestDeltaTable:
+    @pytest.mark.parametrize("w, spec, N", SWEEP)
+    def test_means_are_sequence_totals_bit_for_bit(self, w, spec, N):
+        ctx = context(w)
+        table = densities(ctx, N, spec)
+        assert list(table) == list(ctx.Z_W)
+        for b, mean in table.items():
+            assert mean == f_sequence(ctx, b, N, spec).total() / N
+
     def test_empty_spec_all_zero(self, ctx6):
-        dt = delta_table(ctx6, 8, PrimeSubsetSpec.explicit([]))
+        dt = densities(ctx6, 8, PrimeSubsetSpec.explicit([]))
         assert set(dt) == {1, 49}
         assert all(v == 0.0 for v in dt.values())
 
     def test_majorant_mean_near_one(self, ctx4, all_spec):
         N = 1 << 16
-        dt = delta_table(ctx4, N, all_spec)
+        dt = densities(ctx4, N, all_spec)
         assert dt[1] == pytest.approx(1.0, abs=0.15)
 
     def test_subset_mean_against_squared_density(self, ctx6):
@@ -182,7 +232,7 @@ class TestDeltaTable:
         N = 1 << 18
         spec = PrimeSubsetSpec.bernoulli(0.95, seed=7)
         d = empirical_density(spec, math.isqrt(ctx6.W * N + max(ctx6.Z_W)) + 1)
-        dt = delta_table(ctx6, N, spec)
+        dt = densities(ctx6, N, spec)
         mean = sum(dt.values()) / len(dt)
         assert abs(mean - d * d) < 0.1
 
