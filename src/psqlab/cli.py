@@ -12,12 +12,12 @@ VerificationError), 2 usage (ValueError, OSError) or out of memory (MemoryError)
 
 from __future__ import annotations
 
-import argparse
 import datetime
 import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -432,10 +432,17 @@ def _float(default: float) -> dict:
 
 
 _REQUIRED = {"type": int, "required": True}
-_FLAG = {"action": "store_true"}
+_FLAG = {"action": "store_true", "default": False}
 _SPEC = {"default": "all"}
 
-# name: (help, handler, options besides --out, --threads and --seed, in help order)
+# every command's options, ahead of its own in help order
+_COMMON = {
+    "--out": {"help": "write the JSON report here (atomic)"},
+    "--threads": {**_int(), "help": "recorded only; no effect"},
+    "--seed": {**_int(), "help": "seed for inline bernoulli specs"},
+}
+
+# name: (help, handler, options besides _COMMON's, in help order)
 _COMMANDS = {
     "context": ("W-trick context for a given w", _cmd_context, {"--w": _REQUIRED}),
     "gauss": (
@@ -493,44 +500,67 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand in _COMMANDS, or of `command` alone.
+def _build_parser():
+    """The parser of every subcommand in _COMMANDS.  run builds it only for
+    the lines _parse_table declines, so a valid line imports no argparse
+    (nor the gettext and locale it brings)."""
+    import argparse
 
-    A one-command parser parses that command's argv as the full one does,
-    to the same namespace, output and exit code: its subcommand metavar
-    lists every name, so the top-level usage its errors print is the same
-    text.  The full parser keeps argparse's own metavar, which its "required"
-    and "invalid choice" errors name the argument by.
-    """
     parser = argparse.ArgumentParser(
         prog="psqlab",
         description="Experiments on sums of squares of primes from dense prime subsets",
     )
     parser.add_argument("--version", action="version", version=f"psqlab {__version__}")
-    names = [command] if command else list(_COMMANDS)
-    metavar = {"metavar": "{" + ",".join(_COMMANDS) + "}"} if command else {}
-    sub = parser.add_subparsers(dest="command", required=True, **metavar)
-    for name in names:
-        help_text, handler, options = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--out", help="write the JSON report here (atomic)")
-        p.add_argument("--threads", type=int, default=None, help="recorded only; no effect")
-        p.add_argument("--seed", type=int, default=None, help="seed for inline bernoulli specs")
-        for flag, kwargs in options.items():
+        for flag, kwargs in {**_COMMON, **options}.items():
             p.add_argument(flag, **kwargs)
         p.set_defaults(handler=handler)
     return parser
 
 
+def _parse_table(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The namespace _build_parser().parse_args(argv) gives, read from
+    _COMMANDS; None, for argparse to read, unless argv is a command and its
+    exact flags, each with a value its type takes that does not start with
+    "-" (store_true flags take none), every required flag among them."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, own = _COMMANDS[argv[0]]
+    options = {**_COMMON, **own}
+    values = {flag: kwargs.get("default") for flag, kwargs in options.items()}
+    words = iter(argv[1:])
+    for flag in words:
+        kwargs = options.get(flag)
+        if kwargs is None:
+            return None
+        if "action" in kwargs:  # store_true
+            values[flag] = True
+        else:
+            text = next(words, "-")  # no value: declined as a flag would be
+            if text.startswith("-"):
+                return None
+            try:
+                values[flag] = kwargs.get("type", str)(text)
+            except ValueError:
+                return None
+    if any(kwargs.get("required") and values[flag] is None for flag, kwargs in options.items()):
+        return None  # a required flag not given: no value read is None
+    dests = {flag[2:].replace("-", "_"): value for flag, value in values.items()}
+    return SimpleNamespace(command=argv[0], handler=handler, **dests)
+
+
 def run(argv: list[str]) -> int:
-    """Run one command line; the exit code.  Only the invoked subcommand's
-    parser is built when argv[0] names one, every subcommand's otherwise
-    (no command, an unknown one, -h, --version)."""
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
+    """Run one command line; the exit code.  _parse_table reads a valid
+    line; every other one goes to the full parser, whose help, version and
+    usage errors are argparse's own text and exit code."""
+    args = _parse_table(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else 2
 
     args.threads_resolved = max(1, args.threads or 1)
     config = {k: v for k, v in sorted(vars(args).items()) if k != "handler" and not k.startswith("_")}

@@ -250,7 +250,10 @@ def arc_partition(N: int, A: float) -> ArcPartition:
         raise ValueError(f"N must be >= 2 (Q = (log N)^A), got {N}")
     if A < 0:
         raise ValueError(f"A must be >= 0, got {A}")
-    Q = math.log(N) ** A
+    try:
+        Q = math.log(N) ** A
+    except OverflowError:
+        raise ValueError(f"--A {A!r}: Q = (log N)^A at N = {N} overflows") from None
     if N <= 2 * Q * Q:
         raise ValueError(f"need N > 2*Q^2; N = {N}, Q = {Q:.3f}")
     arcs = []

@@ -1,7 +1,8 @@
-import argparse
+import contextlib
 import csv
 import dataclasses
 import enum
+import importlib
 import io
 import json
 import math
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from conftest import count_line, gauss_row_gcd
 from psqlab._csvio import write_csv
 from psqlab.arith import factorize
-from psqlab.cli import _COMMANDS, _build_parser, _parse_spec, run
+from psqlab.cli import _COMMANDS, _COMMON, _build_parser, _parse_spec, _parse_table, finite_float, run
 from psqlab.expsums import MAX_GAUSS_MODULUS, MAX_LOCAL_FACTOR_Q
 from psqlab.primes import PrimeSubsetSpec
 from psqlab.representations import count_violations, theorem_experiment
@@ -443,12 +444,15 @@ class TestExitCodes:
             ["moments", "--w", "4", "--N", "4096", "--q-exponent", "86"],
             ["levelsets", "--w", "4", "--N", "4096", "--levels", "1e80"],
             ["levelsets", "--w", "4", "--N", "4096", "--levels", "1e-100"],
+            ["arcs", "--N", "100000", "--A", "400"],
+            ["arcs", "--N", "100000", "--A", "1e300"],
         ],
         ids=lambda argv: f"{argv[0]}:{argv[-1]}",
     )
     def test_float_range_exceeded_exits_two(self, argv, capsys):
-        # N^(q-1), u^4 or 1/(u^4 N^4) out of the float range: a traceback and
-        # exit 1, or (q = 86) a moment of Infinity in the report and exit 0
+        # N^(q-1), u^4, 1/(u^4 N^4) or (log N)^A out of the float range: a
+        # traceback and exit 1, or (q = 86) a moment of Infinity in the report
+        # and exit 0
         assert run(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -914,15 +918,8 @@ class TestRepresentAndTransfer:
         assert json.loads(proc.stdout)["result"]["context"]["W"] == 24
 
 
-README = Path(__file__).resolve().parent.parent / "README.md"
-
-# the benchmark's transfer ops, bernoulli subsets at seed 7
-BENCH_TRANSFERS = [
-    "transfer --w 6 --n 960008 --s 8",
-    "transfer --w 6 --n 960008 --s 8 --spec residues:7:1,2,3,4,5",
-    "transfer --w 6 --n 480008 --s 8 --spec bernoulli:0.95:7",
-    "transfer --w 8 --n 960008 --s 8",
-]
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def readme_argvs():
@@ -936,58 +933,180 @@ def readme_argvs():
     return argvs
 
 
-def parse_outcome(parser, argv, capsys):
-    """(stdout, stderr, exit code or None, vars of the namespace or None)."""
+def bench_argvs():
+    """The argv of every benchmark op at seed 7, OUT a report path."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
     try:
-        ns, code = vars(parser.parse_args(argv)), None
+        bench = importlib.import_module("run")
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    return [
+        [word.replace("OUT", "report.json") for word in bench.op_argv(template, 7)]
+        for ops in bench.WORKLOADS.values()
+        for _, _, template in ops
+    ]
+
+
+def parse_outcome(argv):
+    """(stdout, stderr, exit code or None, vars of the namespace or None) of
+    the full parser on argv."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            ns, code = vars(_build_parser().parse_args(argv)), None
     except SystemExit as exc:
         ns, code = None, exc.code
-    out, err = capsys.readouterr()
-    return out, err, code, ns
+    return out.getvalue(), err.getvalue(), code, ns
 
 
-def parser_cases(name):
-    """-h, no options (a missing required option, where there is one), a bad
-    value for the first typed option, unrecognized arguments after a valid
-    line (the top-level parser reports them), and the README's lines of the
-    command."""
-    _, _, options = _COMMANDS[name]
-    typed = next(flag for flag, kwargs in options.items() if "type" in kwargs)
-    readme = [argv for argv in readme_argvs() if argv[0] == name]
-    cases = [[name, "-h"], [name], [name, typed, "x"], readme[0] + ["--bogus", "extra"]]
-    return cases + readme
+class Ran(Exception):
+    """Raised by a stub handler with the namespace run passed it."""
+
+
+def ran(args):
+    raise Ran(args)
+
+
+# values of every kind argparse and the table parse might read differently
+ODD_VALUES = ["-3", "-0.5", "1e400", "nan", "", "x", "--", "-", "-x", "a b"]
+GOOD_VALUES = {int: ["4", "10016", "0"], finite_float: ["0.5", "2"], str: ["all", "r.json"]}
+STRAY_WORDS = ["-h", "--help", "--version", "--", "stray", "--bogus", "-w"]
+
+
+@st.composite
+def command_lines(draw):
+    """An argv built from _COMMANDS: a command, then each of its options zero
+    to two times with a value of its type.  In half the lines, some options
+    come as --flag=value, abbreviated or without their value, or with an
+    odd value, and the command may be mistyped or stray words added."""
+    messy = draw(st.booleans())
+    name = draw(st.sampled_from(list(_COMMANDS)))
+    options = {**_COMMON, **_COMMANDS[name][2]}
+    odd = st.one_of(st.sampled_from(ODD_VALUES), st.text(max_size=3))
+    groups = []
+    for flag, kwargs in options.items():
+        for _ in range(draw(st.sampled_from([0, 1, 1, 2] if kwargs.get("required") else [0, 0, 1, 2]))):
+            value = draw(st.sampled_from(GOOD_VALUES[kwargs.get("type", str)]))
+            form = "plain"
+            if messy and draw(st.sampled_from([False, False, True])):
+                value = draw(st.one_of(st.just(value), odd))
+                form = draw(st.sampled_from(["plain", "eq", "abbrev", "bare"]))
+            if form == "eq":
+                groups.append([f"{flag}={value}"])
+            elif form == "abbrev":
+                groups.append([flag[: draw(st.integers(min(3, len(flag) - 1), len(flag) - 1))], value])
+            elif form == "bare" or "action" in kwargs:
+                groups.append([flag])
+            else:
+                groups.append([flag, value])
+    head = [name]
+    if messy:
+        stray = st.one_of(st.sampled_from(STRAY_WORDS), st.text(max_size=3))
+        groups += [[w] for w in draw(st.sampled_from([[], [], [draw(stray)]]))]
+        head = draw(st.sampled_from([[name]] * 3 + [[name[:-1]], ["--version"], ["-h"], []]))
+    return head + [w for group in draw(st.permutations(groups)) for w in group]
+
+
+# Runs each line of argv[2:] through cli.run and asserts exit 0 and that none
+# of the comma-separated modules of argv[1] is imported after it; then the
+# usage error `transfer --w x` exits 2 with argparse's message.
+FRESH_SCRIPT = """\
+import io, sys, contextlib
+import psqlab.cli as cli
+absent = sys.argv[1].split(",")
+for line in sys.argv[2:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(line.split()) == 0, line
+    assert not [m for m in absent if m in sys.modules], (line, absent)
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    assert cli.run(["transfer", "--w", "x"]) == 2
+assert err.getvalue().endswith("psqlab transfer: error: argument --w: invalid int value: 'x'\\n"), err.getvalue()
+"""
+
+
+def run_fresh(absent, lines):
+    """FRESH_SCRIPT in a fresh interpreter, as each benchmark op runs."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-c", FRESH_SCRIPT, ",".join(absent), *lines], env=env, capture_output=True, text=True
+    )
 
 
 class TestParser:
-    @pytest.mark.parametrize("name", list(_COMMANDS))
-    def test_one_command_parser_matches_the_full_one(self, name, capsys):
-        one = _build_parser(name)
-        [sub] = [a for a in one._actions if isinstance(a, argparse._SubParsersAction)]
-        assert list(sub.choices) == [name]
-        for argv in parser_cases(name):
-            want = parse_outcome(_build_parser(), argv, capsys)
-            assert parse_outcome(one, argv, capsys) == want, argv
+    @pytest.mark.parametrize("argv", readme_argvs() + bench_argvs(), ids=" ".join)
+    def test_readme_and_bench_lines_are_read_from_the_table(self, argv):
+        got = _parse_table(argv)
+        assert got is not None and vars(got) == parse_outcome(argv)[3]
+
+    @settings(max_examples=400, deadline=None)
+    @given(command_lines())
+    @example(["transfer", "--w", "4", "--n", "10016", "--w", "6"])
+    @example(["transfer", "--w=4", "--n", "10016"])
+    @example(["transfer", "--w", "-4", "--n", "10016"])
+    @example(["transfer", "--w", "4", "--n", "10016", "--"])
+    @example(["transfer", "--w", "4", "--n"])
+    @example(["transfer", "--w", "4"])
+    @example(["transfer", "--w", "4", "--n", "10016", "-h"])
+    @example(["pseudo", "--N", "64", "--w", "4"])  # --w abbreviates --w-list
+    @example(["gauss", "--check", "x"])
+    @example(["gauss", "--kmax", ""])
+    @example(["arcs", "--N", "100", "--A", "nan"])
+    @example(["levelsets", "--w", "6", "--N", "64", "--levels", ""])
+    @example(["--out", "x", "context"])
+    @example(["--version"])
+    @example([])
+    def test_table_parse_is_argparse_or_declines(self, argv):
+        out, err, code, want = parse_outcome(argv)
+        got = _parse_table(argv)
+        if got is not None:
+            assert (out, err, code, vars(got)) == ("", "", None, want)
+            return
+        # declined: run reads the line with argparse, to its output and exit
+        # code, or to its namespace, which reaches the (stub) handler
+        import psqlab.cli as cli_mod
+
+        stubs = {name: (text, ran, options) for name, (text, _, options) in _COMMANDS.items()}
+        run_out, run_err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(run_out), \
+                contextlib.redirect_stderr(run_err):
+            mp.setattr(cli_mod, "_COMMANDS", stubs)
+            try:
+                run_code, ns = run(argv), None
+            except Ran as exc:
+                run_code, ns = None, vars(exc.args[0])
+        if want is None:
+            assert (run_out.getvalue(), run_err.getvalue(), run_code) == (out, err, 0 if code in (0, None) else 2)
+        else:
+            del ns["threads_resolved"]
+            assert ns == {**want, "handler": ran}
 
     @pytest.mark.parametrize(
-        "argv, built",
+        "argv, command",
         [
             (["transfer", "--w", "4", "--n", "10016"], "transfer"),
             (["context", "--w", "4"], "context"),
-            (["represent", "--bogus"], "represent"),
+            (["represent", "--s", "8", "--limit", "1000"], "represent"),
             ([], None),
             (["-h"], None),
             (["--version"], None),
             (["transfe"], None),
             (["--out", "x", "context"], None),
+            (["represent", "--bogus"], None),
+            (["transfer", "--w=4", "--n", "10016"], None),
+            (["transfer", "--w", "4", "--n", "-10016"], None),
         ],
     )
-    def test_run_builds_the_invoked_commands_parser(self, argv, built, monkeypatch, capsys):
+    def test_run_builds_the_invoked_commands_parser(self, argv, command, monkeypatch, capsys):
+        # a line the table parse reads (as its command) builds no parser;
+        # every other line, valid or not, builds the full one
         import psqlab.cli as cli_mod
 
+        assert getattr(_parse_table(argv), "command", None) == command
         calls = count_calls(monkeypatch, cli_mod, "_build_parser")
         run(argv)
         capsys.readouterr()
-        assert calls == [(built,)]
+        assert calls == ([] if command else [()])
 
     def test_full_parser_errors_name_the_command_argument(self, capsys):
         assert run([]) == 2
@@ -996,21 +1115,16 @@ class TestParser:
         assert "argument command: invalid choice: 'transfe'" in capsys.readouterr().err
 
     def test_bench_transfers_never_import_numpy_fft(self):
-        # a fresh interpreter, as each benchmark op runs: residue selection
-        # and the index search run no FFT, so numpy.fft is never imported
-        script = (
-            "import io, sys, contextlib\n"
-            "import psqlab.cli as cli\n"
-            "for line in sys.argv[1:]:\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert cli.run(line.split()) == 0, line\n"
-            "    assert 'numpy.fft' not in sys.modules, line\n"
-        )
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-c", script, *BENCH_TRANSFERS], env=env, capture_output=True, text=True
-        )
+        # residue selection and the index search run no FFT
+        lines = [" ".join(argv) for argv in bench_argvs() if argv[0] == "transfer"]
+        proc = run_fresh(["numpy.fft", "argparse", "gettext", "locale"], lines)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_readme_lines_never_import_argparse(self):
+        # pytest and hypothesis import argparse into this process: only a
+        # fresh interpreter shows that a valid line does not
+        lines = [" ".join(argv) for argv in readme_argvs()]
+        proc = run_fresh(["argparse", "gettext", "locale"], lines)
         assert proc.returncode == 0, proc.stderr
 
 
