@@ -10,12 +10,14 @@ that raises rather than falls back.
 
 Witnesses need no FFT: lex_smallest_sum, behind the experiment's sample
 witnesses, the transfer's residue selection and its index search, is an
-exact lex-order search over a boolean mask of pair sums, and raises
-TooLarge past its step cap or its mask budget.
+exact lex-order search over a boolean mask of pair sums and, where they fit
+a budget, suffix-sum bitsets above it that let its last levels finish
+greedily; it raises TooLarge past its step cap or its mask budget.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Optional
 
 import numpy as np
@@ -27,6 +29,9 @@ MAX_CONV_LEN = 1 << 24
 MAX_LAYER_CELLS = 1 << 28  # bytes of boolean reachability layers kept at once
 MAX_SEARCH_STEPS = 1 << 20  # lex_smallest_sum's steps before it raises TooLarge
 SEARCH_CHUNK = 1 << 12  # cells of one of its vectorized steps, which cost about a DFS node
+# bit-cells of its suffix-sum bitsets, over all levels: a larger stack takes
+# longer to build than many of the walks it would shorten
+MAX_BITSET_CELLS = 1 << 26
 
 
 def grid_length(N: int, K: int) -> int:
@@ -147,22 +152,31 @@ def lex_smallest_sum(supports, targets) -> list[Optional[tuple[int, ...]]]:
     nonnegative integer arrays.
 
     An exact depth-first search in lexicographic order, with no FFT.  The
-    first s - 4 supports are walked in ascending order, keeping a value only
-    while the suffix sums of the later supports' minima and maxima can still
-    meet the remainder; a (level, remainder) that failed once, for any
-    target, is not tried again.  The last four levels are vectorized on an
-    exact boolean mask of the pair sums of the last two supports
-    (np.add.outer), built once for all the targets, up to the largest: the
-    first d of supports[-4] for which some u of supports[-3] has r - d - u in
-    the mask, then the first such u, then the last two values by lookup.
+    pair sums of the last two supports are an exact boolean mask
+    (np.add.outer).  Above it, suffix-sum bitsets (Python ints) are built
+    upward by one shift-OR per support value, while their bit-cells fit
+    MAX_BITSET_CELLS and each level's charge fits the steps left: bit x of
+    level j's says that x plus the sum of the minima of supports[j:] is a
+    sum of supports[j:].  Mask and bitsets are built once for all the
+    targets, up to the largest.  From the first bitset level down the
+    search is greedy, with no backtracking: each level takes its least value
+    whose remainder the next bitset holds.  The levels above are walked in
+    ascending order, keeping a value only while the suffix sums of the later
+    supports' minima and maxima can still meet the remainder, and a (level,
+    remainder) that failed once, for any target, is not tried again; the
+    last of them tests each remainder against the first bitset.  With no
+    bitset level, the last four levels are one vectorized step instead: the
+    first d of supports[-4] for which some u of supports[-3] has r - d - u
+    in the mask, then the first such u, then the last two values by lookup.
     Trailing {0} supports pad fewer than four, with the same sums in the
     same lex order, and each answer is cut back to its first s values.
     Every test is integer membership, so the first tuple found is the
     lex-smallest and an exhausted search proves there is none: nothing to
     certify.  Past MAX_SEARCH_STEPS steps over all the targets (a DFS node,
-    or SEARCH_CHUNK cells of vectorized work, the mask's cells counted once)
-    or for a pair-sum mask longer than MAX_CONV_LEN, before it is built, it
-    raises TooLarge.
+    or SEARCH_CHUNK cells of vectorized work, 64-bit words shifted or values
+    tried greedily, the mask's and the bitsets' cells counted once) or for a
+    pair-sum mask longer than MAX_CONV_LEN, before it is built, it raises
+    TooLarge.
     """
     targets = [int(t) for t in targets]
     given = len(supports)
@@ -204,7 +218,6 @@ def lex_smallest_sum(supports, targets) -> list[Optional[tuple[int, ...]]]:
         hit = last[np.minimum(np.searchsorted(last, r - a), len(last) - 1)] == r - a
         return (int(a[np.argmax(hit)]), int(r - a[np.argmax(hit)])) if hit.any() else None
 
-    top = s - 4  # levels above the vectorized bottom step
     # mask[i]: base + i is a pair sum of the last two supports, up to the
     # largest remainder they can be left with
     base = rest_lo[s - 2]
@@ -218,10 +231,57 @@ def lex_smallest_sum(supports, targets) -> list[Optional[tuple[int, ...]]]:
         sums = np.add.outer(sups[-2][i : i + rows] - base, sups[-1]).ravel()
         mask[sums[sums < length]] = True
 
+    # bits[j], for j from s - 1 up to depth: bit x (byte x >> 3, bit x & 7)
+    # set when rest_lo[j] + x is a sum of sups[j:], for x up to the least of
+    # the slack and rest_hi[j] - rest_lo[j]; level j comes from level j + 1
+    # by one shift-OR per value of sups[j]
+    bits, depth, cells = [], s - 2, 0
+    while depth:
+        xmax = min(slack, rest_hi[depth - 1] - rest_lo[depth - 1])
+        cells += len(sups[depth - 1]) * (xmax + 1)
+        cost = len(sups[depth - 1]) * ((xmax >> 6) + 1)  # 64-bit words shifted
+        if cells > MAX_BITSET_CELLS or steps + 1 + cost // SEARCH_CHUNK > MAX_SEARCH_STEPS:
+            break
+        charge(cost)
+        if not bits:  # the mask, and the last support by itself
+            last = np.zeros(int(sups[-1][-1] - sups[-1][0]) + 1, dtype=np.uint8)
+            last[sups[-1] - sups[-1][0]] = 1
+            packed = [np.packbits(a, bitorder="little").tobytes() for a in (mask, last)]
+            bits = [b""] * (s - 2) + packed
+            words = int.from_bytes(bits[s - 2], "little")
+        depth -= 1
+        acc = 0
+        for offset in (sups[depth] - int(sups[depth][0])).tolist():
+            acc |= words << offset
+        words = acc & ((1 << (xmax + 1)) - 1)
+        bits[depth] = words.to_bytes((xmax >> 3) + 1, "little")
+
+    def greedy(r: int) -> Optional[tuple[int, ...]]:
+        """Lex-smallest tail from sups[depth:] summing to r, or None: each
+        level takes its least value whose remainder the next bitset holds."""
+        x = r - rest_lo[depth]
+        if not bits[depth][x >> 3] >> (x & 7) & 1:
+            return None
+        tail, tried = [], 0
+        for j, vals in enumerate(values, depth):
+            below, row = rest_lo[j + 1], bits[j + 1]
+            i = k = bisect_left(vals, r - min(rest_hi[j + 1], below + slack))
+            while True:
+                x = r - vals[k] - below
+                if row[x >> 3] >> (x & 7) & 1:
+                    break
+                k += 1
+            tried += k - i + 1
+            tail.append(vals[k])
+            r -= vals[k]
+        charge(tried)
+        return tuple(tail) + (r,)
+
     def bottom(r: int) -> Optional[tuple[int, ...]]:
-        """Lex-smallest tail from sups[top:] summing to r, or None."""
+        """Lex-smallest tail from sups[depth:] summing to r, or None, with
+        no bitset above the mask: one vectorized step over four levels."""
         # the first head d, then u, leaving a pair sum in the mask
-        heads = window(top, r)
+        heads = window(depth, r)
         inner = sups[-3]
         rows = max(1, SEARCH_CHUNK // len(inner))
         for i in range(0, len(heads), rows):
@@ -237,16 +297,22 @@ def lex_smallest_sum(supports, targets) -> list[Optional[tuple[int, ...]]]:
                 return head + pair(r - sum(head))
         return None
 
+    if bits:
+        values = [sup.tolist() for sup in sups[depth:-1]]
+        finish = greedy
+    else:
+        depth -= 2  # the vectorized step takes the last four levels
+        finish = bottom
     dead = set()  # (level, remainder) with no completion
 
     def search(target: int) -> Optional[tuple[int, ...]]:
         if not least <= target <= rest_hi[0]:
             return None
-        if top == 0:
-            return bottom(target)
-        # the levels above the bottom step, walked in ascending order by a
-        # stack of candidate iterators; path[j] is the value taken at level j,
-        # rem[j] the remainder level j must meet
+        if depth == 0:
+            return finish(target)
+        # the levels above the finishing step, walked in ascending order by
+        # a stack of candidate iterators; path[j] is the value taken at level
+        # j, rem[j] the remainder level j must meet
         path, rem, stack = [], [target], [iter(window(0, target).tolist())]
         while stack:
             j = len(stack) - 1
@@ -261,11 +327,11 @@ def lex_smallest_sum(supports, targets) -> list[Optional[tuple[int, ...]]]:
             r = rem[-1] - v
             if (j + 1, r) in dead:
                 continue
-            if j + 1 == top:
-                tail = bottom(r)
+            if j + 1 == depth:
+                tail = finish(r)
                 if tail is not None:
                     return tuple(path) + (v,) + tail
-                dead.add((top, r))
+                dead.add((depth, r))
             else:
                 path.append(v)
                 rem.append(r)

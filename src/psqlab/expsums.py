@@ -81,6 +81,7 @@ def indicator_transform_grid(N: int, K: int) -> np.ndarray:
 # Moduli caps keeping r*l^2 (resp. q^4 phase numerators) inside int64.
 MAX_GAUSS_MODULUS = 2_000_000
 MAX_LOCAL_FACTOR_Q = 50_000
+MAX_ARCS = 1 << 21  # bound on arc_partition's arcs, checked before any is built
 _DIRECT_CELLS = 1 << 20  # (unit x l) phase-table cells s_direct holds at once
 
 
@@ -256,8 +257,14 @@ def arc_partition(N: int, A: float) -> ArcPartition:
         raise ValueError(f"--A {A!r}: Q = (log N)^A at N = {N} overflows") from None
     if N <= 2 * Q * Q:
         raise ValueError(f"need N > 2*Q^2; N = {N}, Q = {Q:.3f}")
+    top = math.floor(Q)
+    if top * (top + 1) // 2 > MAX_ARCS:  # the (a, q) pairs, a bound on the arcs
+        raise TooLarge(
+            f"--A {A!r} at --N {N}: Q = {Q:.3f} allows up to {top * (top + 1) // 2} "
+            f"arcs, over budget {MAX_ARCS}"
+        )
     arcs = []
-    for q in range(1, math.floor(Q) + 1):
+    for q in range(1, top + 1):
         hw = Q / (q * N)
         for a in range(1, q + 1):
             if math.gcd(a, q) == 1:

@@ -196,7 +196,9 @@ def select_residues(
     An 8-tuple's integer sum lies in [0, 8(m - 1)], so the tuples meeting it
     are those whose sum is t + i*m for some i in 0..7, and the lex-smallest
     of them is the least of the eight exact lex_smallest_sum answers (one
-    search, one pair-sum mask): no FFT and nothing to certify.  Raises
+    search, one pair-sum mask and one stack of suffix-sum bitsets, which on
+    a small pool reach the top, so that each lift is answered greedily or
+    refuted by one bit test): no FFT and nothing to certify.  Raises
     Infeasible when the threshold or the sum condition cannot be met.
     """
     if s < 8:

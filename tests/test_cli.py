@@ -436,6 +436,23 @@ class TestExitCodes:
         # argparse's "invalid finite_float value", or the handler's "not a finite number"
         assert "finite" in err.splitlines()[-1]
 
+    def test_arc_count_past_budget_exits_two(self, monkeypatch, capsys):
+        # Q = (log 2^62)^3 is about 79,369: about 1.9e9 arcs, refused before
+        # the first is built rather than killed for memory
+        import psqlab.expsums as expsums
+
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("an arc was built")
+
+        monkeypatch.setattr(expsums, "Arc", unbuilt)
+        assert run(["arcs", "--N", str(1 << 62), "--A", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"psqlab: error: --A 3.0 at --N {1 << 62}: Q = 79369.099 allows up to "
+            "3149758765 arcs, over budget 2097152\n"
+        )
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "argv",

@@ -427,6 +427,16 @@ class TestArcPartition:
         with pytest.raises(ValueError, match="need N > 2\\*Q\\^2"):
             arc_partition(1 << 14, 2.0)
 
+    def test_arc_budget_bounds_the_pairs(self, monkeypatch):
+        # floor(Q) = 36 at N = 2^16, A = 1.5: 36 * 37 / 2 = 666 pairs (a, q)
+        # bound its 396 arcs; one pair past the budget is refused unbuilt
+        monkeypatch.setattr(expsums_mod, "MAX_ARCS", 666)
+        assert len(arc_partition(1 << 16, 1.5).arcs) == 396
+        monkeypatch.setattr(expsums_mod, "MAX_ARCS", 665)
+        monkeypatch.setattr(expsums_mod, "Arc", None)
+        with pytest.raises(TooLarge, match="up to 666 arcs, over budget 665"):
+            arc_partition(1 << 16, 1.5)
+
     def test_mask_wraps(self):
         part = arc_partition(4096, 1.0)
         mask = part.major_mask(4096)

@@ -81,6 +81,41 @@ class TestLexSmallestSumOracle:
         expected = [brute_smallest(supports, t) for t in targets]
         assert lex_smallest_sum(supports, targets) == expected
 
+    @settings(max_examples=150, deadline=None)
+    @given(deep_supports(), st.lists(st.integers(-5, 125), min_size=1, max_size=6))
+    @example([sorted_support([0, 1])] * 8, [8, 0, 3])
+    @example([sorted_support([2, 4])] * 8, [17, 16])  # every sum is even
+    def test_every_bitset_budget_matches_product_minimum(self, supports, targets):
+        # no bitset (the DFS over the vectorized bottom step), a partial stack
+        # (the DFS over the top levels, then greedy: 2^8 bit-cells hold one or
+        # two of the lowest levels of eight 3-point supports) and every level
+        # (greedy from the top) all give the product minimum
+        expected = [brute_smallest(supports, t) for t in targets]
+        for cells in (0, 1 << 8, 1 << 60):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(gridfft, "MAX_BITSET_CELLS", cells)
+                assert lex_smallest_sum(supports, targets) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(4, 12), st.sampled_from([60, 600, 6000]), st.integers(1, 1 << 22))
+    def test_every_bitset_budget_gives_the_same_tuples(self, data, s, hi, partial):
+        # larger supports than a brute force can walk, where a level takes up
+        # to about 2^22 bit-cells: no bitset, a partial stack and every level agree
+        supports = [
+            data.draw(st.lists(st.integers(0, hi), min_size=1, max_size=60).map(sorted_support))
+            for _ in range(s)
+        ]
+        least = sum(int(sup[0]) for sup in supports)
+        most = sum(int(sup[-1]) for sup in supports)
+        targets = data.draw(st.lists(st.integers(least - 2, most + 2), min_size=1, max_size=5))
+        found = []
+        for cells in (0, partial, 1 << 60):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(gridfft, "MAX_BITSET_CELLS", cells)
+                found.append(lex_smallest_sum(supports, targets))
+        assert found[0] == found[1] == found[2]
+        assert all(f is None or sum(f) == t for f, t in zip(found[0], targets))
+
     def test_mask_built_and_charged_once_for_several_targets(self, monkeypatch):
         # the pair-sum mask of J + J, the one boolean array the search
         # allocates, costs len(J)^2 / SEARCH_CHUNK steps; with a cap of twice
@@ -96,6 +131,16 @@ class TestLexSmallestSumOracle:
         assert masks == [2 * 1023 + 1]  # one mask, of the pair sums 0 .. 2046
         assert [sum(f) for f in found] == targets
         assert found[2] == (839,) + (1023,) * 7  # the least v_0 with seven maxima after it
+
+    def test_bitset_level_past_the_steps_left_is_not_built(self, monkeypatch):
+        # the mask of J + J costs 257 steps and the first bitset level above
+        # it 1 + 1024 * 48 // SEARCH_CHUNK = 13 (48 words of 64 bits for the
+        # 3 * 1023 + 1 sums of three supports); with 10 steps left after the
+        # mask that level is skipped, not charged, and the DFS over the
+        # vectorized bottom step answers in the steps that are left
+        J = np.arange(1024, dtype=np.int64)
+        monkeypatch.setattr(gridfft, "MAX_SEARCH_STEPS", 257 + 10)
+        assert lex_smallest_sum([J] * 8, [8000]) == [(839,) + (1023,) * 7]
 
     @pytest.mark.parametrize("s", [1, 2])
     def test_padding_keeps_a_one_cell_mask(self, monkeypatch, s):

@@ -399,6 +399,23 @@ class TestResidueLifts:
             got = select_or_none(ctx, pool, n)
         assert got == (None if want is None else [24 * k + 1 for k in want])
 
+    def test_small_pool_at_large_modulus_is_proved_infeasible_cheaply(self, monkeypatch):
+        # transfer --w 14 --n 987675428216 --s 8 --spec residues:5:1,4: no
+        # 8-tuple of the pool meets the sum mod W/24 = 5005.  With its
+        # suffix-sum bitsets the search proves that within 2^10 steps; with
+        # none, walking every top-level combination takes about 757,600
+        n, s = 987_675_428_216, 8
+        ctx = context(14)
+        N = (2 * n) // (s * ctx.W)
+        roots = progression_roots(ctx, N, PrimeSubsetSpec.residue_classes(5, [1, 4]))
+        density = delta_table(ctx, N, roots)
+        monkeypatch.setattr(gridfft, "MAX_SEARCH_STEPS", 1 << 10)
+        with pytest.raises(Infeasible, match="no 8-fold combination"):
+            select_residues(ctx, density, n, s, kappa=0.1)
+        monkeypatch.setattr(gridfft, "MAX_BITSET_CELLS", 0)
+        with pytest.raises(TooLarge, match="past its cap of 1024 steps"):
+            select_residues(ctx, density, n, s, kappa=0.1)
+
     def test_searches_stay_far_under_the_step_cap(self, monkeypatch):
         # random pools from Z(W) at w = 12 and 14, and all of Z(W) at w = 18
         # (m = 85085, the largest modulus a CLI run reaches), each
