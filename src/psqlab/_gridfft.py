@@ -1,18 +1,16 @@
-"""Shared FFT plumbing: exponential sums on grids, exact boolean reachability.
+"""Shared plumbing: exponential sums on grids, exact boolean sumsets.
 
 A grid transform takes a weighted sequence on [1, N] in its one form: an
 array indexed by n, with values[0] as the padding slot, which is 0.
 
-Every boolean sumset product (the binary powers of sumset_power and the
-last product of scan_mask's descent) is an FFT of 0/1 indicators rounded by
-`certified`: thresholded at 1/2 under one rounding-residual certificate
-that raises rather than falls back.
-
-Witnesses need no FFT: lex_smallest_sum, behind the experiment's sample
-witnesses, the transfer's residue selection and its index search, is an
-exact lex-order search over a boolean mask of pair sums and, where they fit
-a budget, suffix-sum bitsets above it that let its last levels finish
-greedily; it raises TooLarge past its step cap or its mask budget.
+Every boolean sumset is one exact primitive, shift_or, on sets held as the
+bits of Python ints: integer work with no rounding, so nothing to certify.
+sumset_power is s - 1 rounds of it and scan_mask's descent closes with one
+more.  lex_smallest_sum, behind the experiment's sample witnesses, the
+transfer's residue selection and its index search, is an exact lex-order
+search over a boolean mask of pair sums and, where they fit a budget,
+suffix-sum bitsets above it, built by shift_or, that let its last levels
+finish greedily; it raises TooLarge past its step cap or its mask budget.
 """
 
 from __future__ import annotations
@@ -22,11 +20,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import TooLarge, VerificationError
+from .errors import TooLarge
 
 MAX_GRID = 1 << 25
+# cells of a pair-sum mask, pair matrix or count convolution, and the power
+# of two at least 2 * width - 1 for a sumset layer's width (at most 2^23)
 MAX_CONV_LEN = 1 << 24
-MAX_LAYER_CELLS = 1 << 28  # bytes of boolean reachability layers kept at once
+# (s + 1) * (cap + 1) of an s-fold sumset on [0, cap]: times the support's
+# size / 64, a bound on the words its s - 1 rounds of shift-ORs touch
+MAX_LAYER_CELLS = 1 << 28
 MAX_SEARCH_STEPS = 1 << 20  # lex_smallest_sum's steps before it raises TooLarge
 SEARCH_CHUNK = 1 << 12  # cells of one of its vectorized steps, which cost about a DFS node
 # bit-cells of its suffix-sum bitsets, over all levels: a larger stack takes
@@ -64,67 +66,70 @@ def grid_transform(values: np.ndarray, N: int, K: int) -> np.ndarray:
     return np.conjugate(z, out=z)
 
 
-def reach_budget(layers: int, width: int) -> int:
-    """Power-of-two FFT length for `width`-cell reachability layers; TooLarge,
-    before any allocation, past MAX_CONV_LEN or MAX_LAYER_CELLS for all layers."""
+def reach_budget(layers: int, width: int) -> None:
+    """TooLarge, before any allocation, past MAX_CONV_LEN for the power of two
+    at least 2 * width - 1, or past MAX_LAYER_CELLS for all `layers` layers."""
     L = 1 << (2 * width - 1).bit_length()
     if L > MAX_CONV_LEN:
         raise TooLarge(f"convolution length {L} over budget {MAX_CONV_LEN}")
     if layers * width > MAX_LAYER_CELLS:
         raise TooLarge(f"{layers} layers of {width} cells over budget {MAX_LAYER_CELLS}")
-    return L
 
 
-def certified(raw: np.ndarray) -> np.ndarray:
-    """raw > 1/2 for a real FFT product of 0/1 indicators, whose exact values
-    are nonnegative integers; VerificationError if any entry is more than 0.25
-    from an integer, since then the rounding cannot be trusted."""
-    residual = float(np.max(np.abs(raw - np.rint(raw))))
-    if residual > 0.25:
-        raise VerificationError(f"FFT rounding residual {residual:.3g} above 0.25")
-    return raw > 0.5
+def shift_or(words: int, offsets, width: int) -> int:
+    """The OR of words << v over the offsets, cut to its low `width` bits: the
+    sumset of the set whose bits words holds and the offsets, on [0, width)."""
+    acc = 0
+    for v in offsets:
+        acc |= words << v
+    return acc & ((1 << width) - 1)
+
+
+def _words(mask: np.ndarray) -> int:
+    """A boolean mask as an int: bit i is mask[i]."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+def _mask(words: int, width: int) -> np.ndarray:
+    """The low `width` bits of words as a boolean mask, _words' inverse."""
+    raw = np.frombuffer(words.to_bytes((width + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=width, bitorder="little").view(bool)
 
 
 def sumset_power(support, s: int, cap: int) -> np.ndarray:
     """Boolean mask over [0, cap] of the s-fold sumset of a nonnegative support.
 
-    Binary powering: A -> 2A -> 4A -> ..., with one product per set bit of s,
-    each a certified FFT product at the length reach_budget(s + 1, cap + 1)
-    gives, with its TooLarge.  Truncating every partial sumset to [0, cap] is
-    exact, since adding nonnegative elements never comes back down.
+    s - 1 rounds of shift_or over the support's values on [0, cap], under
+    reach_budget(s + 1, cap + 1) and its TooLarge.  Truncating every partial
+    sumset to [0, cap] is exact, since adding nonnegative elements never comes
+    back down.
     """
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     width = cap + 1
-    L = reach_budget(s + 1, width)
+    reach_budget(s + 1, width)
     sup = np.asarray(support, dtype=np.int64)
-    power = np.bincount(sup[sup < width], minlength=width) > 0
-    result = None
-    while True:
-        # power's spectrum, unless power is the last factor and needs no product
-        spectrum = None if s == 1 and result is None else np.fft.rfft(power, L)
-        if s & 1:
-            result = power if result is None else certified(
-                np.fft.irfft(np.fft.rfft(result, L) * spectrum, L)[:width]
-            )
-        s >>= 1
-        if not s:
-            return result
-        power = certified(np.fft.irfft(spectrum * spectrum, L)[:width])
+    first = np.zeros(width, dtype=bool)
+    first[sup[sup < width]] = True
+    offsets = np.flatnonzero(first).tolist()
+    words = _words(first)
+    for _ in range(s - 1):
+        words = shift_or(words, offsets, width)
+    return _mask(words, width)
 
 
 def scan_mask(support, s: int, cap: int) -> np.ndarray:
-    """sumset_power(support, s, cap), by a certified descent where one closes.
+    """sumset_power(support, s, cap), by a descent where one closes.
 
     A is the support on [0, cap], G its largest gap and c1 the least power
     of two at least 2G + 1.  D = (s-1)A on [0, c1) holds all of [K0, c1).  If
     the intervals [k + K0, k + c1 - 1], k in A, cover [c1, cap], every M
     there is k + d with d in D, so sA holds all of it; below c1, sA is the
-    one certified product D + A.  Otherwise (s < 2, c1 >= cap, or a gap in
-    the cover, as when A is obstructed modulo some q or its members are too
-    sparse) this is sumset_power over the whole range.  A support on a
-    progression k0 + gZ, g > 1, never closes the cover; the exception scan
-    hands this its reduced form (representations.square_progression).
+    one shift_or D + A.  Otherwise (s < 2, c1 >= cap, or a gap in the cover,
+    as when A is obstructed modulo some q or its members are too sparse)
+    this is sumset_power over the whole range.  A support on a progression
+    k0 + gZ, g > 1, never closes the cover; the exception scan hands this
+    its reduced form (representations.square_progression).
     """
     ks = np.sort(np.asarray(support, dtype=np.int64))  # not np.unique: ~10 ms on first use
     ks = ks[ks <= cap]
@@ -138,10 +143,8 @@ def scan_mask(support, s: int, cap: int) -> np.ndarray:
         covered = np.concatenate(([c1 - 1], ks + c1 - 1))
         gaps = (ks + K0 > covered[:-1] + 1) & (covered[:-1] < cap)
         if covered[-1] >= cap and not gaps.any():
-            L = reach_budget(2, c1)
-            ind = np.bincount(ks[ks < c1], minlength=c1) > 0
             out = np.ones(cap + 1, dtype=bool)
-            out[:c1] = certified(np.fft.irfft(np.fft.rfft(dense, L) * np.fft.rfft(ind, L), L)[:c1])
+            out[:c1] = _mask(shift_or(_words(dense), ks[ks < c1].tolist(), c1), c1)
             return out
     return sumset_power(ks, s, cap)
 
@@ -154,8 +157,7 @@ def lex_smallest_sum(supports, targets) -> list[Optional[tuple[int, ...]]]:
     An exact depth-first search in lexicographic order, with no FFT.  The
     pair sums of the last two supports are an exact boolean mask
     (np.add.outer).  Above it, suffix-sum bitsets (Python ints) are built
-    upward by one shift-OR per support value, while their bit-cells fit
-    MAX_BITSET_CELLS and each level's charge fits the steps left: bit x of
+    upward by shift_or, while their bit-cells fit MAX_BITSET_CELLS: bit x of
     level j's says that x plus the sum of the minima of supports[j:] is a
     sum of supports[j:].  Mask and bitsets are built once for all the
     targets, up to the largest.  From the first bitset level down the
@@ -173,10 +175,10 @@ def lex_smallest_sum(supports, targets) -> list[Optional[tuple[int, ...]]]:
     Every test is integer membership, so the first tuple found is the
     lex-smallest and an exhausted search proves there is none: nothing to
     certify.  Past MAX_SEARCH_STEPS steps over all the targets (a DFS node,
-    or SEARCH_CHUNK cells of vectorized work, 64-bit words shifted or values
-    tried greedily, the mask's and the bitsets' cells counted once) or for a
-    pair-sum mask longer than MAX_CONV_LEN, before it is built, it raises
-    TooLarge.
+    or SEARCH_CHUNK cells of vectorized work or values tried greedily, the
+    mask's cells counted once; the bitsets are bounded by MAX_BITSET_CELLS
+    alone) or for a pair-sum mask longer than MAX_CONV_LEN, before it is
+    built, it raises TooLarge.
     """
     targets = [int(t) for t in targets]
     given = len(supports)
@@ -239,10 +241,8 @@ def lex_smallest_sum(supports, targets) -> list[Optional[tuple[int, ...]]]:
     while depth:
         xmax = min(slack, rest_hi[depth - 1] - rest_lo[depth - 1])
         cells += len(sups[depth - 1]) * (xmax + 1)
-        cost = len(sups[depth - 1]) * ((xmax >> 6) + 1)  # 64-bit words shifted
-        if cells > MAX_BITSET_CELLS or steps + 1 + cost // SEARCH_CHUNK > MAX_SEARCH_STEPS:
+        if cells > MAX_BITSET_CELLS:
             break
-        charge(cost)
         if not bits:  # the mask, and the last support by itself
             last = np.zeros(int(sups[-1][-1] - sups[-1][0]) + 1, dtype=np.uint8)
             last[sups[-1] - sups[-1][0]] = 1
@@ -250,10 +250,7 @@ def lex_smallest_sum(supports, targets) -> list[Optional[tuple[int, ...]]]:
             bits = [b""] * (s - 2) + packed
             words = int.from_bytes(bits[s - 2], "little")
         depth -= 1
-        acc = 0
-        for offset in (sups[depth] - int(sups[depth][0])).tolist():
-            acc |= words << offset
-        words = acc & ((1 << (xmax + 1)) - 1)
+        words = shift_or(words, (sups[depth] - int(sups[depth][0])).tolist(), xmax + 1)
         bits[depth] = words.to_bytes((xmax >> 3) + 1, "little")
 
     def greedy(r: int) -> Optional[tuple[int, ...]]:

@@ -6,7 +6,7 @@ be reproduced from its own output.  Reports go to --out atomically (temp
 file plus rename); CSV sidecars land next to the report.
 
 Exit codes: 0 success, 1 verification failure (an oracle disagreed, or a
-computation's own certificate, second route or self-check failed:
+computation's own second route or self-check failed:
 VerificationError), 2 usage (ValueError, OSError) or out of memory (MemoryError).
 """
 

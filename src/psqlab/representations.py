@@ -7,9 +7,10 @@ n = s*m0 + g*M with M in sJ.  For p >= 5, p^2 = 1 (mod 24) makes g a
 multiple of 24; under a residue spec such as p = +-1 (mod 5) the squares
 lie on 121 + 120Z and g = 120.
 
-Existence (the exception scan, witnesses) is boolean reachability over M.
-The scan reads only the s-fold sumset sJ, from scan_mask; the sample
-witnesses come from one exact lex-order search for their M (lex_smallest_sum).
+Existence (the exception scan, witnesses) is boolean reachability over M,
+by exact shift-ORs on bitsets.  The scan reads only the s-fold sumset sJ,
+from scan_mask; the sample witnesses come from one exact lex-order search
+for their M (lex_smallest_sum).
 
 Ordered representation counts come from s-fold convolution of the
 prime-square indicator on the same progression, in s - 1 rounds of shifted

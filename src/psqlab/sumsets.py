@@ -1,6 +1,6 @@
 """The 8-fold residue cover check over Z(W): the integer 8-fold sumset of
-k = (b - 1)/24 from the shared engine (_gridfft.sumset_power, FFT products
-under a rounding-residual certificate), folded mod W/24.
+k = (b - 1)/24 from the shared engine (_gridfft.sumset_power, exact
+shift-ORs on bitsets), folded mod W/24.
 """
 
 from __future__ import annotations

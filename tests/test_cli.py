@@ -350,14 +350,16 @@ class TestExitCodes:
         assert err == "psqlab: error: autocorrelation of 2220 support points over budget 2000\n"
 
     def test_verification_error_is_exit_one(self, tmp_path, monkeypatch, capsys):
-        # a rounding certificate that fails is a verification failure, not usage
-        real_irfft = np.fft.irfft
-        monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: real_irfft(*a, **k) + 0.3)
+        # a scan hit that the witness search cannot back is a verification
+        # failure, not usage
+        import psqlab.representations as repr_mod
+
+        monkeypatch.setattr(repr_mod, "lex_smallest_sum", lambda supports, targets: [None] * len(targets))
         out = tmp_path / "exp.json"
         argv = ["experiment", "--s", "8", "--n-lo", "5000", "--n-hi", "400000", "--out", str(out)]
         assert run(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("psqlab: verification failed: FFT rounding residual")
+        assert err.startswith("psqlab: verification failed: scan marks n = ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 

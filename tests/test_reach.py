@@ -16,7 +16,7 @@ from psqlab._gridfft import (
     scan_mask,
     sumset_power,
 )
-from psqlab.errors import TooLarge, VerificationError
+from psqlab.errors import TooLarge
 from psqlab.primes import PrimeSubsetSpec, sieve, subset_members
 
 supports_st = st.lists(
@@ -132,15 +132,19 @@ class TestLexSmallestSumOracle:
         assert [sum(f) for f in found] == targets
         assert found[2] == (839,) + (1023,) * 7  # the least v_0 with seven maxima after it
 
-    def test_bitset_level_past_the_steps_left_is_not_built(self, monkeypatch):
-        # the mask of J + J costs 257 steps and the first bitset level above
-        # it 1 + 1024 * 48 // SEARCH_CHUNK = 13 (48 words of 64 bits for the
-        # 3 * 1023 + 1 sums of three supports); with 10 steps left after the
-        # mask that level is skipped, not charged, and the DFS over the
-        # vectorized bottom step answers in the steps that are left
+    def test_step_cap_is_monotone_past_the_mask(self, monkeypatch):
+        # the mask of J + J costs 257 steps; the bitset levels above it are
+        # bounded by MAX_BITSET_CELLS alone, never by the steps left, so the
+        # search is greedy from the top and answers in one more step at
+        # every cap past the mask, and the cap of the mask alone refuses it
         J = np.arange(1024, dtype=np.int64)
-        monkeypatch.setattr(gridfft, "MAX_SEARCH_STEPS", 257 + 10)
-        assert lex_smallest_sum([J] * 8, [8000]) == [(839,) + (1023,) * 7]
+        for k in range(40):
+            monkeypatch.setattr(gridfft, "MAX_SEARCH_STEPS", 257 + k)
+            if k:
+                assert lex_smallest_sum([J] * 8, [8000]) == [(839,) + (1023,) * 7]
+            else:
+                with pytest.raises(TooLarge, match="past its cap of 257 steps"):
+                    lex_smallest_sum([J] * 8, [8000])
 
     @pytest.mark.parametrize("s", [1, 2])
     def test_padding_keeps_a_one_cell_mask(self, monkeypatch, s):
@@ -238,10 +242,9 @@ class TestReach:
         assert bool(reach.layers[0][target % modulus]) == bool(found)
 
     def test_budget_checked_before_allocation(self):
-        assert reach_budget(9, MAX_CONV_LEN // 2) == MAX_CONV_LEN
-        with pytest.raises(TooLarge):
+        with pytest.raises(TooLarge, match=f"convolution length {2 * MAX_CONV_LEN} over budget"):
             reach_budget(2, MAX_CONV_LEN // 2 + 1)
-        with pytest.raises(TooLarge):
+        with pytest.raises(TooLarge, match=f"layers of 1000 cells over budget {MAX_LAYER_CELLS}"):
             reach_budget(MAX_LAYER_CELLS // 1000 + 1, 1000)
 
 
@@ -254,6 +257,13 @@ class TestSumsetPower:
         st.integers(1, 12),
         st.integers(0, 5000),
     )
+    # caps at the byte edges of the packed words, with sums on the top bit
+    @example(np.array([0, 7, 8, 63, 64], dtype=np.int64), 3, 0)
+    @example(np.array([0, 7, 8, 63, 64], dtype=np.int64), 3, 7)
+    @example(np.array([0, 7, 8, 63, 64], dtype=np.int64), 3, 8)
+    @example(np.array([0, 7, 8, 63, 64], dtype=np.int64), 3, 63)
+    @example(np.array([0, 7, 8, 63, 64], dtype=np.int64), 3, 64)
+    @example(np.array([], dtype=np.int64), 4, 64)  # an empty support
     def test_matches_reach_layer(self, support, s, cap):
         # the FFT-free reference on the support cut to [0, cap], modulo a q
         # past every sum of s of its elements, so nothing wraps
@@ -267,30 +277,6 @@ class TestSumsetPower:
             sumset_power(np.array([1]), 2, MAX_CONV_LEN // 2)
         with pytest.raises(TooLarge):
             sumset_power(np.array([1]), MAX_LAYER_CELLS // 1000, 999)
-
-    @pytest.mark.parametrize("s", [2, 3, 10, 12])
-    def test_every_product_is_certified(self, monkeypatch, s):
-        # one noisy irfft, at each product in turn, must raise
-        real_irfft = np.fft.irfft
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real_irfft(*args, **kwargs)
-
-        monkeypatch.setattr(gridfft.np.fft, "irfft", counting)
-        sumset_power(np.array([1, 2]), s, 100)
-        assert len(calls) == (s.bit_length() - 1) + (bin(s).count("1") - 1)
-        for bad in range(len(calls)):
-            seen = []
-
-            def noisy(*args, **kwargs):
-                seen.append(1)
-                return real_irfft(*args, **kwargs) + (0.3 if len(seen) == bad + 1 else 0.0)
-
-            monkeypatch.setattr(gridfft.np.fft, "irfft", noisy)
-            with pytest.raises(VerificationError):
-                sumset_power(np.array([1, 2]), s, 100)
 
 
 def lattice_ks(spec, s, hi, primes):
@@ -440,22 +426,35 @@ class TestScanMask:
         assert s_dense == 7 and c1 <= 1 << 18
         assert mask[c1:].all() and not mask[:7].any()
 
-    def test_descent_product_is_certified(self, monkeypatch, powers):
-        # the descent's own product D + A is the last irfft; noise there must raise
-        ks, cap = lattice_ks(PrimeSubsetSpec.all_primes(), 8, 4_000_000, self.primes)
-        real_irfft = np.fft.irfft
-        seen = []
-        monkeypatch.setattr(gridfft.np.fft, "irfft", lambda *a: seen.append(1) or real_irfft(*a))
-        scan_mask(ks, 8, cap)
-        assert (8, cap) not in powers
-        total = len(seen)
-        seen.clear()
 
-        def noisy_last(*args):
-            seen.append(1)
-            return real_irfft(*args) + (0.3 if len(seen) == total else 0.0)
+class TestNoFft:
+    def test_sumset_engine_runs_no_fft(self, monkeypatch, powers, ctx6, all_spec):
+        # with every FFT raising while they run: sumset_power, scan_mask's
+        # descent (closing at 4e6) and its fallback (a planted gap),
+        # verify_cover and count_violations' window route each give the
+        # exact answer
+        import psqlab.representations as reprs
+        from psqlab.sumsets import verify_cover
 
-        monkeypatch.setattr(gridfft.np.fft, "irfft", noisy_last)
-        with pytest.raises(VerificationError):
-            scan_mask(ks, 8, cap)
-        assert len(seen) == total
+        def no_fft(*args, **kwargs):
+            raise AssertionError("the sumset engine called an FFT")
+
+        for name in ("fft", "rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, no_fft)
+        support = np.array([0, 3, 7, 8, 64], dtype=np.int64)
+        reference = CyclicSumset([support] * 5, 5 * 100 + 1)
+        assert np.array_equal(sumset_power(support, 5, 100), reference.layers[0][:101])
+
+        ks, cap = lattice_ks(all_spec, 8, 4_000_000, TestScanMask.primes)
+        closed = scan_mask(ks, 8, cap)
+        [(s_dense, _)] = powers  # the descent closed, with no sumset_power at cap
+        assert s_dense == 7 and np.array_equal(closed, sumset_power(ks, 8, cap))
+        gapped = np.concatenate([np.arange(1, 51) + 1050 * j for j in range(100)])
+        fallback = scan_mask(gapped, 8, 100_000)
+        assert powers[1:] == [(7, 2047), (8, 100_000)]
+        assert np.array_equal(fallback, sumset_power(gapped, 8, 100_000))
+
+        assert verify_cover(ctx6, ctx6.Z_W)["missing"] == []
+        table = reprs.count_representations(20_000, 5, all_spec)
+        exceptions = reprs.theorem_experiment(5, all_spec, (0, 20_000))["exceptions"]
+        assert reprs.count_violations(table, 5, all_spec, 0, exceptions).size == 0

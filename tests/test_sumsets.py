@@ -144,14 +144,6 @@ class TestSumset:
             folded = members(CyclicSumset([folded, A], 13).layers[0])
         assert members(CyclicSumset([A] * 8, 13).layers[0]) == folded
 
-    def test_repeated_mask_transformed_once(self, ctx8, monkeypatch):
-        # verify_cover: one spectrum per squaring of the 8-fold power
-        calls = []
-        rfft = np.fft.rfft
-        monkeypatch.setattr(np.fft, "rfft", lambda *a: calls.append(1) or rfft(*a))
-        verify_cover(ctx8, ctx8.Z_W)
-        assert len(calls) == 3
-
 
 class TestVerifyCover:
     def test_w6_full_z_covers(self, ctx6):
