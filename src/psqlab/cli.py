@@ -61,7 +61,7 @@ FOURTH_MOMENT_TOL = 1e-6  # largest relative gap between the fourth moment's two
 # -- plumbing -----------------------------------------------------------------
 
 
-_INT_BATCH = 1 << 14  # plain ints joined per str.join call
+_INT_BATCH = 1 << 12  # plain ints joined per str.join call
 _FLUSH_CHARS = 1 << 16  # the most report text buffered before a write
 
 
@@ -84,11 +84,13 @@ def _scalar(o) -> str:
 def _pieces(o, nl: str):
     """The text of json.dumps(o, sort_keys=True, indent=2) in pieces, nl a
     newline and o's indent.  json's indent encoder is pure Python, a call per
-    element; here a list's plain ints are joined in C, _INT_BATCH at a time."""
+    element; here a list's plain ints are joined in C, _INT_BATCH at a time.
+    A 1-D int64 array, which json rejects, is written as its list of ints."""
     inner = nl + "  "
-    if not isinstance(o, (dict, list, tuple)):
+    array = isinstance(o, np.ndarray) and o.dtype == np.int64 and o.ndim == 1
+    if not (array or isinstance(o, (dict, list, tuple))):
         yield _scalar(o)
-    elif not o:
+    elif not len(o):
         yield "{}" if isinstance(o, dict) else "[]"
     elif isinstance(o, dict):
         for i, (key, value) in enumerate(sorted(o.items())):
@@ -101,7 +103,9 @@ def _pieces(o, nl: str):
         for lo in range(0, len(o), _INT_BATCH):
             batch = o[lo : lo + _INT_BATCH]
             yield sep if lo else "[" + inner
-            if set(map(type, batch)) == {int}:
+            if array:
+                batch = batch.tolist()
+            if array or set(map(type, batch)) == {int}:
                 yield sep.join(map(int.__repr__, batch))
                 continue
             for i, x in enumerate(batch):

@@ -20,6 +20,7 @@ from .errors import TooLarge
 MAX_SIEVE_LIMIT = 1 << 31
 INT64_BOUND = 1 << 63  # spec integers, which subset_members converts to int64, lie below it in size
 DENSITY_WINDOW = 1 << 21  # integers per window of empirical_density's count: 1 MiB of odd marks
+DENSITY_SLICE = 1 << 15  # a window's primes per subset_members call: its temporaries stay small
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MIX_C1 = 0xBF58476D1CE4E5B9
@@ -62,7 +63,9 @@ def sieve(limit: int, lo: int = 0) -> np.ndarray:
             start = max(p * p, -(-lo // p) * p)  # p's first multiple in the window, from p^2
             start += p * (start % 2 == 0)  # and the first odd one
             mark[(start - o0) // 2 :: p] = False
-    primes = np.flatnonzero(mark).astype(np.int64, copy=False) * 2 + o0
+    primes = np.flatnonzero(mark).astype(np.int64, copy=False)
+    primes *= 2  # in place, so a window holds one prime array
+    primes += o0
     if lo <= 2 <= limit:
         primes = np.concatenate(([2], primes))
     primes.flags.writeable = False
@@ -207,7 +210,9 @@ def empirical_density(spec: PrimeSubsetSpec, hi: int) -> float:
     """|P intersect [hi]| / |primes intersect [hi]|, both above min_prime.
 
     Both counts are integers summed over windows of DENSITY_WINDOW integers,
-    so no more than one window's primes are held at a time.  A spec that
+    so no more than one window's primes are held at a time, and the members
+    are counted DENSITY_SLICE primes at a time (the members of a slice are
+    that slice of the members), so neither are a window's.  A spec that
     keeps every prime has density 1.0 wherever it is defined, and Bertrand's
     postulate puts a prime in [m, 2m - 2] for m = max(min_prime, 2), so
     from hi = 2m - 2 on it is 1.0 without a sieve."""
@@ -218,7 +223,8 @@ def empirical_density(spec: PrimeSubsetSpec, hi: int) -> float:
     for lo in range(0, hi + 1, DENSITY_WINDOW):
         primes = sieve(min(lo + DENSITY_WINDOW - 1, hi), lo)
         reference += int(np.count_nonzero(primes >= spec.min_prime))
-        members += len(subset_members(spec, primes))
+        for k in range(0, len(primes), DENSITY_SLICE):
+            members += len(subset_members(spec, primes[k : k + DENSITY_SLICE]))
     if reference == 0:
         raise ValueError(f"no primes >= {spec.min_prime} below {hi}; density undefined")
     return members / reference

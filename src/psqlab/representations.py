@@ -178,12 +178,16 @@ def theorem_experiment(s: int, spec: PrimeSubsetSpec, n_range: tuple[int, int]) 
     A target n = s*m0 + g*M is represented when M is a nonnegative integer
     in sJ (square_progression), which the scan reads from scan_mask; the
     witnesses of the first three represented targets are
-    lex_smallest_sum([J] * s, [M1, M2, M3]).  Exceptions (no representation)
-    are reported, never fatal; a sampled target the search cannot back raises
+    lex_smallest_sum([J] * s, [M1, M2, M3]).  The targets are indices, never
+    built: target i < n_checked is n = first + 24i, on the progression only
+    for i in one class mod g/gcd(24, g) (none when gcd(24, g) does not divide
+    first - s*m0), where M steps by 24/gcd(24, g); so the scan holds one
+    byte per target and the mask.  Exceptions (no representation) are
+    reported, never fatal; a sampled target the search cannot back raises
     VerificationError.  Needs s >= 1, then a range that starts at n >= 0
     (ValueError, before anything is built); the density counts the primes up
-    to hi.  The report lists the exceptions in ascending order and each
-    witness as its n and primes.
+    to hi.  The report lists the exceptions in ascending order, as one int64
+    array, and each witness as its n and primes.
     """
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
@@ -196,18 +200,31 @@ def theorem_experiment(s: int, spec: PrimeSubsetSpec, n_range: tuple[int, int]) 
     density = empirical_density(spec, hi)  # its sieve windows before the scan's arrays
     m0, g, J = square_progression(spec, hi)
 
-    first = lo + ((s - lo) % 24)
-    targets = np.arange(first, hi + 1, 24, dtype=np.int64)
-    M = targets - s * m0  # updated in place: one target-length array besides targets
-    hit = M >= 0
-    if 24 % g or (first - s * m0) % g:  # else every target, 24 apart, is on it
-        hit &= M % g == 0
-    M //= g
-    np.clip(M, 0, None, out=M)
-    hit &= scan_mask(J, s, max(hi - s * m0, 0) // g)[M]
-    exceptions = targets[~hit].tolist()
+    first = lo + ((s - lo) % 24)  # target i is n = first + 24i = s*m0 + A + 24i
+    T = max((hi - first) // 24 + 1, 0)
+    A = first - s * m0
+    d = math.gcd(24, g)
+    hit = np.zeros(T, dtype=bool)
+    if A % d == 0:  # else g never divides A + 24i
+        # g | A + 24i for i = r (mod period); i0 the first such i with A + 24i >= 0
+        period = g // d
+        r = -(A // d) * pow(24 // d, -1, period) % period
+        i_min = max(-(A // 24), 0)
+        i0 = i_min + (r - i_min) % period
+        on = hit[i0::period]  # M = (A + 24i)/g steps by 24/d from M0 along it
+        M0 = (A + 24 * i0) // g
+        on[:] = scan_mask(J, s, max(hi - s * m0, 0) // g)[M0 :: 24 // d][: len(on)]
+    sampled, i = [], 0
+    while len(sampled) < 3 and i < T:  # the first three hits, by argmax walks
+        i += int(hit[i:].argmax())
+        if not hit[i]:
+            break
+        sampled.append(first + 24 * i)
+        i += 1
+    exceptions = np.flatnonzero(np.logical_not(hit, out=hit)).astype(np.int64, copy=False)
+    exceptions *= 24
+    exceptions += first
     witnesses = []
-    sampled = targets[hit][:3].tolist()
     found = lex_smallest_sum([J] * s, [(n - s * m0) // g for n in sampled])
     for n, js in zip(sampled, found):
         if js is None:
@@ -222,9 +239,9 @@ def theorem_experiment(s: int, spec: PrimeSubsetSpec, n_range: tuple[int, int]) 
         "empirical_density": density,
         "density_exceeds_threshold": density > lam,
         "range": [lo, hi],
-        "n_checked": len(targets),
+        "n_checked": T,
         "exceptions": exceptions,
-        "max_exception": exceptions[-1] if exceptions else None,  # targets ascend
+        "max_exception": int(exceptions[-1]) if len(exceptions) else None,  # targets ascend
         "sample_witnesses": witnesses,
         "exploratory": s < 8,
     }

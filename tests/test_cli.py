@@ -1263,6 +1263,36 @@ class TestReports:
         assert "".join(writes) == json.dumps(report, sort_keys=True, indent=2) + "\n"
         assert len(writes) > 5 and max(map(len, writes)) <= 2 << 20
 
+    @pytest.mark.parametrize(
+        "batches, extra",
+        [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 5)],
+        ids=["0", "1", "B-1", "B", "B+1", "3B+5"],
+    )
+    def test_dump_writes_an_int64_array_as_its_list(self, batches, extra):
+        # the exception scan reports its exceptions as one int64 array; B is
+        # cli._INT_BATCH, the ints joined at a time
+        from psqlab.cli import _INT_BATCH, _dump
+
+        length = batches * _INT_BATCH + extra
+        arr = np.arange(length, dtype=np.int64) * 7919 - 3 * length
+        if length:
+            arr[-1] = -(2**63)
+        for report, plain in ((arr, arr.tolist()), ({"e": arr, "n": 1}, {"e": arr.tolist(), "n": 1})):
+            buf = io.StringIO()
+            _dump(report, buf)
+            assert buf.getvalue() == json.dumps(plain, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "arr",
+        [np.zeros(2, dtype=np.int32), np.zeros(2), np.zeros((2, 2), dtype=np.int64), np.int64(3)],
+        ids=["int32", "float64", "2-D", "int64-scalar"],
+    )
+    def test_dump_rejects_other_arrays(self, arr):
+        from psqlab.cli import _dump
+
+        with pytest.raises(TypeError):
+            _dump({"a": arr}, io.StringIO())
+
     def test_arcs_with_model(self, tmp_path):
         out = tmp_path / "arcs.json"
         code = run(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import count_line
 
-from psqlab._gridfft import lex_smallest_sum
+from psqlab._gridfft import lex_smallest_sum, scan_mask
 from psqlab.errors import Infeasible, NotFound, TooLarge, VerificationError
 from psqlab.primes import PrimeSubsetSpec, sieve, subset_members
 from psqlab.representations import (
@@ -19,6 +20,7 @@ from psqlab.representations import (
     m_window_deviation,
     member_roots,
     scan_lattice,
+    square_progression,
     theorem_experiment,
     transfer_witness,
     window_length,
@@ -236,7 +238,88 @@ class TestFindWitness:
         assert smallest_witness(n, s, spec) == brute_smallest(n, s, spec, sieve(100))
 
 
+def target_array_scan(s, spec, n_range):
+    """(exceptions, n_checked, sample witnesses) of theorem_experiment, by
+    the scan it once ran: an array of every target n, their M = (n - s*m0)/g
+    and a mask read at each M."""
+    lo, hi = n_range
+    m0, g, J = square_progression(spec, hi)
+    first = lo + ((s - lo) % 24)
+    targets = np.arange(first, hi + 1, 24, dtype=np.int64)
+    M = targets - s * m0
+    hit = (M >= 0) & (M % g == 0)
+    M //= g
+    np.clip(M, 0, None, out=M)
+    hit &= scan_mask(J, s, max(hi - s * m0, 0) // g)[M]
+    sampled = targets[hit][:3].tolist()
+    found = lex_smallest_sum([J] * s, [(n - s * m0) // g for n in sampled])
+    witnesses = [
+        {"n": n, "primes": [math.isqrt(m0 + g * j) for j in js]} for n, js in zip(sampled, found)
+    ]
+    return targets[~hit].tolist(), len(targets), witnesses
+
+
+@st.composite
+def scan_specs(draw):
+    """all (min_prime 2, 3, 5), residues mod 5, 7 or 11, bernoulli, and
+    explicit lists: [2, 3] (g = 5), [5, 11] (g = 96, which does not divide
+    24), one member or none."""
+    kind = draw(st.sampled_from(["all", "residues", "bernoulli", "explicit"]))
+    if kind == "all":
+        return PrimeSubsetSpec.all_primes(draw(st.sampled_from([2, 3, 5])))
+    if kind == "residues":
+        q = draw(st.sampled_from([5, 7, 11]))
+        return PrimeSubsetSpec.residue_classes(q, draw(st.sets(st.integers(1, q - 1), min_size=1)))
+    if kind == "bernoulli":
+        return PrimeSubsetSpec.bernoulli(draw(st.floats(0.3, 1.0)), draw(st.integers(0, 1000)))
+    primes = draw(st.sampled_from([[], [5], [2, 3], [5, 11], [2], [3]]))
+    return PrimeSubsetSpec.explicit(primes, min_prime=2)
+
+
 class TestTheoremExperiment:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        scan_specs(),
+        st.integers(1, 12),
+        st.integers(5, 30_000),
+        st.sampled_from(["equal", "zero", "below", "any"]),
+        st.integers(0, 10**6),
+    )
+    @example(PrimeSubsetSpec.explicit([5, 11]), 8, 20_000, "below", 7)
+    @example(PrimeSubsetSpec.explicit([2]), 3, 1007, "zero", 0)  # gcd(24, g) = 8 does not divide A
+    @example(PrimeSubsetSpec.explicit([]), 5, 5000, "any", 123)
+    @example(PrimeSubsetSpec.all_primes(min_prime=2), 12, 30_000, "below", 5)
+    @example(PrimeSubsetSpec.residue_classes(5, [1, 4]), 10, 30_000, "zero", 0)
+    def test_matches_the_target_array_scan(self, spec, s, hi, where, u):
+        m0 = square_progression(spec, hi)[0]
+        lo = {"equal": hi, "zero": 0, "below": u % min(s * m0, hi + 1), "any": u % (hi + 1)}[where]
+        report = theorem_experiment(s, spec, (lo, hi))
+        exceptions, n_checked, witnesses = target_array_scan(s, spec, (lo, hi))
+        assert report["exceptions"].dtype == np.int64
+        assert report["exceptions"].tolist() == exceptions
+        assert report["n_checked"] == n_checked
+        assert report["max_exception"] == (exceptions[-1] if exceptions else None)
+        assert report["sample_witnesses"] == witnesses
+
+    def test_scan_holds_no_target_length_array(self, all_spec):
+        # 833,126 targets: an int64 array over them is 8 bytes each, and the
+        # scan's peak stays under one; the exceptions of explicit:5 (every
+        # target) stay one int64 array after the call
+        hi = 2 * 10**7
+        tracemalloc.start()
+        try:
+            report = theorem_experiment(8, all_spec, (5000, hi))
+            peak = tracemalloc.get_traced_memory()[1]
+            assert report["n_checked"] == 833_126
+            assert peak < 8 * report["n_checked"]
+            del report
+            report = theorem_experiment(8, PrimeSubsetSpec.explicit([5]), (5000, hi))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(report["exceptions"]) == 833_126
+        assert held <= 8 * len(report["exceptions"]) + (1 << 20)
+
     @settings(max_examples=60, deadline=None)
     @given(small_specs(), st.integers(1, 6), st.integers(0, 3000), st.integers(0, 2000))
     # as in test_matches_brute_force_any_spec: the squares' progression at its edges
@@ -254,7 +337,7 @@ class TestTheoremExperiment:
         report = theorem_experiment(s, spec, (lo, hi))
         counts = count_line(count_representations(hi, s, spec))
         targets = range(lo + ((s - lo) % 24), hi + 1, 24)
-        assert report["exceptions"] == [n for n in targets if counts[n] == 0]
+        assert report["exceptions"].tolist() == [n for n in targets if counts[n] == 0]
         represented = [n for n in targets if counts[n] != 0]
         assert [w["n"] for w in report["sample_witnesses"]] == represented[:3]
         for w in report["sample_witnesses"]:
@@ -273,7 +356,7 @@ class TestTheoremExperiment:
 
     def test_small_range_no_exceptions(self, all_spec):
         report = theorem_experiment(8, all_spec, (200, 20_000))
-        assert report["exceptions"] == []
+        assert report["exceptions"].tolist() == []
         assert report["max_exception"] is None
         assert report["n_checked"] == len(range(200, 20_001, 24))
         assert report["density_exceeds_threshold"] is True
@@ -326,7 +409,7 @@ class TestTheoremExperiment:
         assert s_dense == 9 and top < (hi - 10 * m0) // g
         monkeypatch.setattr(reprs, "scan_mask", real)
         plain = theorem_experiment(10, spec, (0, hi))
-        assert report["exceptions"] == plain["exceptions"] and len(report["exceptions"]) > 0
+        assert report["exceptions"].tolist() == plain["exceptions"].tolist() and len(report["exceptions"]) > 0
         assert report["sample_witnesses"] == plain["sample_witnesses"]
 
     def test_unbacked_witness_raises(self, monkeypatch):
@@ -359,7 +442,7 @@ class TestTheoremExperiment:
     def test_exceptions_reported_not_fatal(self, all_spec):
         # below 8 * 25 nothing is representable: every target is an exception
         report = theorem_experiment(8, all_spec, (8, 199))
-        assert report["exceptions"] == list(range(8, 200, 24))
+        assert report["exceptions"].tolist() == list(range(8, 200, 24))
         assert report["max_exception"] == 176
         assert report["sample_witnesses"] == []
 
