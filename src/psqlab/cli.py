@@ -23,23 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from ._csvio import write_csv
 from .errors import Infeasible, NotFound, TooLarge, VerificationError
-from .expsums import (
-    MAX_GAUSS_MODULUS,
-    MAX_LOCAL_FACTOR_Q,
-    arc_partition,
-    compare_major,
-    dft_grid,
-    gauss_sum,
-    gauss_sum_row,
-    indicator_transform_grid,
-    minor_arc_scan,
-    pseudorandom_sup,
-    s_closed,
-    s_direct,
-    vanishes,
-)
 from .arith import factorize, unit_mask
 from .primes import PrimeSubsetSpec
 from .representations import (
@@ -51,9 +35,10 @@ from .representations import (
     transfer_witness,
     window_length,
 )
-from .restriction import dyadic_profile, fourth_moment_routes, level_sets, lq_moment
-from .sumsets import exhaustive_lemma_check
 from .wtrick import build_context, f_sequence, nu_sequence
+
+# expsums, restriction, sumsets and _csvio are imported by the handlers that
+# call them, so a transfer, experiment or represent line never loads them.
 
 FOURTH_MOMENT_TOL = 1e-6  # largest relative gap between the fourth moment's two routes
 
@@ -216,6 +201,9 @@ def _cmd_context(args) -> tuple[dict, int]:
 
 
 def _cmd_gauss(args) -> tuple[dict, int]:
+    from ._csvio import write_csv
+    from .expsums import MAX_GAUSS_MODULUS, gauss_sum, gauss_sum_row
+
     kmax = args.kmax
     if kmax > MAX_GAUSS_MODULUS:
         raise TooLarge(f"--kmax {kmax} exceeds bound {MAX_GAUSS_MODULUS}")
@@ -250,6 +238,8 @@ def _cmd_gauss(args) -> tuple[dict, int]:
 
 
 def _cmd_saq(args) -> tuple[dict, int]:
+    from .expsums import MAX_LOCAL_FACTOR_Q, s_closed, s_direct, vanishes
+
     ctx = build_context(args.w)
     if args.qmax > MAX_LOCAL_FACTOR_Q:  # refused before any q, not at the first q past it
         raise TooLarge(f"--qmax {args.qmax} exceeds bound {MAX_LOCAL_FACTOR_Q}")
@@ -281,6 +271,8 @@ def _cmd_saq(args) -> tuple[dict, int]:
 
 
 def _cmd_arcs(args) -> tuple[dict, int]:
+    from .expsums import arc_partition, compare_major, dft_grid, minor_arc_scan
+
     partition = arc_partition(args.N, args.A)
     result = {
         "N": args.N,
@@ -302,6 +294,8 @@ def _cmd_arcs(args) -> tuple[dict, int]:
 
 
 def _cmd_pseudo(args) -> tuple[dict, int]:
+    from .expsums import indicator_transform_grid, pseudorandom_sup
+
     ws = [int(t) for t in args.w_list.split(",") if t]
     reference = indicator_transform_grid(args.N, args.K)  # validates N, K and the grid budget
     rows = []
@@ -321,6 +315,8 @@ def _cmd_pseudo(args) -> tuple[dict, int]:
 
 
 def _cmd_moments(args) -> tuple[dict, int]:
+    from .restriction import fourth_moment_routes, lq_moment
+
     _, b, spec, seq = _sequence(args, args.spec)
     grid_route, auto_route = fourth_moment_routes(seq)  # its budget check runs first
     rel_difference = abs(grid_route - auto_route) / max(abs(grid_route), 1e-300)
@@ -342,6 +338,8 @@ def _cmd_moments(args) -> tuple[dict, int]:
 
 
 def _cmd_levelsets(args) -> tuple[dict, int]:
+    from .restriction import dyadic_profile, level_sets
+
     levels = [finite_float(u) for u in args.levels.split(",")] if args.levels else None
     _, b, spec, seq = _sequence(args, args.spec)
     profile = dyadic_profile(seq, q_exponent=args.q_exponent)
@@ -367,6 +365,8 @@ def _cmd_levelsets(args) -> tuple[dict, int]:
 
 
 def _cmd_sumset_verify(args) -> tuple[dict, int]:
+    from .sumsets import exhaustive_lemma_check
+
     ctx = build_context(args.w)
     report = exhaustive_lemma_check(ctx)
     return {"lemma": report}, 1 if report["failures"] else 0

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvio import write_csv
 from ._gridfft import MAX_CONV_LEN, lex_smallest_sum, reach_budget, scan_mask, sumset_power
 from .arith import factorize
 from .errors import NotFound, TooLarge, VerificationError
@@ -74,6 +73,8 @@ class ReprCountTable:
 
     def to_csv(self, path) -> None:
         """Write the nonzero counts as (n, count) rows, n ascending."""
+        from ._csvio import write_csv
+
         i = np.flatnonzero(self.values)
         write_csv(path, ["n", "count"], [self.start + self.step * i, self.values[i]])
 

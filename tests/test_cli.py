@@ -20,7 +20,16 @@ from hypothesis import strategies as st
 from conftest import count_line, gauss_row_gcd
 from psqlab._csvio import write_csv
 from psqlab.arith import factorize
-from psqlab.cli import _COMMANDS, _COMMON, _build_parser, _parse_spec, _parse_table, finite_float, run
+from psqlab.cli import (
+    _COMMANDS,
+    _COMMON,
+    _INT_BATCH,
+    _build_parser,
+    _parse_spec,
+    _parse_table,
+    finite_float,
+    run,
+)
 from psqlab.expsums import MAX_GAUSS_MODULUS, MAX_LOCAL_FACTOR_Q
 from psqlab.primes import PrimeSubsetSpec
 from psqlab.representations import count_violations, theorem_experiment
@@ -83,8 +92,6 @@ class Level(enum.IntEnum):
     LOW = -2
     HIGH = 2**40
 
-
-_INT_BATCH = 1 << 14  # ints per joined batch in cli._dump
 
 json_scalars = st.one_of(
     st.text(),  # non-ASCII, quotes and control characters among them
@@ -375,9 +382,9 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_fourth_moment_routes_disagreeing_is_exit_one(self, tmp_path, monkeypatch, capsys):
-        import psqlab.cli as cli_mod
+        import psqlab.restriction as restriction_mod
 
-        monkeypatch.setattr(cli_mod, "fourth_moment_routes", lambda seq: (1.0, 2.0))
+        monkeypatch.setattr(restriction_mod, "fourth_moment_routes", lambda seq: (1.0, 2.0))
         out = tmp_path / "m.json"
         assert run(["moments", "--w", "6", "--N", "4096", "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -426,12 +433,13 @@ class TestExitCodes:
     def test_non_finite_float_option_exits_two_before_any_work(self, argv, monkeypatch, capsys):
         # each wrote NaN or Infinity into a report and exited 0, or failed late
         import psqlab.cli as cli_mod
+        import psqlab.expsums as expsums_mod
 
         def unreachable(*args, **kwargs):
             raise AssertionError("work started on a non-finite option")
 
         monkeypatch.setattr(cli_mod, "build_context", unreachable)
-        monkeypatch.setattr(cli_mod, "arc_partition", unreachable)
+        monkeypatch.setattr(expsums_mod, "arc_partition", unreachable)
         assert run(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and "Traceback" not in err
@@ -486,12 +494,12 @@ class TestExitCodes:
         assert report["result"]["requested_levels"]["u"] == [0.5, 0.1]
 
     def test_check_failure_is_exit_one(self, tmp_path, monkeypatch):
-        import psqlab.cli as cli_mod
+        import psqlab.expsums as expsums_mod
 
         def broken(ctx, b, q, a):
             return 123 + 0j
 
-        monkeypatch.setattr(cli_mod, "s_closed", broken)
+        monkeypatch.setattr(expsums_mod, "s_closed", broken)
         out = tmp_path / "bad.json"
         assert run(["saq", "--w", "4", "--qmax", "5", "--check", "--out", str(out)]) == 1
 
@@ -559,13 +567,13 @@ class TestChecks:
         assert "--kmax" in err and "Traceback" not in err
 
     def test_saq_qmax_past_bound_exits_two_before_loop(self, monkeypatch, capsys):
-        import psqlab.cli as cli_mod
+        import psqlab.expsums as expsums_mod
 
         def no_loop(*args):
             raise AssertionError("the saq loop started past the bound")
 
-        monkeypatch.setattr(cli_mod, "s_direct", no_loop)
-        monkeypatch.setattr(cli_mod, "s_closed", no_loop)
+        monkeypatch.setattr(expsums_mod, "s_direct", no_loop)
+        monkeypatch.setattr(expsums_mod, "s_closed", no_loop)
         qmax = MAX_LOCAL_FACTOR_Q + 1
         assert run(["saq", "--w", "4", "--qmax", str(qmax)]) == 2
         captured = capsys.readouterr()
@@ -1146,6 +1154,21 @@ class TestParser:
         proc = run_fresh(["argparse", "gettext", "locale"], lines)
         assert proc.returncode == 0, proc.stderr
 
+    def test_counting_and_transfer_lines_load_no_spectral_engine(self, tmp_path):
+        # cli imports expsums, restriction, sumsets and _csvio in the handlers
+        # that call them, and ReprCountTable.to_csv imports the CSV writer
+        engines = ["psqlab.expsums", "psqlab.restriction", "psqlab.sumsets"]
+        lines = [
+            f"transfer --w 6 --n 960008 --s 8 --out {tmp_path / 't.json'}",
+            f"experiment --s 8 --n-lo 5000 --n-hi 200000 --out {tmp_path / 'e.json'}",
+        ]
+        proc = run_fresh(engines + ["csv"], lines)
+        assert proc.returncode == 0, proc.stderr
+        out = tmp_path / "r.json"
+        proc = run_fresh(engines, [f"represent --s 8 --limit 20000 --csv --out {out}"])
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "r.counts.csv").stat().st_size > 0
+
 
 class TestReports:
     def test_reproducible_modulo_timestamp(self, tmp_path):
@@ -1271,7 +1294,7 @@ class TestReports:
     def test_dump_writes_an_int64_array_as_its_list(self, batches, extra):
         # the exception scan reports its exceptions as one int64 array; B is
         # cli._INT_BATCH, the ints joined at a time
-        from psqlab.cli import _INT_BATCH, _dump
+        from psqlab.cli import _dump
 
         length = batches * _INT_BATCH + extra
         arr = np.arange(length, dtype=np.int64) * 7919 - 3 * length
@@ -1381,16 +1404,16 @@ class TestReports:
             float(im_text)
 
     def test_pseudo_builds_indicator_grid_once(self, tmp_path, monkeypatch):
-        import psqlab.cli as cli_mod
+        import psqlab.expsums as expsums_mod
 
         calls = []
-        real = cli_mod.indicator_transform_grid
+        real = expsums_mod.indicator_transform_grid
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(cli_mod, "indicator_transform_grid", counting)
+        monkeypatch.setattr(expsums_mod, "indicator_transform_grid", counting)
         out = tmp_path / "pseudo.json"
         assert run(["pseudo", "--N", "4096", "--K", "4", "--w-list", "4,6,8", "--out", str(out)]) == 0
         assert calls == [(4096, 4)]
