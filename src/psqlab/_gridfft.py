@@ -8,9 +8,10 @@ bits of Python ints: integer work with no rounding, so nothing to certify.
 sumset_power is s - 1 rounds of it and scan_mask's descent closes with one
 more.  lex_smallest_sum, behind the experiment's sample witnesses, the
 transfer's residue selection and its index search, is an exact lex-order
-search over a boolean mask of pair sums and, where they fit a budget,
-suffix-sum bitsets above it, built by shift_or, that let its last levels
-finish greedily; it raises TooLarge past its step cap or its mask budget.
+search whose last levels finish greedily over suffix-sum bitsets: a
+packed boolean mask of pair sums at the bottom and, where they fit a
+budget, levels built above it by shift_or; it raises TooLarge past its
+step cap or its mask budget.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ MAX_CONV_LEN = 1 << 24
 # size / 64, a bound on the words its s - 1 rounds of shift-ORs touch
 MAX_LAYER_CELLS = 1 << 28
 MAX_SEARCH_STEPS = 1 << 20  # lex_smallest_sum's steps before it raises TooLarge
-# cells of one of its vectorized steps, counted as one step: such a step
-# takes about 48 us, the time of about 40 DFS nodes at 1.2 us each (2 vCPUs,
-# numpy 2.4.6), so the step cap bounds a search's time only to within 40x
+# cells of its pair-sum mask's build, or values its greedy finish tries,
+# counted as one step, as a DFS node is; a chunk of the mask's build takes
+# about 29 us, the time of 10-30 DFS nodes (2 vCPUs, numpy 2.4.6), and is
+# charged once, up front
 SEARCH_CHUNK = 1 << 12
 # bit-cells of its suffix-sum bitsets, over all levels: a larger stack takes
 # longer to build than many of the walks it would shorten
@@ -159,29 +161,28 @@ def lex_smallest_sum(supports, targets) -> list[Optional[tuple[int, ...]]]:
 
     An exact depth-first search in lexicographic order, with no FFT.  The
     pair sums of the last two supports are an exact boolean mask
-    (np.add.outer).  Above it, suffix-sum bitsets (Python ints) are built
-    upward by shift_or, while their bit-cells fit MAX_BITSET_CELLS: bit x of
-    level j's says that x plus the sum of the minima of supports[j:] is a
-    sum of supports[j:].  Mask and bitsets are built once for all the
-    targets, up to the largest.  From the first bitset level down the
-    search is greedy, with no backtracking: each level takes its least value
-    whose remainder the next bitset holds.  The levels above are walked in
-    ascending order, keeping a value only while the suffix sums of the later
-    supports' minima and maxima can still meet the remainder, and a (level,
-    remainder) that failed once, for any target, is not tried again; the
-    last of them tests each remainder against the first bitset.  With no
-    bitset level, the last four levels are one vectorized step instead: the
-    first d of supports[-4] for which some u of supports[-3] has r - d - u
-    in the mask, then the first such u, then the last two values by lookup.
-    Trailing {0} supports pad fewer than four, with the same sums in the
-    same lex order, and each answer is cut back to its first s values.
-    Every test is integer membership, so the first tuple found is the
-    lex-smallest and an exhausted search proves there is none: nothing to
-    certify.  Past MAX_SEARCH_STEPS steps over all the targets (a DFS node,
-    or SEARCH_CHUNK cells of vectorized work or values tried greedily, the
-    mask's cells counted once; the bitsets are bounded by MAX_BITSET_CELLS
-    alone) or for a pair-sum mask longer than MAX_CONV_LEN, before it is
-    built, it raises TooLarge.
+    (np.add.outer), packed as the bottom level of a stack of suffix-sum
+    bitsets: bit x of level j's says that x plus the sum of the minima of
+    supports[j:] is a sum of supports[j:].  The levels above the mask are
+    built upward by shift_or, on Python ints, while their bit-cells fit
+    MAX_BITSET_CELLS.  Mask and bitsets are built once for all the targets,
+    up to the largest.  From the top level of the stack down the search is
+    greedy, with no backtracking: each level takes its least value whose
+    remainder the next level holds.  The levels above the stack are walked
+    in ascending order, keeping a value only while the suffix sums of the
+    later supports' minima and maxima can still meet the remainder, and a
+    (level, remainder) that failed once, for any target, is not tried again;
+    the last of them tests each remainder against the stack's top level,
+    the mask itself when no level above it fits.  Trailing {0} supports pad
+    fewer than four, with the same sums in the same lex order: below three
+    supports the mask is then built from two padded {0} supports and has one
+    cell.  Each answer is cut back to its first s values.  Every test is
+    integer membership, so the first tuple found is the lex-smallest and an
+    exhausted search proves there is none: nothing to certify.  Past
+    MAX_SEARCH_STEPS steps over all the targets (a DFS node, or SEARCH_CHUNK
+    cells of the mask's build or values tried greedily; the bitsets are
+    bounded by MAX_BITSET_CELLS alone) or for a pair-sum mask longer than
+    MAX_CONV_LEN, before it is built, it raises TooLarge.
     """
     targets = [int(t) for t in targets]
     given = len(supports)
@@ -208,20 +209,10 @@ def lex_smallest_sum(supports, targets) -> list[Optional[tuple[int, ...]]]:
         if steps > MAX_SEARCH_STEPS:
             raise TooLarge(f"witness search past its cap of {MAX_SEARCH_STEPS} steps")
 
-    def span(sup: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        return sup[np.searchsorted(sup, lo) : np.searchsorted(sup, hi, "right")]
-
     def window(j: int, r: int) -> np.ndarray:
         """The values v of sups[j] whose remainder r - v sups[j+1:] can still meet."""
-        return span(sups[j], r - rest_hi[j + 1], r - rest_lo[j + 1])
-
-    def pair(r: int) -> Optional[tuple[int, int]]:
-        """Lex-smallest (a, b) from the last two supports with a + b = r, or None."""
-        a = window(s - 2, r)
-        charge(len(a))
-        last = sups[-1]
-        hit = last[np.minimum(np.searchsorted(last, r - a), len(last) - 1)] == r - a
-        return (int(a[np.argmax(hit)]), int(r - a[np.argmax(hit)])) if hit.any() else None
+        lo, hi = r - rest_hi[j + 1], r - rest_lo[j + 1]
+        return sups[j][np.searchsorted(sups[j], lo) : np.searchsorted(sups[j], hi, "right")]
 
     # mask[i]: base + i is a pair sum of the last two supports, up to the
     # largest remainder they can be left with
@@ -238,23 +229,27 @@ def lex_smallest_sum(supports, targets) -> list[Optional[tuple[int, ...]]]:
 
     # bits[j], for j from s - 1 up to depth: bit x (byte x >> 3, bit x & 7)
     # set when rest_lo[j] + x is a sum of sups[j:], for x up to the least of
-    # the slack and rest_hi[j] - rest_lo[j]; level j comes from level j + 1
-    # by one shift-OR per value of sups[j]
-    bits, depth, cells = [], s - 2, 0
+    # the slack and rest_hi[j] - rest_lo[j].  Level s - 2 is the packed mask
+    # and level s - 1 the last support by itself, each a byte view of its
+    # packed array (no copy); each level above comes from the one below by
+    # one shift-OR per value of sups[j], while they fit
+    bits = [b""] * (s - 2) + [np.packbits(mask, bitorder="little").data]
+    del mask  # freed before the last support's cells are allocated
+    last = np.zeros(int(sups[-1][-1] - sups[-1][0]) + 1, dtype=np.uint8)
+    last[sups[-1] - sups[-1][0]] = 1
+    bits.append(np.packbits(last, bitorder="little").data)
+    del last
+    depth, cells = s - 2, 0
     while depth:
         xmax = min(slack, rest_hi[depth - 1] - rest_lo[depth - 1])
         cells += len(sups[depth - 1]) * (xmax + 1)
         if cells > MAX_BITSET_CELLS:
             break
-        if not bits:  # the mask, and the last support by itself
-            last = np.zeros(int(sups[-1][-1] - sups[-1][0]) + 1, dtype=np.uint8)
-            last[sups[-1] - sups[-1][0]] = 1
-            packed = [np.packbits(a, bitorder="little").tobytes() for a in (mask, last)]
-            bits = [b""] * (s - 2) + packed
-            words = int.from_bytes(bits[s - 2], "little")
+        words = int.from_bytes(bits[depth], "little")
         depth -= 1
         words = shift_or(words, (sups[depth] - int(sups[depth][0])).tolist(), xmax + 1)
         bits[depth] = words.to_bytes((xmax >> 3) + 1, "little")
+    values = [sup.tolist() for sup in sups[depth:-1]]
 
     def greedy(r: int) -> Optional[tuple[int, ...]]:
         """Lex-smallest tail from sups[depth:] summing to r, or None: each
@@ -277,42 +272,16 @@ def lex_smallest_sum(supports, targets) -> list[Optional[tuple[int, ...]]]:
         charge(tried)
         return tuple(tail) + (r,)
 
-    def bottom(r: int) -> Optional[tuple[int, ...]]:
-        """Lex-smallest tail from sups[depth:] summing to r, or None, with
-        no bitset above the mask: one vectorized step over four levels."""
-        # the first head d, then u, leaving a pair sum in the mask
-        heads = window(depth, r)
-        inner = sups[-3]
-        rows = max(1, SEARCH_CHUNK // len(inner))
-        for i in range(0, len(heads), rows):
-            d = heads[i : i + rows]
-            u = span(inner, r - int(d[-1]) - rest_hi[s - 2], r - int(d[0]) - base)
-            charge(len(d) * len(u))
-            idx = r - base - np.add.outer(d, u)
-            ok = (idx >= 0) & (idx < length) & mask[np.clip(idx, 0, length - 1)]
-            if ok.any():
-                row = int(np.argmax(ok.any(axis=1)))
-                col = int(np.argmax(ok[row]))
-                head = (int(d[row]), int(u[col]))
-                return head + pair(r - sum(head))
-        return None
-
-    if bits:
-        values = [sup.tolist() for sup in sups[depth:-1]]
-        finish = greedy
-    else:
-        depth -= 2  # the vectorized step takes the last four levels
-        finish = bottom
     dead = set()  # (level, remainder) with no completion
 
     def search(target: int) -> Optional[tuple[int, ...]]:
         if not least <= target <= rest_hi[0]:
             return None
         if depth == 0:
-            return finish(target)
-        # the levels above the finishing step, walked in ascending order by
-        # a stack of candidate iterators; path[j] is the value taken at level
-        # j, rem[j] the remainder level j must meet
+            return greedy(target)
+        # the levels above the bitsets, walked in ascending order by a stack
+        # of candidate iterators; path[j] is the value taken at level j,
+        # rem[j] the remainder level j must meet
         path, rem, stack = [], [target], [iter(window(0, target).tolist())]
         while stack:
             j = len(stack) - 1
@@ -328,7 +297,7 @@ def lex_smallest_sum(supports, targets) -> list[Optional[tuple[int, ...]]]:
             if (j + 1, r) in dead:
                 continue
             if j + 1 == depth:
-                tail = finish(r)
+                tail = greedy(r)
                 if tail is not None:
                     return tuple(path) + (v,) + tail
                 dead.add((depth, r))

@@ -71,8 +71,9 @@ class TestLexSmallestSumOracle:
     @example([sorted_support([1, 3]), sorted_support([])] + [sorted_support([0])] * 4, 1)
     @example([sorted_support([5, 7])] * 6, -1)
     def test_matches_product_minimum_up_to_eight_supports(self, supports, target):
-        # the DFS levels above the bottom step, and the bottom step padded to
-        # four levels with trailing {0} supports below four supports
+        # the DFS levels above the bitsets, and the greedy finish over the
+        # mask, padded to four levels with trailing {0} supports below four
+        # supports
         assert lex_smallest_sum(supports, [target]) == [brute_smallest(supports, target)]
 
     @settings(max_examples=100, deadline=None)
@@ -86,10 +87,11 @@ class TestLexSmallestSumOracle:
     @example([sorted_support([0, 1])] * 8, [8, 0, 3])
     @example([sorted_support([2, 4])] * 8, [17, 16])  # every sum is even
     def test_every_bitset_budget_matches_product_minimum(self, supports, targets):
-        # no bitset (the DFS over the vectorized bottom step), a partial stack
-        # (the DFS over the top levels, then greedy: 2^8 bit-cells hold one or
-        # two of the lowest levels of eight 3-point supports) and every level
-        # (greedy from the top) all give the product minimum
+        # no bitset above the mask (the DFS over every level above it, then
+        # greedy over the mask), a partial stack (the DFS over the top levels,
+        # then greedy: 2^8 bit-cells hold one or two of the lowest levels of
+        # eight 3-point supports) and every level (greedy from the top) all
+        # give the product minimum
         expected = [brute_smallest(supports, t) for t in targets]
         for cells in (0, 1 << 8, 1 << 60):
             with pytest.MonkeyPatch.context() as mp:
@@ -100,7 +102,8 @@ class TestLexSmallestSumOracle:
     @given(st.data(), st.integers(4, 12), st.sampled_from([60, 600, 6000]), st.integers(1, 1 << 22))
     def test_every_bitset_budget_gives_the_same_tuples(self, data, s, hi, partial):
         # larger supports than a brute force can walk, where a level takes up
-        # to about 2^22 bit-cells: no bitset, a partial stack and every level agree
+        # to about 2^22 bit-cells: no level above the mask, a partial stack
+        # and every level agree
         supports = [
             data.draw(st.lists(st.integers(0, hi), min_size=1, max_size=60).map(sorted_support))
             for _ in range(s)

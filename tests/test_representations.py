@@ -496,6 +496,25 @@ class TestTransferWitness:
             assert p * p % 120 == b
         assert sum(w["indices"]) == w["m"] == (n - sum(w["residues"])) // 120
 
+    def test_searches_over_the_mask_alone_stay_far_under_the_step_cap(self, ctx6, all_spec, monkeypatch):
+        # the index search of transfer --w 6 --n 1000000016 --s 8 and the
+        # sample witnesses of the [1.9e8, 2e8] experiment fit no bitset level
+        # above their pair-sum masks, so the DFS walks every level above the
+        # mask and finishes greedily over it: both answer within 2^13 steps,
+        # a 128th of MAX_SEARCH_STEPS (their reports are pinned by
+        # tests/golden/transfer_w6_1e9.json and experiment_all_2e8.json)
+        import psqlab._gridfft as gridfft
+
+        monkeypatch.setattr(gridfft, "MAX_SEARCH_STEPS", 1 << 13)
+        w = transfer_witness(ctx6, 1_000_000_016, 8, all_spec)
+        assert w["indices"] == [1, 1, 1, 4095, 2082704, 2082704, 2082704, 2081123]
+        result = theorem_experiment(8, all_spec, (190_000_000, 200_000_000))
+        assert [x["primes"] for x in result["sample_witnesses"]] == [
+            [5, 5, 5, 5, 5, 7, 8089, 11161],
+            [5, 5, 5, 5, 7, 7, 8089, 11161],
+            [5, 5, 5, 5, 5, 11, 863, 13757],
+        ]
+
     def test_congruence_precondition(self, ctx4, all_spec):
         with pytest.raises(ValueError):
             transfer_witness(ctx4, 10000, 8, all_spec)
