@@ -8,33 +8,36 @@ bits of Python ints: integer work with no rounding, so nothing to certify.
 sumset_power is s - 1 rounds of it and scan_mask's descent closes with one
 more.  lex_smallest_sum, behind the experiment's sample witnesses, the
 transfer's residue selection and its index search, is an exact lex-order
-search whose last levels finish greedily over suffix-sum bitsets: a
-packed boolean mask of pair sums at the bottom and, where they fit a
-budget, levels built above it by shift_or; it raises TooLarge past its
-step cap or its mask budget.
+search: one walk over its levels, each asked by one membership test
+whether it can still complete a remainder.  Low levels answer from a stack
+of suffix-sum bitsets, a packed boolean mask of pair sums at the bottom
+and, where they fit a budget, levels built above it by shift_or; levels
+above the stack answer from a memo of the remainders that failed.  It
+raises TooLarge past its step cap or its mask budget.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Optional
+from bisect import bisect_left, bisect_right
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .errors import TooLarge
 
 MAX_GRID = 1 << 25
-# cells of a pair-sum mask, pair matrix or count convolution, and the power
-# of two at least 2 * width - 1 for a sumset layer's width (at most 2^23)
+# cells of a pair-sum mask, pair matrix or count convolution, and at least
+# 2 * width - 1 for a sumset layer's width (at most 2^23)
 MAX_CONV_LEN = 1 << 24
 # (s + 1) * (cap + 1) of an s-fold sumset on [0, cap]: times the support's
 # size / 64, a bound on the words its s - 1 rounds of shift-ORs touch
 MAX_LAYER_CELLS = 1 << 28
 MAX_SEARCH_STEPS = 1 << 20  # lex_smallest_sum's steps before it raises TooLarge
-# cells of its pair-sum mask's build, or values its greedy finish tries,
-# counted as one step, as a DFS node is; a chunk of the mask's build takes
-# about 29 us, the time of 10-30 DFS nodes (2 vCPUs, numpy 2.4.6), and is
-# charged once, up front
+# cells of its pair-sum mask's build, or values its walk tries from the top
+# of its bitset stack down, counted as one step, as a value tried above the
+# stack is; a chunk of the mask's build takes about 29 us, the time of 30-45
+# steps of the walk above the stack (2 vCPUs, numpy 2.4.6), and is charged
+# once, up front
 SEARCH_CHUNK = 1 << 12
 # bit-cells of its suffix-sum bitsets, over all levels: a larger stack takes
 # longer to build than many of the walks it would shorten
@@ -72,11 +75,10 @@ def grid_transform(values: np.ndarray, N: int, K: int) -> np.ndarray:
 
 
 def reach_budget(layers: int, width: int) -> None:
-    """TooLarge, before any allocation, past MAX_CONV_LEN for the power of two
-    at least 2 * width - 1, or past MAX_LAYER_CELLS for all `layers` layers."""
-    L = 1 << (2 * width - 1).bit_length()
-    if L > MAX_CONV_LEN:
-        raise TooLarge(f"convolution length {L} over budget {MAX_CONV_LEN}")
+    """TooLarge, before any allocation, for 2 * width - 1 past MAX_CONV_LEN, or
+    past MAX_LAYER_CELLS for all `layers` layers."""
+    if 2 * width - 1 > MAX_CONV_LEN:
+        raise TooLarge(f"sumset width {width} over budget: 2 * width - 1 > {MAX_CONV_LEN}")
     if layers * width > MAX_LAYER_CELLS:
         raise TooLarge(f"{layers} layers of {width} cells over budget {MAX_LAYER_CELLS}")
 
@@ -165,24 +167,24 @@ def lex_smallest_sum(supports, targets) -> list[Optional[tuple[int, ...]]]:
     bitsets: bit x of level j's says that x plus the sum of the minima of
     supports[j:] is a sum of supports[j:].  The levels above the mask are
     built upward by shift_or, on Python ints, while their bit-cells fit
-    MAX_BITSET_CELLS.  Mask and bitsets are built once for all the targets,
-    up to the largest.  From the top level of the stack down the search is
-    greedy, with no backtracking: each level takes its least value whose
-    remainder the next level holds.  The levels above the stack are walked
-    in ascending order, keeping a value only while the suffix sums of the
-    later supports' minima and maxima can still meet the remainder, and a
-    (level, remainder) that failed once, for any target, is not tried again;
-    the last of them tests each remainder against the stack's top level,
-    the mask itself when no level above it fits.  Trailing {0} supports pad
-    fewer than four, with the same sums in the same lex order: below three
-    supports the mask is then built from two padded {0} supports and has one
-    cell.  Each answer is cut back to its first s values.  Every test is
-    integer membership, so the first tuple found is the lex-smallest and an
-    exhausted search proves there is none: nothing to certify.  Past
-    MAX_SEARCH_STEPS steps over all the targets (a DFS node, or SEARCH_CHUNK
-    cells of the mask's build or values tried greedily; the bitsets are
-    bounded by MAX_BITSET_CELLS alone) or for a pair-sum mask longer than
-    MAX_CONV_LEN, before it is built, it raises TooLarge.
+    MAX_BITSET_CELLS; the top one built is level depth.  Mask and bitsets
+    are built once for all the targets, up to the largest.  One walk tries
+    each level's values in ascending order, only those with which the suffix
+    sums of the later supports' minima and maxima can still meet the
+    remainder, and descends on the first whose remainder the next level
+    holds.  A level from depth down holds a remainder when its bit is set,
+    so the walk never backtracks there; a level above holds it unless that
+    (level, remainder) failed before, for any target.  Trailing {0} supports
+    pad fewer than four, with the same sums in the same lex order: below
+    three supports the mask is then built from two padded {0} supports and
+    has one cell.  Each answer is cut back to its first s values.  Every
+    test is integer membership, so the first tuple found is the lex-smallest
+    and an exhausted search proves there is none: nothing to certify.  Past
+    MAX_SEARCH_STEPS steps over all the targets (a value tried above depth,
+    or SEARCH_CHUNK cells of the mask's build or of the values tried from
+    depth down, charged with the tuple; the bitsets are bounded by
+    MAX_BITSET_CELLS alone) or for a pair-sum mask longer than MAX_CONV_LEN,
+    before it is built, it raises TooLarge.
     """
     targets = [int(t) for t in targets]
     given = len(supports)
@@ -208,11 +210,6 @@ def lex_smallest_sum(supports, targets) -> list[Optional[tuple[int, ...]]]:
         steps += 1 + cells // SEARCH_CHUNK
         if steps > MAX_SEARCH_STEPS:
             raise TooLarge(f"witness search past its cap of {MAX_SEARCH_STEPS} steps")
-
-    def window(j: int, r: int) -> np.ndarray:
-        """The values v of sups[j] whose remainder r - v sups[j+1:] can still meet."""
-        lo, hi = r - rest_hi[j + 1], r - rest_lo[j + 1]
-        return sups[j][np.searchsorted(sups[j], lo) : np.searchsorted(sups[j], hi, "right")]
 
     # mask[i]: base + i is a pair sum of the last two supports, up to the
     # largest remainder they can be left with
@@ -249,40 +246,32 @@ def lex_smallest_sum(supports, targets) -> list[Optional[tuple[int, ...]]]:
         depth -= 1
         words = shift_or(words, (sups[depth] - int(sups[depth][0])).tolist(), xmax + 1)
         bits[depth] = words.to_bytes((xmax >> 3) + 1, "little")
-    values = [sup.tolist() for sup in sups[depth:-1]]
+    values = [sup.tolist() for sup in sups[:-1]]
+    dead = set()  # (level, remainder) above depth with no completion
 
-    def greedy(r: int) -> Optional[tuple[int, ...]]:
-        """Lex-smallest tail from sups[depth:] summing to r, or None: each
-        level takes its least value whose remainder the next bitset holds."""
-        x = r - rest_lo[depth]
-        if not bits[depth][x >> 3] >> (x & 7) & 1:
-            return None
-        tail, tried = [], 0
-        for j, vals in enumerate(values, depth):
-            below, row = rest_lo[j + 1], bits[j + 1]
-            i = k = bisect_left(vals, r - min(rest_hi[j + 1], below + slack))
-            while True:
-                x = r - vals[k] - below
-                if row[x >> 3] >> (x & 7) & 1:
-                    break
-                k += 1
-            tried += k - i + 1
-            tail.append(vals[k])
-            r -= vals[k]
-        charge(tried)
-        return tuple(tail) + (r,)
+    def holds(j: int, r: int) -> bool:
+        """Whether sups[j:] can still sum to r: level j's bit from depth
+        down, and above it, that (j, r) has not failed before."""
+        if j < depth:
+            return (j, r) not in dead
+        x = r - rest_lo[j]
+        return bits[j][x >> 3] >> (x & 7) & 1 == 1
 
-    dead = set()  # (level, remainder) with no completion
+    def window(j: int, r: int) -> Iterator[int]:
+        """The values v of sups[j] whose remainder r - v sups[j+1:] can still
+        meet, in ascending order."""
+        vals = values[j]
+        lo = bisect_left(vals, r - rest_hi[j + 1])
+        return iter(vals[lo : bisect_right(vals, r - rest_lo[j + 1], lo)])
 
     def search(target: int) -> Optional[tuple[int, ...]]:
-        if not least <= target <= rest_hi[0]:
+        if not (least <= target <= rest_hi[0] and holds(0, target)):
             return None
-        if depth == 0:
-            return greedy(target)
-        # the levels above the bitsets, walked in ascending order by a stack
-        # of candidate iterators; path[j] is the value taken at level j,
-        # rem[j] the remainder level j must meet
-        path, rem, stack = [], [target], [iter(window(0, target).tolist())]
+        # the levels walked in ascending order by a stack of candidate
+        # iterators; path[j] is the value taken at level j, rem[j] the
+        # remainder level j must meet.  Only a level above depth can run out
+        # of candidates: one at or below it holds its remainder
+        path, rem, stack, tried = [], [target], [window(0, target)], 0
         while stack:
             j = len(stack) - 1
             v = next(stack[-1], None)
@@ -292,19 +281,19 @@ def lex_smallest_sum(supports, targets) -> list[Optional[tuple[int, ...]]]:
                 if path:
                     path.pop()
                 continue
-            charge()
-            r = rem[-1] - v
-            if (j + 1, r) in dead:
-                continue
-            if j + 1 == depth:
-                tail = greedy(r)
-                if tail is not None:
-                    return tuple(path) + (v,) + tail
-                dead.add((depth, r))
+            if j < depth:
+                charge()
             else:
-                path.append(v)
-                rem.append(r)
-                stack.append(iter(window(j + 1, r).tolist()))
+                tried += 1
+            r = rem[-1] - v
+            if not holds(j + 1, r):
+                continue
+            if j + 1 == s - 1:  # the last support holds r itself
+                charge(tried)  # the values tried from depth down, with the tuple
+                return tuple(path) + (v, r)
+            path.append(v)
+            rem.append(r)
+            stack.append(window(j + 1, r))
         return None
 
     found = [search(t) for t in targets]

@@ -71,9 +71,9 @@ class TestLexSmallestSumOracle:
     @example([sorted_support([1, 3]), sorted_support([])] + [sorted_support([0])] * 4, 1)
     @example([sorted_support([5, 7])] * 6, -1)
     def test_matches_product_minimum_up_to_eight_supports(self, supports, target):
-        # the DFS levels above the bitsets, and the greedy finish over the
-        # mask, padded to four levels with trailing {0} supports below four
-        # supports
+        # the walk, which may backtrack above the bitsets and never does
+        # from the top one down, padded to four levels with trailing {0}
+        # supports below four supports
         assert lex_smallest_sum(supports, [target]) == [brute_smallest(supports, target)]
 
     @settings(max_examples=100, deadline=None)
@@ -87,11 +87,11 @@ class TestLexSmallestSumOracle:
     @example([sorted_support([0, 1])] * 8, [8, 0, 3])
     @example([sorted_support([2, 4])] * 8, [17, 16])  # every sum is even
     def test_every_bitset_budget_matches_product_minimum(self, supports, targets):
-        # no bitset above the mask (the DFS over every level above it, then
-        # greedy over the mask), a partial stack (the DFS over the top levels,
-        # then greedy: 2^8 bit-cells hold one or two of the lowest levels of
-        # eight 3-point supports) and every level (greedy from the top) all
-        # give the product minimum
+        # no bitset above the mask (the walk may backtrack at every level
+        # above it), a partial stack (it may backtrack over the top levels:
+        # 2^8 bit-cells hold one or two of the lowest levels of eight 3-point
+        # supports) and every level (it never backtracks) all give the
+        # product minimum
         expected = [brute_smallest(supports, t) for t in targets]
         for cells in (0, 1 << 8, 1 << 60):
             with pytest.MonkeyPatch.context() as mp:
@@ -138,8 +138,8 @@ class TestLexSmallestSumOracle:
     def test_step_cap_is_monotone_past_the_mask(self, monkeypatch):
         # the mask of J + J costs 257 steps; the bitset levels above it are
         # bounded by MAX_BITSET_CELLS alone, never by the steps left, so the
-        # search is greedy from the top and answers in one more step at
-        # every cap past the mask, and the cap of the mask alone refuses it
+        # walk never backtracks and answers in one more step at every cap
+        # past the mask, and the cap of the mask alone refuses it
         J = np.arange(1024, dtype=np.int64)
         for k in range(40):
             monkeypatch.setattr(gridfft, "MAX_SEARCH_STEPS", 257 + k)
@@ -245,7 +245,10 @@ class TestReach:
         assert bool(reach.layers[0][target % modulus]) == bool(found)
 
     def test_budget_checked_before_allocation(self):
-        with pytest.raises(TooLarge, match=f"convolution length {2 * MAX_CONV_LEN} over budget"):
+        reach_budget(2, MAX_CONV_LEN // 2)  # 2 * width - 1 = MAX_CONV_LEN - 1
+        with pytest.raises(
+            TooLarge, match=rf"width {MAX_CONV_LEN // 2 + 1} over budget: 2 \* width - 1 > {MAX_CONV_LEN}"
+        ):
             reach_budget(2, MAX_CONV_LEN // 2 + 1)
         with pytest.raises(TooLarge, match=f"layers of 1000 cells over budget {MAX_LAYER_CELLS}"):
             reach_budget(MAX_LAYER_CELLS // 1000 + 1, 1000)

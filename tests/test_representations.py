@@ -344,7 +344,8 @@ class TestTheoremExperiment:
             assert tuple(w["primes"]) == brute_smallest(w["n"], s, spec, sieve(100))
 
     def test_scan_lattice_reach(self, all_spec):
-        # stride 24: the FFT over K holds 2 * (cap + 1) <= MAX_CONV_LEN points
+        # stride 24: K takes a width of MAX_CONV_LEN / 2 cells, the widest
+        # with 2 * width - 1 <= MAX_CONV_LEN
         reach = 8 + 24 * (MAX_CONV_LEN // 2 - 1) + 23
         scan_lattice(8, all_spec, reach)
         with pytest.raises(TooLarge):
@@ -514,6 +515,39 @@ class TestTransferWitness:
             [5, 5, 5, 5, 7, 7, 8089, 11161],
             [5, 5, 5, 5, 5, 11, 863, 13757],
         ]
+
+    @pytest.mark.parametrize(
+        "search, steps",
+        [
+            ("transfer --w 6 --n 1000000016 --s 8", 214),
+            ("experiment --s 8 --n-lo 190000000 --n-hi 200000000", 2302),
+            ("transfer --w 12 --n 19377684488 --s 8 --spec bernoulli:0.9:7", 28_885),
+        ],
+    )
+    def test_step_accounting_over_the_mask_alone(self, ctx6, all_spec, monkeypatch, search, steps):
+        # with no bitset level above the mask, each value the walk tries
+        # above it is one step, and the values tried from the mask down are
+        # charged once, with the tuple: each search answers in exactly these
+        # steps, so a cap one lower refuses it (the residue selections before
+        # the transfers' index searches take at most 9 steps)
+        import psqlab._gridfft as gridfft
+
+        run = {
+            "transfer --w 6 --n 1000000016 --s 8": lambda: transfer_witness(
+                ctx6, 1_000_000_016, 8, all_spec
+            ),
+            "experiment --s 8 --n-lo 190000000 --n-hi 200000000": lambda: theorem_experiment(
+                8, all_spec, (190_000_000, 200_000_000)
+            ),
+            "transfer --w 12 --n 19377684488 --s 8 --spec bernoulli:0.9:7": lambda: transfer_witness(
+                build_context(12), 19_377_684_488, 8, PrimeSubsetSpec.bernoulli(0.9, 7)
+            ),
+        }[search]
+        monkeypatch.setattr(gridfft, "MAX_SEARCH_STEPS", steps)
+        run()
+        monkeypatch.setattr(gridfft, "MAX_SEARCH_STEPS", steps - 1)
+        with pytest.raises(TooLarge, match=f"past its cap of {steps - 1} steps"):
+            run()
 
     def test_congruence_precondition(self, ctx4, all_spec):
         with pytest.raises(ValueError):
