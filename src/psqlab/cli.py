@@ -46,7 +46,7 @@ FOURTH_MOMENT_TOL = 1e-6  # largest relative gap between the fourth moment's two
 # -- plumbing -----------------------------------------------------------------
 
 
-_INT_BATCH = 1 << 12  # plain ints joined per str.join call
+_INT_BATCH = 1 << 12  # plain ints formatted per %-template
 _FLUSH_CHARS = 1 << 16  # the most report text buffered before a write
 
 
@@ -69,7 +69,8 @@ def _scalar(o) -> str:
 def _pieces(o, nl: str):
     """The text of json.dumps(o, sort_keys=True, indent=2) in pieces, nl a
     newline and o's indent.  json's indent encoder is pure Python, a call per
-    element; here a list's plain ints are joined in C, _INT_BATCH at a time.
+    element; here a list's plain ints are formatted in C, one %d-template per
+    _INT_BATCH of them (%d on an exact int is int.__repr__).
     A 1-D int64 array, which json rejects, is written as its list of ints."""
     inner = nl + "  "
     array = isinstance(o, np.ndarray) and o.dtype == np.int64 and o.ndim == 1
@@ -91,7 +92,7 @@ def _pieces(o, nl: str):
             if array:
                 batch = batch.tolist()
             if array or set(map(type, batch)) == {int}:
-                yield sep.join(map(int.__repr__, batch))
+                yield sep.join(["%d"] * len(batch)) % tuple(batch)
                 continue
             for i, x in enumerate(batch):
                 yield sep if i else ""

@@ -20,7 +20,7 @@ from .errors import TooLarge
 MAX_SIEVE_LIMIT = 1 << 31
 INT64_BOUND = 1 << 63  # spec integers, which subset_members converts to int64, lie below it in size
 DENSITY_WINDOW = 1 << 21  # integers per window of empirical_density's count: 1 MiB of odd marks
-DENSITY_SLICE = 1 << 15  # a window's primes per subset_members call: its temporaries stay small
+DENSITY_SLICE = 1 << 15  # a window's marks turned into primes at a time: its temporaries stay small
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MIX_C1 = 0xBF58476D1CE4E5B9
@@ -43,15 +43,10 @@ def _splitmix64_array(x: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def sieve(limit: int, lo: int = 0) -> np.ndarray:
-    """The primes in [lo, limit], ascending, as a read-only int64 array.
-
-    A window sieve over the odd numbers only: odd n >= 3 sits at index
-    (n - o0) // 2, o0 the least of them >= lo, and each odd prime up to
-    isqrt(limit), from sieve(isqrt(limit)), strikes its odd multiples from
-    max(p^2, lo) with step p in that index.  2 is added when it lies in the
-    window.  Empty when limit < max(lo, 2).
-    """
+def _odd_marks(limit: int, lo: int) -> tuple[np.ndarray, int]:
+    """Marks of the window [lo, limit]'s odd n >= 3, True where n is prime, n
+    at index (n - o0) // 2, and o0, the least of them.  Each odd prime up to
+    isqrt(limit) strikes its odd multiples from max(p^2, lo), step p there."""
     if limit < 0 or lo < 0:
         raise ValueError(f"sieve bounds must be >= 0, got [{lo}, {limit}]")
     if limit > MAX_SIEVE_LIMIT:
@@ -63,11 +58,21 @@ def sieve(limit: int, lo: int = 0) -> np.ndarray:
             start = max(p * p, -(-lo // p) * p)  # p's first multiple in the window, from p^2
             start += p * (start % 2 == 0)  # and the first odd one
             mark[(start - o0) // 2 :: p] = False
+    return mark, o0
+
+
+def _primes(mark: np.ndarray, o0: int, two: bool) -> np.ndarray:
+    """The primes of odd marks from o0, as int64, after a 2 if two."""
     primes = np.flatnonzero(mark).astype(np.int64, copy=False)
-    primes *= 2  # in place, so a window holds one prime array
+    primes *= 2  # in place, so the marks' indices are the one prime array
     primes += o0
-    if lo <= 2 <= limit:
-        primes = np.concatenate(([2], primes))
+    return np.concatenate(([2], primes)) if two else primes
+
+
+def sieve(limit: int, lo: int = 0) -> np.ndarray:
+    """The primes in [lo, limit], ascending, as a read-only int64 array: the
+    window's odd marks, and 2 where it lies in the window."""
+    primes = _primes(*_odd_marks(limit, lo), lo <= 2 <= limit)
     primes.flags.writeable = False
     return primes
 
@@ -182,49 +187,52 @@ class PrimeSubsetSpec:
         raise ValueError(f"unknown variant {variant!r}")
 
 
+def _keep(spec: PrimeSubsetSpec, base: np.ndarray) -> np.ndarray:
+    """Which of base, primes >= min_prime, are members, each on its own."""
+    if spec.variant == VARIANT_BERNOULLI and spec.rho < 1.0:
+        draws = _splitmix64_array(np.uint64(splitmix64(spec.seed)) ^ base.astype(np.uint64))
+        return draws < np.uint64(int(spec.rho * float(1 << 64)))
+    if spec.variant not in (VARIANT_RESIDUE_CLASSES, VARIANT_EXPLICIT):
+        return np.ones(len(base), dtype=bool)
+    # a lookup in the classes or primes, which their constructors sort; an x
+    # past the last wanted one reads the -1, which no x >= 0 equals
+    x = base % spec.modulus if spec.variant == VARIANT_RESIDUE_CLASSES else base
+    wanted = np.append(np.asarray(spec.classes or spec.primes, dtype=np.int64), -1)
+    return wanted[np.searchsorted(wanted[:-1], x)] == x
+
+
 def subset_members(spec: PrimeSubsetSpec, primes: np.ndarray) -> np.ndarray:
     """Ordered members of the subset among the given ascending primes (>= min_prime).
 
     Every variant keeps or drops each prime on its own, so the members of a
     slice of the primes are that slice of the members."""
     base = primes[primes >= spec.min_prime]
-    if spec.variant == VARIANT_ALL:  # base is already a fresh array
-        return base
-    if spec.variant == VARIANT_RESIDUE_CLASSES:
-        keep = np.isin(base % spec.modulus, np.asarray(spec.classes, dtype=np.int64))
-        return base[keep]
-    if spec.variant == VARIANT_BERNOULLI:
-        if spec.rho >= 1.0:
-            return base
-        key = splitmix64(spec.seed)
-        draws = _splitmix64_array(np.uint64(key) ^ base.astype(np.uint64))
-        threshold = np.uint64(int(spec.rho * float(1 << 64)))
-        return base[draws < threshold]
-    # explicit_list, whose primes explicit() sorts: a lookup, no sort; a base
-    # prime past the last wanted one reads the -1, which no prime equals
-    wanted = np.append(np.asarray(spec.primes, dtype=np.int64), -1)
-    return base[wanted[np.searchsorted(wanted[:-1], base)] == base]
+    return base[_keep(spec, base)]
 
 
 def empirical_density(spec: PrimeSubsetSpec, hi: int) -> float:
     """|P intersect [hi]| / |primes intersect [hi]|, both above min_prime.
 
     Both counts are integers summed over windows of DENSITY_WINDOW integers,
-    so no more than one window's primes are held at a time, and the members
-    are counted DENSITY_SLICE primes at a time (the members of a slice are
-    that slice of the members), so neither are a window's.  A spec that
-    keeps every prime has density 1.0 wherever it is defined, and Bertrand's
-    postulate puts a prime in [m, 2m - 2] for m = max(min_prime, 2), so
-    from hi = 2m - 2 on it is 1.0 without a sieve."""
+    so no more than one window's marks are held at a time.  DENSITY_SLICE
+    of them at a time become primes; the reference counts those from
+    min_prime on, and the members are count_nonzero of their keep mask, so
+    no table of primes is built and nothing is compressed.  A spec that keeps
+    every prime has density 1.0 wherever it is defined, and Bertrand's
+    postulate puts a prime in [m, 2m - 2] for m = max(min_prime, 2), so from
+    hi = 2m - 2 on it is 1.0 without a sieve."""
     keeps_all = spec.variant == VARIANT_ALL or (spec.variant == VARIANT_BERNOULLI and spec.rho >= 1.0)
     if keeps_all and hi >= 2 * max(spec.min_prime, 2) - 2:
         return 1.0
     members = reference = 0
     for lo in range(0, hi + 1, DENSITY_WINDOW):
-        primes = sieve(min(lo + DENSITY_WINDOW - 1, hi), lo)
-        reference += int(np.count_nonzero(primes >= spec.min_prime))
-        for k in range(0, len(primes), DENSITY_SLICE):
-            members += len(subset_members(spec, primes[k : k + DENSITY_SLICE]))
+        mark, o0 = _odd_marks(min(lo + DENSITY_WINDOW - 1, hi), lo)
+        for k in range(0, len(mark) or 1, DENSITY_SLICE):  # a window of no odd number may hold 2
+            primes = _primes(mark[k : k + DENSITY_SLICE], o0 + 2 * k, lo == k == 0 and hi >= 2)
+            base = primes[np.count_nonzero(primes < spec.min_prime) :]  # ascending: a view
+            reference += len(base)
+            members += int(np.count_nonzero(_keep(spec, base)))
+        del mark  # before the next window's marks are made
     if reference == 0:
         raise ValueError(f"no primes >= {spec.min_prime} below {hi}; density undefined")
     return members / reference

@@ -1376,12 +1376,15 @@ class TestReports:
         # the squares, the witnesses and the --check oracle sieve no further
         # than isqrt(hi); past it, only the density's windows of 2^21
         # integers, which tile [0, hi], and none for the default spec all,
-        # whose density is 1.0 by Bertrand's postulate
+        # whose density is 1.0 by Bertrand's postulate.  Every sieve, and
+        # every density window, marks its window through _odd_marks.
+        import psqlab.primes as primes_mod
         from psqlab.primes import DENSITY_WINDOW
 
         hi = int(argv[-1])
         calls = []
-        real = patch_sieve(monkeypatch, lambda limit, lo=0: calls.append((lo, limit)) or real(limit, lo))
+        real = primes_mod._odd_marks
+        monkeypatch.setattr(primes_mod, "_odd_marks", lambda limit, lo: calls.append((lo, limit)) or real(limit, lo))
         assert run(argv + ["--out", str(tmp_path / "r.json")]) == 0
         windows = [(lo, limit) for lo, limit in calls if limit > math.isqrt(hi)]
         tiles = [(lo, min(lo + DENSITY_WINDOW - 1, hi)) for lo in range(0, hi + 1, DENSITY_WINDOW)]

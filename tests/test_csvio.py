@@ -3,6 +3,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import as_sequence, count_line
 from psqlab._csvio import _CHUNK_ROWS, write_csv
@@ -55,6 +57,43 @@ class TestWriteCsv:
         assert written(tmp_path / "c.csv") == b"k,re,im\r\n"
         write_csv(tmp_path / "d.csv", ["k"], [])
         assert written(tmp_path / "d.csv") == b"k\r\n"
+
+
+FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -2.0**-1074 * 7, 2.0**-1022 * 0.5, 1e16, -1e16, 1e-5, 1e22]),
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+COLUMN_POOLS = st.one_of(
+    st.tuples(st.just(np.int64), st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=8)),
+    st.tuples(st.just(object), st.lists(st.integers(-(2**80), 2**80), min_size=1, max_size=8)),
+    st.tuples(st.just(np.float64), st.lists(FLOATS, min_size=1, max_size=8)),
+)
+
+
+class TestWriteCsvProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pools=st.lists(COLUMN_POOLS, min_size=1, max_size=3),
+        rows=st.one_of(
+            st.sampled_from([0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 3]),
+            st.integers(0, 3 * _CHUNK_ROWS),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(pools=[(object, [2**63, -(2**70)]), (np.float64, [-0.0, 5e-324]), (np.int64, [-(2**63)])],
+             rows=_CHUNK_ROWS + 1, seed=0)
+    def test_equals_csv_writer(self, tmp_path_factory, pools, rows, seed):
+        # 1-3 columns of int64, of object ints past 2^63 and of floats with
+        # signed zeros, subnormals, nan and infinities, each drawn from its pool
+        rng = np.random.default_rng(seed)
+        columns = [np.array(pool, dtype=dtype)[rng.integers(len(pool), size=rows)] for dtype, pool in pools]
+        header = [f"c{j}" for j in range(len(columns))]
+        path = tmp_path_factory.mktemp("csv") / "h.csv"
+        write_csv(path, header, columns)
+        cell = [(lambda x: repr(float(x))) if c.dtype == np.float64 else int for c in columns]
+        want = reference_bytes(header, ([f(c[i]) for f, c in zip(cell, columns)] for i in range(rows)))
+        assert written(path) == want
 
 
 class TestSidecars:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,6 +227,40 @@ def windowed_density(spec, hi):
     return members / reference
 
 
+# primes beside each window edge up to the oracle's top, for explicit lists
+EDGE_PRIMES = sorted({p for k in range(7) for p in sieve(k * WINDOW + 300, max(k * WINDOW - 300, 0)).tolist()})
+
+
+def member_by_definition(spec, p):
+    """Whether prime p >= min_prime is in spec's subset, read off the spec."""
+    if spec.variant == "residue_classes":
+        return p % spec.modulus in spec.classes
+    if spec.variant == "explicit_list":
+        return p in spec.primes
+    if spec.variant == "bernoulli_sample":
+        return splitmix64(splitmix64(spec.seed) ^ p) < int(spec.rho * 2**64)
+    return True
+
+
+@st.composite
+def density_specs(draw):
+    """Residue specs mod 2-30 (24 among them) over random reduced class sets;
+    explicit lists holding composites, values past the oracle's top and values
+    below min_prime; bernoulli specs, rho = 1 among them."""
+    min_prime = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    kind = draw(st.sampled_from(["residues", "explicit", "bernoulli"]))
+    if kind == "residues":
+        q = draw(st.one_of(st.integers(2, 30), st.just(24)))
+        reduced = [c for c in range(q) if math.gcd(c, q) == 1]
+        classes = draw(st.lists(st.sampled_from(reduced), min_size=1, unique=True))
+        return PrimeSubsetSpec.residue_classes(q, classes, min_prime)
+    if kind == "explicit":
+        values = st.one_of(st.sampled_from(EDGE_PRIMES), st.integers(-5, 20), st.integers(0, TOP + 1000))
+        return PrimeSubsetSpec.explicit(draw(st.lists(values, max_size=30)), min_prime)
+    rho = draw(st.one_of(st.just(1.0), st.floats(0.01, 1.0)))
+    return PrimeSubsetSpec.bernoulli(rho, draw(st.integers(0, 2**40)), min_prime)
+
+
 class TestDensity:
     def test_all_is_one(self):
         assert empirical_density(PrimeSubsetSpec.all_primes(), 100_000) == 1.0
@@ -264,15 +299,54 @@ class TestDensity:
     def test_windows_equal_the_full_table(self, spec, hi, oracle_primes, monkeypatch):
         import psqlab.primes as primes_mod
 
-        calls = []
-        real = primes_mod.sieve
-        monkeypatch.setattr(primes_mod, "sieve", lambda limit, lo=0: calls.append((lo, limit)) or real(limit, lo))
+        calls = []  # every window marked, by a sieve or by the density
+        real = primes_mod._odd_marks
+        monkeypatch.setattr(primes_mod, "_odd_marks", lambda limit, lo: calls.append((lo, limit)) or real(limit, lo))
         table = oracle_primes[oracle_primes <= hi]
         assert empirical_density(spec, hi) == density_from_the_full_table(spec, table)
         if spec.variant == "all":  # density 1.0 by Bertrand's postulate: no window
             assert all(limit <= math.isqrt(hi) for lo, limit in calls)
         else:
             assert max(limit - lo + 1 for lo, limit in calls) <= WINDOW  # no sieve past one window
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=density_specs(),
+        hi=st.one_of(
+            st.builds(lambda k, d: max(k * WINDOW + d, 0), st.integers(0, 6), st.integers(-1, 1)),
+            st.integers(0, 3000),
+        ),
+    )
+    @example(spec=PrimeSubsetSpec.explicit([2], min_prime=2), hi=2)
+    @example(spec=PrimeSubsetSpec.residue_classes(24, [1, 5, 7, 11, 13, 17, 19, 23], min_prime=2), hi=WINDOW)
+    def test_slices_equal_the_full_table(self, oracle_primes, spec, hi):
+        # the counts over slices of each window's marks are the counts over
+        # one table of every prime up to hi, and the members those of the
+        # spec's definition
+        table = oracle_primes[oracle_primes <= hi]
+        if not np.count_nonzero(table >= spec.min_prime):
+            with pytest.raises(ValueError, match="density undefined"):
+                empirical_density(spec, hi)
+            return
+        assert empirical_density(spec, hi) == density_from_the_full_table(spec, table)
+        head = table[:500]
+        want = [p for p in head.tolist() if p >= spec.min_prime and member_by_definition(spec, p)]
+        assert subset_members(spec, head).tolist() == want
+
+    def test_holds_one_window_of_marks(self):
+        # a window's marks are a byte per odd number, DENSITY_WINDOW // 2
+        # bytes, and the count holds one window of them (about 1.2 MiB
+        # traced); an int64 table of a window's primes with its masks and
+        # members would take about 3.4 MiB
+        spec = PrimeSubsetSpec.residue_classes(5, [1, 4])
+        empirical_density(spec, 1000)  # the first call's imports and caches
+        tracemalloc.start()
+        try:
+            empirical_density(spec, 2 * DENSITY_WINDOW)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < DENSITY_WINDOW  # two windows of marks
 
     @pytest.mark.parametrize("min_prime", [-3, 0, 1, 2, 3, 4, 5, 7, 8, 100])
     def test_keep_all_equals_the_windows(self, min_prime):
